@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,9 +44,10 @@ from .glued_model import (
     kernel_potential_dirichlet,
     kernel_potential_neumann,
     load_block,
+    sample_rows,
 )
 from .gluing_solver import solve_exact, solve_report_csv, substitute_kernel
-from .ioutil import format_complex, format_real, thread_count, write_text_atomic
+from .ioutil import finite_number, format_complex, format_real, write_text_atomic
 from .neck_inverse import operator_norm_fit, q0_apply, residual_on_support, seeded_section
 from .polyhom import (
     CutoffFunction,
@@ -113,20 +113,30 @@ def _spectrum_from(entry, base_dir: str):
     raise ConfigError("spectrum: expected a preset name or {\"file\": path}")
 
 
+def _number(entry: dict, key: str, where: str, default: float | None = None) -> float:
+    if key not in entry:
+        if default is None:
+            raise ConfigError(f"{where}: missing field {key!r}")
+        return default
+    value = finite_number(entry[key])
+    if value is None:
+        raise ConfigError(f"{where}.{key}: expected a finite number")
+    return value
+
+
 def _potential_from(entry, mu: float, where: str) -> Potential:
     if isinstance(entry, list):
-        rows = []
-        for r in entry:
-            if not (isinstance(r, list) and len(r) == 2):
-                raise ConfigError(f"{where}: expected [[s, V], ...] rows")
-            rows.append((float(r[0]), float(r[1])))
-        return Potential.from_samples(rows, mu)
+        return Potential.from_samples(sample_rows(entry, where), mu)
     if isinstance(entry, dict):
         profile = entry.get("profile")
-        if profile == "kernel_neumann":
-            return kernel_potential_neumann(float(entry.get("mu", mu)), float(entry["c"]))
-        if profile == "kernel_dirichlet":
-            return kernel_potential_dirichlet(float(entry.get("mu", mu)))
+        try:
+            if profile == "kernel_neumann":
+                return kernel_potential_neumann(_number(entry, "mu", where, mu),
+                                                _number(entry, "c", where))
+            if profile == "kernel_dirichlet":
+                return kernel_potential_dirichlet(_number(entry, "mu", where, mu))
+        except ContractViolation as exc:
+            raise ConfigError(f"{where}: {exc}") from None
         raise ConfigError(f"{where}: unknown profile {profile!r}")
     raise ConfigError(f"{where}: expected sample rows or a profile object")
 
@@ -146,15 +156,15 @@ def _block_from(entry, spec, base_dir: str, where: str) -> BuildingBlock:
     block_spec = spec
     if "spectrum" in entry:
         block_spec = _spectrum_from(entry["spectrum"], base_dir)
-    mu = float(entry["mu"])
+    mu = _number(entry, "mu", where)
     pots = {}
     for key, val in entry.get("potentials", {}).items():
         try:
             idx = int(key)
         except ValueError:
             raise ConfigError(f"{where}: potential key {key!r} is not an integer") from None
-        pots[idx] = _potential_from(val, mu, f"{where}.potentials[{key}]")
-    return BuildingBlock(spec=block_spec, L=float(entry["L"]),
+        pots[idx] = _potential_from(val, mu, f"{where}.potentials[{json.dumps(key)}]")
+    return BuildingBlock(spec=block_spec, L=_number(entry, "L", where),
                          boundary=str(entry["boundary"]), mu=mu, potentials=pots)
 
 
@@ -401,14 +411,9 @@ def cmd_density(cfg: ExperimentConfig):
     lines = []
     files = {}
     for q in cfg.degrees:
-        with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-            built = list(pool.map(
-                lambda T: assemble(b1, b2, cfg.spectrum, q, T=T, h=cfg.h, cutoff=cfg.cutoff),
-                cfg.T_values,
-            ))
-        cache = dict(zip(cfg.T_values, built))
         rep = spectral_density.density_sweep(
-            cache.__getitem__, q, cfg.s_values, cfg.T_values
+            lambda T: assemble(b1, b2, cfg.spectrum, q, T=T, h=cfg.h, cutoff=cfg.cutoff),
+            q, cfg.s_values, cfg.T_values,
         )
         r0 = 2 * rep.B + 3
         ok &= rep.max_residual <= r0

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AnalysisError, ContractViolation, MatchingConditionError, SpectrumFormatError
-from .ioutil import format_real
+from .ioutil import finite_number, format_real
 from .polyhom import CutoffFunction
 from .spectral_model import CrossSectionSpectrum, KIND_LAPLACE, ModeOperator, mode_list
 
@@ -67,6 +67,8 @@ class Potential:
     @classmethod
     def from_samples(cls, pairs: Sequence[tuple[float, float]], mu: float) -> "Potential":
         pts = np.asarray(sorted((float(a), float(b)) for a, b in pairs), dtype=float)
+        if not np.all(np.isfinite(pts)):
+            raise ContractViolation("potential samples must be finite")
         if len(pts) == 0:
             return cls(lambda s, h: np.zeros_like(s), mu)
         s_tab, v_tab = pts[:, 0], pts[:, 1]
@@ -82,6 +84,22 @@ class Potential:
             return (w(s + h) - 2.0 * ws + w(s - h)) / (h * h * ws)
 
         return cls(quotient, mu, kernel_profile=w)
+
+
+def sample_rows(rows, where: str) -> list[tuple[float, float]]:
+    """Check a JSON sample table [[s, V], ...] of finite numbers; errors
+    name ``where``, the table's field."""
+    if not isinstance(rows, list):
+        raise SpectrumFormatError(f"{where}: expected [[s, V], ...] rows")
+    out = []
+    for r, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == 2):
+            raise SpectrumFormatError(f"{where}: expected [[s, V], ...] rows")
+        s, v = finite_number(row[0]), finite_number(row[1])
+        if s is None or v is None:
+            raise SpectrumFormatError(f"{where}[{r}]: expected two finite numbers, got {row!r}")
+        out.append((s, v))
+    return out
 
 
 def kernel_potential_neumann(mu: float, c: float) -> Potential:
@@ -157,6 +175,10 @@ class BuildingBlock:
         reach = _shooting_reach(pot.mu)
         s = np.arange(self.L, self.L + reach + h / 2, h)
         v = np.abs(pot.values(s, h))
+        # a NaN compares False against every bound below, so refuse it here
+        if not np.all(np.isfinite(v)):
+            k = int(np.argmin(np.isfinite(v)))
+            raise ContractViolation(f"{where}: potential is not finite at s = {s[k]:.4f}")
         weights = np.exp(pot.mu * (s - self.L))
         near = s <= self.L + 8.0
         amp = float(np.max(v[near] * weights[near], initial=0.0))
@@ -194,6 +216,9 @@ def load_block(path: str, spec: CrossSectionSpectrum) -> BuildingBlock:
     unknown = raw.keys() - required
     if unknown:
         raise SpectrumFormatError(f"top level: unknown field {sorted(unknown)[0]!r}")
+    L, mu = finite_number(raw["L"]), finite_number(raw["mu"])
+    if L is None or mu is None:
+        raise SpectrumFormatError(f"{'L' if L is None else 'mu'}: expected a finite number")
     if not isinstance(raw["potentials"], dict):
         raise SpectrumFormatError("potentials: expected an object")
     pots = {}
@@ -202,16 +227,12 @@ def load_block(path: str, spec: CrossSectionSpectrum) -> BuildingBlock:
             idx = int(key)
         except ValueError:
             raise SpectrumFormatError(f"potentials[{key!r}]: key is not an integer") from None
-        if not isinstance(rows, list) or any(
-            not (isinstance(r, list) and len(r) == 2) for r in rows
-        ):
-            raise SpectrumFormatError(f"potentials[{key!r}]: expected [[s, V], ...] rows")
-        pots[idx] = Potential.from_samples([(r[0], r[1]) for r in rows], float(raw["mu"]))
+        pots[idx] = Potential.from_samples(sample_rows(rows, f"potentials[{key!r}]"), mu)
     return BuildingBlock(
         spec=spec,
-        L=float(raw["L"]),
+        L=L,
         boundary=str(raw["boundary"]),
-        mu=float(raw["mu"]),
+        mu=mu,
         potentials=pots,
     )
 
@@ -317,6 +338,13 @@ def assemble(
     modes = tuple(mode_list(spec, q, cutoff if cutoff is not None else math.inf))
     if any(m.kind != KIND_LAPLACE for m in modes):
         raise ContractViolation("glued blocks are Laplace-type only")
+    for name, block in (("block 1", block1), ("block 2", block2)):
+        for idx in sorted(block.potentials):
+            if not 0 <= idx < len(modes):
+                raise ContractViolation(
+                    f"{name}: potential on mode {idx}, but degree {q} has {len(modes)} modes"
+                    + ("" if cutoff is None else f" below the cutoff {cutoff}")
+                )
 
     n = round((2 * T + block1.L + block2.L) / h)
     t = -T - block1.L + (np.arange(n) + 0.5) * h
@@ -555,22 +583,60 @@ class EigenResult:
         return np.array([e.value for e in self.entries])
 
 
+def coupled_modes(G: GluedOperator) -> list[int]:
+    """Sorted indices of the modes joined by a coupling potential."""
+    return sorted({mode for pair in G.coupling_eff for mode in pair})
+
+
+def coupled_entries(G: GluedOperator, k: int) -> list[EigenEntry]:
+    """The k lowest eigenvalues per mode of the coupled group, solved densely.
+
+    Each eigenvalue is attributed to the mode carrying the largest share of
+    its eigenvector mass; k >= n_points returns the whole group spectrum.
+    """
+    group = coupled_modes(G)
+    if not group:
+        return []
+    n = G.n_points
+    size = len(group) * n
+    big = np.zeros((size, size))
+    pos = {mode: a for a, mode in enumerate(group)}
+    for mode in group:
+        diag, off = G.mats[mode]
+        a = pos[mode] * n
+        big[a : a + n, a : a + n] = (
+            np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        )
+    for (i, j), c in G.coupling_eff.items():
+        a, b = pos[i] * n, pos[j] * n
+        big[a : a + n, b : b + n] = np.diag(c)
+        big[b : b + n, a : a + n] = np.diag(c)
+    vals, vecs = scipy.linalg.eigh(big)
+    entries = []
+    per_mode_rank: dict[int, int] = {mode: 0 for mode in group}
+    for col in range(size):
+        mass = [float(np.sum(vecs[pos[m0] * n : pos[m0] * n + n, col] ** 2)) for m0 in group]
+        owner = group[int(np.argmax(mass))]
+        rank = per_mode_rank[owner]
+        if rank < k:
+            mo = G.modes[owner]
+            entries.append(EigenEntry(float(vals[col]), mo.nu, mo.degree_tag, owner, rank))
+        per_mode_rank[owner] = rank + 1
+    return entries
+
+
 def eigen_lowest(G: GluedOperator, k: int) -> EigenResult:
     """The k smallest eigenvalues of every per-mode matrix, merged sorted.
 
-    Tridiagonal modes use Sturm bisection; coupled groups are solved
-    densely and each eigenvalue is attributed to the mode carrying the
-    largest share of its eigenvector mass.
+    Tridiagonal modes use Sturm bisection; coupled groups go through
+    ``coupled_entries``.
     """
     if k < 1:
         raise ContractViolation("need k >= 1")
     n = G.n_points
     clipped = k > n
     kk = min(k, n)
-    coupled = set()
-    for (i, j) in G.coupling_eff:
-        coupled.add(i)
-        coupled.add(j)
+    coupled = set(coupled_modes(G))
     entries: list[EigenEntry] = []
     for i, m in enumerate(G.modes):
         if i in coupled:
@@ -582,31 +648,7 @@ def eigen_lowest(G: GluedOperator, k: int) -> EigenResult:
         entries.extend(
             EigenEntry(float(v), m.nu, m.degree_tag, i, rank) for rank, v in enumerate(vals)
         )
-    if coupled:
-        group = sorted(coupled)
-        size = len(group) * n
-        big = np.zeros((size, size))
-        pos = {mode: a for a, mode in enumerate(group)}
-        for mode in group:
-            diag, off = G.mats[mode]
-            a = pos[mode] * n
-            big[a : a + n, a : a + n] = (
-                np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-            )
-        for (i, j), c in G.coupling_eff.items():
-            a, b = pos[i] * n, pos[j] * n
-            big[a : a + n, b : b + n] = np.diag(c)
-            big[b : b + n, a : a + n] = np.diag(c)
-        vals, vecs = scipy.linalg.eigh(big)
-        per_mode_rank: dict[int, int] = {mode: 0 for mode in group}
-        for col in range(size):
-            mass = [float(np.sum(vecs[pos[m0] * n : pos[m0] * n + n, col] ** 2)) for m0 in group]
-            owner = group[int(np.argmax(mass))]
-            rank = per_mode_rank[owner]
-            if rank < kk:
-                mo = G.modes[owner]
-                entries.append(EigenEntry(float(vals[col]), mo.nu, mo.degree_tag, owner, rank))
-            per_mode_rank[owner] = rank + 1
+    entries.extend(coupled_entries(G, kk))
     entries.sort(key=lambda e: (e.value, e.mode_index, e.k_within))
     return EigenResult(entries=tuple(entries), clipped=clipped)
 

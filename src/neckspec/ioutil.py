@@ -1,7 +1,8 @@
-"""Small shared helpers for deterministic text output."""
+"""Small shared helpers for JSON input and deterministic text output."""
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
@@ -31,11 +32,12 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def thread_count() -> int:
-    """Worker cap for mode loops, from NECKSPEC_THREADS (default 1)."""
-    raw = os.environ.get("NECKSPEC_THREADS", "1")
+def finite_number(x) -> float | None:
+    """x as a float if it is a finite JSON number (bools excluded), else None."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
     try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+        value = float(x)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None

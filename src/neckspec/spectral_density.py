@@ -2,8 +2,9 @@
 
 The number of eigenvalues of the degree-q glued operator in the window
 (0, pi^2 s/T^2] grows like 2(b^{q-1}+b^q) sqrt(s) with a T-independent
-remainder. This module counts them from the tridiagonal spectra, compares
-against the product benchmark, and builds the Fourier test spaces whose
+remainder. This module counts them by the inertia of the tridiagonal
+matrices (Sturm counts, no eigenvalues computed), compares against the
+product benchmark, and builds the Fourier test spaces whose
 Rayleigh quotients give the matching upper bounds.
 """
 
@@ -23,13 +24,17 @@ from .errors import (
     InsufficientEigenvaluesError,
     ResolutionError,
 )
-from .glued_model import EigenResult, GluedOperator, eigen_lowest
+from .glued_model import EigenResult, GluedOperator, coupled_entries, coupled_modes, eigen_lowest
 from .gluing_solver import SubstituteKernel, substitute_kernel
 from .ioutil import format_real
 from .polyhom import CutoffFunction
 from .spectral_model import CrossSectionSpectrum, mode_list
 
 THRESHOLD_ZERO = 1e-10
+
+# modes stacked per pass of the Sturm recurrence; bounds the transient
+# (n_points x STURM_CHUNK) diagonal block
+STURM_CHUNK = 128
 
 
 def betti_sum(spec: CrossSectionSpectrum, q: int) -> int:
@@ -55,17 +60,64 @@ def _coverage_check(G: GluedOperator, result: EigenResult, top: float) -> None:
             )
 
 
-def _eigen_for_window(G: GluedOperator, s: float) -> EigenResult:
-    k = min(int(math.ceil(2.5 * math.sqrt(s))) + 8, G.n_points)
-    return eigen_lowest(G, k)
+def sturm_counts(G: GluedOperator, shifts) -> np.ndarray:
+    """Per mode, the number of eigenvalues <= each shift: an integer array
+    of shape (len(G.modes), len(shifts)).
+
+    For a tridiagonal mode this is the inertia of A - xI, the number of
+    negative pivots d_i = (a_i - x) - b^2/d_{i-1} of its LDL^T factorization:
+    the Sturm count of Barth, Martin & Wilkinson (1967), as in LAPACK dstebz.
+    The off-diagonal b = -1/h^2 is the same for every mode. A pivot smaller
+    than pivmin in magnitude is replaced by -pivmin, as dstebz does. The
+    pivots count eigenvalues < x, so x is moved up one ulp to count <= x and
+    keep the window edges of the eigenvalue path.
+    The recurrence runs once per grid point over a (modes x shifts) array,
+    STURM_CHUNK modes at a time. Coupled groups are counted from their full
+    dense spectrum, attributed to modes as in ``eigen_lowest``.
+    """
+    shifts = np.asarray(shifts, dtype=float)
+    x = np.nextafter(shifts, np.inf)
+    b2 = (1.0 / G.h**2) ** 2
+    pivmin = np.finfo(float).tiny * max(1.0, b2)
+    counts = np.zeros((len(G.modes), len(shifts)), dtype=np.int64)
+    for e in coupled_entries(G, G.n_points):
+        counts[e.mode_index] += e.value <= shifts
+    coupled = set(coupled_modes(G))
+    free = [i for i in range(len(G.modes)) if i not in coupled]
+    for start in range(0, len(free), STURM_CHUNK):
+        chunk = free[start : start + STURM_CHUNK]
+        diags = np.stack([G.mats[i][0] for i in chunk], axis=1)  # (n, modes)
+        d = np.full((len(chunk), len(x)), np.inf)
+        negative = np.zeros(d.shape, dtype=np.int64)
+        for a in diags:
+            d = (a[:, None] - x) - b2 / d
+            d[np.abs(d) < pivmin] = -pivmin
+            negative += d < 0
+        counts[chunk] = negative
+    return counts
+
+
+def window_counts(G: GluedOperator, s_values) -> np.ndarray:
+    """Per mode, the eigenvalue count in (THRESHOLD_ZERO, pi^2 s/T^2] for
+    each s: shape (len(G.modes), len(s_values))."""
+    tops = [window_top(G, s) for s in s_values]
+    below = sturm_counts(G, [THRESHOLD_ZERO] + tops)
+    return np.maximum(below[:, 1:] - below[:, :1], 0)
+
+
+def _branch_counts(G: GluedOperator, per_mode: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exact, coexact) totals of per-mode counts, split by degree tag."""
+    beta = np.array([m.degree_tag == "beta" for m in G.modes], dtype=bool)
+    return per_mode[beta].sum(axis=0), per_mode[~beta].sum(axis=0)
 
 
 def count_low_eigenvalues(G: GluedOperator, s: float, result: EigenResult | None = None) -> int:
     """Multiplicity count of eigenvalues in (threshold, pi^2 s/T^2]; the
-    threshold 1e-10 keeps the numerical kernel out of the window."""
-    top = window_top(G, s)
+    threshold 1e-10 keeps the numerical kernel out of the window. Counted by
+    ``sturm_counts`` unless precomputed eigenvalues are passed."""
     if result is None:
-        result = _eigen_for_window(G, s)
+        return int(window_counts(G, [s]).sum())
+    top = window_top(G, s)
     _coverage_check(G, result, top)
     vals = result.values()
     return int(np.sum((vals > THRESHOLD_ZERO) & (vals <= top)))
@@ -77,9 +129,10 @@ def coexact_split_counts(
     """(exact branch, coexact branch): window counts split by the mode's
     degree tag. Beta-tagged modes descend from harmonic (q-1)-forms and
     carry the exact branch; alpha-tagged modes carry the coexact one."""
-    top = window_top(G, s)
     if result is None:
-        result = _eigen_for_window(G, s)
+        exact, coexact = _branch_counts(G, window_counts(G, [s]))
+        return int(exact[0]), int(coexact[0])
+    top = window_top(G, s)
     _coverage_check(G, result, top)
     exact = coexact = 0
     for e in result.entries:
@@ -144,8 +197,8 @@ def density_sweep(
     T_values,
     include_coexact: bool = True,
 ) -> DensityReport:
-    """Count window eigenvalues for every (T, s) pair from one eigenvalue
-    list per T; asserts count monotonicity in s and, when both s and 4s
+    """Count window eigenvalues for every (T, s) pair from one Sturm count
+    per T; asserts count monotonicity in s and, when both s and 4s
     appear, that their residuals differ by at most 2B + 2."""
     s_values = tuple(float(s) for s in s_values)
     T_values = tuple(float(T) for T in T_values)
@@ -160,13 +213,13 @@ def density_sweep(
             raise ContractViolation("builder produced an operator of the wrong degree")
         b_exact, b_coexact = G.spec.betti(q - 1), G.spec.betti(q)
         B = b_exact + b_coexact
-        result = _eigen_for_window(G, max(s_values))
-        row = [count_low_eigenvalues(G, s, result) for s in s_values]
+        exact, coexact_row = _branch_counts(G, window_counts(G, s_values))
+        row = [int(e + c) for e, c in zip(exact, coexact_row)]
         if any(b < a for a, b in zip(row, row[1:])) and sorted(s_values) == list(s_values):
             raise AnalysisError("window counts decreased in s")
         counts.append(tuple(row))
         if include_coexact:
-            coexact.append(tuple(coexact_split_counts(G, s, result) for s in s_values))
+            coexact.append(tuple((int(e), int(c)) for e, c in zip(exact, coexact_row)))
     prediction = tuple(2.0 * B * math.sqrt(s) for s in s_values)
     residuals = tuple(
         tuple(c - p for c, p in zip(row, prediction)) for row in counts

@@ -102,6 +102,53 @@ class TestConfigErrors:
         assert exc.value.code == 2
 
 
+class TestPotentialEntries:
+    """Bad potential entries exit 2 with the field named, never a traceback."""
+
+    def _run(self, tmp_path, capsys, command, potentials, spectrum="scalar"):
+        block = {"L": 2.0, "boundary": "neumann", "mu": 1.0, "potentials": potentials}
+        cfg = write_config(tmp_path, spectrum=spectrum, blocks=[block, FLAT_BLOCK],
+                           degrees=[0], T=[8], s=[4.41], seed=1)
+        code, out, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "Traceback" not in out + err
+        return err
+
+    @pytest.mark.parametrize("command", ["glue", "density"])
+    def test_non_numeric_sample(self, tmp_path, capsys, command):
+        err = self._run(tmp_path, capsys, command, {"0": [[0.0, 0.1], ["a", 1]]})
+        assert 'blocks[0].potentials["0"][1]' in err
+        assert "finite numbers" in err
+
+    @pytest.mark.parametrize("command", ["glue", "density"])
+    def test_nan_sample(self, tmp_path, capsys, command):
+        err = self._run(tmp_path, capsys, command, {"0": [[0.0, 0.1], [1.0, math.nan]]})
+        assert 'blocks[0].potentials["0"][1]' in err
+
+    def test_kernel_profile_without_c(self, tmp_path, capsys):
+        err = self._run(tmp_path, capsys, "glue", {"0": {"profile": "kernel_neumann"}})
+        assert 'blocks[0].potentials["0"]' in err
+        assert "'c'" in err
+
+    def test_kernel_profile_out_of_range(self, tmp_path, capsys):
+        err = self._run(tmp_path, capsys, "glue", {"0": {"profile": "kernel_neumann", "c": 1.5}})
+        assert 'blocks[0].potentials["0"]' in err
+
+    def test_non_numeric_block_length(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, spectrum="scalar", blocks=[dict(FLAT_BLOCK, L="x"), FLAT_BLOCK],
+                           degrees=[0], T=[8], seed=1)
+        code, _, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "blocks[0].L" in err
+
+    @pytest.mark.parametrize("command", ["glue", "density"])
+    def test_potential_on_a_missing_mode(self, tmp_path, capsys, command):
+        # the scalar spectrum has one degree-0 mode, so mode 7 does not exist
+        err = self._run(tmp_path, capsys, command, {"7": [[0.0, 0.1], [1.0, 0.0]]})
+        assert "mode 7" in err
+        assert "1 modes" in err
+
+
 class TestQ0Check:
     def test_mixed_modes_pass(self, tmp_path, capsys):
         cfg = write_config(tmp_path, spectrum="circle", degrees=[0, 1],

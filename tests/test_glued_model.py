@@ -283,6 +283,28 @@ def test_clean_positive_modes_are_certified():
     assert len(data.elements) == 1
 
 
+def test_non_finite_potentials_are_refused():
+    with pytest.raises(ContractViolation, match="finite"):
+        Potential.from_samples([(0.0, 0.1), (1.0, float("nan"))], mu=1.0)
+    holey = Potential.from_callable(lambda s: np.where(s > 3.0, np.nan, np.exp(-s)), mu=1.0)
+    with pytest.raises(ContractViolation, match=r"potentials\[0\]: potential is not finite"):
+        BuildingBlock(SCALAR, L=1.0, boundary=NEUMANN, mu=1.0, potentials={0: holey})
+
+
+def test_potential_on_a_missing_mode_is_refused():
+    stray = BuildingBlock(SCALAR, L=1.0, boundary=NEUMANN, mu=1.0,
+                          potentials={7: exp_potential(0.3, 1.0)})
+    with pytest.raises(ContractViolation, match="block 2: potential on mode 7, but degree 0 has 1 modes"):
+        assemble(flat_block(), stray, SCALAR, 0, T=2.0, h=H)
+    # a mode above the cutoff is missing too
+    spec = scalar_spectrum(((0.0, 1), (1.0, 1)))
+    upper = BuildingBlock(spec, L=1.0, boundary=NEUMANN, mu=1.0,
+                          potentials={1: exp_potential(0.3, 1.0)})
+    assemble(upper, flat_block(spec), spec, 0, T=2.0, h=H)
+    with pytest.raises(ContractViolation, match="mode 1"):
+        assemble(upper, flat_block(spec), spec, 0, T=2.0, h=H, cutoff=0.5)
+
+
 def test_affine_fit_guard_rejects_nonflat_far_fields():
     # sneak past the construction scan with a tiny amplitude, then let the
     # slow tail spoil the affine window
@@ -393,6 +415,9 @@ def test_block_json_roundtrip(tmp_path):
         (lambda d: d.update(potentials={"x": []}), "not an integer"),
         (lambda d: d.update(potentials={"0": [[1.0]]}), "rows"),
         (lambda d: d.update(potentials=[1, 2]), "expected an object"),
+        (lambda d: d.update(potentials={"0": [["a", 1]]}), "potentials.'0'..0.: expected two finite"),
+        (lambda d: d.update(potentials={"0": [[0.0, float("nan")]]}), "finite numbers"),
+        (lambda d: d.update(mu="fast"), "mu: expected a finite number"),
     ],
 )
 def test_block_json_is_strict(tmp_path, mangle, message):

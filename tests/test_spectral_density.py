@@ -1,9 +1,11 @@
+import dataclasses
 import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from neckspec import spectral_density as sd
@@ -13,9 +15,15 @@ from neckspec.errors import (
     InsufficientEigenvaluesError,
     ResolutionError,
 )
-from neckspec.glued_model import BuildingBlock, assemble, eigen_lowest, kernel_potential_neumann
+from neckspec.glued_model import (
+    BuildingBlock,
+    Potential,
+    assemble,
+    eigen_lowest,
+    kernel_potential_neumann,
+)
 from neckspec.gluing_solver import substitute_kernel
-from neckspec.spectral_model import scalar_spectrum, torus2_spectrum
+from neckspec.spectral_model import circle_spectrum, scalar_spectrum, torus2_spectrum
 
 SCALAR = scalar_spectrum()
 TORUS = torus2_spectrum()
@@ -79,6 +87,128 @@ def test_insufficient_eigenvalues_raises():
     res = eigen_lowest(G, 2)
     with pytest.raises(InsufficientEigenvaluesError):
         sd.count_low_eigenvalues(G, 25.21, res)
+
+
+# ---------------------------------------------------------------------------
+# Sturm counts against the eigensolver path they replaced
+
+
+def _eigensolver_counts(G, shifts, widen=0.0):
+    """Per mode, eigenvalues <= each shift + widen, from full tridiagonal
+    eigensolves of the uncoupled modes."""
+    out = np.zeros((len(G.modes), len(shifts)), dtype=int)
+    for i in range(len(G.modes)):
+        diag, off = G.mats[i]
+        vals = scipy.linalg.eigvalsh_tridiagonal(diag, off)
+        out[i] = [np.sum(vals <= x + widen) for x in shifts]
+    return out
+
+
+def _roundoff(G):
+    # both methods are backward stable: each count is exact for a matrix
+    # within a few ulps of ||A||, so counts may differ only for eigenvalues
+    # this close to a shift
+    norm = max(float(np.max(np.abs(diag))) + 2.0 / G.h**2 for diag, _ in G.mats)
+    return 64 * np.finfo(float).eps * norm
+
+
+_samples = st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=4.0), st.floats(min_value=-20.0, max_value=20.0)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    T=st.integers(min_value=2, max_value=6),
+    L1=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    L2=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    boundaries=st.tuples(st.sampled_from(["neumann", "dirichlet"]),
+                         st.sampled_from(["neumann", "dirichlet"])),
+    nus=st.lists(st.floats(min_value=0.01, max_value=5.0), unique=True, max_size=2),
+    pots=st.tuples(st.dictionaries(st.integers(0, 2), _samples, max_size=3),
+                   st.dictionaries(st.integers(0, 2), _samples, max_size=3)),
+    shifts=st.lists(st.floats(min_value=-30.0, max_value=300.0), min_size=1, max_size=5),
+)
+def test_sturm_counts_match_the_eigensolver(T, L1, L2, boundaries, nus, pots, shifts):
+    # n = (2T + L1 + L2)/h stays at or below 256
+    spec = scalar_spectrum(pairs=((0.0, 1),) + tuple((nu, 1) for nu in sorted(nus)), name="rand")
+    blocks = [
+        BuildingBlock(spec=spec, L=L, boundary=bc, mu=1.0, potentials={
+            i: Potential.from_samples(rows, 1.0) for i, rows in table.items() if i <= len(nus)
+        })
+        for L, bc, table in zip((L1, L2), boundaries, pots)
+    ]
+    G = assemble(blocks[0], blocks[1], spec, 0, T=float(T), h=H)
+    got = sd.sturm_counts(G, shifts)
+    tol = _roundoff(G)
+    low = _eigensolver_counts(G, shifts, -tol)
+    high = _eigensolver_counts(G, shifts, tol)
+    assert np.all((low <= got) & (got <= high))
+    # away from ties the counts agree exactly, and so do the window counts
+    s = shifts[-1] % 60.0 + 0.5
+    edges = [sd.THRESHOLD_ZERO, sd.window_top(G, s)]
+    assume(np.array_equal(_eigensolver_counts(G, edges, -tol), _eigensolver_counts(G, edges, tol)))
+    reference = eigen_lowest(G, G.n_points)
+    assert sd.count_low_eigenvalues(G, s) == sd.count_low_eigenvalues(G, s, reference)
+
+
+def test_sturm_counts_an_eigenvalue_equal_to_the_shift():
+    # at h = 1e100 the off-diagonal (1/h^2)^2 underflows to 0, so the matrix
+    # is diagonal and its eigenvalues sit exactly on the shifts; an
+    # eigenvalue equal to a shift must count as <= it
+    G = flat_scalar(2.0)
+    n = G.n_points
+    diag = np.linspace(-1.0, 1.0, n)
+    G0 = dataclasses.replace(G, mats=((diag, np.zeros(n - 1)),), h=1e100)
+    assert sd.sturm_counts(G0, [diag[5], diag[-1], -2.0]).tolist() == [[6, n, 0]]
+
+
+def test_coupled_group_counts_follow_eigen_lowest_attribution():
+    spec = scalar_spectrum(((0.0, 1), (0.2, 1)))
+    coup = Potential.from_callable(lambda s: 0.3 * np.exp(-s), mu=1.0)
+    b1 = BuildingBlock(spec, L=1.0, boundary="neumann", mu=1.0, coupling={(0, 1): coup})
+    b2 = BuildingBlock(spec, L=0.0, boundary="neumann", mu=1.0)
+    G = assemble(b1, b2, spec, 0, T=3.0, h=H)
+    shifts = [sd.THRESHOLD_ZERO, 0.5, 2.0, 30.0]
+    got = sd.sturm_counts(G, shifts)
+    ref = eigen_lowest(G, G.n_points)
+    for i in range(2):
+        vals = np.array([e.value for e in ref.entries if e.mode_index == i])
+        assert got[i].tolist() == [int(np.sum(vals <= x)) for x in shifts]
+    for s in (1.0, 4.0, 16.0):
+        assert sd.count_low_eigenvalues(G, s) == sd.count_low_eigenvalues(G, s, ref)
+
+
+def test_default_split_matches_the_eigenvalue_path():
+    # circle one-forms carry both degree tags; positive modes enter the window
+    spec = circle_spectrum()
+    b = BuildingBlock(spec=spec, L=0.0, boundary="neumann", mu=1.0)
+    G = assemble(b, b, spec, 1, T=4.0, h=H, cutoff=20.0)
+    ref = eigen_lowest(G, G.n_points)
+    for s in (2.3, 7.7, 30.1):
+        split = sd.coexact_split_counts(G, s)
+        assert split == sd.coexact_split_counts(G, s, ref)
+        assert sum(split) == sd.count_low_eigenvalues(G, s)
+
+
+def test_long_flat_blocks_count_past_the_old_eigenvalue_budget():
+    # flat Neumann blocks with L = 40 glue to one interval of length 100:
+    # eigenvalues (4/h^2) sin^2(k pi h/200), of which k = 1..49 lie in
+    # (0, pi^2 s/T^2] at s = 24.9
+    b = BuildingBlock(spec=SCALAR, L=40.0, boundary="neumann", mu=1.0)
+    G = assemble(b, b, SCALAR, 0, T=10.0, h=H)
+    s = 24.9
+    k = np.arange(1, G.n_points)
+    closed = (4.0 / H**2) * np.sin(k * math.pi / (2 * G.n_points)) ** 2
+    assert int(np.sum(closed <= sd.window_top(G, s))) == 49
+    assert sd.count_low_eigenvalues(G, s) == 49
+    assert sd.coexact_split_counts(G, s) == (0, 49)
+    # the old default computed ceil(2.5 sqrt(s)) + 8 = 21 values per mode
+    budget = math.ceil(2.5 * math.sqrt(s)) + 8
+    with pytest.raises(InsufficientEigenvaluesError):
+        sd.count_low_eigenvalues(G, s, eigen_lowest(G, budget))
 
 
 def _brute_product_count(nus, T, s):
