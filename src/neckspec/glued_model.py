@@ -295,12 +295,6 @@ class GluedOperator:
                 out[j] = out[j] + c * values[i]
         return out
 
-    def inner(self, x: np.ndarray, y: np.ndarray) -> complex:
-        return self.h * complex(np.sum(np.asarray(x) * np.conj(np.asarray(y))))
-
-    def norm(self, x: np.ndarray) -> float:
-        return math.sqrt(self.h * float(np.sum(np.abs(np.asarray(x)) ** 2)))
-
 
 def _corner_value(boundary: str, h: float) -> float:
     # mirror ghost u_{-1} = u_0 (Neumann) keeps constants in the kernel;

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (
     AnalysisError,
@@ -33,27 +31,25 @@ from .errors import (
 )
 from .glued_model import (
     KERNEL_TOL,
-    NEUMANN,
     BlockKernelData,
     BuildingBlock,
     GluedOperator,
     ShootingElement,
+    _corner_value,
     block_kernel,
 )
 from .ioutil import format_complex, format_real
+from .neck_inverse import _laplace_zero_inverse
 from .polyhom import CutoffFunction
 from .spectral_model import mode_list
 
 _CUT = 2.0  # block subgrids reach this far past the neck center
+_BORDER_TOL = 1e-10  # certificate of every bordered block solve
 
 
 def _require_uncoupled(G: GluedOperator) -> None:
     if G.coupling_eff:
         raise ContractViolation("neck solvers handle uncoupled mode families only")
-
-
-def inner(G: GluedOperator, x: np.ndarray, y: np.ndarray) -> complex:
-    return G.h * complex(np.sum(np.asarray(x) * np.conj(np.asarray(y))))
 
 
 def norm(G: GluedOperator, x: np.ndarray) -> float:
@@ -275,14 +271,6 @@ def projection_norm(S: SubstituteKernel) -> float:
 # the cylinder-model solve on the glued grid
 
 
-def _laplace_zero_cylinder(f: np.ndarray, t: np.ndarray, h: float) -> np.ndarray:
-    # exclusive cumulative moments invert the zero-mode stencil exactly and
-    # vanish identically left of the support
-    m0 = h * np.concatenate([[0.0], np.cumsum(f)[:-1]])
-    m1 = h * np.concatenate([[0.0], np.cumsum(t * f)[:-1]])
-    return -(t * m0 - m1)
-
-
 def _positive_mode_cylinder(f: np.ndarray, nu: float, h: float) -> np.ndarray:
     # padded symmetric positive definite solve; every retained interior row
     # is reproduced exactly and the pad pushes the closure artifacts under
@@ -306,7 +294,7 @@ def cylinder_solve(G: GluedOperator, f0: np.ndarray) -> np.ndarray:
     for i, m in enumerate(G.modes):
         row = np.asarray(f0[i], dtype=complex)
         if m.is_zero_mode:
-            out[i] = _laplace_zero_cylinder(row.real, t, G.h) + 1j * _laplace_zero_cylinder(
+            out[i] = _laplace_zero_inverse(row.real, t, G.h) + 1j * _laplace_zero_inverse(
                 row.imag, t, G.h
             )
         else:
@@ -462,9 +450,7 @@ def _block_matrix(G: GluedOperator, which: int, mode_index: int,
     diag = m.nu + v + 2.0 / G.h**2
     outer = 0 if which == 1 else n_sub - 1
     cut = n_sub - 1 - outer
-    diag[outer] = m.nu + v[outer] + (
-        1.0 / G.h**2 if block.boundary == NEUMANN else 3.0 / G.h**2
-    )
+    diag[outer] = m.nu + v[outer] + _corner_value(block.boundary, G.h)
     diag[cut] = m.nu + v[cut] + 1.0 / G.h**2
     off = np.full(n_sub - 1, -1.0 / G.h**2)
     return diag, off
@@ -480,18 +466,47 @@ def _solve_tridiag(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.nda
 
 def _solve_bordered(diag: np.ndarray, off: np.ndarray, border: np.ndarray,
                     rhs: np.ndarray) -> np.ndarray:
-    """Solve [[B, g], [g^T, 0]] [u; lam] = [rhs; 0] for a (near-)singular
-    symmetric tridiagonal B with kernel direction g."""
-    n = len(diag)
-    M = scipy.sparse.lil_matrix((n + 1, n + 1), dtype=complex)
-    M.setdiag(diag)
-    M.setdiag(off, 1)
-    M.setdiag(off, -1)
-    M[n, n] = 0.0
-    M[:n, n] = border.reshape(-1, 1)
-    M[n, :n] = border
-    lu = scipy.sparse.linalg.splu(M.tocsc())
-    return lu.solve(np.concatenate([rhs, [0.0]]))[:n]
+    """Solve [[B, g], [g^T, 0]] [u; lam] = [rhs; 0] in O(n) for a (near-)
+    singular symmetric tridiagonal B with kernel direction g.
+
+    Banded solves use the shifted C = B + sigma e_k e_k^T, k = argmax |g|,
+    |sigma| = max |diag B| signed like B_kk; C is nonsingular when g spans
+    the kernel of B and g_k != 0. C u = rhs + sigma mu e_k - lam g with
+    mu = u_k and g^T u = 0 is a 2 x 2 system for (mu, lam) in C^-1 e_k and
+    C^-1 g (C is symmetric). u comes from one more solve, not from the sum
+    of the three solutions, whose cancelling rounding noise B would amplify
+    by 4/h^2. A normwise backward error or |g^T u| / (|g| |u|) above
+    _BORDER_TOL, as from an ill-conditioned C, raises AnalysisError.
+    """
+    g = np.asarray(border)
+    k = int(np.argmax(np.abs(g)))
+    sigma = math.copysign(float(np.max(np.abs(diag))), float(diag[k]))
+    shifted = np.array(diag, dtype=float)
+    shifted[k] += sigma
+    unit = np.zeros(len(g))
+    unit[k] = 1.0
+    try:
+        xe, xg = _solve_tridiag(shifted, off, np.column_stack([unit, g])).T.real
+        mu, lam = np.linalg.solve([[1.0 - sigma * xe[k], xg[k]], [sigma * xg[k], -(g @ xg)]],
+                                  [xe @ rhs, -(xg @ rhs)])
+        u = _solve_tridiag(shifted, off, rhs - lam * g + sigma * mu * unit)
+    except np.linalg.LinAlgError as exc:
+        raise AnalysisError(f"bordered block solve failed: {exc}") from exc
+    u -= (g @ u) / (g @ g) * g  # g^T u is left at cond(C) eps, and B g ~ 0
+    r = rhs - lam * g - diag * u
+    r[:-1] -= off * u[1:]
+    r[1:] -= off * u[:-1]
+    # backward error in the infinity norm; rows of [[B, g], [g^T, 0]] give its norm
+    rows = np.abs(diag) + np.abs(g) + np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
+    m_norm = max(np.max(rows), np.sum(np.abs(g)))
+    size = m_norm * max(np.max(np.abs(u)), abs(lam)) + np.max(np.abs(rhs))
+    tiny = np.finfo(float).tiny
+    backward = max(np.max(np.abs(r)), abs(g @ u)) / max(size, tiny)
+    orth = abs(g @ u) / max(np.linalg.norm(g) * np.linalg.norm(u), tiny)
+    if not (backward <= _BORDER_TOL and orth <= _BORDER_TOL):
+        raise AnalysisError(f"bordered block solve not certified: backward error {backward:.3e}, "
+                            f"|g^T u| / (|g| |u|) = {orth:.3e} (tolerance {_BORDER_TOL:.0e})")
+    return u
 
 
 def _block_solve(G: GluedOperator, S: SubstituteKernel, which: int, mode_index: int,
@@ -675,7 +690,7 @@ def valuepuv_check(
     pot = block.potential_for(mode_index)
     vals = pot.values(s, h) if pot is not None else np.zeros(n)
     diag = nu + vals + 2.0 / h**2
-    diag[0] = nu + vals[0] + (1.0 / h**2 if block.boundary == NEUMANN else 3.0 / h**2)
+    diag[0] = nu + vals[0] + _corner_value(block.boundary, h)
     off = -1.0 / h**2
     bu = diag * np.asarray(u, dtype=complex)
     bu[:-1] += off * u[1:]

@@ -37,16 +37,3 @@ class SplitMix64:
     def uniforms(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         u = np.array([self.uniform() for _ in range(n)], dtype=float)
         return low + (high - low) * u
-
-    def normals(self, n: int) -> np.ndarray:
-        """Standard normals via Box-Muller, deterministic in the seed."""
-        m = (n + 1) // 2
-        u1 = self.uniforms(m)
-        u2 = self.uniforms(m)
-        r = np.sqrt(-2.0 * np.log1p(-u1))
-        out = np.concatenate([r * np.cos(2 * np.pi * u2), r * np.sin(2 * np.pi * u2)])
-        return out[:n]
-
-    def spawn(self) -> "SplitMix64":
-        """Child generator; advances this one by a single draw."""
-        return SplitMix64(self.next_u64())

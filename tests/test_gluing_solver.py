@@ -2,12 +2,15 @@
 system, approximate and exact solves, and the block-level identities."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from neckspec import glued_model, gluing_solver
+from neckspec import cli, glued_model, gluing_solver
 from neckspec.errors import (
     AnalysisError,
     ContractViolation,
@@ -449,6 +452,93 @@ def test_solve_report_csv_layout():
     assert float(first[0]) == G.T
     assert int(first[1]) == 1
     assert float(first[2]) == report.residuals[0]
+
+
+# ---------------------------------------------------------------------------
+# the bordered block solve
+
+
+def _dense_bordered(diag, off, g, rhs):
+    n = len(diag)
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    M[:n, n] = g
+    M[n, :n] = g
+    # the matrix is real: solve for the real and imaginary parts together
+    sol = np.linalg.solve(M, np.column_stack([np.append(rhs.real, 0.0),
+                                              np.append(rhs.imag, 0.0)]))
+    return sol[:n, 0] + 1j * sol[:n, 1]
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_block_system(T, which):
+    """The near-singular block matrix and its bounded kernel direction, as
+    _block_solve builds them for the kernel-bearing sech blocks."""
+    G = glue(*sech_pair(), T=T)
+    S = substitute_kernel(G)
+    sub, t_sub = gluing_solver._block_subgrid(G, which)
+    diag, off = gluing_solver._block_matrix(G, which, 0, t_sub)
+    kd = S.kernel1 if which == 1 else S.kernel2
+    (bounded,) = [e for e in kd.elements if e.bounded]
+    return diag, off, transplant(G, which, bounded)[sub]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["neumann", "block", "indefinite"]),
+    n=st.integers(2, 512),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_bordered_matches_dense(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "neumann":
+        # exactly singular: the Neumann second difference keeps constants
+        h = rng.choice([1.0 / 16, 1.0 / 128])
+        diag = np.full(n, 2.0 / h**2)
+        diag[[0, -1]] = 1.0 / h**2
+        off = np.full(n - 1, -1.0 / h**2)
+        g = np.ones(n)
+    elif kind == "block":
+        # n <= 512 holds the subgrids of T <= 28 at h = 1/16
+        diag, off, g = _kernel_block_system(float(rng.choice([6, 12, 20, 28])),
+                                            int(rng.choice([1, 2])))
+        n = len(diag)
+    else:
+        # nonsingular, indefinite and diagonally dominant, random border
+        diag = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 2.0, n)
+        off = rng.uniform(-0.4, 0.4, n - 1)
+        g = rng.normal(size=n)
+    rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+    u = gluing_solver._solve_bordered(diag, off, g, rhs)
+    ref = _dense_bordered(diag, off, g, rhs)
+    assert np.linalg.norm(u - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_solve_bordered_zero_border_is_an_analysis_error():
+    diag, off, g = _kernel_block_system(12.0, 1)
+    rhs = np.ones(len(diag), dtype=complex)
+    with pytest.raises(AnalysisError, match="bordered block solve"):
+        gluing_solver._solve_bordered(diag, off, np.zeros_like(g), rhs)
+
+
+def test_solve_bordered_certificate_catches_a_singular_shift():
+    # B = [[1, r], [r, 1]] with g = e_0: the shifted C = B + e_0 e_0^T is
+    # singular for r = sqrt(2), while the bordered matrix has determinant -1
+    diag, off, g = np.ones(2), np.array([math.sqrt(2.0)]), np.array([1.0, 0.0])
+    with pytest.raises(AnalysisError, match="not certified: backward error"):
+        gluing_solver._solve_bordered(diag, off, g, np.array([1.0, 2.0], dtype=complex))
+
+
+def test_solve_exact_scalar_fine_rounds():
+    # the kernel-bearing blocks of the CLI glue runs at h = 1/128, where the
+    # block subgrids reach n = 4352
+    b1, b2 = sech_pair()
+    for T, rounds in ((10.0, 3), (20.0, 2), (30.0, 1)):
+        G = glue(b1, b2, T=T, h=1.0 / 128)
+        S = substitute_kernel(G)
+        report = solve_exact(G, S, cli._glued_source(G, 7))
+        assert report.iterations == rounds
+        assert report.residual <= 1e-9
 
 
 # ---------------------------------------------------------------------------
