@@ -370,13 +370,15 @@ def _glued_source(G, seed: int) -> np.ndarray:
     t = G.grid()
     rise = CutoffFunction(center=-G.T / 2 + 0.5)
     envelope = rise(t) * rise(-t)
+    cos_rows = [np.cos(2 * k * math.pi * t / G.T) for k in range(4)]
+    sin_rows = [np.sin(2 * (k + 1) * math.pi * t / G.T) for k in range(4)]
     f = np.zeros((len(G.modes), G.n_points), dtype=complex)
     for r in range(len(G.modes)):
         row = np.zeros(G.n_points)
         for k in range(4):
             amp_c, amp_s = rng.uniforms(2, -1.0, 1.0) / (1 + k) ** 2
-            row += amp_c * np.cos(2 * k * math.pi * t / G.T)
-            row += amp_s * np.sin(2 * (k + 1) * math.pi * t / G.T)
+            row += amp_c * cos_rows[k]
+            row += amp_s * sin_rows[k]
         f[r] = row * envelope
     return f
 

@@ -429,26 +429,53 @@ class BlockKernelData:
         return [e for e in self.elements if e.bounded]
 
 
-def _shoot_zero_mode(block: BuildingBlock, mode_index: int, h: float, reach: float) -> np.ndarray:
-    """March u_{j+1} = 2u_j - u_{j-1} + h^2 V_j u_j from the boundary row.
+def _shooting_families(block: BuildingBlock, modes: Sequence[ModeOperator]
+                       ) -> dict[tuple[float, int | None], list[int]]:
+    """Mode indices keyed by (nu, the mode's own index if the block has a
+    potential on it, else None), in order of their first mode. The modes
+    of one key shoot the same ODE; zero modes shoot with nu = 0."""
+    families: dict[tuple[float, int | None], list[int]] = {}
+    for i, m in enumerate(modes):
+        nu = 0.0 if m.is_zero_mode else m.nu
+        families.setdefault((nu, i if i in block.potentials else None), []).append(i)
+    return families
+
+
+def _shoot_families(block: BuildingBlock, cases: Sequence[tuple[int, float]], h: float,
+                    reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """March u_{j+1} = 2u_j - u_{j-1} + h^2 v_j u_j from the boundary row,
+    one column per case (mode index, nu) with v = nu + V of that mode.
 
     Starts are normalized to the exact flat solutions: u = 1 (Neumann) and
-    u = s (Dirichlet).
+    u = s (Dirichlet). A nu > 0 column is divided by |u_{j+1}| whenever
+    that exceeds 1e150; the returned log scale holds the running sum of the
+    logs divided out, so log|u| + log scale is the log of the unscaled
+    shot. Zero-mode columns (nu = 0) are never rescaled. Each column is
+    marched in Python floats: at the few dozen families of a block that is
+    faster than a numpy step per grid point, whose overhead dominates.
     """
     n = round(reach / h)
     s = (np.arange(n) + 0.5) * h
-    pot = block.potential_for(mode_index)
-    v = pot.values(s, h) if pot is not None else np.zeros(n)
-    u = np.zeros(n)
-    if block.boundary == NEUMANN:
-        u[0] = 1.0
-        u[1] = u[0] * (1.0 + h * h * v[0])
-    else:
-        u[0] = h / 2.0
-        u[1] = u[0] * (3.0 + h * h * v[0])
-    for j in range(1, n - 1):
-        u[j + 1] = 2.0 * u[j] - u[j - 1] + h * h * v[j] * u[j]
-    return u
+    u = np.empty((n, len(cases)))
+    log_scale = np.zeros((n, len(cases)))
+    for c, (mode_index, nu) in enumerate(cases):
+        pot = block.potential_for(mode_index)
+        v = pot.values(s, h) if pot is not None else np.zeros(n)
+        hv = (h * h * (nu + v if nu > 0 else v)).tolist()
+        u_prev = 1.0 if block.boundary == NEUMANN else h / 2.0
+        u_here = u_prev * ((1.0 if block.boundary == NEUMANN else 3.0) + hv[0])
+        column = [u_prev, u_here]
+        for j in range(1, n - 1):
+            u_next = 2.0 * u_here - u_prev + hv[j] * u_here
+            if nu > 0 and abs(u_next) > 1e150:
+                mag = abs(u_next)
+                u_next /= mag
+                u_here /= mag
+                log_scale[j + 1 :, c] += math.log(mag)
+            column.append(u_next)
+            u_prev, u_here = u_here, u_next
+        u[:, c] = column
+    return u, log_scale
 
 
 def _affine_fit(s: np.ndarray, u: np.ndarray) -> tuple[float, float, float]:
@@ -458,36 +485,18 @@ def _affine_fit(s: np.ndarray, u: np.ndarray) -> tuple[float, float, float]:
     return float(coeff[0]), float(coeff[1]), float(np.max(np.abs(resid)))
 
 
-def _certify_positive_mode(block: BuildingBlock, mode_index: int, nu: float, h: float,
-                           reach: float) -> None:
-    """Check that the shooting solution of a nu > 0 mode grows at its free
-    rate, i.e. no bound state or threshold resonance hides below nu."""
-    n = round(reach / h)
-    s = (np.arange(n) + 0.5) * h
-    pot = block.potential_for(mode_index)
-    v = nu + (pot.values(s, h) if pot is not None else np.zeros(n))
-    u_prev = 1.0 if block.boundary == NEUMANN else h / 2.0
-    u_here = u_prev * ((1.0 if block.boundary == NEUMANN else 3.0) + h * h * v[0])
-    log_scale = 0.0
-    logs = np.zeros(n)
-    logs[0] = math.log(abs(u_prev)) if u_prev != 0 else -math.inf
-    logs[1] = math.log(abs(u_here)) if u_here != 0 else -math.inf
-    for j in range(1, n - 1):
-        u_next = 2.0 * u_here - u_prev + h * h * v[j] * u_here
-        mag = abs(u_next)
-        if mag > 1e150:
-            u_next /= mag
-            u_here /= mag
-            log_scale += math.log(mag)
-        u_prev, u_here = u_here, u_next
-        logs[j + 1] = (math.log(abs(u_here)) if u_here != 0 else -math.inf) + log_scale
+def _growth_slopes(s: np.ndarray, u: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
+    """Least-squares slope of log|u| + log scale, column by column, over the
+    last 2 units of s; NaN for a column that is not finite there (one such
+    column would turn every slope of a joint fit into NaN)."""
     window = s >= s[-1] - 2.0
-    slope = np.polyfit(s[window], logs[window], 1)[0]
-    if not slope >= math.sqrt(nu) / 2.0:
-        raise AnalysisError(
-            f"mode {mode_index} (nu = {nu}) fails its free-growth certificate: "
-            f"measured log slope {slope:.4f}; a bound state or threshold resonance is present"
-        )
+    with np.errstate(divide="ignore"):
+        tail = np.log(np.abs(u[window])) + log_scale[window]
+    finite = np.all(np.isfinite(tail), axis=0)
+    slopes = np.full(tail.shape[1], np.nan)
+    if finite.any():
+        slopes[finite] = np.polyfit(s[window], tail[:, finite], 1)[0]
+    return slopes
 
 
 def block_kernel(
@@ -503,8 +512,13 @@ def block_kernel(
 
     Zero modes yield one element each with its affine far data (a, b);
     bounded means |b| below tol relative to the window scale. Positive
-    modes are certified kernel-free by their growth rate. The shooting
-    reach can only be extended, never shortened below its default.
+    modes are certified kernel-free by their growth rate: a bound state or
+    threshold resonance below nu would hold the log slope of the shot
+    under sqrt(nu) / 2. The shooting reach can only be extended, never
+    shortened below its default.
+
+    One shot serves each family of modes that shoot the same ODE
+    (``_shooting_families``).
     """
     if tol <= 0:
         raise ContractViolation("tolerance must be positive")
@@ -513,17 +527,28 @@ def block_kernel(
     modes = mode_list(spec, q, cutoff if cutoff is not None else math.inf)
     default_reach = float(block.L + _shooting_reach(block.mu))
     reach = default_reach if reach is None else max(float(reach), default_reach)
+    families = _shooting_families(block, modes)
+    cases = [(members[0], nu) for (nu, _), members in families.items()]
+    u, log_scale = _shoot_families(block, cases, h, reach)
+    s = (np.arange(len(u)) + 0.5) * h
+    grows = [c for c, (_, nu) in enumerate(cases) if nu > 0]
+    slopes = dict(zip(grows, _growth_slopes(s, u[:, grows], log_scale[:, grows])))
+    window = s >= reach - 2.0
     elements = []
-    for i, m in enumerate(modes):
-        if not m.is_zero_mode:
-            _certify_positive_mode(block, i, m.nu, h, reach)
+    # families are ordered by their first mode, so the first failure raised
+    # names the lowest mode that fails
+    for c, members in enumerate(families.values()):
+        i, nu = cases[c]
+        if nu > 0:
+            if not slopes[c] >= math.sqrt(nu) / 2.0:
+                raise AnalysisError(
+                    f"mode {i} (nu = {nu}) fails its free-growth certificate: measured log "
+                    f"slope {slopes[c]:.4f}; a bound state or threshold resonance is present"
+                )
             continue
-        u = _shoot_zero_mode(block, i, h, reach)
-        n = len(u)
-        s = (np.arange(n) + 0.5) * h
-        window = s >= reach - 2.0
-        a, b, resid = _affine_fit(s[window], u[window])
-        scale = max(1.0, abs(a), abs(b) * reach, float(np.max(np.abs(u[window]))))
+        shot = u[:, c]
+        a, b, resid = _affine_fit(s[window], shot[window])
+        scale = max(1.0, abs(a), abs(b) * reach, float(np.max(np.abs(shot[window]))))
         if resid > 10.0 * tol * scale:
             raise AnalysisError(
                 f"mode {i}: far field is not affine (fit residual {resid:.3e}); "
@@ -531,21 +556,23 @@ def block_kernel(
             )
         bounded = abs(b) <= tol * scale
         decaying = bounded and abs(a) <= tol * scale
-        elements.append(
+        elements.extend(
             ShootingElement(
-                mode_index=i,
-                nu=m.nu,
-                degree_tag=m.degree_tag,
+                mode_index=k,
+                nu=modes[k].nu,
+                degree_tag=modes[k].degree_tag,
                 h=h,
                 reach=reach,
-                samples=u,
+                samples=shot.copy(),
                 a=a,
                 b=b,
                 bounded=bounded,
                 decaying=decaying,
                 fit_residual=resid,
             )
+            for k in members
         )
+    elements.sort(key=lambda e: e.mode_index)
     return BlockKernelData(
         block=block,
         q=q,

@@ -271,16 +271,24 @@ def projection_norm(S: SubstituteKernel) -> float:
 # the cylinder-model solve on the glued grid
 
 
+def _by_nu(G: GluedOperator, members: list[int]) -> list[tuple[float, list[int]]]:
+    """The given mode indices grouped by their nu, in order of first appearance."""
+    groups: dict[float, list[int]] = {}
+    for i in members:
+        groups.setdefault(G.modes[i].nu, []).append(i)
+    return list(groups.items())
+
+
 def _positive_mode_cylinder(f: np.ndarray, nu: float, h: float) -> np.ndarray:
-    # padded symmetric positive definite solve; every retained interior row
-    # is reproduced exactly and the pad pushes the closure artifacts under
-    # e^{-sqrt(nu) * 33/sqrt(nu)} = e^{-33}
+    # padded symmetric positive definite solve of every column of f; every
+    # retained interior row is reproduced exactly and the pad pushes the
+    # closure artifacts under e^{-sqrt(nu) * 33/sqrt(nu)} = e^{-33}
     pad = min(int(math.ceil(33.0 / (math.sqrt(nu) * h))), 8000)
     n = len(f)
     ab = np.zeros((2, n + 2 * pad))
     ab[0] = nu + 2.0 / h**2
     ab[1, :-1] = -1.0 / h**2
-    rhs = np.zeros(n + 2 * pad, dtype=complex)
+    rhs = np.zeros((n + 2 * pad,) + np.shape(f)[1:], dtype=complex)
     rhs[pad : pad + n] = f
     sol = scipy.linalg.solveh_banded(ab, rhs, lower=True)
     return sol[pad : pad + n]
@@ -288,17 +296,18 @@ def _positive_mode_cylinder(f: np.ndarray, nu: float, h: float) -> np.ndarray:
 
 def cylinder_solve(G: GluedOperator, f0: np.ndarray) -> np.ndarray:
     """Mode-by-mode inverse of the free cylinder operator on the glued
-    grid; every interior stencil row of the result reproduces f0 exactly."""
+    grid; every interior stencil row of the result reproduces f0 exactly.
+    The positive modes of one nu share one banded solve."""
     t = G.grid()
+    f0 = np.asarray(f0, dtype=complex)
     out = np.zeros((len(G.modes), G.n_points), dtype=complex)
     for i, m in enumerate(G.modes):
-        row = np.asarray(f0[i], dtype=complex)
         if m.is_zero_mode:
-            out[i] = _laplace_zero_inverse(row.real, t, G.h) + 1j * _laplace_zero_inverse(
-                row.imag, t, G.h
+            out[i] = _laplace_zero_inverse(f0[i].real, t, G.h) + 1j * _laplace_zero_inverse(
+                f0[i].imag, t, G.h
             )
-        else:
-            out[i] = _positive_mode_cylinder(row, m.nu, G.h)
+    for nu, members in _by_nu(G, [i for i, m in enumerate(G.modes) if not m.is_zero_mode]):
+        out[members] = _positive_mode_cylinder(f0[members].T, nu, G.h).T
     return out
 
 
@@ -530,6 +539,16 @@ def _block_solve(G: GluedOperator, S: SubstituteKernel, which: int, mode_index: 
     return u
 
 
+def _solve_families(G: GluedOperator, S: SubstituteKernel) -> list[list[int]]:
+    """Modes whose block solves share their matrices on both blocks: those
+    of one nu with no bounded kernel element and no potential on either
+    block. Every other mode is a family of its own."""
+    own = {e.mode_index for kd in (S.kernel1, S.kernel2) for e in kd.elements if e.bounded}
+    own |= set(G.block1.potentials) | set(G.block2.potentials)
+    rest = [i for i in range(len(G.modes)) if i not in own]
+    return [[i] for i in sorted(own)] + [members for _, members in _by_nu(G, rest)]
+
+
 # ---------------------------------------------------------------------------
 # approximate and exact solves
 
@@ -546,8 +565,9 @@ def approx_solve(
 
     Pipeline: window to the neck (zeta1), invert on the cylinder, add the
     affine trace v from the characteristic system (cancelling the block
-    obstructions), then block solves with slope-zero closures, crossfade,
-    and projection off the substitute kernel.
+    obstructions), then block solves with slope-zero closures, one per
+    ``_solve_families`` family and block, crossfade, and projection off the
+    substitute kernel.
     """
     _require_uncoupled(G)
     f = np.asarray(f, dtype=complex)
@@ -566,18 +586,21 @@ def approx_solve(
     v = characteristic_solve(sys)
     u_neck = (cylinder_solve(G, f * zeta1) + _trace_grid(sys, v.coefficients)) * zeta0
     r = f - G.apply(u_neck)
-    sub1, t1 = _block_subgrid(G, 1)
-    sub2, t2 = _block_subgrid(G, 2)
-    chi = 1.0 - w1
-    u = u_neck
-    for i in range(len(G.modes)):
-        u1 = _block_solve(G, S, 1, i, r[i][sub1], t1)
-        u2 = _block_solve(G, S, 2, i, r[i][sub2], t2)
-        add = np.zeros(G.n_points, dtype=complex)
-        add[sub1] += w1[sub1] * u1
-        add[sub2] += chi[sub2] * u2
-        u[i] = u[i] + add
-    u = S.project_off(u)
+    blocks = [(1, w1, *_block_subgrid(G, 1)), (2, 1.0 - w1, *_block_subgrid(G, 2))]
+    for members in _solve_families(G, S):
+        add = np.zeros((len(members), G.n_points), dtype=complex)
+        for which, weight, sub, t_sub in blocks:
+            if len(members) == 1:
+                sol = _block_solve(G, S, which, members[0], r[members[0], sub], t_sub)
+            else:
+                diag, off = _block_matrix(G, which, members[0], t_sub)
+                sol = _solve_tridiag(diag, off, r[members][:, sub].T).T
+            add[:, sub] += weight[sub] * sol
+        u_neck[members] += add
+    # the last apply is the memory peak of a round; free two (modes x n) arrays first
+    del r
+    u = S.project_off(u_neck)
+    del u_neck
     return u, f - G.apply(u)
 
 

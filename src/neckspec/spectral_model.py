@@ -328,8 +328,9 @@ def symbol_taylor(op: ModeOperator, lambda0: complex) -> list[complex | np.ndarr
     return [lambda0**2 + op.nu, 2 * lambda0, 1.0 + 0j]
 
 
-def _scalar_laurent(c: list[complex], m_max: int) -> dict[int, complex]:
-    """Laurent coefficients of 1/p around 0 where p(z) = sum c[n] z^n.
+def _scalar_laurent(c: list[complex], m_max: int) -> tuple[dict[int, complex], int]:
+    """Laurent coefficients of 1/p around 0 where p(z) = sum c[n] z^n, and
+    the pole order d.
 
     The convolution identity sum_{m+n=l} c[n] R[m] = [l = 0] determines the
     coefficients one at a time starting at m = -d, where d is the number of
@@ -350,7 +351,7 @@ def _scalar_laurent(c: list[complex], m_max: int) -> dict[int, complex]:
             if m in coeffs:
                 acc -= c[n] * coeffs[m]
         coeffs[l] = acc / c[d]
-    return coeffs
+    return coeffs, d
 
 
 def _check_convolution(taylor: list, coeffs: dict, d: int, m_max: int, tol: float = 1e-10) -> None:
@@ -382,17 +383,12 @@ def resolvent_laurent(op: ModeOperator, lambda0: complex, m_max: int) -> Laurent
     """
     if op.kind == KIND_DIRAC:
         # i lambda J inverts to (i J) / lambda since (iJ)^2 = Id
-        scalar = _scalar_laurent([complex(lambda0), 1.0 + 0j], m_max)
+        scalar, d = _scalar_laurent([complex(lambda0), 1.0 + 0j], m_max)
         coeffs = {m: c * (1j * J_MATRIX) for m, c in scalar.items()}
-        d = 1 if abs(lambda0) <= 1e-14 else 0
         _check_convolution(symbol_taylor(op, lambda0), coeffs, d, m_max)
         return LaurentCoefficients(at_root=complex(lambda0), coeffs=coeffs, m_max=m_max)
 
     c = [complex(lambda0) ** 2 + op.nu, 2 * complex(lambda0), 1.0 + 0j]
-    scale = max(abs(x) for x in c)
-    d = 0
-    while d < len(c) and abs(c[d]) <= 1e-14 * scale:
-        d += 1
-    coeffs = _scalar_laurent(c, m_max)
+    coeffs, d = _scalar_laurent(c, m_max)
     _check_convolution(c, coeffs, d, m_max)
     return LaurentCoefficients(at_root=complex(lambda0), coeffs=coeffs, m_max=m_max)

@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from neckspec import glued_model
 from neckspec.errors import (
     AnalysisError,
     ContractViolation,
@@ -26,7 +29,7 @@ from neckspec.glued_model import (
     kernel_potential_neumann,
     load_block,
 )
-from neckspec.spectral_model import circle_spectrum, scalar_spectrum, torus2_spectrum
+from neckspec.spectral_model import circle_spectrum, mode_list, scalar_spectrum, torus2_spectrum
 
 SCALAR = scalar_spectrum()
 H = 1.0 / 16
@@ -281,6 +284,87 @@ def test_clean_positive_modes_are_certified():
     data = block_kernel(block, spec, 0)
     assert data.positive_modes_certified_empty
     assert len(data.elements) == 1
+
+
+def scalar_growth_slope(block, mode_index, nu, h, reach):
+    """The per-mode growth certificate the family march replaced, kept as
+    its oracle: the log slope of one shot marched with Python floats."""
+    n = round(reach / h)
+    s = (np.arange(n) + 0.5) * h
+    pot = block.potential_for(mode_index)
+    v = nu + (pot.values(s, h) if pot is not None else np.zeros(n))
+    u_prev = 1.0 if block.boundary == NEUMANN else h / 2.0
+    u_here = u_prev * ((1.0 if block.boundary == NEUMANN else 3.0) + h * h * v[0])
+    log_scale = 0.0
+    logs = np.zeros(n)
+    logs[0] = math.log(abs(u_prev)) if u_prev != 0 else -math.inf
+    logs[1] = math.log(abs(u_here)) if u_here != 0 else -math.inf
+    for j in range(1, n - 1):
+        u_next = 2.0 * u_here - u_prev + h * h * v[j] * u_here
+        mag = abs(u_next)
+        if mag > 1e150:
+            u_next /= mag
+            u_here /= mag
+            log_scale += math.log(mag)
+        u_prev, u_here = u_here, u_next
+        logs[j + 1] = (math.log(abs(u_here)) if u_here != 0 else -math.inf) + log_scale
+    window = s >= s[-1] - 2.0
+    return np.polyfit(s[window], logs[window], 1)[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    boundary=st.sampled_from([NEUMANN, DIRICHLET]),
+    pairs=st.lists(st.tuples(st.floats(0.05, 120.0), st.integers(1, 3)), min_size=1, max_size=5,
+                   unique_by=lambda p: p[0]),
+    amps=st.lists(st.floats(-0.3, 2.0), min_size=8, max_size=8),
+    which=st.lists(st.booleans(), min_size=8, max_size=8),
+    reach=st.sampled_from([12.0, 30.0, 45.0]),
+)
+def test_family_march_matches_the_per_mode_certificate(boundary, pairs, amps, which, reach):
+    spec = scalar_spectrum(((0.0, 1),) + tuple(pairs))
+    modes = mode_list(spec, 0, math.inf)
+    pots = {i: exp_potential(amps[i % 8], 1.0) for i in range(1, len(modes)) if which[i % 8]}
+    block = BuildingBlock(spec, L=1.0, boundary=boundary, mu=1.0, potentials=pots)
+    families = glued_model._shooting_families(block, modes)
+    cases = [(members[0], nu) for (nu, _), members in families.items()]
+    u, log_scale = glued_model._shoot_families(block, cases, H, reach)
+    s = (np.arange(len(u)) + 0.5) * H
+    grows = [c for c, (_, nu) in enumerate(cases) if nu > 0]
+    slopes = glued_model._growth_slopes(s, u[:, grows], log_scale[:, grows])
+    members = list(families.values())
+    assert sorted(i for c in grows for i in members[c]) == list(range(1, len(modes)))
+    for slope, c in zip(slopes, grows):
+        # a mode with a potential shoots alone; the others share one column per nu
+        assert all(modes[i].nu == cases[c][1] for i in members[c])
+        assert len(members[c]) == 1 or not set(members[c]) & set(pots)
+        for i in members[c]:
+            want = scalar_growth_slope(block, i, modes[i].nu, H, reach)
+            assert abs(slope - want) <= 1e-12 * abs(want)
+
+
+def threshold_bound_state(nu, h, m=16, n=40 * 16):
+    """Samples of a potential whose Neumann shot of the nu mode is u = 1 on
+    the first m cells and then a decaying discrete-exact tail."""
+    twoc = 2.0 + h * h * nu
+    r = (twoc - math.sqrt(twoc**2 - 4.0)) / 2.0
+    u = np.ones(n)
+    u[m:] = r ** np.arange(n - m)
+    ghost = np.concatenate([[u[0]], u, [u[-1] * r]])
+    v = (ghost[2:] - 2.0 * ghost[1:-1] + ghost[:-2]) / (h * h * u) - nu
+    s = (np.arange(n) + 0.5) * h
+    return Potential.from_samples(list(zip(s, v)), mu=1.0)
+
+
+def test_bound_state_in_one_copy_of_a_repeated_nu_fails_by_its_index():
+    nu = 0.04
+    spec = scalar_spectrum(((0.0, 1), (nu, 3)))
+    clean = BuildingBlock(spec, L=2.0, boundary=NEUMANN, mu=1.0)
+    assert block_kernel(clean, spec, 0, h=H).positive_modes_certified_empty
+    block = BuildingBlock(spec, L=2.0, boundary=NEUMANN, mu=1.0,
+                          potentials={2: threshold_bound_state(nu, H)})
+    with pytest.raises(AnalysisError, match=r"^mode 2 \(nu = 0.04\) fails its free-growth"):
+        block_kernel(block, spec, 0, h=H)
 
 
 def test_non_finite_potentials_are_refused():

@@ -22,6 +22,7 @@ from neckspec.glued_model import (
     DIRICHLET,
     NEUMANN,
     BuildingBlock,
+    Potential,
     block_kernel,
     kernel_potential_dirichlet,
     kernel_potential_neumann,
@@ -47,7 +48,8 @@ from neckspec.gluing_solver import (
     valuepuv_check,
 )
 from neckspec.rng import SplitMix64
-from neckspec.spectral_model import scalar_spectrum
+from neckspec.neck_inverse import _laplace_zero_inverse
+from neckspec.spectral_model import scalar_spectrum, torus2_spectrum
 
 SCALAR = scalar_spectrum()
 H = 1.0 / 16
@@ -346,6 +348,58 @@ def test_approx_solve_rejects_kernel_component():
     f[0] = S.basis[0][1]
     with pytest.raises(NotOrthogonalError, match="overlaps"):
         approx_solve(G, S, f)
+
+
+def torus_glue(T=8.0):
+    """torus2, q = 1 between the sech blocks of the CLI glue runs; block 2
+    also carries a repulsive bump on mode 5, one copy of a repeated nu."""
+    spec = torus2_spectrum()
+    bump = Potential.from_callable(lambda s: 0.5 * np.exp(-s), 1.0)
+    b1 = BuildingBlock(spec, 2.0, NEUMANN, 1.0, {0: kernel_potential_neumann(1.0, 0.8)})
+    b2 = BuildingBlock(spec, 2.0, NEUMANN, 1.0,
+                       {0: kernel_potential_neumann(1.0, -0.35), 5: bump})
+    return glued_model.assemble(b1, b2, spec, 1, T, H)
+
+
+def per_mode_cylinder(G, f0):
+    t = G.grid()
+    out = np.zeros_like(f0)
+    for i, m in enumerate(G.modes):
+        if m.is_zero_mode:
+            out[i] = (_laplace_zero_inverse(f0[i].real, t, G.h)
+                      + 1j * _laplace_zero_inverse(f0[i].imag, t, G.h))
+        else:
+            out[i] = gluing_solver._positive_mode_cylinder(f0[i], m.nu, G.h)
+    return out
+
+
+def per_mode_approx_solve(G, S, f):
+    """approx_solve with one cylinder and one block solve per mode."""
+    w1, zeta0, zeta1 = neck_windows(G)
+    sys = characteristic_system(G, S, f)
+    v = characteristic_solve(sys)
+    u = (per_mode_cylinder(G, f * zeta1) + gluing_solver._trace_grid(sys, v.coefficients)) * zeta0
+    r = f - G.apply(u)
+    sub1, t1 = gluing_solver._block_subgrid(G, 1)
+    sub2, t2 = gluing_solver._block_subgrid(G, 2)
+    for i in range(len(G.modes)):
+        add = np.zeros(G.n_points, dtype=complex)
+        add[sub1] += w1[sub1] * gluing_solver._block_solve(G, S, 1, i, r[i][sub1], t1)
+        add[sub2] += (1.0 - w1)[sub2] * gluing_solver._block_solve(G, S, 2, i, r[i][sub2], t2)
+        u[i] = u[i] + add
+    u = S.project_off(u)
+    return u, f - G.apply(u)
+
+
+def test_batched_solves_equal_the_per_mode_loops_bit_for_bit():
+    G = torus_glue()
+    S = substitute_kernel(G)
+    f = S.project_off(cli._glued_source(G, 7))
+    assert np.array_equal(cylinder_solve(G, f), per_mode_cylinder(G, f))
+    u, e = approx_solve(G, S, f)
+    u_ref, e_ref = per_mode_approx_solve(G, S, f)
+    assert np.array_equal(u, u_ref)
+    assert np.array_equal(e, e_ref)
 
 
 # ---------------------------------------------------------------------------
