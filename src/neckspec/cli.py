@@ -373,10 +373,11 @@ def _glued_source(G, seed: int) -> np.ndarray:
     cos_rows = [np.cos(2 * k * math.pi * t / G.T) for k in range(4)]
     sin_rows = [np.sin(2 * (k + 1) * math.pi * t / G.T) for k in range(4)]
     f = np.zeros((len(G.modes), G.n_points), dtype=complex)
+    amps = rng.uniforms(8 * len(G.modes), -1.0, 1.0).reshape(len(G.modes), 4, 2)
     for r in range(len(G.modes)):
         row = np.zeros(G.n_points)
         for k in range(4):
-            amp_c, amp_s = rng.uniforms(2, -1.0, 1.0) / (1 + k) ** 2
+            amp_c, amp_s = amps[r, k] / (1 + k) ** 2
             row += amp_c * cos_rows[k]
             row += amp_s * sin_rows[k]
         f[r] = row * envelope

@@ -6,7 +6,9 @@ a declared exponential rate beyond L. Gluing reverses the second block's
 axis, concatenates the intervals with a half neck length T on each side,
 and fades each block's potential out across the window where the cylinder
 coordinate rho_i = s_i - L_i + 1 passes T. The result is one symmetric
-tridiagonal matrix per cross-section mode on the cell-centered glued grid.
+tridiagonal matrix per mode family on the cell-centered glued grid: the
+modes of one nu with no potential on either block share theirs, and a
+mode carrying a potential is a family of its own (``mode_families``).
 
 Block kernels are computed by shooting: one solution per zero mode fixed
 by the boundary row, classified by its affine far field a + b s. Discrete
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Container, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -241,13 +243,37 @@ def load_block(path: str, spec: CrossSectionSpectrum) -> BuildingBlock:
 # assembly
 
 
+def mode_families(modes: Sequence[ModeOperator], own: Container[int]
+                  ) -> dict[tuple[float, int | None], list[int]]:
+    """Mode indices keyed by (nu, the mode's own index if it is in ``own``,
+    else None), in order of each family's first mode. The modes of one
+    family share one ODE and one matrix; ``own`` holds the modes that need
+    their own, such as those carrying a potential."""
+    families: dict[tuple[float, int | None], list[int]] = {}
+    for i, m in enumerate(modes):
+        families.setdefault((m.nu, i if i in own else None), []).append(i)
+    return families
+
+
+def stencil(diag, off, u: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal product (diag, off) u along the last axis
+    of u, in the dtype of u."""
+    out = diag * u
+    out[..., :-1] += off * u[..., 1:]
+    out[..., 1:] += off * u[..., :-1]
+    return out
+
+
 @dataclass(frozen=True)
 class GluedOperator:
-    """Per-mode symmetric tridiagonal matrices on the glued grid.
+    """Symmetric tridiagonal matrices on the glued grid, one per mode family.
 
-    The grid is cell-centered on [-T-L1, T+L2]. ``mats[i]`` holds the pair
-    (diag, offdiag) for mode i; the off-diagonal is the constant -1/h^2
-    stored as a full vector for the eigensolver's convenience.
+    The grid is cell-centered on [-T-L1, T+L2]. ``families`` lists the mode
+    indices that share a matrix (``mode_families`` of the modes carrying a
+    potential on either block). ``mats[i]`` holds the pair (diag, offdiag)
+    for mode i and ``potentials_eff[i]`` its faded potential: read-only
+    arrays shared by the modes of a family. The off-diagonal is the
+    constant -1/h^2, one full vector shared by every mode.
     """
 
     spec: CrossSectionSpectrum
@@ -260,6 +286,7 @@ class GluedOperator:
     mats: tuple[tuple[np.ndarray, np.ndarray], ...]
     potentials_eff: tuple[np.ndarray, ...]
     coupling_eff: Mapping[tuple[int, int], np.ndarray]
+    families: tuple[list[int], ...]
 
     @property
     def L1(self) -> float:
@@ -278,17 +305,13 @@ class GluedOperator:
         return round((2 * self.T + self.L1 + self.L2) / self.h)
 
     def apply_mode(self, i: int, u: np.ndarray) -> np.ndarray:
-        diag, off = self.mats[i]
-        out = diag * u
-        out[:-1] += off * u[1:]
-        out[1:] += off * u[:-1]
-        return out
+        return stencil(*self.mats[i], u)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
         out = np.zeros_like(values, dtype=complex)
-        for i in range(len(self.modes)):
-            out[i] = self.apply_mode(i, values[i])
+        for members in self.families:
+            out[members] = stencil(*self.mats[members[0]], values[members])
         if self.coupling_eff:
             for (i, j), c in self.coupling_eff.items():
                 out[i] = out[i] + c * values[j]
@@ -348,22 +371,26 @@ def assemble(
     fade1 = 1.0 - chi((s1 - block1.L + 1.0) - T)
     fade2 = 1.0 - chi((s2 - block2.L + 1.0) - T)
 
-    mats = []
-    pots_eff = []
-    for i, m in enumerate(modes):
+    families = mode_families(modes, set(block1.potentials) | set(block2.potentials))
+    off = np.full(n - 1, -1.0 / h**2)
+    off.flags.writeable = False
+    mats: list = [None] * len(modes)
+    pots_eff: list = [None] * len(modes)
+    for (nu, _), members in families.items():
         v_eff = np.zeros(n)
-        p1 = block1.potential_for(i)
+        p1 = block1.potential_for(members[0])
         if p1 is not None:
             v_eff += p1.values(s1, h) * fade1
-        p2 = block2.potential_for(i)
+        p2 = block2.potential_for(members[0])
         if p2 is not None:
             v_eff += p2.values(s2, h) * fade2
-        diag = m.nu + v_eff + 2.0 / h**2
-        diag[0] = m.nu + v_eff[0] + _corner_value(block1.boundary, h)
-        diag[-1] = m.nu + v_eff[-1] + _corner_value(block2.boundary, h)
-        off = np.full(n - 1, -1.0 / h**2)
-        mats.append((diag, off))
-        pots_eff.append(v_eff)
+        diag = nu + v_eff + 2.0 / h**2
+        diag[0] = nu + v_eff[0] + _corner_value(block1.boundary, h)
+        diag[-1] = nu + v_eff[-1] + _corner_value(block2.boundary, h)
+        diag.flags.writeable = v_eff.flags.writeable = False
+        for i in members:
+            mats[i] = (diag, off)
+            pots_eff[i] = v_eff
 
     coupling_eff: dict[tuple[int, int], np.ndarray] = {}
     for block, s_block, fade in ((block1, s1, fade1), (block2, s2, fade2)):
@@ -385,6 +412,7 @@ def assemble(
         mats=tuple(mats),
         potentials_eff=tuple(pots_eff),
         coupling_eff=coupling_eff,
+        families=tuple(families.values()),
     )
 
 
@@ -424,21 +452,6 @@ class BlockKernelData:
     @property
     def dim_kernel_decaying(self) -> int:
         return sum(e.decaying for e in self.elements)
-
-    def bounded_elements(self) -> list[ShootingElement]:
-        return [e for e in self.elements if e.bounded]
-
-
-def _shooting_families(block: BuildingBlock, modes: Sequence[ModeOperator]
-                       ) -> dict[tuple[float, int | None], list[int]]:
-    """Mode indices keyed by (nu, the mode's own index if the block has a
-    potential on it, else None), in order of their first mode. The modes
-    of one key shoot the same ODE; zero modes shoot with nu = 0."""
-    families: dict[tuple[float, int | None], list[int]] = {}
-    for i, m in enumerate(modes):
-        nu = 0.0 if m.is_zero_mode else m.nu
-        families.setdefault((nu, i if i in block.potentials else None), []).append(i)
-    return families
 
 
 def _shoot_families(block: BuildingBlock, cases: Sequence[tuple[int, float]], h: float,
@@ -518,7 +531,8 @@ def block_kernel(
     shortened below its default.
 
     One shot serves each family of modes that shoot the same ODE
-    (``_shooting_families``).
+    (``mode_families`` of the modes with a potential on the block); zero
+    modes shoot with nu = 0.
     """
     if tol <= 0:
         raise ContractViolation("tolerance must be positive")
@@ -527,8 +541,9 @@ def block_kernel(
     modes = mode_list(spec, q, cutoff if cutoff is not None else math.inf)
     default_reach = float(block.L + _shooting_reach(block.mu))
     reach = default_reach if reach is None else max(float(reach), default_reach)
-    families = _shooting_families(block, modes)
-    cases = [(members[0], nu) for (nu, _), members in families.items()]
+    families = mode_families(modes, block.potentials)
+    cases = [(members[0], 0.0 if modes[members[0]].is_zero_mode else nu)
+             for (nu, _), members in families.items()]
     u, log_scale = _shoot_families(block, cases, h, reach)
     s = (np.arange(len(u)) + 0.5) * h
     grows = [c for c, (_, nu) in enumerate(cases) if nu > 0]

@@ -37,6 +37,8 @@ from .glued_model import (
     ShootingElement,
     _corner_value,
     block_kernel,
+    mode_families,
+    stencil,
 )
 from .ioutil import format_complex, format_real
 from .neck_inverse import _laplace_zero_inverse
@@ -271,14 +273,6 @@ def projection_norm(S: SubstituteKernel) -> float:
 # the cylinder-model solve on the glued grid
 
 
-def _by_nu(G: GluedOperator, members: list[int]) -> list[tuple[float, list[int]]]:
-    """The given mode indices grouped by their nu, in order of first appearance."""
-    groups: dict[float, list[int]] = {}
-    for i in members:
-        groups.setdefault(G.modes[i].nu, []).append(i)
-    return list(groups.items())
-
-
 def _positive_mode_cylinder(f: np.ndarray, nu: float, h: float) -> np.ndarray:
     # padded symmetric positive definite solve of every column of f; every
     # retained interior row is reproduced exactly and the pad pushes the
@@ -297,17 +291,19 @@ def _positive_mode_cylinder(f: np.ndarray, nu: float, h: float) -> np.ndarray:
 def cylinder_solve(G: GluedOperator, f0: np.ndarray) -> np.ndarray:
     """Mode-by-mode inverse of the free cylinder operator on the glued
     grid; every interior stencil row of the result reproduces f0 exactly.
-    The positive modes of one nu share one banded solve."""
+    The positive modes of one family share one banded solve."""
     t = G.grid()
     f0 = np.asarray(f0, dtype=complex)
     out = np.zeros((len(G.modes), G.n_points), dtype=complex)
-    for i, m in enumerate(G.modes):
-        if m.is_zero_mode:
+    for members in G.families:
+        m = G.modes[members[0]]
+        if not m.is_zero_mode:
+            out[members] = _positive_mode_cylinder(f0[members].T, m.nu, G.h).T
+            continue
+        for i in members:
             out[i] = _laplace_zero_inverse(f0[i].real, t, G.h) + 1j * _laplace_zero_inverse(
                 f0[i].imag, t, G.h
             )
-    for nu, members in _by_nu(G, [i for i, m in enumerate(G.modes) if not m.is_zero_mode]):
-        out[members] = _positive_mode_cylinder(f0[members].T, nu, G.h).T
     return out
 
 
@@ -502,9 +498,7 @@ def _solve_bordered(diag: np.ndarray, off: np.ndarray, border: np.ndarray,
     except np.linalg.LinAlgError as exc:
         raise AnalysisError(f"bordered block solve failed: {exc}") from exc
     u -= (g @ u) / (g @ g) * g  # g^T u is left at cond(C) eps, and B g ~ 0
-    r = rhs - lam * g - diag * u
-    r[:-1] -= off * u[1:]
-    r[1:] -= off * u[:-1]
+    r = rhs - lam * g - stencil(diag, off, u)
     # backward error in the infinity norm; rows of [[B, g], [g^T, 0]] give its norm
     rows = np.abs(diag) + np.abs(g) + np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
     m_norm = max(np.max(rows), np.sum(np.abs(g)))
@@ -539,16 +533,6 @@ def _block_solve(G: GluedOperator, S: SubstituteKernel, which: int, mode_index: 
     return u
 
 
-def _solve_families(G: GluedOperator, S: SubstituteKernel) -> list[list[int]]:
-    """Modes whose block solves share their matrices on both blocks: those
-    of one nu with no bounded kernel element and no potential on either
-    block. Every other mode is a family of its own."""
-    own = {e.mode_index for kd in (S.kernel1, S.kernel2) for e in kd.elements if e.bounded}
-    own |= set(G.block1.potentials) | set(G.block2.potentials)
-    rest = [i for i in range(len(G.modes)) if i not in own]
-    return [[i] for i in sorted(own)] + [members for _, members in _by_nu(G, rest)]
-
-
 # ---------------------------------------------------------------------------
 # approximate and exact solves
 
@@ -565,9 +549,10 @@ def approx_solve(
 
     Pipeline: window to the neck (zeta1), invert on the cylinder, add the
     affine trace v from the characteristic system (cancelling the block
-    obstructions), then block solves with slope-zero closures, one per
-    ``_solve_families`` family and block, crossfade, and projection off the
-    substitute kernel.
+    obstructions), then block solves with slope-zero closures, crossfade,
+    and projection off the substitute kernel. The block solves run once per
+    block and mode family, where a mode with a bounded kernel element or a
+    potential on either block is a family of its own.
     """
     _require_uncoupled(G)
     f = np.asarray(f, dtype=complex)
@@ -587,7 +572,9 @@ def approx_solve(
     u_neck = (cylinder_solve(G, f * zeta1) + _trace_grid(sys, v.coefficients)) * zeta0
     r = f - G.apply(u_neck)
     blocks = [(1, w1, *_block_subgrid(G, 1)), (2, 1.0 - w1, *_block_subgrid(G, 2))]
-    for members in _solve_families(G, S):
+    own = {e.mode_index for kd in (S.kernel1, S.kernel2) for e in kd.elements if e.bounded}
+    own |= set(G.block1.potentials) | set(G.block2.potentials)
+    for members in mode_families(G.modes, own).values():
         add = np.zeros((len(members), G.n_points), dtype=complex)
         for which, weight, sub, t_sub in blocks:
             if len(members) == 1:
@@ -645,12 +632,11 @@ def solve_exact(
             return SolveReport(u, w, it - 1, tuple(etas), tuple(residuals), n_src / nf)
         un, fn = approx_solve(G, S, src, check_orthogonality=False)
         u = u + un
-        eta = norm(G, fn) / n_src
-        etas.append(eta)
-        residuals.append(norm(G, fn) / nf)
-        if norm(G, fn) <= rtol * nf:
-            return SolveReport(S.project_off(u), w, it, tuple(etas), tuple(residuals),
-                               norm(G, fn) / nf)
+        n_fn = norm(G, fn)
+        etas.append(n_fn / n_src)
+        residuals.append(n_fn / nf)
+        if n_fn <= rtol * nf:
+            return SolveReport(S.project_off(u), w, it, tuple(etas), tuple(residuals), n_fn / nf)
         if len(etas) >= 2 and etas[-1] >= 1.0 and etas[-2] >= 1.0:
             raise NoContractionError(max(etas[-2:]))
     raise AnalysisError(f"correction iteration did not converge in {max_iter} rounds")
@@ -714,10 +700,7 @@ def valuepuv_check(
     vals = pot.values(s, h) if pot is not None else np.zeros(n)
     diag = nu + vals + 2.0 / h**2
     diag[0] = nu + vals[0] + _corner_value(block.boundary, h)
-    off = -1.0 / h**2
-    bu = diag * np.asarray(u, dtype=complex)
-    bu[:-1] += off * u[1:]
-    bu[1:] += off * u[:-1]
+    bu = stencil(diag, -1.0 / h**2, np.asarray(u, dtype=complex))
     lhs = h * complex(np.sum(bu[:-1] * np.conj(v[:-1])))
     rhs = u_trace[0] * np.conj(v_trace[1]) - u_trace[1] * np.conj(v_trace[0])
     return lhs, complex(rhs), abs(lhs - rhs)

@@ -424,13 +424,14 @@ def seeded_section(
     rise = CutoffFunction(center=-support + 0.5)
     envelope = rise(t) * rise(-t)
     vals = np.zeros((total_rows(modes), len(t)), dtype=complex)
-    for r in range(vals.shape[0]):
+    amps = rng.uniforms(2 * n_harmonics * len(vals), -1.0, 1.0).reshape(len(vals), n_harmonics, 2)
+    cos_rows = [np.cos(k * math.pi * t / support) for k in range(n_harmonics)]
+    sin_rows = [np.sin((k + 1) * math.pi * t / support) for k in range(n_harmonics)]
+    for r in range(len(vals)):
         row = np.zeros(len(t))
         for k in range(n_harmonics):
-            amp_c, amp_s = rng.uniforms(2, -1.0, 1.0) / (1 + k) ** 2
-            row += amp_c * np.cos(k * math.pi * t / support) + amp_s * np.sin(
-                (k + 1) * math.pi * t / support
-            )
+            amp_c, amp_s = amps[r, k] / (1 + k) ** 2
+            row += amp_c * cos_rows[k] + amp_s * sin_rows[k]
         vals[r] = row * envelope
     return CompactSection(tuple(modes), s_max, support, h, vals)
 

@@ -146,16 +146,6 @@ class PolyhomSection:
             out += vals
         return out
 
-    def derivative(self) -> "PolyhomSection":
-        """d/dt, exact on the coefficients (complex if a rate is nonzero)."""
-        new_terms = []
-        for rate, coeffs in self.terms:
-            d = _poly_deriv(coeffs)
-            if rate != 0.0:
-                d = _poly_add(d, _poly_scale(coeffs, 1j * rate), self.fiber_dim)
-            new_terms.append((rate, d))
-        return PolyhomSection(self.fiber_dim, tuple(new_terms))
-
     def shifted(self, s) -> "PolyhomSection":
         """The section t -> u(t + s); exact for Fraction coefficients and
         rational s when the rate is zero."""
@@ -282,10 +272,6 @@ class DiracZero:
         j[:n, n:] = -np.eye(n, dtype=int)
         j[n:, :n] = np.eye(n, dtype=int)
         self.j_matrix = j
-
-    def apply_j(self, vec: np.ndarray) -> np.ndarray:
-        n = self.n_pairs
-        return np.concatenate([-np.asarray(vec)[n:], np.asarray(vec)[:n]])
 
     def taylor(self, rate: float):
         return [1j * complex(rate) * self.j_matrix, 1j * self.j_matrix]

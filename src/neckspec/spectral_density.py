@@ -32,8 +32,8 @@ from .spectral_model import CrossSectionSpectrum, mode_list
 
 THRESHOLD_ZERO = 1e-10
 
-# modes stacked per pass of the Sturm recurrence; bounds the transient
-# (n_points x STURM_CHUNK) diagonal block
+# mode families stacked per pass of the Sturm recurrence; bounds the
+# transient (n_points x STURM_CHUNK) diagonal block
 STURM_CHUNK = 128
 
 
@@ -71,9 +71,10 @@ def sturm_counts(G: GluedOperator, shifts) -> np.ndarray:
     than pivmin in magnitude is replaced by -pivmin, as dstebz does. The
     pivots count eigenvalues < x, so x is moved up one ulp to count <= x and
     keep the window edges of the eigenvalue path.
-    The recurrence runs once per grid point over a (modes x shifts) array,
-    STURM_CHUNK modes at a time. Coupled groups are counted from their full
-    dense spectrum, attributed to modes as in ``eigen_lowest``.
+    The recurrence runs once per grid point over a (families x shifts)
+    array, STURM_CHUNK mode families at a time, and each family's row is
+    copied to its uncoupled members. Coupled groups are counted from their
+    full dense spectrum, attributed to modes as in ``eigen_lowest``.
     """
     shifts = np.asarray(shifts, dtype=float)
     x = np.nextafter(shifts, np.inf)
@@ -83,17 +84,19 @@ def sturm_counts(G: GluedOperator, shifts) -> np.ndarray:
     for e in coupled_entries(G, G.n_points):
         counts[e.mode_index] += e.value <= shifts
     coupled = set(coupled_modes(G))
-    free = [i for i in range(len(G.modes)) if i not in coupled]
+    free = [[i for i in members if i not in coupled] for members in G.families]
+    free = [members for members in free if members]
     for start in range(0, len(free), STURM_CHUNK):
         chunk = free[start : start + STURM_CHUNK]
-        diags = np.stack([G.mats[i][0] for i in chunk], axis=1)  # (n, modes)
+        diags = np.stack([G.mats[members[0]][0] for members in chunk], axis=1)  # (n, families)
         d = np.full((len(chunk), len(x)), np.inf)
         negative = np.zeros(d.shape, dtype=np.int64)
         for a in diags:
             d = (a[:, None] - x) - b2 / d
             d[np.abs(d) < pivmin] = -pivmin
             negative += d < 0
-        counts[chunk] = negative
+        for members, row in zip(chunk, negative):
+            counts[members] = row
     return counts
 
 

@@ -326,7 +326,7 @@ def test_family_march_matches_the_per_mode_certificate(boundary, pairs, amps, wh
     modes = mode_list(spec, 0, math.inf)
     pots = {i: exp_potential(amps[i % 8], 1.0) for i in range(1, len(modes)) if which[i % 8]}
     block = BuildingBlock(spec, L=1.0, boundary=boundary, mu=1.0, potentials=pots)
-    families = glued_model._shooting_families(block, modes)
+    families = glued_model.mode_families(modes, block.potentials)
     cases = [(members[0], nu) for (nu, _), members in families.items()]
     u, log_scale = glued_model._shoot_families(block, cases, H, reach)
     s = (np.arange(len(u)) + 0.5) * H

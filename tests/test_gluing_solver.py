@@ -393,8 +393,12 @@ def per_mode_approx_solve(G, S, f):
 
 def test_batched_solves_equal_the_per_mode_loops_bit_for_bit():
     G = torus_glue()
+    # one matrix per family, and the mode with a potential is a family of its own
+    assert len({id(d) for d, _ in G.mats}) == len(G.families)
+    assert [5] in G.families
     S = substitute_kernel(G)
     f = S.project_off(cli._glued_source(G, 7))
+    assert np.array_equal(G.apply(f), np.array([G.apply_mode(i, f[i]) for i in range(len(f))]))
     assert np.array_equal(cylinder_solve(G, f), per_mode_cylinder(G, f))
     u, e = approx_solve(G, S, f)
     u_ref, e_ref = per_mode_approx_solve(G, S, f)

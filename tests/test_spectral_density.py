@@ -126,17 +126,20 @@ _samples = st.lists(
     L2=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
     boundaries=st.tuples(st.sampled_from(["neumann", "dirichlet"]),
                          st.sampled_from(["neumann", "dirichlet"])),
-    nus=st.lists(st.floats(min_value=0.01, max_value=5.0), unique=True, max_size=2),
-    pots=st.tuples(st.dictionaries(st.integers(0, 2), _samples, max_size=3),
-                   st.dictionaries(st.integers(0, 2), _samples, max_size=3)),
+    nus=st.lists(st.tuples(st.floats(min_value=0.01, max_value=5.0), st.integers(1, 3)),
+                 unique_by=lambda p: p[0], max_size=2),
+    pots=st.tuples(st.dictionaries(st.integers(0, 6), _samples, max_size=3),
+                   st.dictionaries(st.integers(0, 6), _samples, max_size=3)),
     shifts=st.lists(st.floats(min_value=-30.0, max_value=300.0), min_size=1, max_size=5),
 )
 def test_sturm_counts_match_the_eigensolver(T, L1, L2, boundaries, nus, pots, shifts):
     # n = (2T + L1 + L2)/h stays at or below 256
-    spec = scalar_spectrum(pairs=((0.0, 1),) + tuple((nu, 1) for nu in sorted(nus)), name="rand")
+    # repeated nu, with potentials on some copies, exercises the family rows
+    spec = scalar_spectrum(pairs=((0.0, 1),) + tuple(sorted(nus)), name="rand")
+    n_modes = 1 + sum(mult for _, mult in nus)
     blocks = [
         BuildingBlock(spec=spec, L=L, boundary=bc, mu=1.0, potentials={
-            i: Potential.from_samples(rows, 1.0) for i, rows in table.items() if i <= len(nus)
+            i: Potential.from_samples(rows, 1.0) for i, rows in table.items() if i < n_modes
         })
         for L, bc, table in zip((L1, L2), boundaries, pots)
     ]
