@@ -157,8 +157,11 @@ def _block_from(entry, spec, base_dir: str, where: str) -> BuildingBlock:
     if "spectrum" in entry:
         block_spec = _spectrum_from(entry["spectrum"], base_dir)
     mu = _number(entry, "mu", where)
+    potentials = entry.get("potentials", {})
+    if not isinstance(potentials, dict):
+        raise ConfigError(f"{where}.potentials: expected an object")
     pots = {}
-    for key, val in entry.get("potentials", {}).items():
+    for key, val in potentials.items():
         try:
             idx = int(key)
         except ValueError:
@@ -168,13 +171,17 @@ def _block_from(entry, spec, base_dir: str, where: str) -> BuildingBlock:
                          boundary=str(entry["boundary"]), mu=mu, potentials=pots)
 
 
+def _positive(x, name: str) -> float:
+    value = finite_number(x)
+    if value is None or value <= 0:
+        raise ConfigError(f"{name}: expected a positive finite number")
+    return value
+
+
 def _positive_floats(raw, name: str) -> tuple[float, ...]:
-    if not isinstance(raw, list) or not all(isinstance(x, (int, float)) for x in raw):
+    if not isinstance(raw, list):
         raise ConfigError(f"{name}: expected a list of numbers")
-    vals = tuple(float(x) for x in raw)
-    if any(x <= 0 for x in vals):
-        raise ConfigError(f"{name}: entries must be positive")
-    return vals
+    return tuple(_positive(x, f"{name}[{k}]") for k, x in enumerate(raw))
 
 
 def load_config(path: str, out_override: str | None) -> ExperimentConfig:
@@ -212,12 +219,10 @@ def load_config(path: str, out_override: str | None) -> ExperimentConfig:
     T_values = _positive_floats(raw.get("T", [5.0, 10.0, 20.0, 40.0]), "T")
     s_values = _positive_floats(raw.get("s", []), "s") if raw.get("s") else ()
 
-    h = raw.get("h", 1.0 / 16)
-    if not isinstance(h, (int, float)) or h <= 0:
-        raise ConfigError("h: expected a positive number")
+    h = _positive(raw.get("h", 1.0 / 16), "h")
     cutoff = raw.get("cutoff")
-    if cutoff is not None and (not isinstance(cutoff, (int, float)) or cutoff <= 0):
-        raise ConfigError("cutoff: expected a positive number")
+    if cutoff is not None:
+        cutoff = _positive(cutoff, "cutoff")
     seed = raw.get("seed", 1)
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ConfigError("seed: expected a 64-bit unsigned integer")
@@ -230,8 +235,8 @@ def load_config(path: str, out_override: str | None) -> ExperimentConfig:
         degrees=tuple(degrees),
         T_values=T_values,
         s_values=s_values,
-        h=float(h),
-        cutoff=None if cutoff is None else float(cutoff),
+        h=h,
+        cutoff=cutoff,
         seed=seed,
         output=out_override if out_override is not None else output,
     )
@@ -370,17 +375,14 @@ def _glued_source(G, seed: int) -> np.ndarray:
     t = G.grid()
     rise = CutoffFunction(center=-G.T / 2 + 0.5)
     envelope = rise(t) * rise(-t)
-    cos_rows = [np.cos(2 * k * math.pi * t / G.T) for k in range(4)]
-    sin_rows = [np.sin(2 * (k + 1) * math.pi * t / G.T) for k in range(4)]
-    f = np.zeros((len(G.modes), G.n_points), dtype=complex)
     amps = rng.uniforms(8 * len(G.modes), -1.0, 1.0).reshape(len(G.modes), 4, 2)
-    for r in range(len(G.modes)):
-        row = np.zeros(G.n_points)
-        for k in range(4):
-            amp_c, amp_s = amps[r, k] / (1 + k) ** 2
-            row += amp_c * cos_rows[k]
-            row += amp_s * sin_rows[k]
-        f[r] = row * envelope
+    f = np.zeros((len(G.modes), G.n_points), dtype=complex)
+    rows = f.real  # accumulated in place: the only (modes x n) temporary is one product
+    for k in range(4):
+        amp = amps[:, k] / (1 + k) ** 2
+        rows += amp[:, :1] * np.cos(2 * k * math.pi * t / G.T)
+        rows += amp[:, 1:] * np.sin(2 * (k + 1) * math.pi * t / G.T)
+    rows *= envelope
     return f
 
 

@@ -43,7 +43,6 @@ from .glued_model import (
 from .ioutil import format_complex, format_real
 from .neck_inverse import _laplace_zero_inverse
 from .polyhom import CutoffFunction
-from .spectral_model import mode_list
 
 _CUT = 2.0  # block subgrids reach this far past the neck center
 _BORDER_TOL = 1e-10  # certificate of every bordered block solve
@@ -115,8 +114,8 @@ class MatchingPair:
     glued_section: np.ndarray
 
 
-def matching_pair(G: GluedOperator, e1: ShootingElement | None, e2: ShootingElement | None,
-                  tol: float = KERNEL_TOL) -> MatchingPair:
+def matching_pair(G: GluedOperator, e1: ShootingElement | None,
+                  e2: ShootingElement | None) -> MatchingPair:
     """Crossfade two shooting elements (as given, no rescaling) and test
     whether their traces continue each other through the neck."""
     if e1 is None and e2 is None:
@@ -135,11 +134,11 @@ def matching_pair(G: GluedOperator, e1: ShootingElement | None, e2: ShootingElem
         traces.append(_trace_in_t(G, which, e))
     if None in traces:
         (tr,) = [x for x in traces if x is not None]
-        matched = abs(tr[0]) <= tol and abs(tr[1]) <= tol  # lone element must decay
+        matched = abs(tr[0]) <= KERNEL_TOL and abs(tr[1]) <= KERNEL_TOL  # lone element must decay
     else:
         (a1, b1), (a2, b2) = traces
         scale = max(1.0, abs(a1), abs(a2), (abs(b1) + abs(b2)) * G.T)
-        matched = abs(a1 - a2) <= tol * scale and abs(b1 - b2) <= tol * scale
+        matched = abs(a1 - a2) <= KERNEL_TOL * scale and abs(b1 - b2) <= KERNEL_TOL * scale
     return MatchingPair(mode_index=mode, u1=e1, u2=e2, matched_at_T=matched,
                         glued_section=section)
 
@@ -196,7 +195,6 @@ def substitute_kernel(
     G: GluedOperator,
     kd1: BlockKernelData | None = None,
     kd2: BlockKernelData | None = None,
-    tol: float = KERNEL_TOL,
 ) -> SubstituteKernel:
     """Shoot both blocks at the glued step and keep the crossfaded matched
     pairs: one kernel direction per mode where both traces are bounded
@@ -207,9 +205,9 @@ def substitute_kernel(
     affine-continuation seam pollutes the crossfade."""
     span = 2 * G.T + G.L1 + G.L2
     if kd1 is None:
-        kd1 = block_kernel(G.block1, G.spec, G.q, tol=tol, h=G.h, reach=span)
+        kd1 = block_kernel(G.block1, G.spec, G.q, h=G.h, reach=span)
     if kd2 is None:
-        kd2 = block_kernel(G.block2, G.spec, G.q, tol=tol, h=G.h, reach=span)
+        kd2 = block_kernel(G.block2, G.spec, G.q, h=G.h, reach=span)
     by_mode1 = {e.mode_index: e for e in kd1.elements}
     by_mode2 = {e.mode_index: e for e in kd2.elements}
     pairs = []
@@ -218,9 +216,9 @@ def substitute_kernel(
         for e, slot in ((e1, 1), (e2, 2)):
             if e.decaying:
                 pairs.append(matching_pair(G, e if slot == 1 else None,
-                                           e if slot == 2 else None, tol))
+                                           e if slot == 2 else None))
         if e1.bounded and not e1.decaying and e2.bounded and not e2.decaying:
-            pair = matching_pair(G, _unit_trace(e1), _unit_trace(e2), tol)
+            pair = matching_pair(G, _unit_trace(e1), _unit_trace(e2))
             if pair.matched_at_T:
                 pairs.append(pair)
     basis = []
@@ -541,7 +539,6 @@ def approx_solve(
     G: GluedOperator,
     S: SubstituteKernel,
     f: np.ndarray,
-    orth_tol: float = 1e-6,
     check_orthogonality: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One pass of the gluing construction: returns (u, e) with
@@ -561,10 +558,10 @@ def approx_solve(
         return np.zeros_like(f), np.zeros_like(f)
     if check_orthogonality:
         ov = np.abs(S.overlaps(f))
-        if ov.size and float(np.max(ov)) > orth_tol * nf:
+        if ov.size and float(np.max(ov)) > 1e-6 * nf:
             raise NotOrthogonalError(
                 f"source overlaps the substitute kernel: |<f, k>| = {float(np.max(ov)):.3e}"
-                f" > {orth_tol:.1e} * ||f|| = {orth_tol * nf:.3e}"
+                f" > 1.0e-06 * ||f|| = {1e-6 * nf:.3e}"
             )
     w1, zeta0, zeta1 = neck_windows(G)
     sys = characteristic_system(G, S, f)
@@ -609,7 +606,6 @@ def solve_exact(
     S: SubstituteKernel,
     f: np.ndarray,
     rtol: float = 1e-9,
-    max_iter: int = 80,
 ) -> SolveReport:
     """Iterate approx_solve on residuals, projecting each round's source
     off the substitute kernel, until ||f - P u - w|| <= rtol ||f||."""
@@ -623,7 +619,7 @@ def solve_exact(
     fn = f
     etas: list[float] = []
     residuals: list[float] = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, 81):
         wn = S.project_onto(fn)
         w = w + wn
         src = fn - wn
@@ -639,7 +635,7 @@ def solve_exact(
             return SolveReport(S.project_off(u), w, it, tuple(etas), tuple(residuals), n_fn / nf)
         if len(etas) >= 2 and etas[-1] >= 1.0 and etas[-2] >= 1.0:
             raise NoContractionError(max(etas[-2:]))
-    raise AnalysisError(f"correction iteration did not converge in {max_iter} rounds")
+    raise AnalysisError("correction iteration did not converge in 80 rounds")
 
 
 def solve_direct(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> np.ndarray:
@@ -707,15 +703,12 @@ def valuepuv_check(
 
 
 def obstruction_frame(
-    block: BuildingBlock,
-    spec,
-    q: int,
-    h: float = 1.0 / 16,
-    tol: float = 1e-8,
+    block: BuildingBlock, spec, q: int
 ) -> tuple[list[tuple[int, np.ndarray]], list[tuple[int, np.ndarray]]]:
-    """(g_j, h_j) on the block grid: g_j the normalized bounded kernel
-    elements, h_j faded affine traces dual to them, certified to satisfy
-    <B h_i, g_j> = delta_ij (far row excluded) within tol."""
+    """(g_j, h_j) on the block grid of step 1/16: g_j the normalized bounded
+    kernel elements, h_j faded affine traces dual to them, certified to
+    satisfy <B h_i, g_j> = delta_ij (far row excluded) within 1e-8."""
+    h = 1.0 / 16
     kd = block_kernel(block, spec, q, h=h)
     gs: list[tuple[int, np.ndarray]] = []
     hs: list[tuple[int, np.ndarray]] = []
@@ -753,7 +746,7 @@ def obstruction_frame(
                 lhs, _, _ = valuepuv_check(block, mi, 0.0, hvec, (0, 0), gvec, (0, 0), h)
                 check[i, j] = lhs.real
     defect = float(np.max(np.abs(check - np.eye(len(gs)))))
-    if defect > tol:
+    if defect > 1e-8:
         raise AnalysisError(f"obstruction frame certificate failed: defect {defect:.3e}")
     return gs, hs
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .polyhom import (
     DirectSumOperator,
     LaplaceZero,
     PolyhomSection,
+    _concat_sections,
     pairing_closed,
 )
 from .rng import SplitMix64
@@ -239,8 +240,7 @@ def q0_apply(modes: Sequence[ModeOperator], f: CompactSection) -> NeckSolution:
             ma = h * complex(np.sum(fa))
             mb = h * complex(np.sum(fb))
             trace_terms.append(PolyhomSection(2, ((0.0, (np.array([mb, -ma]),)),)))
-    op, _ = trace_operator(f.modes)
-    trace_plus = _concat_trace(trace_terms, op)
+    trace_plus = _concat_sections(trace_terms, sum(p.fiber_dim for p in trace_terms))
     trace_minus = PolyhomSection(trace_plus.fiber_dim, ())
     return NeckSolution(
         modes=f.modes,
@@ -252,21 +252,6 @@ def q0_apply(modes: Sequence[ModeOperator], f: CompactSection) -> NeckSolution:
         trace_plus=trace_plus,
         trace_minus=trace_minus,
     )
-
-
-def _concat_trace(parts: list[PolyhomSection], op) -> PolyhomSection:
-    if op is None:
-        return PolyhomSection(0, ())
-    dim = op.fiber_dim
-    deg = max((len(p.coeffs_at(0.0)) for p in parts), default=0)
-    coeffs = []
-    for j in range(deg):
-        row = []
-        for p in parts:
-            c = p.coeffs_at(0.0)
-            row.append(c[j] if j < len(c) else np.zeros(p.fiber_dim))
-        coeffs.append(np.concatenate(row))
-    return PolyhomSection(dim, ((0.0, tuple(coeffs)),)) if coeffs else PolyhomSection(dim, ())
 
 
 def asymptotic_trace(modes: Sequence[ModeOperator], f: CompactSection) -> PolyhomSection:
@@ -410,13 +395,12 @@ def seeded_section(
     support: float,
     h: float,
     seed: int,
-    n_harmonics: int = 4,
 ) -> CompactSection:
     """Deterministic smooth random section supported in [-support, support].
 
-    Each row is a short random Fourier sum under a C^2 bump envelope that
-    vanishes identically outside the support. Harmonic k is damped by
-    (1+k)^{-2} so higher derivatives stay of order one and
+    Each row is a random Fourier sum of four harmonics under a C^2 bump
+    envelope that vanishes identically outside the support. Harmonic k is
+    damped by (1+k)^{-2} so higher derivatives stay of order one and
     discretization-error checks see smooth data.
     """
     rng = SplitMix64(seed)
@@ -424,15 +408,13 @@ def seeded_section(
     rise = CutoffFunction(center=-support + 0.5)
     envelope = rise(t) * rise(-t)
     vals = np.zeros((total_rows(modes), len(t)), dtype=complex)
-    amps = rng.uniforms(2 * n_harmonics * len(vals), -1.0, 1.0).reshape(len(vals), n_harmonics, 2)
-    cos_rows = [np.cos(k * math.pi * t / support) for k in range(n_harmonics)]
-    sin_rows = [np.sin((k + 1) * math.pi * t / support) for k in range(n_harmonics)]
-    for r in range(len(vals)):
-        row = np.zeros(len(t))
-        for k in range(n_harmonics):
-            amp_c, amp_s = amps[r, k] / (1 + k) ** 2
-            row += amp_c * cos_rows[k] + amp_s * sin_rows[k]
-        vals[r] = row * envelope
+    amps = rng.uniforms(8 * len(vals), -1.0, 1.0).reshape(len(vals), 4, 2)
+    rows = vals.real
+    for k in range(4):
+        amp = amps[:, k] / (1 + k) ** 2
+        rows += (amp[:, :1] * np.cos(k * math.pi * t / support)
+                 + amp[:, 1:] * np.sin((k + 1) * math.pi * t / support))
+    rows *= envelope
     return CompactSection(tuple(modes), s_max, support, h, vals)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -156,7 +157,7 @@ class PolyhomSection:
             for i in range(n):
                 acc = None
                 for j in range(i, n):
-                    term = _binom(j, i) * (s ** (j - i)) * coeffs[j]
+                    term = comb(j, i) * (s ** (j - i)) * coeffs[j]
                     acc = term if acc is None else acc + term
                 out[i] = acc
             if rate != 0.0:
@@ -173,12 +174,6 @@ class PolyhomSection:
         return PolyhomSection(
             self.fiber_dim, tuple((r, _poly_scale(c, factor)) for r, c in self.terms)
         )
-
-
-def _binom(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
 
 
 def affine_section(a, b=None) -> PolyhomSection:
@@ -299,7 +294,7 @@ class SyntheticScalar:
         for n in range(self.order + 1):
             acc = 0j
             for k in range(n, len(self.poly)):
-                acc += self.poly[k] * _binom(k, n) * complex(rate) ** (k - n)
+                acc += self.poly[k] * comb(k, n) * complex(rate) ** (k - n)
             out.append(acc)
         return out
 
@@ -394,8 +389,8 @@ def _coeff_apply(coeff, vec: np.ndarray) -> np.ndarray:
     return c @ np.asarray(vec, dtype=complex)
 
 
-def in_kernel(op, u: PolyhomSection, adjoint: bool = False, tol: float = 1e-12) -> bool:
-    """Whether P u = 0 (or P* u = 0) holds symbolically.
+def in_kernel(op, u: PolyhomSection, adjoint: bool = False) -> bool:
+    """Whether P u = 0 (or P* u = 0) holds symbolically, to 1e-12 relative.
 
     Also requires every rate of u to be a real root of the symbol; a
     section at a non-root rate cannot be annihilated unless it vanishes.
@@ -406,7 +401,7 @@ def in_kernel(op, u: PolyhomSection, adjoint: bool = False, tol: float = 1e-12) 
             return False
     res = apply_P(op, u, adjoint=adjoint)
     scale = _section_scale(u)
-    return _section_scale(res) <= tol * max(scale, 1.0)
+    return _section_scale(res) <= 1e-12 * max(scale, 1.0)
 
 
 def _section_scale(u: PolyhomSection) -> float:
@@ -607,11 +602,9 @@ def standard_kernel_basis(op) -> list[PolyhomSection]:
     a Laplace block, fiber constants for a Dirac block."""
     if isinstance(op, DirectSumOperator):
         out = []
-        lo = 0
         for sub, sl in op.slices():
             for w in standard_kernel_basis(sub):
                 out.append(_embed_section(w, op.fiber_dim, sl))
-            lo += sub.fiber_dim
         return out
     dim = op.fiber_dim
     eye = np.eye(dim)

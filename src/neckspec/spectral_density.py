@@ -186,7 +186,7 @@ class DensityReport:
     counts: tuple[tuple[int, ...], ...]  # indexed [T][s]
     prediction: tuple[float, ...]  # per s: 2 B sqrt(s)
     residuals: tuple[tuple[float, ...], ...]
-    coexact: tuple[tuple[tuple[int, int], ...], ...] | None
+    coexact: tuple[tuple[tuple[int, int], ...], ...]  # (exact, coexact) per [T][s]
 
     @property
     def max_residual(self) -> float:
@@ -198,7 +198,6 @@ def density_sweep(
     q: int,
     s_values,
     T_values,
-    include_coexact: bool = True,
 ) -> DensityReport:
     """Count window eigenvalues for every (T, s) pair from one Sturm count
     per T; asserts count monotonicity in s and, when both s and 4s
@@ -208,7 +207,7 @@ def density_sweep(
     if not s_values or not T_values:
         raise ContractViolation("density sweep needs at least one s and one T")
     counts = []
-    coexact = [] if include_coexact else None
+    coexact = []
     B = b_exact = b_coexact = None
     for T in T_values:
         G = builder(T)
@@ -221,8 +220,7 @@ def density_sweep(
         if any(b < a for a, b in zip(row, row[1:])) and sorted(s_values) == list(s_values):
             raise AnalysisError("window counts decreased in s")
         counts.append(tuple(row))
-        if include_coexact:
-            coexact.append(tuple((int(e), int(c)) for e, c in zip(exact, coexact_row)))
+        coexact.append(tuple((int(e), int(c)) for e, c in zip(exact, coexact_row)))
     prediction = tuple(2.0 * B * math.sqrt(s) for s in s_values)
     residuals = tuple(
         tuple(c - p for c, p in zip(row, prediction)) for row in counts
@@ -245,7 +243,7 @@ def density_sweep(
         counts=tuple(counts),
         prediction=prediction,
         residuals=residuals,
-        coexact=tuple(coexact) if include_coexact else None,
+        coexact=tuple(coexact),
     )
 
 
@@ -257,15 +255,14 @@ def density_csv(report: DensityReport) -> str:
                 f"{report.q},{format_real(T)},{format_real(s)},{report.counts[i][j]},"
                 f"{format_real(report.prediction[j])},{format_real(report.residuals[i][j])},all"
             )
-            if report.coexact is not None:
-                ex, co = report.coexact[i][j]
-                for name, cnt, mult in (("exact", ex, report.b_exact),
-                                        ("coexact", co, report.b_coexact)):
-                    pred = 2.0 * mult * math.sqrt(s)
-                    lines.append(
-                        f"{report.q},{format_real(T)},{format_real(s)},{cnt},"
-                        f"{format_real(pred)},{format_real(cnt - pred)},{name}"
-                    )
+            ex, co = report.coexact[i][j]
+            for name, cnt, mult in (("exact", ex, report.b_exact),
+                                    ("coexact", co, report.b_coexact)):
+                pred = 2.0 * mult * math.sqrt(s)
+                lines.append(
+                    f"{report.q},{format_real(T)},{format_real(s)},{cnt},"
+                    f"{format_real(pred)},{format_real(cnt - pred)},{name}"
+                )
     return "\n".join(lines) + "\n"
 
 
@@ -345,19 +342,19 @@ def test_space(kind: str, n: int, window: int | None = None) -> TestSpace:
     return TestSpace(kind=kind, n=n, k_values=ks, basis=basis, constraints=rows)
 
 
-def space_contains(space: TestSpace, coeffs: Mapping[int, complex], tol: float = 1e-9) -> bool:
-    """Whether the coefficient set satisfies the space's constraints (any
-    frequency outside the window, or k = 0, disqualifies)."""
+def space_contains(space: TestSpace, coeffs: Mapping[int, complex]) -> bool:
+    """Whether the coefficient set satisfies the space's constraints within
+    1e-9 (any frequency outside the window, or k = 0, disqualifies)."""
     scale = max((abs(v) for v in coeffs.values()), default=1.0)
     vec = np.zeros(len(space.k_values), dtype=complex)
     index = {k: i for i, k in enumerate(space.k_values)}
     for k, a in coeffs.items():
         if k not in index:
-            if abs(a) > tol * scale:
+            if abs(a) > 1e-9 * scale:
                 return False
             continue
         vec[index[k]] = a
-    return bool(np.max(np.abs(space.constraints @ vec), initial=0.0) <= tol * scale)
+    return bool(np.max(np.abs(space.constraints @ vec), initial=0.0) <= 1e-9 * scale)
 
 
 def assert_space_dimensions(n: int, window: int | None = None) -> dict[str, int]:
@@ -456,17 +453,11 @@ def h_operator_check(coeffs: Mapping[int, complex], T: float, h: float = 1.0 / 1
 # min-max upper bounds
 
 
-def minmax_upper_from_Vn(
-    G: GluedOperator,
-    n: int,
-    dim_kernel: int | None = None,
-    tau: float = 0.1,
-    eps: float = 0.05,
-) -> float:
+def minmax_upper_from_Vn(G: GluedOperator, n: int, eps: float = 0.05) -> float:
     """Rayleigh bound from the V_n trial space on the neck.
 
     Places every V_n basis function, scaled to [-T, T] and cut at
-    (1-tau) T, on each zero-mode row; returns the largest generalized
+    0.9 T, on each zero-mode row; returns the largest generalized
     Rayleigh quotient and asserts the min-max consequence: at least
     (2n-2) B - dim kernel eigenvalues lie in (threshold, (1+eps)(n pi)^2/T^2].
     """
@@ -477,7 +468,7 @@ def minmax_upper_from_Vn(
         raise ContractViolation("no zero modes to carry the trial space")
     space = test_space("Vn", n)
     t = G.grid()
-    cut = CutoffFunction(0.0)((1.0 - tau) * G.T - np.abs(t))
+    cut = CutoffFunction(0.0)(0.9 * G.T - np.abs(t))
     trials = []
     for row in space.basis:
         trials.append(fourier_values(space.k_values, row, t / G.T) * cut)
@@ -504,8 +495,7 @@ def minmax_upper_from_Vn(
     want = (2 * n - 2) * len(zero_modes)
     result = eigen_lowest(G, min(want + 4, G.n_points))
     vals = result.values()
-    if dim_kernel is None:
-        dim_kernel = int(np.sum(vals <= THRESHOLD_ZERO))
+    dim_kernel = int(np.sum(vals <= THRESHOLD_ZERO))
     got = int(np.sum((vals > THRESHOLD_ZERO) & (vals <= target)))
     if got < want - dim_kernel:
         raise AnalysisError(
@@ -515,9 +505,7 @@ def minmax_upper_from_Vn(
     return bound
 
 
-def scalar_lambda1_bounds(
-    G: GluedOperator, S: SubstituteKernel | None = None
-) -> tuple[float, float]:
+def scalar_lambda1_bounds(G: GluedOperator) -> tuple[float, float]:
     """(lower, upper) for the first nonzero eigenvalue of the scalar model.
 
     Lower is the measured first eigenvalue above the kernel threshold;
@@ -533,8 +521,7 @@ def scalar_lambda1_bounds(
     if len(above) == 0:
         raise InsufficientEigenvaluesError("no eigenvalue above the kernel threshold")
     lower = float(above[0])
-    if S is None:
-        S = substitute_kernel(G)
+    S = substitute_kernel(G)
     t = G.grid()
     base = S.basis[0][1] if S.dim else np.ones(G.n_points)
     u = np.clip(t / G.T, -1.0, 1.0) * base

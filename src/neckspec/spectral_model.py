@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
@@ -65,7 +65,6 @@ class CrossSectionSpectrum:
     name: str
     dimension: int
     degrees: Mapping[int, tuple[tuple[float, int], ...]]
-    twist: Mapping[int, tuple[np.ndarray, ...]] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -76,15 +75,6 @@ class CrossSectionSpectrum:
                 raise SpectrumFormatError(f"degrees[{q}]: degree outside [0, {self.dimension}]")
             clean[int(q)] = _normalize_degree(pairs, f"degrees[{q}]")
         object.__setattr__(self, "degrees", clean)
-
-    def __eq__(self, other):
-        if not isinstance(other, CrossSectionSpectrum):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.dimension == other.dimension
-            and self.degrees == other.degrees
-        )
 
     def eigenvalues(self, q: int) -> tuple[tuple[float, int], ...]:
         return self.degrees.get(q, ())
@@ -204,11 +194,11 @@ def torus2_spectrum(max_lattice: int = 6) -> CrossSectionSpectrum:
     return CrossSectionSpectrum(name=f"torus2(max_lattice={max_lattice})", dimension=2, degrees=degrees)
 
 
-def _require_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
+def _require_keys(obj: dict, required: set[str], where: str) -> None:
     missing = required - obj.keys()
     if missing:
         raise SpectrumFormatError(f"{where}: missing field {sorted(missing)[0]!r}")
-    unknown = obj.keys() - required - optional
+    unknown = obj.keys() - required
     if unknown:
         raise SpectrumFormatError(f"{where}: unknown field {sorted(unknown)[0]!r}")
 
@@ -217,8 +207,7 @@ def load_spectrum(path: str) -> CrossSectionSpectrum:
     """Read a spectrum from a JSON file, strictly.
 
     The schema is ``{"name", "dimension", "degrees": {"<q>": [[nu, mult],
-    ...]}}`` with an optional ``"twist"`` table of per-degree orthogonal
-    matrices. Unknown keys are errors, as are malformed entries; error
+    ...]}}``. Unknown keys are errors, as are malformed entries; error
     messages name the offending field.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -228,7 +217,7 @@ def load_spectrum(path: str) -> CrossSectionSpectrum:
             raise SpectrumFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise SpectrumFormatError("top level: expected an object")
-    _require_keys(raw, {"name", "dimension", "degrees"}, {"twist"}, "top level")
+    _require_keys(raw, {"name", "dimension", "degrees"}, "top level")
     if not isinstance(raw["name"], str):
         raise SpectrumFormatError("name: expected a string")
     if not isinstance(raw["dimension"], int) or isinstance(raw["dimension"], bool):
@@ -256,38 +245,7 @@ def load_spectrum(path: str) -> CrossSectionSpectrum:
             pairs.append((float(nu), mult))
         degrees[q] = pairs
 
-    twist = None
-    if "twist" in raw:
-        if not isinstance(raw["twist"], dict):
-            raise SpectrumFormatError("twist: expected an object")
-        twist = {}
-        for key, mats in raw["twist"].items():
-            try:
-                q = int(key)
-            except ValueError:
-                raise SpectrumFormatError(f"twist[{key!r}]: key is not an integer") from None
-            if q not in degrees:
-                raise SpectrumFormatError(f"twist[{key!r}]: no such degree in 'degrees'")
-            if not isinstance(mats, list) or len(mats) != len(degrees[q]):
-                raise SpectrumFormatError(
-                    f"twist[{key!r}]: expected one matrix per eigenvalue entry of degree {q}"
-                )
-            checked = []
-            for k, mat in enumerate(mats):
-                arr = np.asarray(mat, dtype=float)
-                mult = degrees[q][k][1]
-                if arr.shape != (mult, mult):
-                    raise SpectrumFormatError(
-                        f"twist[{key!r}][{k}]: expected a {mult} x {mult} matrix"
-                    )
-                if not np.allclose(arr.T @ arr, np.eye(mult), atol=1e-10):
-                    raise SpectrumFormatError(f"twist[{key!r}][{k}]: matrix is not orthogonal")
-                checked.append(arr)
-            twist[q] = tuple(checked)
-
-    return CrossSectionSpectrum(
-        name=raw["name"], dimension=raw["dimension"], degrees=degrees, twist=twist
-    )
+    return CrossSectionSpectrum(name=raw["name"], dimension=raw["dimension"], degrees=degrees)
 
 
 def default_cutoff(t_max: float, s_max: float) -> float:

@@ -1,8 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neckspec.cli import main
 
@@ -100,6 +107,34 @@ class TestConfigErrors:
         with pytest.raises(SystemExit) as exc:
             main(["warp", "--config", "x.json"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("h", math.nan, "h"),
+        ("T", [math.inf], "T[0]"),
+        ("cutoff", math.nan, "cutoff"),
+        ("cutoff", True, "cutoff"),
+        ("s", [math.nan], "s[0]"),
+        ("s", [math.inf], "s[0]"),
+        ("blocks", [dict(FLAT_BLOCK, potentials=[1, 2]), FLAT_BLOCK], "blocks[0].potentials"),
+    ])
+    def test_unusable_number_or_table_names_the_field(self, tmp_path, capsys, field, value, named):
+        fields = dict(spectrum="scalar", blocks=[FLAT_BLOCK, FLAT_BLOCK], degrees=[0],
+                      T=[8], s=[4.41], seed=1)
+        fields[field] = value
+        cfg = write_config(tmp_path, **fields)
+        code, out, err = run(capsys, "density", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"error: {named}" in err
+        assert "Traceback" not in out + err
+
+    def test_spectrum_file_with_twist(self, tmp_path, capsys):
+        spectrum = {"name": "x", "dimension": 1, "degrees": {"0": [[0.0, 1]]},
+                    "twist": {"0": [[[1.0]]]}}
+        (tmp_path / "spec.json").write_text(json.dumps(spectrum), encoding="utf-8")
+        cfg = write_config(tmp_path, spectrum={"file": "spec.json"}, seed=1)
+        code, _, err = run(capsys, "roots", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "unknown field 'twist'" in err
 
 
 class TestPotentialEntries:
@@ -240,3 +275,36 @@ class TestDensity:
         code, _, _ = run(capsys, "density", "--config", cfg)
         assert code == 0
         assert (tmp_path / "from_config" / "density_q0.csv").exists()
+
+
+# a small flat scalar config and the places a mutation may hit: a
+# top-level field, a block field, or one entry of a list
+FUZZ_BASE = {"spectrum": "scalar", "blocks": [dict(FLAT_BLOCK, potentials={}), FLAT_BLOCK],
+             "degrees": [0], "T": [4], "h": 1.0 / 16, "s": [4.41], "cutoff": 1.0, "seed": 1}
+FUZZ_SITES = (
+    [(key,) for key in FUZZ_BASE]
+    + [("blocks", i, key) for i in range(2) for key in FUZZ_BASE["blocks"][i]]
+    + [("blocks", 0), ("blocks", 1), ("degrees", 0), ("T", 0), ("s", 0)]
+)
+# no large finite sizes: T = 1e308 or h = 1e-300 would ask for an
+# astronomically large grid
+FUZZ_VALUES = [math.nan, math.inf, -math.inf, True, None, "x", [], {}, -1, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FUZZ_SITES), st.sampled_from(FUZZ_VALUES),
+       st.sampled_from(["roots", "density", "glue"]))
+def test_mutated_config_exits_cleanly(site, value, command):
+    config = copy.deepcopy(FUZZ_BASE)
+    target = config
+    for key in site[:-1]:
+        target = target[key]
+    target[site[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

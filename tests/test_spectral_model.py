@@ -132,26 +132,16 @@ class TestLoadSpectrum:
         spec = load_spectrum(self.write(tmp_path, payload))
         assert spec.eigenvalues(0) == ((1.0, 5),)
 
-    def test_twist_must_be_orthogonal(self, tmp_path):
-        payload = {
-            "name": "x",
-            "dimension": 1,
-            "degrees": {"0": [[0.0, 2]]},
-            "twist": {"0": [[[1.0, 1.0], [0.0, 1.0]]]},
-        }
-        with pytest.raises(SpectrumFormatError, match="orthogonal"):
-            load_spectrum(self.write(tmp_path, payload))
-
-    def test_twist_accepted_and_stored(self, tmp_path):
+    def test_twist_is_an_unknown_field(self, tmp_path):
+        # nothing reads a cross-section twist, so the loader refuses one
         payload = {
             "name": "x",
             "dimension": 1,
             "degrees": {"0": [[0.0, 2]]},
             "twist": {"0": [[[0.0, 1.0], [-1.0, 0.0]]]},
         }
-        spec = load_spectrum(self.write(tmp_path, payload))
-        assert spec.twist is not None
-        np.testing.assert_allclose(spec.twist[0][0], [[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(SpectrumFormatError, match="unknown field 'twist'"):
+            load_spectrum(self.write(tmp_path, payload))
 
     def test_not_json(self, tmp_path):
         p = tmp_path / "bad.json"
