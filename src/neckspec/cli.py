@@ -215,8 +215,12 @@ def load_config(path: str, out_override: str | None) -> ExperimentConfig:
         isinstance(q, int) and not isinstance(q, bool) and q >= 0 for q in degrees
     ):
         raise ConfigError("degrees: expected a list of nonnegative integers")
+    if not degrees:
+        raise ConfigError("degrees: expected at least one degree")
 
     T_values = _positive_floats(raw.get("T", [5.0, 10.0, 20.0, 40.0]), "T")
+    if not T_values:
+        raise ConfigError("T: expected at least one value")
     s_values = _positive_floats(raw.get("s", []), "s") if raw.get("s") else ()
 
     h = _positive(raw.get("h", 1.0 / 16), "h")
@@ -270,6 +274,8 @@ def cmd_roots(cfg: ExperimentConfig):
 
 
 def cmd_q0check(cfg: ExperimentConfig):
+    if len(set(cfg.T_values)) < 2:
+        raise ConfigError("T: q0check fits the norm growth over T and needs two distinct values")
     ok = True
     rows = ["q,T,h,residual"]
     support = min(cfg.T_values)

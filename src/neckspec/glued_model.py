@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AnalysisError, ContractViolation, MatchingConditionError, SpectrumFormatError
-from .ioutil import finite_number, format_real
+from .ioutil import MAX_GRID_POINTS, finite_number, format_real
 from .polyhom import CutoffFunction
 from .spectral_model import CrossSectionSpectrum, KIND_LAPLACE, ModeOperator, mode_list
 
@@ -133,7 +133,14 @@ def kernel_potential_dirichlet(mu: float) -> Potential:
 
 
 def _shooting_reach(mu: float) -> int:
-    return int(max(10, math.ceil(20.0 / mu)))
+    reach = 20.0 / mu
+    # every shooting grid has h <= 1/16
+    if not math.isfinite(reach) or 16 * reach > MAX_GRID_POINTS:
+        raise ContractViolation(
+            f"mu: decay rate {mu} asks for a shooting reach of {reach:.3g}, "
+            f"more than {MAX_GRID_POINTS} points at h = 1/16"
+        )
+    return int(max(10, math.ceil(reach)))
 
 
 @dataclass(frozen=True)
@@ -347,6 +354,12 @@ def assemble(
         raise ContractViolation("need h <= 1/16")
     if T < 2:
         raise ContractViolation("need T >= 2")
+    cells = (2 * T + block1.L + block2.L) / h
+    if not math.isfinite(cells) or cells > MAX_GRID_POINTS:
+        raise ContractViolation(
+            f"T or h: T = {T}, L1 + L2 = {block1.L + block2.L} and h = {h} give "
+            f"{cells:.3g} grid points, more than {MAX_GRID_POINTS}"
+        )
     # h | T keeps t = 0 on a cell boundary, where the solver splits residuals
     for name, length in (("T", T), ("L1", block1.L), ("L2", block2.L)):
         n = round(length / h)
@@ -363,7 +376,7 @@ def assemble(
                     + ("" if cutoff is None else f" below the cutoff {cutoff}")
                 )
 
-    n = round((2 * T + block1.L + block2.L) / h)
+    n = round(cells)
     t = -T - block1.L + (np.arange(n) + 0.5) * h
     s1 = t + T + block1.L
     s2 = T + block2.L - t

@@ -1,10 +1,15 @@
-"""Small shared helpers for JSON input and deterministic text output."""
+"""Small shared helpers for JSON input and deterministic text output, and
+the size limit every grid is checked against."""
 
 from __future__ import annotations
 
 import math
 import os
 import tempfile
+
+# the most points one grid may have; a length and step past it ask for an
+# astronomically large grid, not a fine one
+MAX_GRID_POINTS = 2**31 - 1
 
 
 def format_complex(z: complex) -> str:

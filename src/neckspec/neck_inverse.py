@@ -1,13 +1,15 @@
 """Explicit right inverse of the mode operators on a long finite cylinder.
 
-Everything here is per mode. Positive modes (nu > 0) are inverted by
+The mode operators separate. Positive modes (nu > 0) are inverted by
 convolution with the Green's function G_nu(t) = e^{-sqrt(nu)|t|}/(2 sqrt(nu)),
-evaluated by two stable exponential recursions. Zero modes are inverted by
-moment kernels: the Laplace zero mode by u(t) = -int_{-inf}^t (t - tau) f,
-which is also an exact inverse of the discrete three-point stencil, and the
-Dirac zero mode by u = -J int f. Beyond the support the zero-mode solutions
-are affine; the asymptotic trace m0 - t m1 is computed from the same moment
-sums, so the support law and trace identity hold exactly on the grid.
+evaluated by two stable exponential recursions; all positive rows of a
+section are marched together, one grid point per step, each row with its
+own rate. Zero modes are inverted row by row by moment kernels: the
+Laplace zero mode by u(t) = -int_{-inf}^t (t - tau) f, which is also an
+exact inverse of the discrete three-point stencil, and the Dirac zero mode
+by u = -J int f. Beyond the support the zero-mode solutions are affine;
+the asymptotic trace m0 - t m1 is computed from the same moment sums, so
+the support law and trace identity hold exactly on the grid.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AnalysisError, ContractViolation
-from .ioutil import format_complex, format_real
+from .ioutil import MAX_GRID_POINTS, format_complex, format_real
 from .polyhom import (
     CutoffFunction,
     DiracZero,
@@ -56,7 +58,13 @@ def cell_grid(s_max: float, h: float) -> np.ndarray:
 
 
 def _exact_cells(length: float, h: float) -> int:
-    n = round(length / h)
+    cells = length / h
+    if not math.isfinite(cells) or cells > MAX_GRID_POINTS:
+        raise ContractViolation(
+            f"T or h: a grid of length {length} at step {h} has {cells:.3g} cells, "
+            f"more than {MAX_GRID_POINTS}"
+        )
+    n = round(cells)
     if n < 1 or abs(n * h - length) > 1e-9 * max(1.0, length):
         raise ContractViolation(f"step {h} does not divide interval length {length}")
     return n
@@ -164,24 +172,30 @@ def _panel_weights(a: float, h: float) -> tuple[float, float]:
     return w_far, w_near
 
 
-def _gnu_convolve(f: np.ndarray, nu: float, h: float) -> np.ndarray:
-    """Samples of (G_nu * f_lin) where f_lin interpolates f linearly.
+def _gnu_convolve(f: np.ndarray, nus: Sequence[float], h: float) -> np.ndarray:
+    """Samples of (G_nu * f_lin) for every column of f, column k with nu = nus[k].
 
-    Two sweeps: F_j accumulates e^{-a(t_j - s)} mass from the left and B_j
-    from the right; u = (F + B) / (2a). Decay of the recursions matches the
-    decay of G_nu exactly, so no periodization or overflow appears.
+    f has shape (n, k): one positive-mode row per column, and f_lin
+    interpolates each column linearly. Two sweeps march all columns at once:
+    the forward one accumulates e^{-a(t_j - s)} mass from the left, the
+    backward one from the right; u = (forward + backward) / (2a). Decay of
+    the recursions matches the decay of G_nu exactly, so no periodization or
+    overflow appears.
     """
-    a = math.sqrt(nu)
-    e = math.exp(-a * h)
-    w_prev, w_here = _panel_weights(a, h)
+    roots = [math.sqrt(nu) for nu in nus]
+    # math.exp per column: np.exp may differ from it in the last bit
+    e = np.array([math.exp(-a * h) for a in roots])
+    w_prev, w_here = np.array([_panel_weights(a, h) for a in roots]).T
     n = len(f)
-    forward = np.zeros(n, dtype=complex)
+    out = np.zeros(f.shape, dtype=complex)
     for j in range(1, n):
-        forward[j] = e * forward[j - 1] + w_prev * f[j - 1] + w_here * f[j]
-    backward = np.zeros(n, dtype=complex)
+        out[j] = e * out[j - 1] + w_prev * f[j - 1] + w_here * f[j]
+    back = np.zeros(f.shape[1], dtype=complex)
     for j in range(n - 2, -1, -1):
-        backward[j] = e * backward[j + 1] + w_prev * f[j + 1] + w_here * f[j]
-    return (forward + backward) / (2 * a)
+        back = e * back + w_prev * f[j + 1] + w_here * f[j]
+        out[j] += back
+    out /= 2 * np.array(roots)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -207,30 +221,35 @@ def _cumulative_midpoint(f: np.ndarray, h: float) -> np.ndarray:
 
 
 def q0_apply(modes: Sequence[ModeOperator], f: CompactSection) -> NeckSolution:
-    """Apply the cylinder right inverse mode by mode.
+    """Apply the cylinder right inverse.
 
-    Positive modes produce the regular part (Green's convolution); zero
-    modes produce the singular part and its affine trace. The grid must
-    extend at least two units past the support so the trace identity has
-    room to be checked.
+    Positive modes produce the regular part (one Green's convolution march
+    over all their rows); zero modes produce the singular part and its
+    affine trace. The grid must extend at least two units past the support
+    so the trace identity has room to be checked.
     """
     if f.support > f.s_max - 2:
         raise ContractViolation("need s_max >= support + 2 to expose the trace")
     t = f.grid()
     h = f.h
+    slices = mode_rows(f.modes)
+    positive = [(sl.start, m.nu) for m, sl in zip(f.modes, slices)
+                if m.kind == KIND_LAPLACE and not m.is_zero_mode]
     regular = np.zeros_like(f.values)
+    if positive:
+        idx = [r for r, _ in positive]
+        regular[idx] = _gnu_convolve(f.values.T[:, idx], [nu for _, nu in positive], h).T
+    # allocated after the march, whose two (n, rows) buffers are freed by now
     singular = np.zeros_like(f.values)
     trace_terms: list[PolyhomSection] = []
-    for m, sl in zip(f.modes, mode_rows(f.modes)):
-        if m.kind == KIND_LAPLACE and not m.is_zero_mode:
-            regular[sl.start] = _gnu_convolve(f.values[sl.start], m.nu, h)
-        elif m.kind == KIND_LAPLACE:
+    for m, sl in zip(f.modes, slices):
+        if m.kind == KIND_LAPLACE and m.is_zero_mode:
             row = f.values[sl.start]
             singular[sl.start] = _laplace_zero_inverse(row, t, h)
             m1 = h * complex(np.sum(row))
             m0 = h * complex(np.sum(t * row))
             trace_terms.append(PolyhomSection(1, ((0.0, (np.array([m0]), np.array([-m1]))),)))
-        else:
+        elif m.kind == KIND_DIRAC:
             fa, fb = f.values[sl.start], f.values[sl.start + 1]
             ca = _cumulative_midpoint(fa, h)
             cb = _cumulative_midpoint(fb, h)

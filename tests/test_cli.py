@@ -127,6 +127,50 @@ class TestConfigErrors:
         assert f"error: {named}" in err
         assert "Traceback" not in out + err
 
+    def test_q0check_empty_T(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, spectrum="scalar", degrees=[0], T=[], seed=1)
+        code, out, err = run(capsys, "q0check", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "error: T:" in err
+
+    def test_q0check_needs_two_distinct_T(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, spectrum="scalar", degrees=[0], T=[5, 5.0], seed=1)
+        code, out, err = run(capsys, "q0check", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "error: T:" in err
+        assert "FAIL" not in out
+
+    @pytest.mark.parametrize("command", ["glue", "density"])
+    @pytest.mark.parametrize("field", ["degrees", "T"])
+    def test_empty_list_checks_nothing(self, tmp_path, capsys, command, field):
+        fields = dict(spectrum="scalar", blocks=[FLAT_BLOCK, FLAT_BLOCK], degrees=[0],
+                      T=[8], s=[4.41], seed=1)
+        fields[field] = []
+        cfg = write_config(tmp_path, **fields)
+        code, out, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"error: {field}:" in err
+        assert "PASS" not in out
+
+    @pytest.mark.parametrize("command", ["q0check", "glue", "density"])
+    @pytest.mark.parametrize("field,value", [("T", [8, 1e308]), ("h", 1e-300)])
+    def test_astronomical_grid_refused(self, tmp_path, capsys, command, field, value):
+        fields = dict(spectrum="scalar", blocks=[FLAT_BLOCK, FLAT_BLOCK], degrees=[0],
+                      T=[8, 16], s=[4.41], seed=1)
+        fields[field] = value
+        cfg = write_config(tmp_path, **fields)
+        code, out, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "error: T or h:" in err
+
+    def test_vanishing_decay_rate_refused(self, tmp_path, capsys):
+        slow = dict(FLAT_BLOCK, mu=1e-300)
+        cfg = write_config(tmp_path, spectrum="scalar", blocks=[slow, FLAT_BLOCK],
+                           degrees=[0], T=[8], seed=1)
+        code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "error: mu:" in err
+
     def test_spectrum_file_with_twist(self, tmp_path, capsys):
         spectrum = {"name": "x", "dimension": 1, "degrees": {"0": [[0.0, 1]]},
                     "twist": {"0": [[[1.0]]]}}
@@ -286,9 +330,7 @@ FUZZ_SITES = (
     + [("blocks", i, key) for i in range(2) for key in FUZZ_BASE["blocks"][i]]
     + [("blocks", 0), ("blocks", 1), ("degrees", 0), ("T", 0), ("s", 0)]
 )
-# no large finite sizes: T = 1e308 or h = 1e-300 would ask for an
-# astronomically large grid
-FUZZ_VALUES = [math.nan, math.inf, -math.inf, True, None, "x", [], {}, -1, 0]
+FUZZ_VALUES = [math.nan, math.inf, -math.inf, True, None, "x", [], {}, -1, 0, 1e308, 1e-300]
 
 
 @settings(max_examples=200, deadline=None)

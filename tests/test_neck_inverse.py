@@ -1,6 +1,7 @@
 """Cylinder right inverse: moment kernels, Green's convolution, duality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from neckspec.errors import AnalysisError, ContractViolation
 from neckspec.neck_inverse import (
     CompactSection,
+    _gnu_convolve,
     _panel_weights,
     apply_discrete,
     asymptotic_trace,
@@ -26,7 +28,13 @@ from neckspec.neck_inverse import (
     trace_operator,
 )
 from neckspec.polyhom import PolyhomSection, affine_section
-from neckspec.spectral_model import KIND_DIRAC, KIND_LAPLACE, ModeOperator
+from neckspec.spectral_model import (
+    KIND_DIRAC,
+    KIND_LAPLACE,
+    ModeOperator,
+    mode_list,
+    torus2_spectrum,
+)
 
 
 def laplace(nu, tag="alpha"):
@@ -201,6 +209,67 @@ class TestGreenConvolution:
             far_ref = (1.0 - e) / a - near_ref
             assert near_d == pytest.approx(near_ref, rel=1e-6, abs=1e-18)
             assert far_d == pytest.approx(far_ref, rel=1e-6, abs=1e-18)
+
+
+def convolve_row(f, nu, h):
+    """Reference: one row at a time, one complex element per step."""
+    a = math.sqrt(nu)
+    e = math.exp(-a * h)
+    w_prev, w_here = _panel_weights(a, h)
+    n = len(f)
+    forward = np.zeros(n, dtype=complex)
+    for j in range(1, n):
+        forward[j] = e * forward[j - 1] + w_prev * f[j - 1] + w_here * f[j]
+    backward = np.zeros(n, dtype=complex)
+    for j in range(n - 2, -1, -1):
+        backward[j] = e * backward[j + 1] + w_prev * f[j + 1] + w_here * f[j]
+    return (forward + backward) / (2 * a)
+
+
+def bitwise_equal(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+class TestBatchedConvolution:
+    """The march over all rows at once must give the per-row bytes."""
+
+    def march_matches_rows(self, rows, nus, h):
+        out = _gnu_convolve(np.ascontiguousarray(rows.T), nus, h)
+        ref = np.array([convolve_row(row, nu, h) for row, nu in zip(rows, nus)])
+        assert bitwise_equal(out.T.copy(), ref)
+
+    def test_rows_with_different_nu(self):
+        h = 1.0 / 64
+        # nu = 1e-8 gives a * h < 1e-3: the series branch of the panel weights
+        nus = [1e-8, 0.25, 1.0, 2.0, 17.0, 400.0]
+        assert math.sqrt(nus[0]) * h < 1e-3
+        f = seeded_section(tuple(laplace(nu) for nu in nus), 4.0, 2.0, h, seed=3)
+        self.march_matches_rows(f.values, nus, h)
+
+    def test_single_row(self):
+        f = seeded_section((laplace(3.0),), 4.0, 2.0, 1.0 / 128, seed=8)
+        self.march_matches_rows(f.values, [3.0], 1.0 / 128)
+
+    def test_complex_rows(self):
+        h = 1.0 / 32
+        nus = [0.5, 9.0, 1e-8]
+        re = seeded_section(tuple(laplace(nu) for nu in nus), 4.0, 2.0, h, seed=5).values
+        im = seeded_section(tuple(laplace(nu) for nu in nus), 4.0, 2.0, h, seed=6).values
+        rows = re + 1j * im.real
+        assert np.all(rows.imag[:, np.abs(cell_grid(4.0, h)) < 1.0] != 0)
+        self.march_matches_rows(rows, nus, h)
+
+    def test_q0_apply_memory_stays_within_four_and_a_half_copies(self):
+        modes = mode_list(torus2_spectrum(), 1, math.inf)
+        assert len(modes) == 507
+        f = seeded_section(modes, 7.0, 5.0, 1.0 / 128, seed=264)
+        tracemalloc.start()
+        try:
+            q0_apply(modes, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * f.values.nbytes
 
 
 class TestMixedModes:
