@@ -677,8 +677,8 @@ def coupled_entries(G: GluedOperator, k: int) -> list[EigenEntry]:
 def eigen_lowest(G: GluedOperator, k: int) -> EigenResult:
     """The k smallest eigenvalues of every per-mode matrix, merged sorted.
 
-    Tridiagonal modes use Sturm bisection; coupled groups go through
-    ``coupled_entries``.
+    Tridiagonal modes use Sturm bisection once per mode family, whose
+    members share the values; coupled groups go through ``coupled_entries``.
     """
     if k < 1:
         raise ContractViolation("need k >= 1")
@@ -687,15 +687,13 @@ def eigen_lowest(G: GluedOperator, k: int) -> EigenResult:
     kk = min(k, n)
     coupled = set(coupled_modes(G))
     entries: list[EigenEntry] = []
-    for i, m in enumerate(G.modes):
-        if i in coupled:
-            continue
-        diag, off = G.mats[i]
+    for members in G.families:
         vals = scipy.linalg.eigvalsh_tridiagonal(
-            diag, off, select="i", select_range=(0, kk - 1)
+            *G.mats[members[0]], select="i", select_range=(0, kk - 1)
         )
         entries.extend(
-            EigenEntry(float(v), m.nu, m.degree_tag, i, rank) for rank, v in enumerate(vals)
+            EigenEntry(float(v), G.modes[i].nu, G.modes[i].degree_tag, i, rank)
+            for i in members if i not in coupled for rank, v in enumerate(vals)
         )
     entries.extend(coupled_entries(G, kk))
     entries.sort(key=lambda e: (e.value, e.mode_index, e.k_within))

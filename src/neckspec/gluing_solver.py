@@ -2,8 +2,8 @@
 system at the neck, and the correction iteration.
 
 The route mirrors the cylinder calculus. A source is windowed to the
-neck and inverted there mode by mode with discrete-exact inverses; the
-characteristic system then picks the affine trace correction v that
+neck and inverted there per mode family with discrete-exact inverses;
+the characteristic system then picks the affine trace correction v that
 cancels the block obstructions; the leftover residual (supported in the
 block regions) is removed by slope-zero block solves; crossfading the
 pieces leaves a defect of size e^{-delta T}, which the exact solver
@@ -322,6 +322,7 @@ class CharacteristicSystem:
     matrix: np.ndarray
     rhs: np.ndarray
     rank: int
+    cylinder: np.ndarray  # the unwindowed neck solve the rows pair against
 
 
 @dataclass(frozen=True)
@@ -349,14 +350,15 @@ def characteristic_system(
 
     Row of element g (block i, window w = w1 or 1 - w1):
         <v, [P, w] g~> = <f, w g~> - <zeta0 u0, [P, w] g~>,
-    with u0 the cylinder solve of zeta1 f. The left side is an exact
-    discrete Wronskian of the traces, so the entries are chi-independent.
+    with u0 the cylinder solve of zeta1 f, the round's one neck solve, kept
+    unwindowed as ``cylinder``. The left side is an exact discrete
+    Wronskian of the traces, so the entries are chi-independent.
     """
     _require_uncoupled(G)
     f = np.asarray(f, dtype=complex)
     t = G.grid()
     w1, zeta0, zeta1 = neck_windows(G)
-    u0 = cylinder_solve(G, f * zeta1) * zeta0
+    cyl = cylinder_solve(G, f * zeta1)
     zero_modes = tuple(i for i, m in enumerate(G.modes) if m.is_zero_mode)
     matched = set(S.matched_modes())
     columns = []
@@ -380,7 +382,7 @@ def characteristic_system(
             rows.append(row)
             rhs.append(
                 G.h * np.sum(f[el.mode_index] * np.conj(w * g))
-                - G.h * np.sum(u0[el.mode_index] * np.conj(comm))
+                - G.h * np.sum(cyl[el.mode_index] * zeta0 * np.conj(comm))
             )
     A = np.array(rows) if rows else np.zeros((0, len(columns)))
     b = np.array(rhs) if rhs else np.zeros(0, dtype=complex)
@@ -394,7 +396,7 @@ def characteristic_system(
             f"characteristic system rank dropped to {rank} (expected {expected_rank})"
         )
     return CharacteristicSystem(G=G, zero_modes=zero_modes, columns=tuple(columns),
-                                matrix=A, rhs=b, rank=rank)
+                                matrix=A, rhs=b, rank=rank, cylinder=cyl)
 
 
 def characteristic_solve(sys: CharacteristicSystem) -> CharacteristicSolution:
@@ -510,17 +512,20 @@ def _solve_bordered(diag: np.ndarray, off: np.ndarray, border: np.ndarray,
     return u
 
 
-def _block_solve(G: GluedOperator, S: SubstituteKernel, which: int, mode_index: int,
-                 f_sub: np.ndarray, t_sub: np.ndarray) -> np.ndarray:
-    diag, off = _block_matrix(G, which, mode_index, t_sub)
+def _block_solve(G: GluedOperator, S: SubstituteKernel, which: int, members: list[int],
+                 rows: np.ndarray, t_sub: np.ndarray) -> np.ndarray:
+    """Slope-zero block solves of a mode family's (k, n_sub) rows; a mode
+    with a bounded kernel element is a family of its own, solved bordered."""
+    diag, off = _block_matrix(G, which, members[0], t_sub)
     kd = S.kernel1 if which == 1 else S.kernel2
     bounded = next(
-        (e for e in kd.elements if e.mode_index == mode_index and e.bounded), None
+        (e for e in kd.elements if e.mode_index == members[0] and e.bounded), None
     )
     if bounded is None:
-        return _solve_tridiag(diag, off, f_sub)
+        return _solve_tridiag(diag, off, rows.T).T
     g = transplant(G, which, bounded)[_block_subgrid(G, which)[0]]
-    u = _solve_bordered(diag, off, g, f_sub)
+    (row,) = rows
+    u = _solve_bordered(diag, off, g, row)
     # remove the kernel multiple so the plateau at the cut is zero and the
     # crossfade transports nothing
     edge_len = round(1.0 / G.h)
@@ -528,7 +533,7 @@ def _block_solve(G: GluedOperator, S: SubstituteKernel, which: int, mode_index: 
     scale = float(np.mean(g[edge].real))
     if abs(scale) > 1e-8:
         u = u - (np.mean(u[edge]) / scale) * g
-    return u
+    return u[None]
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +549,10 @@ def approx_solve(
     """One pass of the gluing construction: returns (u, e) with
     e = f - P_T u of relative size e^{-delta T}.
 
-    Pipeline: window to the neck (zeta1), invert on the cylinder, add the
-    affine trace v from the characteristic system (cancelling the block
-    obstructions), then block solves with slope-zero closures, crossfade,
-    and projection off the substitute kernel. The block solves run once per
+    Pipeline: the characteristic system's cylinder solve of the source
+    windowed to the neck (zeta1), plus the affine trace v it picks
+    (cancelling the block obstructions), then block solves with slope-zero
+    closures, crossfade, and projection off the substitute kernel. The block solves run once per
     block and mode family, where a mode with a bounded kernel element or a
     potential on either block is a family of its own.
     """
@@ -563,10 +568,17 @@ def approx_solve(
                 f"source overlaps the substitute kernel: |<f, k>| = {float(np.max(ov)):.3e}"
                 f" > 1.0e-06 * ||f|| = {1e-6 * nf:.3e}"
             )
-    w1, zeta0, zeta1 = neck_windows(G)
+    w1, zeta0, _ = neck_windows(G)
     sys = characteristic_system(G, S, f)
     v = characteristic_solve(sys)
-    u_neck = (cylinder_solve(G, f * zeta1) + _trace_grid(sys, v.coefficients)) * zeta0
+    trace = _trace_grid(sys, v.coefficients)
+    # (cylinder + trace) * zeta0 in the cylinder's own buffer, which sys gives
+    # up: a fresh sum holds one more (modes x n) array at the round's peak
+    u_neck = sys.cylinder
+    del sys
+    u_neck += trace
+    del trace
+    u_neck *= zeta0
     r = f - G.apply(u_neck)
     blocks = [(1, w1, *_block_subgrid(G, 1)), (2, 1.0 - w1, *_block_subgrid(G, 2))]
     own = {e.mode_index for kd in (S.kernel1, S.kernel2) for e in kd.elements if e.bounded}
@@ -574,12 +586,7 @@ def approx_solve(
     for members in mode_families(G.modes, own).values():
         add = np.zeros((len(members), G.n_points), dtype=complex)
         for which, weight, sub, t_sub in blocks:
-            if len(members) == 1:
-                sol = _block_solve(G, S, which, members[0], r[members[0], sub], t_sub)
-            else:
-                diag, off = _block_matrix(G, which, members[0], t_sub)
-                sol = _solve_tridiag(diag, off, r[members][:, sub].T).T
-            add[:, sub] += weight[sub] * sol
+            add[:, sub] += weight[sub] * _block_solve(G, S, which, members, r[members, sub], t_sub)
         u_neck[members] += add
     # the last apply is the memory peak of a round; free two (modes x n) arrays first
     del r
@@ -639,21 +646,22 @@ def solve_exact(
 
 
 def solve_direct(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> np.ndarray:
-    """Mode-by-mode direct solve of the glued matrices, bordered by the
-    substitute kernel directions where a mode is (near-)singular."""
+    """Direct solve of the glued matrices per mode family; a (near-)singular
+    mode is a family of its own, bordered by its substitute kernel direction."""
     _require_uncoupled(G)
     f = np.asarray(f, dtype=complex)
     out = np.zeros_like(f)
     borders: dict[int, list[np.ndarray]] = {}
     for mode, vec in S.basis:
         borders.setdefault(mode, []).append(vec)
-    for i in range(len(G.modes)):
-        diag, off = G.mats[i]
-        if i in borders:
-            (g,) = borders[i]
-            out[i] = _solve_bordered(diag, off, g, f[i])
+    own = set(borders) | set(G.block1.potentials) | set(G.block2.potentials)
+    for members in mode_families(G.modes, own).values():
+        diag, off = G.mats[members[0]]
+        if members[0] in borders:
+            (g,) = borders[members[0]]
+            out[members] = _solve_bordered(diag, off, g, f[members[0]])
         else:
-            out[i] = _solve_tridiag(diag, off, f[i])
+            out[members] = _solve_tridiag(diag, off, f[members].T).T
     return S.project_off(out)
 
 
@@ -725,27 +733,25 @@ def obstruction_frame(
         gs.append((el.mode_index, g))
     if not gs:
         return [], []
-    pair = np.zeros((len(hs), len(gs)))
-    for i, (mi, hvec) in enumerate(hs):
-        for j, (mj, gvec) in enumerate(gs):
-            if mi == mj:
-                lhs, _, _ = valuepuv_check(block, mi, 0.0, hvec, (0, 0), gvec, (0, 0), h)
-                pair[i, j] = lhs.real
+
+    def pairing(duals: list[tuple[int, np.ndarray]]) -> np.ndarray:
+        out = np.zeros((len(duals), len(gs)))
+        for i, (mi, hvec) in enumerate(duals):
+            for j, (mj, gvec) in enumerate(gs):
+                if mi == mj:
+                    lhs, _, _ = valuepuv_check(block, mi, 0.0, hvec, (0, 0), gvec, (0, 0), h)
+                    out[i, j] = lhs.real
+        return out
+
     try:
-        corr = np.linalg.inv(pair)
+        corr = np.linalg.inv(pairing(hs))
     except np.linalg.LinAlgError as exc:
         raise DegenerateSystemError("obstruction pairing matrix is singular") from exc
     hs = [
         (hs[i][0], sum(corr[i, j] * hs[j][1] for j in range(len(hs)) if hs[j][0] == hs[i][0]))
         for i in range(len(hs))
     ]
-    check = np.zeros((len(hs), len(gs)))
-    for i, (mi, hvec) in enumerate(hs):
-        for j, (mj, gvec) in enumerate(gs):
-            if mi == mj:
-                lhs, _, _ = valuepuv_check(block, mi, 0.0, hvec, (0, 0), gvec, (0, 0), h)
-                check[i, j] = lhs.real
-    defect = float(np.max(np.abs(check - np.eye(len(gs)))))
+    defect = float(np.max(np.abs(pairing(hs) - np.eye(len(gs)))))
     if defect > 1e-8:
         raise AnalysisError(f"obstruction frame certificate failed: defect {defect:.3e}")
     return gs, hs

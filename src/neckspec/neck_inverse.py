@@ -120,7 +120,6 @@ class NeckSolution:
     regular: np.ndarray
     singular: np.ndarray
     trace_plus: PolyhomSection
-    trace_minus: PolyhomSection
 
     def total(self) -> np.ndarray:
         return self.regular + self.singular
@@ -260,7 +259,6 @@ def q0_apply(modes: Sequence[ModeOperator], f: CompactSection) -> NeckSolution:
             mb = h * complex(np.sum(fb))
             trace_terms.append(PolyhomSection(2, ((0.0, (np.array([mb, -ma]),)),)))
     trace_plus = _concat_sections(trace_terms, sum(p.fiber_dim for p in trace_terms))
-    trace_minus = PolyhomSection(trace_plus.fiber_dim, ())
     return NeckSolution(
         modes=f.modes,
         s_max=f.s_max,
@@ -269,7 +267,6 @@ def q0_apply(modes: Sequence[ModeOperator], f: CompactSection) -> NeckSolution:
         regular=regular,
         singular=singular,
         trace_plus=trace_plus,
-        trace_minus=trace_minus,
     )
 
 

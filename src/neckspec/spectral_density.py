@@ -193,6 +193,23 @@ class DensityReport:
         return float(max(abs(r) for row in self.residuals for r in row))
 
 
+def _refuse_positive_modes(G: GluedOperator, s_values, per_mode: np.ndarray) -> None:
+    hits = [(i, j) for i, j in np.argwhere(per_mode > 0) if not G.modes[i].is_zero_mode]
+    if not hits:
+        return
+    i, j = hits[0]
+    s, nu = s_values[j], G.modes[i].nu
+    # every eigenvalue of a mode is at least nu + the minimum of its potential
+    floor = min(m.nu + float(np.min(v)) for m, v in zip(G.modes, G.potentials_eff)
+                if not m.is_zero_mode)
+    safe = f"T > {format_real(math.pi * math.sqrt(s / floor))}" if floor > 0 else "none"
+    raise ContractViolation(
+        f"s = {format_real(s)} at T = {format_real(G.T)}: the counting window reaches "
+        f"positive mode {i} (nu = {format_real(nu)}); the T that the bound "
+        f"lambda >= nu + min V guarantees: {safe}"
+    )
+
+
 def density_sweep(
     builder: Callable[[float], GluedOperator],
     q: int,
@@ -201,7 +218,9 @@ def density_sweep(
 ) -> DensityReport:
     """Count window eigenvalues for every (T, s) pair from one Sturm count
     per T; asserts count monotonicity in s and, when both s and 4s
-    appear, that their residuals differ by at most 2B + 2."""
+    appear, that their residuals differ by at most 2B + 2. A window that
+    holds an eigenvalue of a positive mode is outside the density law and
+    is refused with ContractViolation."""
     s_values = tuple(float(s) for s in s_values)
     T_values = tuple(float(T) for T in T_values)
     if not s_values or not T_values:
@@ -215,7 +234,9 @@ def density_sweep(
             raise ContractViolation("builder produced an operator of the wrong degree")
         b_exact, b_coexact = G.spec.betti(q - 1), G.spec.betti(q)
         B = b_exact + b_coexact
-        exact, coexact_row = _branch_counts(G, window_counts(G, s_values))
+        per_mode = window_counts(G, s_values)
+        _refuse_positive_modes(G, s_values, per_mode)
+        exact, coexact_row = _branch_counts(G, per_mode)
         row = [int(e + c) for e, c in zip(exact, coexact_row)]
         if any(b < a for a, b in zip(row, row[1:])) and sorted(s_values) == list(s_values):
             raise AnalysisError("window counts decreased in s")
@@ -537,20 +558,19 @@ def scalar_lambda1_bounds(G: GluedOperator) -> tuple[float, float]:
 
 def discrete_kernel_vectors(G: GluedOperator, dim: int) -> np.ndarray:
     """The dim lowest eigenvectors of the glued matrices, flattened over
-    (mode, grid) and sorted by eigenvalue."""
+    (mode, grid) and sorted by eigenvalue, ties by mode. One eigensolve
+    per mode family serves all its members."""
     if G.coupling_eff:
         raise ContractViolation("kernel extraction handles uncoupled modes only")
     n = G.n_points
+    kk = min(dim, n)
     found = []
-    for i in range(len(G.modes)):
-        diag, off = G.mats[i]
-        kk = min(dim, n)
+    for members in G.families:
         vals, vecs = scipy.linalg.eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, kk - 1)
+            *G.mats[members[0]], select="i", select_range=(0, kk - 1)
         )
-        for r in range(kk):
-            found.append((float(vals[r]), i, vecs[:, r]))
-    found.sort(key=lambda x: x[0])
+        found.extend((float(vals[r]), i, vecs[:, r]) for i in members for r in range(kk))
+    found.sort(key=lambda x: (x[0], x[1]))
     out = np.zeros((dim, len(G.modes) * n))
     for r, (_, i, vec) in enumerate(found[:dim]):
         out[r, i * n : (i + 1) * n] = vec / np.linalg.norm(vec)

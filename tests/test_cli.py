@@ -312,6 +312,17 @@ class TestDensity:
         for name in ("density_q0.csv", "density_q0_T20.dat"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_window_reaching_positive_modes_is_refused(self, tmp_path, capsys):
+        # circle one-forms at T = 10: the window (0, pi^2 25/100] holds nu = 1 modes
+        cfg = write_config(tmp_path, spectrum="circle", blocks=[FLAT_BLOCK, FLAT_BLOCK],
+                           degrees=[1], T=[10], s=[1, 25], seed=3)
+        code, out, err = run(capsys, "density", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert "s = 25 at T = 10" in err
+        assert "positive mode 1 (nu = 1)" in err
+        assert f"T > {math.pi * 5:.17g}" in err
+
     def test_output_dir_from_config(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, spectrum="scalar", blocks=[FLAT_BLOCK, FLAT_BLOCK],

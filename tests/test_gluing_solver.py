@@ -7,10 +7,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neckspec import cli, glued_model, gluing_solver
+from neckspec import cli, glued_model, gluing_solver, spectral_density
 from neckspec.errors import (
     AnalysisError,
     ContractViolation,
@@ -384,8 +385,9 @@ def per_mode_approx_solve(G, S, f):
     sub2, t2 = gluing_solver._block_subgrid(G, 2)
     for i in range(len(G.modes)):
         add = np.zeros(G.n_points, dtype=complex)
-        add[sub1] += w1[sub1] * gluing_solver._block_solve(G, S, 1, i, r[i][sub1], t1)
-        add[sub2] += (1.0 - w1)[sub2] * gluing_solver._block_solve(G, S, 2, i, r[i][sub2], t2)
+        add[sub1] += w1[sub1] * gluing_solver._block_solve(G, S, 1, [i], r[[i]][:, sub1], t1)[0]
+        add[sub2] += (1.0 - w1)[sub2] * gluing_solver._block_solve(G, S, 2, [i], r[[i]][:, sub2],
+                                                                   t2)[0]
         u[i] = u[i] + add
     u = S.project_off(u)
     return u, f - G.apply(u)
@@ -404,6 +406,60 @@ def test_batched_solves_equal_the_per_mode_loops_bit_for_bit():
     u_ref, e_ref = per_mode_approx_solve(G, S, f)
     assert np.array_equal(u, u_ref)
     assert np.array_equal(e, e_ref)
+
+
+def test_approx_solve_round_makes_one_cylinder_solve(monkeypatch):
+    G = torus_glue()
+    S = substitute_kernel(G)
+    f = S.project_off(cli._glued_source(G, 7))
+    calls = []
+
+    def counted(G, f0):
+        calls.append(f0.shape)
+        return cylinder_solve(G, f0)
+
+    monkeypatch.setattr(gluing_solver, "cylinder_solve", counted)
+    approx_solve(G, S, f)
+    assert calls == [f.shape]
+
+
+def test_family_solvers_equal_the_per_mode_loops():
+    G = torus_glue()
+    S = substitute_kernel(G)
+    f = S.project_off(cli._glued_source(G, 7))
+    borders = dict(S.basis)
+    ref = np.zeros_like(f)
+    for i in range(len(G.modes)):
+        diag, off = G.mats[i]
+        if i in borders:
+            ref[i] = gluing_solver._solve_bordered(diag, off, borders[i], f[i])
+        else:
+            ref[i] = gluing_solver._solve_tridiag(diag, off, f[i])
+    assert np.array_equal(solve_direct(G, S, f), S.project_off(ref))
+
+    # the members of a family share their eigenvalues exactly: ties order by mode
+    k = 3
+    want = []
+    for i, m in enumerate(G.modes):
+        vals = scipy.linalg.eigvalsh_tridiagonal(*G.mats[i], select="i", select_range=(0, k - 1))
+        want.extend((float(v), m.nu, m.degree_tag, i, r) for r, v in enumerate(vals))
+    got = glued_model.eigen_lowest(G, k).entries
+    assert [(e.value, e.nu, e.degree_tag, e.mode_index, e.k_within) for e in got] == sorted(
+        want, key=lambda e: (e[0], e[3], e[4]))
+
+    dim = S.dim + 6
+    found = []
+    for i in range(len(G.modes)):
+        vals, vecs = scipy.linalg.eigh_tridiagonal(*G.mats[i], select="i",
+                                                   select_range=(0, dim - 1))
+        found.extend((float(vals[r]), i, vecs[:, r]) for r in range(dim))
+    found.sort(key=lambda x: x[0])
+    n = G.n_points
+    K = np.zeros((dim, len(G.modes) * n))
+    for r, (_, i, vec) in enumerate(found[:dim]):
+        K[r, i * n : (i + 1) * n] = vec / np.linalg.norm(vec)
+    assert len({i for _, i, _ in found[:dim]}) > 1
+    assert np.array_equal(spectral_density.discrete_kernel_vectors(G, dim), K)
 
 
 # ---------------------------------------------------------------------------
