@@ -30,7 +30,8 @@ import scipy.linalg
 from .errors import AnalysisError, ContractViolation, MatchingConditionError, SpectrumFormatError
 from .ioutil import MAX_GRID_POINTS, finite_number, format_real
 from .polyhom import CutoffFunction
-from .spectral_model import CrossSectionSpectrum, KIND_LAPLACE, ModeOperator, mode_list
+from .spectral_model import (CrossSectionSpectrum, KIND_LAPLACE, ModeOperator, _require_keys,
+                             mode_list)
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -218,13 +219,7 @@ def load_block(path: str, spec: CrossSectionSpectrum) -> BuildingBlock:
             raise SpectrumFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise SpectrumFormatError("top level: expected an object")
-    required = {"L", "boundary", "mu", "potentials"}
-    missing = required - raw.keys()
-    if missing:
-        raise SpectrumFormatError(f"top level: missing field {sorted(missing)[0]!r}")
-    unknown = raw.keys() - required
-    if unknown:
-        raise SpectrumFormatError(f"top level: unknown field {sorted(unknown)[0]!r}")
+    _require_keys(raw, {"L", "boundary", "mu", "potentials"}, "top level")
     L, mu = finite_number(raw["L"]), finite_number(raw["mu"])
     if L is None or mu is None:
         raise SpectrumFormatError(f"{'L' if L is None else 'mu'}: expected a finite number")
@@ -477,7 +472,7 @@ def _shoot_families(block: BuildingBlock, cases: Sequence[tuple[int, float]], h:
     that exceeds 1e150; the returned log scale holds the running sum of the
     logs divided out, so log|u| + log scale is the log of the unscaled
     shot. Zero-mode columns (nu = 0) are never rescaled. Each column is
-    marched in Python floats: at the few dozen families of a block that is
+    marched in Python floats: at the few families a block shoots that is
     faster than a numpy step per grid point, whose overhead dominates.
     """
     n = round(reach / h)
@@ -534,14 +529,16 @@ def block_kernel(
     cutoff: float | None = None,
     reach: float | None = None,
 ) -> BlockKernelData:
-    """Shoot every mode of degree q from the outer boundary and classify.
+    """Shoot the modes of degree q that can hold a kernel from the outer
+    boundary and classify.
 
     Zero modes yield one element each with its affine far data (a, b);
-    bounded means |b| below tol relative to the window scale. Positive
-    modes are certified kernel-free by their growth rate: a bound state or
-    threshold resonance below nu would hold the log slope of the shot
-    under sqrt(nu) / 2. The shooting reach can only be extended, never
-    shortened below its default.
+    bounded means |b| below tol relative to the window scale. A positive
+    mode with a potential on the block is certified kernel-free by its
+    growth rate: a bound state or threshold resonance below nu would hold
+    the log slope of the shot under sqrt(nu) / 2. A free positive mode is
+    -d^2 + nu, positive definite at every step, and is not shot. The
+    shooting reach can only be extended, never shortened below its default.
 
     One shot serves each family of modes that shoot the same ODE
     (``mode_families`` of the modes with a potential on the block); zero
@@ -554,7 +551,8 @@ def block_kernel(
     modes = mode_list(spec, q, cutoff if cutoff is not None else math.inf)
     default_reach = float(block.L + _shooting_reach(block.mu))
     reach = default_reach if reach is None else max(float(reach), default_reach)
-    families = mode_families(modes, block.potentials)
+    families = {key: members for key, members in mode_families(modes, block.potentials).items()
+                if modes[members[0]].is_zero_mode or members[0] in block.potentials}
     cases = [(members[0], 0.0 if modes[members[0]].is_zero_mode else nu)
              for (nu, _), members in families.items()]
     u, log_scale = _shoot_families(block, cases, h, reach)

@@ -37,7 +37,6 @@ from .glued_model import (
     ShootingElement,
     _corner_value,
     block_kernel,
-    mode_families,
     stencil,
 )
 from .ioutil import format_complex, format_real
@@ -514,8 +513,9 @@ def _solve_bordered(diag: np.ndarray, off: np.ndarray, border: np.ndarray,
 
 def _block_solve(G: GluedOperator, S: SubstituteKernel, which: int, members: list[int],
                  rows: np.ndarray, t_sub: np.ndarray) -> np.ndarray:
-    """Slope-zero block solves of a mode family's (k, n_sub) rows; a mode
-    with a bounded kernel element is a family of its own, solved bordered."""
+    """Slope-zero block solves of a mode family's (k, n_sub) rows. The
+    members of a family with a bounded kernel element share its border and
+    are solved bordered one at a time."""
     diag, off = _block_matrix(G, which, members[0], t_sub)
     kd = S.kernel1 if which == 1 else S.kernel2
     bounded = next(
@@ -524,16 +524,18 @@ def _block_solve(G: GluedOperator, S: SubstituteKernel, which: int, members: lis
     if bounded is None:
         return _solve_tridiag(diag, off, rows.T).T
     g = transplant(G, which, bounded)[_block_subgrid(G, which)[0]]
-    (row,) = rows
-    u = _solve_bordered(diag, off, g, row)
-    # remove the kernel multiple so the plateau at the cut is zero and the
-    # crossfade transports nothing
     edge_len = round(1.0 / G.h)
     edge = slice(-edge_len, None) if which == 1 else slice(None, edge_len)
     scale = float(np.mean(g[edge].real))
-    if abs(scale) > 1e-8:
-        u = u - (np.mean(u[edge]) / scale) * g
-    return u[None]
+    out = np.empty_like(rows)
+    for k, row in enumerate(rows):
+        u = _solve_bordered(diag, off, g, row)
+        # remove the kernel multiple so the plateau at the cut is zero and the
+        # crossfade transports nothing
+        if abs(scale) > 1e-8:
+            u = u - (np.mean(u[edge]) / scale) * g
+        out[k] = u
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +554,8 @@ def approx_solve(
     Pipeline: the characteristic system's cylinder solve of the source
     windowed to the neck (zeta1), plus the affine trace v it picks
     (cancelling the block obstructions), then block solves with slope-zero
-    closures, crossfade, and projection off the substitute kernel. The block solves run once per
-    block and mode family, where a mode with a bounded kernel element or a
-    potential on either block is a family of its own.
+    closures, crossfade, and projection off the substitute kernel. The
+    block solves run once per block and ``G.families`` entry.
     """
     _require_uncoupled(G)
     f = np.asarray(f, dtype=complex)
@@ -581,9 +582,7 @@ def approx_solve(
     u_neck *= zeta0
     r = f - G.apply(u_neck)
     blocks = [(1, w1, *_block_subgrid(G, 1)), (2, 1.0 - w1, *_block_subgrid(G, 2))]
-    own = {e.mode_index for kd in (S.kernel1, S.kernel2) for e in kd.elements if e.bounded}
-    own |= set(G.block1.potentials) | set(G.block2.potentials)
-    for members in mode_families(G.modes, own).values():
+    for members in G.families:
         add = np.zeros((len(members), G.n_points), dtype=complex)
         for which, weight, sub, t_sub in blocks:
             add[:, sub] += weight[sub] * _block_solve(G, S, which, members, r[members, sub], t_sub)
@@ -646,20 +645,21 @@ def solve_exact(
 
 
 def solve_direct(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> np.ndarray:
-    """Direct solve of the glued matrices per mode family; a (near-)singular
-    mode is a family of its own, bordered by its substitute kernel direction."""
+    """Direct solve of the glued matrices per ``G.families`` entry; each
+    member of a (near-)singular family is solved bordered by its substitute
+    kernel direction, one at a time."""
     _require_uncoupled(G)
     f = np.asarray(f, dtype=complex)
     out = np.zeros_like(f)
     borders: dict[int, list[np.ndarray]] = {}
     for mode, vec in S.basis:
         borders.setdefault(mode, []).append(vec)
-    own = set(borders) | set(G.block1.potentials) | set(G.block2.potentials)
-    for members in mode_families(G.modes, own).values():
+    for members in G.families:
         diag, off = G.mats[members[0]]
         if members[0] in borders:
-            (g,) = borders[members[0]]
-            out[members] = _solve_bordered(diag, off, g, f[members[0]])
+            for i in members:
+                (g,) = borders[i]
+                out[i] = _solve_bordered(diag, off, g, f[i])
         else:
             out[members] = _solve_tridiag(diag, off, f[members].T).T
     return S.project_off(out)

@@ -170,11 +170,6 @@ class PolyhomSection:
             raise ContractViolation("fiber dimensions differ")
         return PolyhomSection(self.fiber_dim, self.terms + other.terms)
 
-    def scaled(self, factor) -> "PolyhomSection":
-        return PolyhomSection(
-            self.fiber_dim, tuple((r, _poly_scale(c, factor)) for r, c in self.terms)
-        )
-
 
 def affine_section(a, b=None) -> PolyhomSection:
     """The rate-zero section a + t b."""

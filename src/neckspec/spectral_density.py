@@ -24,7 +24,7 @@ from .errors import (
     InsufficientEigenvaluesError,
     ResolutionError,
 )
-from .glued_model import EigenResult, GluedOperator, coupled_entries, coupled_modes, eigen_lowest
+from .glued_model import GluedOperator, coupled_entries, coupled_modes, eigen_lowest
 from .gluing_solver import SubstituteKernel, substitute_kernel
 from .ioutil import format_real
 from .polyhom import CutoffFunction
@@ -44,20 +44,6 @@ def betti_sum(spec: CrossSectionSpectrum, q: int) -> int:
 
 def window_top(G: GluedOperator, s: float) -> float:
     return math.pi**2 * s / G.T**2
-
-
-def _coverage_check(G: GluedOperator, result: EigenResult, top: float) -> None:
-    by_mode: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for e in result.entries:
-        by_mode[e.mode_index] = max(by_mode.get(e.mode_index, -math.inf), e.value)
-        counts[e.mode_index] = counts.get(e.mode_index, 0) + 1
-    for i in range(len(G.modes)):
-        exhausted = counts.get(i, 0) >= G.n_points
-        if not exhausted and by_mode.get(i, -math.inf) <= top:
-            raise InsufficientEigenvaluesError(
-                f"mode {i}: computed spectrum stops below the counting window top {top:.3e}"
-            )
 
 
 def sturm_counts(G: GluedOperator, shifts) -> np.ndarray:
@@ -114,37 +100,18 @@ def _branch_counts(G: GluedOperator, per_mode: np.ndarray) -> tuple[np.ndarray, 
     return per_mode[beta].sum(axis=0), per_mode[~beta].sum(axis=0)
 
 
-def count_low_eigenvalues(G: GluedOperator, s: float, result: EigenResult | None = None) -> int:
+def count_low_eigenvalues(G: GluedOperator, s: float) -> int:
     """Multiplicity count of eigenvalues in (threshold, pi^2 s/T^2]; the
-    threshold 1e-10 keeps the numerical kernel out of the window. Counted by
-    ``sturm_counts`` unless precomputed eigenvalues are passed."""
-    if result is None:
-        return int(window_counts(G, [s]).sum())
-    top = window_top(G, s)
-    _coverage_check(G, result, top)
-    vals = result.values()
-    return int(np.sum((vals > THRESHOLD_ZERO) & (vals <= top)))
+    threshold 1e-10 keeps the numerical kernel out of the window."""
+    return int(window_counts(G, [s]).sum())
 
 
-def coexact_split_counts(
-    G: GluedOperator, s: float, result: EigenResult | None = None
-) -> tuple[int, int]:
+def coexact_split_counts(G: GluedOperator, s: float) -> tuple[int, int]:
     """(exact branch, coexact branch): window counts split by the mode's
     degree tag. Beta-tagged modes descend from harmonic (q-1)-forms and
     carry the exact branch; alpha-tagged modes carry the coexact one."""
-    if result is None:
-        exact, coexact = _branch_counts(G, window_counts(G, [s]))
-        return int(exact[0]), int(coexact[0])
-    top = window_top(G, s)
-    _coverage_check(G, result, top)
-    exact = coexact = 0
-    for e in result.entries:
-        if THRESHOLD_ZERO < e.value <= top:
-            if e.degree_tag == "beta":
-                exact += 1
-            else:
-                coexact += 1
-    return exact, coexact
+    exact, coexact = _branch_counts(G, window_counts(G, [s]))
+    return int(exact[0]), int(coexact[0])
 
 
 def product_benchmark(spec: CrossSectionSpectrum, q: int, T: float, s: float) -> int:
@@ -164,9 +131,9 @@ def product_benchmark(spec: CrossSectionSpectrum, q: int, T: float, s: float) ->
     return total
 
 
-def product_shift(G: GluedOperator, s: float, result: EigenResult | None = None) -> int:
+def product_shift(G: GluedOperator, s: float) -> int:
     """Measured count minus the product benchmark; reported as data only."""
-    return count_low_eigenvalues(G, s, result) - product_benchmark(G.spec, G.q, G.T, s)
+    return count_low_eigenvalues(G, s) - product_benchmark(G.spec, G.q, G.T, s)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +447,8 @@ def minmax_upper_from_Vn(G: GluedOperator, n: int, eps: float = 0.05) -> float:
     Places every V_n basis function, scaled to [-T, T] and cut at
     0.9 T, on each zero-mode row; returns the largest generalized
     Rayleigh quotient and asserts the min-max consequence: at least
-    (2n-2) B - dim kernel eigenvalues lie in (threshold, (1+eps)(n pi)^2/T^2].
+    (2n-2) B - dim kernel eigenvalues lie in (threshold, (1+eps)(n pi)^2/T^2],
+    with both counts taken by ``sturm_counts``.
     """
     if n < 2:
         raise ContractViolation("need n >= 2")
@@ -514,10 +482,9 @@ def minmax_upper_from_Vn(G: GluedOperator, n: int, eps: float = 0.05) -> float:
             f"trial Rayleigh bound {bound:.6e} exceeds (1+eps)(n pi)^2/T^2 = {target:.6e}"
         )
     want = (2 * n - 2) * len(zero_modes)
-    result = eigen_lowest(G, min(want + 4, G.n_points))
-    vals = result.values()
-    dim_kernel = int(np.sum(vals <= THRESHOLD_ZERO))
-    got = int(np.sum((vals > THRESHOLD_ZERO) & (vals <= target)))
+    below = sturm_counts(G, [THRESHOLD_ZERO, target]).sum(axis=0)
+    dim_kernel = int(below[0])
+    got = int(below[1] - below[0])
     if got < want - dim_kernel:
         raise AnalysisError(
             f"min-max count failed: {got} eigenvalues below {target:.6e}, "

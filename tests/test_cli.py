@@ -273,6 +273,18 @@ class TestGlue:
         report = (tmp_path / "o" / "glue_q0_T8.csv").read_text()
         assert report.startswith("T,iter,residual,eta,")
 
+    def test_large_free_nu_is_not_refused(self, tmp_path, capsys):
+        # at h sqrt(nu) = 8.8 the discrete free growth rate acosh(1 + h^2 nu/2)/h
+        # is below sqrt(nu)/2; the free mode holds no kernel and is not shot
+        spectrum = {"name": "x", "dimension": 1, "degrees": {"0": [[0, 1], [20000, 1]]}}
+        (tmp_path / "spec.json").write_text(json.dumps(spectrum), encoding="utf-8")
+        other = dict(SECH_BLOCK, potentials={"0": {"profile": "kernel_neumann", "c": -0.35}})
+        cfg = write_config(tmp_path, spectrum={"file": "spec.json"}, blocks=[SECH_BLOCK, other],
+                           degrees=[0], T=[10], h=1.0 / 16, seed=1)
+        code, out, _ = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert "PASS glue: 1 solves" in out
+
     def test_sampled_potential_block(self, tmp_path, capsys):
         s = np.arange(0.0, 24.0 + 1e-9, 1.0 / 16)
         table = [[float(x), float(0.3 * math.exp(-x))] for x in s]

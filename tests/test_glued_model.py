@@ -286,6 +286,25 @@ def test_clean_positive_modes_are_certified():
     assert len(data.elements) == 1
 
 
+def test_only_families_that_can_hold_a_kernel_are_shot(monkeypatch):
+    # a free positive family is -d^2 + nu, positive definite at every step:
+    # of the 28 families of torus2, q = 1 only the zero mode with the
+    # potential and the two free zero modes (one family) are shot
+    spec = torus2_spectrum()
+    block = BuildingBlock(spec, 2.0, NEUMANN, 1.0, {0: kernel_potential_neumann(1.0, 0.8)})
+    shoot = glued_model._shoot_families
+    cases = []
+
+    def recorded(block, cs, h, reach):
+        cases.extend(cs)
+        return shoot(block, cs, h, reach)
+
+    monkeypatch.setattr(glued_model, "_shoot_families", recorded)
+    data = block_kernel(block, spec, 1)
+    assert cases == [(0, 0.0), (1, 0.0)]
+    assert [e.mode_index for e in data.elements] == [0, 1, 338]
+
+
 def scalar_growth_slope(block, mode_index, nu, h, reach):
     """The per-mode growth certificate the family march replaced, kept as
     its oracle: the log slope of one shot marched with Python floats."""

@@ -423,6 +423,14 @@ def test_approx_solve_round_makes_one_cylinder_solve(monkeypatch):
     assert calls == [f.shape]
 
 
+def test_solve_direct_refuses_two_kernel_directions_in_one_mode():
+    G = torus_glue()
+    S = substitute_kernel(G)
+    doubled = dataclasses.replace(S, basis=S.basis + (S.basis[-1],))
+    with pytest.raises(ValueError):
+        solve_direct(G, doubled, np.zeros((len(G.modes), G.n_points), dtype=complex))
+
+
 def test_family_solvers_equal_the_per_mode_loops():
     G = torus_glue()
     S = substitute_kernel(G)

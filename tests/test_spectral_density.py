@@ -12,7 +12,6 @@ from neckspec import spectral_density as sd
 from neckspec.errors import (
     AnalysisError,
     ContractViolation,
-    InsufficientEigenvaluesError,
     ResolutionError,
 )
 from neckspec.glued_model import (
@@ -68,27 +67,6 @@ def test_count_below_first_eigenvalue_is_zero():
     assert sd.count_low_eigenvalues(G, 0.2) == 0
 
 
-def test_count_accepts_precomputed_result():
-    G = flat_scalar(20.0)
-    res = eigen_lowest(G, 24)
-    assert sd.count_low_eigenvalues(G, 9.61, res) == 6
-
-
-def test_count_with_exhausted_mode_needs_no_coverage():
-    # all 64 eigenvalues of the T = 2 grid sit below this window top, and
-    # the count must still go through because the mode is fully resolved
-    G = flat_scalar(2.0)
-    res = eigen_lowest(G, G.n_points)
-    assert sd.count_low_eigenvalues(G, 500.0, res) == G.n_points - 1
-
-
-def test_insufficient_eigenvalues_raises():
-    G = flat_scalar(20.0)
-    res = eigen_lowest(G, 2)
-    with pytest.raises(InsufficientEigenvaluesError):
-        sd.count_low_eigenvalues(G, 25.21, res)
-
-
 # ---------------------------------------------------------------------------
 # Sturm counts against the eigensolver path they replaced
 
@@ -102,6 +80,15 @@ def _eigensolver_counts(G, shifts, widen=0.0):
         vals = scipy.linalg.eigvalsh_tridiagonal(diag, off)
         out[i] = [np.sum(vals <= x + widen) for x in shifts]
     return out
+
+
+def _eigen_window(G, s, result):
+    """(exact, coexact) counts in the window (threshold, pi^2 s/T^2], taken
+    from eigen_lowest entries."""
+    top = sd.window_top(G, s)
+    inside = [e for e in result.entries if sd.THRESHOLD_ZERO < e.value <= top]
+    exact = sum(e.degree_tag == "beta" for e in inside)
+    return exact, len(inside) - exact
 
 
 def _roundoff(G):
@@ -154,7 +141,7 @@ def test_sturm_counts_match_the_eigensolver(T, L1, L2, boundaries, nus, pots, sh
     edges = [sd.THRESHOLD_ZERO, sd.window_top(G, s)]
     assume(np.array_equal(_eigensolver_counts(G, edges, -tol), _eigensolver_counts(G, edges, tol)))
     reference = eigen_lowest(G, G.n_points)
-    assert sd.count_low_eigenvalues(G, s) == sd.count_low_eigenvalues(G, s, reference)
+    assert sd.count_low_eigenvalues(G, s) == sum(_eigen_window(G, s, reference))
 
 
 def test_sturm_counts_an_eigenvalue_equal_to_the_shift():
@@ -181,7 +168,7 @@ def test_coupled_group_counts_follow_eigen_lowest_attribution():
         vals = np.array([e.value for e in ref.entries if e.mode_index == i])
         assert got[i].tolist() == [int(np.sum(vals <= x)) for x in shifts]
     for s in (1.0, 4.0, 16.0):
-        assert sd.count_low_eigenvalues(G, s) == sd.count_low_eigenvalues(G, s, ref)
+        assert sd.count_low_eigenvalues(G, s) == sum(_eigen_window(G, s, ref))
 
 
 def test_default_split_matches_the_eigenvalue_path():
@@ -192,7 +179,7 @@ def test_default_split_matches_the_eigenvalue_path():
     ref = eigen_lowest(G, G.n_points)
     for s in (2.3, 7.7, 30.1):
         split = sd.coexact_split_counts(G, s)
-        assert split == sd.coexact_split_counts(G, s, ref)
+        assert split == _eigen_window(G, s, ref)
         assert sum(split) == sd.count_low_eigenvalues(G, s)
 
 
@@ -208,10 +195,6 @@ def test_long_flat_blocks_count_past_the_old_eigenvalue_budget():
     assert int(np.sum(closed <= sd.window_top(G, s))) == 49
     assert sd.count_low_eigenvalues(G, s) == 49
     assert sd.coexact_split_counts(G, s) == (0, 49)
-    # the old default computed ceil(2.5 sqrt(s)) + 8 = 21 values per mode
-    budget = math.ceil(2.5 * math.sqrt(s)) + 8
-    with pytest.raises(InsufficientEigenvaluesError):
-        sd.count_low_eigenvalues(G, s, eigen_lowest(G, budget))
 
 
 def _brute_product_count(nus, T, s):
