@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Container, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AnalysisError, ContractViolation, MatchingConditionError, SpectrumFormatError
 from .ioutil import MAX_GRID_POINTS, finite_number, format_real
@@ -451,7 +450,6 @@ class BlockKernelData:
     q: int
     h: float
     elements: tuple[ShootingElement, ...]
-    positive_modes_certified_empty: bool
 
     @property
     def dim_kernel(self) -> int:
@@ -604,7 +602,6 @@ def block_kernel(
         q=q,
         h=h,
         elements=tuple(elements),
-        positive_modes_certified_empty=True,
     )
 
 
@@ -644,6 +641,7 @@ def coupled_entries(G: GluedOperator, k: int) -> list[EigenEntry]:
     group = coupled_modes(G)
     if not group:
         return []
+    import scipy.linalg  # below the return, so uncoupled operators never load scipy
     n = G.n_points
     size = len(group) * n
     big = np.zeros((size, size))
@@ -678,6 +676,7 @@ def eigen_lowest(G: GluedOperator, k: int) -> EigenResult:
     Tridiagonal modes use Sturm bisection once per mode family, whose
     members share the values; coupled groups go through ``coupled_entries``.
     """
+    import scipy.linalg
     if k < 1:
         raise ContractViolation("need k >= 1")
     n = G.n_points

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AnalysisError,
@@ -45,6 +44,7 @@ from .polyhom import CutoffFunction
 
 _CUT = 2.0  # block subgrids reach this far past the neck center
 _BORDER_TOL = 1e-10  # certificate of every bordered block solve
+_BORDER_ROWS = 4  # rows a bordered solve tries to shift before it refuses
 
 
 def _require_uncoupled(G: GluedOperator) -> None:
@@ -274,6 +274,7 @@ def _positive_mode_cylinder(f: np.ndarray, nu: float, h: float) -> np.ndarray:
     # padded symmetric positive definite solve of every column of f; every
     # retained interior row is reproduced exactly and the pad pushes the
     # closure artifacts under e^{-sqrt(nu) * 33/sqrt(nu)} = e^{-33}
+    import scipy.linalg
     pad = min(int(math.ceil(33.0 / (math.sqrt(nu) * h))), 8000)
     n = len(f)
     ab = np.zeros((2, n + 2 * pad))
@@ -461,6 +462,7 @@ def _block_matrix(G: GluedOperator, which: int, mode_index: int,
 
 
 def _solve_tridiag(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    import scipy.linalg
     ab = np.zeros((3, len(diag)), dtype=complex)
     ab[0, 1:] = off
     ab[1] = diag
@@ -468,23 +470,59 @@ def _solve_tridiag(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.nda
     return scipy.linalg.solve_banded((1, 1), ab, rhs)
 
 
+def _border_rows(g: np.ndarray):
+    """Rows to shift in a bordered solve, at most _BORDER_ROWS of them by
+    decreasing |g_k|, i.e. by decreasing 2 x 2 pivot [[B_kk, g_k], [g_k, 0]]
+    (Bunch & Kaufman 1977): k = argmax |g| first, the rest sorted only if
+    that row fails."""
+    a = np.abs(g)
+    yield int(np.argmax(a))
+    yield from (int(k) for k in np.argsort(-a, kind="stable")[1:_BORDER_ROWS])
+
+
 def _solve_bordered(diag: np.ndarray, off: np.ndarray, border: np.ndarray,
                     rhs: np.ndarray) -> np.ndarray:
     """Solve [[B, g], [g^T, 0]] [u; lam] = [rhs; 0] in O(n) for a (near-)
     singular symmetric tridiagonal B with kernel direction g.
 
-    Banded solves use the shifted C = B + sigma e_k e_k^T, k = argmax |g|,
-    |sigma| = max |diag B| signed like B_kk; C is nonsingular when g spans
-    the kernel of B and g_k != 0. C u = rhs + sigma mu e_k - lam g with
-    mu = u_k and g^T u = 0 is a 2 x 2 system for (mu, lam) in C^-1 e_k and
-    C^-1 g (C is symmetric). u comes from one more solve, not from the sum
-    of the three solutions, whose cancelling rounding noise B would amplify
-    by 4/h^2. A normwise backward error or |g^T u| / (|g| |u|) above
-    _BORDER_TOL, as from an ill-conditioned C, raises AnalysisError.
+    Banded solves use the shifted C = B + sigma e_k e_k^T, |sigma| =
+    max |diag B| (max |offdiag B| on a zero diagonal). The first try takes
+    k = argmax |g|, the row whose 2 x 2 pivot [[B_kk, g_k], [g_k, 0]] is
+    largest, and sigma signed like B_kk; C is then nonsingular when g spans
+    the kernel of B. A regular bordered matrix can still leave that C
+    singular. With B = [[1, sqrt 2], [sqrt 2, 1]] and g = e_0, C's pivot at
+    k, 1/(B^-1)_kk + sigma, cancels, and the other sign of sigma cures it.
+    With B = diag([[-1, 1/3], [1/3, 2]], 0) and g = (1, 1, 1)/2, a shift at
+    row 0 or 1 leaves the zero row, and only a shift at row 2 cures it. So
+    a try whose result fails the certificate is followed by the other sign
+    of sigma, then by the other rows of ``_border_rows``; the first
+    certified try wins, and if none is certified the first try's error is
+    raised.
     """
     g = np.asarray(border)
-    k = int(np.argmax(np.abs(g)))
-    sigma = math.copysign(float(np.max(np.abs(diag))), float(diag[k]))
+    scale = float(np.max(np.abs(diag))) or float(np.max(np.abs(off), initial=0.0))
+    first = None
+    for k in _border_rows(g):
+        for sign in (1.0, -1.0):
+            sigma = sign * math.copysign(scale, float(diag[k]))
+            try:
+                return _shifted_bordered(diag, off, g, rhs, k, sigma)
+            except AnalysisError as exc:
+                first = first or exc
+    raise first
+
+
+def _shifted_bordered(diag: np.ndarray, off: np.ndarray, g: np.ndarray, rhs: np.ndarray,
+                      k: int, sigma: float) -> np.ndarray:
+    """One try of ``_solve_bordered`` with C = B + sigma e_k e_k^T.
+
+    C u = rhs + sigma mu e_k - lam g with mu = u_k and g^T u = 0 is a 2 x 2
+    system for (mu, lam) in C^-1 e_k and C^-1 g (C is symmetric). u comes
+    from one more solve, not from the sum of the three solutions, whose
+    cancelling rounding noise B would amplify by 4/h^2. A normwise backward
+    error or |g^T u| / (|g| |u|) above _BORDER_TOL, as from an
+    ill-conditioned C, raises AnalysisError.
+    """
     shifted = np.array(diag, dtype=float)
     shifted[k] += sigma
     unit = np.zeros(len(g))

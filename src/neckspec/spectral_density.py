@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
 
 from .errors import (
     AnalysisError,
@@ -315,6 +313,7 @@ def test_space(kind: str, n: int, window: int | None = None) -> TestSpace:
 
     V_n lives on its own window |k| <= n; the others need window > n wide
     enough to leave room below the removed frequencies."""
+    import scipy.linalg
     if kind == "Vn":
         if n < 2:
             raise ContractViolation("V_n needs n >= 2")
@@ -397,6 +396,7 @@ def h_operator_check(coeffs: Mapping[int, complex], T: float, h: float = 1.0 / 1
     makes Hf_T vanish beyond t = T. Returns the max absolute deviation,
     including the far-side moment defect; compare to 1e-6 ||f||.
     """
+    import scipy.integrate
     if h > 1.0 / 128 + 1e-12:
         raise ContractViolation("need h <= 1/128 for the quadrature comparison")
     ks = sorted(coeffs)
@@ -450,6 +450,7 @@ def minmax_upper_from_Vn(G: GluedOperator, n: int, eps: float = 0.05) -> float:
     (2n-2) B - dim kernel eigenvalues lie in (threshold, (1+eps)(n pi)^2/T^2],
     with both counts taken by ``sturm_counts``.
     """
+    import scipy.linalg
     if n < 2:
         raise ContractViolation("need n >= 2")
     zero_modes = [i for i, m in enumerate(G.modes) if m.is_zero_mode]
@@ -527,6 +528,7 @@ def discrete_kernel_vectors(G: GluedOperator, dim: int) -> np.ndarray:
     """The dim lowest eigenvectors of the glued matrices, flattened over
     (mode, grid) and sorted by eigenvalue, ties by mode. One eigensolve
     per mode family serves all its members."""
+    import scipy.linalg
     if G.coupling_eff:
         raise ContractViolation("kernel extraction handles uncoupled modes only")
     n = G.n_points
@@ -548,6 +550,7 @@ def principal_angle_sines(G: GluedOperator, S: SubstituteKernel) -> np.ndarray:
     """Sines of the principal angles between the substitute kernel and the
     numerical kernel of the glued matrix (uniform grid weight, so the
     Euclidean angles are the grid-pairing angles)."""
+    import scipy.linalg
     if S.dim == 0:
         raise ContractViolation("substitute kernel is trivial")
     A = S.flat_basis()

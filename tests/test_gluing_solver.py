@@ -644,11 +644,40 @@ def test_solve_bordered_zero_border_is_an_analysis_error():
 
 
 def test_solve_bordered_certificate_catches_a_singular_shift():
-    # B = [[1, r], [r, 1]] with g = e_0: the shifted C = B + e_0 e_0^T is
-    # singular for r = sqrt(2), while the bordered matrix has determinant -1
+    # B = [[1, r], [r, 1]] with g = e_0: the shift C = B + e_0 e_0^T is
+    # singular for r = sqrt(2), so a try with it must fail its certificate;
+    # on a singular bordered matrix the tries are backward stable, so the
+    # singular shift is where the certificate has something to catch
     diag, off, g = np.ones(2), np.array([math.sqrt(2.0)]), np.array([1.0, 0.0])
     with pytest.raises(AnalysisError, match="not certified: backward error"):
-        gluing_solver._solve_bordered(diag, off, g, np.array([1.0, 2.0], dtype=complex))
+        gluing_solver._shifted_bordered(diag, off, g, np.array([1.0, 2.0], dtype=complex),
+                                        0, 1.0)
+
+
+@pytest.mark.parametrize("diag, off, g", [
+    # the system above: the bordered matrix has determinant -1, and the
+    # other sign of the shift solves it
+    ([1.0, 1.0], [math.sqrt(2.0)], [1.0, 0.0]),
+    # B = diag([[-1, 1/3], [1/3, 2]], 0): a shift at row 0 or 1 leaves the
+    # zero row, and only the shift at row 2 gives a regular C
+    ([-1.0, 2.0, 0.0], [1.0 / 3.0, 0.0], [0.5, 0.5, 0.5]),
+    # a zero diagonal: the shift takes its size from the off-diagonal
+    ([0.0, 0.0, 0.0], [math.sqrt(2.0), 0.5], [1.0 / 3.0, 1.0 / 3.0, -1.0]),
+])
+def test_solve_bordered_regular_system_with_a_singular_first_shift(diag, off, g):
+    diag, off, g = np.array(diag), np.array(off), np.array(g)
+    rhs = np.arange(1.0, len(diag) + 1.0) + 0j
+    u = gluing_solver._solve_bordered(diag, off, g, rhs)
+    B = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    lam = g @ (rhs - B @ u) / (g @ g)
+    K = np.block([[B, g[:, None]], [g[None, :], np.zeros((1, 1))]])
+    x = np.append(u, lam)
+    residual = np.append(rhs, 0.0) - K @ x
+    backward = np.max(np.abs(residual)) / (
+        np.max(np.sum(np.abs(K), axis=1)) * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+    assert backward <= 1e-10
+    ref = _dense_bordered(diag, off, g, rhs)
+    assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_solve_exact_scalar_fine_rounds():
