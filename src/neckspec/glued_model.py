@@ -27,7 +27,7 @@ from typing import Callable, Container, Mapping, Sequence
 import numpy as np
 
 from .errors import AnalysisError, ContractViolation, MatchingConditionError, SpectrumFormatError
-from .ioutil import MAX_GRID_POINTS, finite_number, format_real
+from .ioutil import MAX_GRID_POINTS, finite_number
 from .polyhom import CutoffFunction
 from .spectral_model import (CrossSectionSpectrum, KIND_LAPLACE, ModeOperator, _require_keys,
                              mode_list)
@@ -695,10 +695,3 @@ def eigen_lowest(G: GluedOperator, k: int) -> EigenResult:
     entries.extend(coupled_entries(G, kk))
     entries.sort(key=lambda e: (e.value, e.mode_index, e.k_within))
     return EigenResult(entries=tuple(entries), clipped=clipped)
-
-
-def eigen_csv(result: EigenResult) -> str:
-    lines = ["mode_nu,degree_tag,k,lambda"]
-    for e in result.entries:
-        lines.append(f"{format_real(e.nu)},{e.degree_tag},{e.k_within},{format_real(e.value)}")
-    return "\n".join(lines) + "\n"

@@ -31,19 +31,19 @@ from .errors import (
 from .glued_model import (
     KERNEL_TOL,
     BlockKernelData,
-    BuildingBlock,
     GluedOperator,
     ShootingElement,
     _corner_value,
     block_kernel,
     stencil,
 )
-from .ioutil import format_complex, format_real
+from .ioutil import format_real
 from .neck_inverse import _laplace_zero_inverse
 from .polyhom import CutoffFunction
 
 _CUT = 2.0  # block subgrids reach this far past the neck center
 _BORDER_TOL = 1e-10  # certificate of every bordered block solve
+_BORDER_DIGITS = 6  # significant digits a bordered solve must keep: eps cond <= 1e-6
 _BORDER_ROWS = 4  # rows a bordered solve tries to shift before it refuses
 
 
@@ -234,38 +234,6 @@ def substitute_kernel(
                             basis=tuple(basis))
 
 
-def approx_residual(G: GluedOperator, pair: MatchingPair) -> float:
-    """||P_T u_T|| / (||u1|| + ||u2||) for a crossfaded pair; decays like
-    e^{-delta T} for matched pairs, only algebraically otherwise."""
-    num = norm(G, G.apply_mode(pair.mode_index, pair.glued_section))
-    den = 0.0
-    for e, which in ((pair.u1, 1), (pair.u2, 2)):
-        if e is not None:
-            den += norm(G, transplant(G, which, e))
-    return num / den
-
-
-def projection_norm(S: SubstituteKernel) -> float:
-    """Coefficient bound of the kernel projector in its natural basis:
-    1 / sigma_min of the Gram matrix of the norm-one glued sections."""
-    if S.dim == 0:
-        return 1.0
-    G = S.G
-    vecs = []
-    for p in S.pairs:
-        v = p.glued_section / norm(G, p.glued_section)
-        vecs.append((p.mode_index, v))
-    gram = np.zeros((len(vecs), len(vecs)))
-    for i, (mi, vi) in enumerate(vecs):
-        for j, (mj, vj) in enumerate(vecs):
-            if mi == mj:
-                gram[i, j] = G.h * float(np.sum(vi * vj))
-    smin = float(np.min(np.linalg.svd(gram, compute_uv=False)))
-    if smin <= 0:
-        raise DegenerateSystemError("kernel Gram matrix is singular")
-    return 1.0 / smin
-
-
 # ---------------------------------------------------------------------------
 # the cylinder-model solve on the glued grid
 
@@ -421,14 +389,6 @@ def _trace_grid(sys: CharacteristicSystem, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def dump_characteristic(sys: CharacteristicSystem) -> str:
-    """Dense text form of the system for debugging."""
-    head = " ".join(f"{m}:{k}" for m, k in sys.columns)
-    body = np.array2string(np.column_stack([sys.matrix, sys.rhs[:, None]]),
-                           precision=6, suppress_small=True, max_line_width=200)
-    return f"columns: {head}\n[A | b]:\n{body}\nrank: {sys.rank}\n"
-
-
 # ---------------------------------------------------------------------------
 # block solves
 
@@ -521,7 +481,10 @@ def _shifted_bordered(diag: np.ndarray, off: np.ndarray, g: np.ndarray, rhs: np.
     from one more solve, not from the sum of the three solutions, whose
     cancelling rounding noise B would amplify by 4/h^2. A normwise backward
     error or |g^T u| / (|g| |u|) above _BORDER_TOL, as from an
-    ill-conditioned C, raises AnalysisError.
+    ill-conditioned C, raises AnalysisError. So does a u too large for the
+    bordered matrix K to be regular at working precision: ||K|| ||x|| / ||rhs||
+    bounds cond(K) from below, and a try on a singular K is still backward
+    stable, returning a huge x along the kernel with a tiny backward error.
     """
     shifted = np.array(diag, dtype=float)
     shifted[k] += sigma
@@ -539,13 +502,18 @@ def _shifted_bordered(diag: np.ndarray, off: np.ndarray, g: np.ndarray, rhs: np.
     # backward error in the infinity norm; rows of [[B, g], [g^T, 0]] give its norm
     rows = np.abs(diag) + np.abs(g) + np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
     m_norm = max(np.max(rows), np.sum(np.abs(g)))
-    size = m_norm * max(np.max(np.abs(u)), abs(lam)) + np.max(np.abs(rhs))
+    kx = m_norm * max(np.max(np.abs(u)), abs(lam))
+    size = kx + np.max(np.abs(rhs))
     tiny = np.finfo(float).tiny
     backward = max(np.max(np.abs(r)), abs(g @ u)) / max(size, tiny)
     orth = abs(g @ u) / max(np.linalg.norm(g) * np.linalg.norm(u), tiny)
     if not (backward <= _BORDER_TOL and orth <= _BORDER_TOL):
         raise AnalysisError(f"bordered block solve not certified: backward error {backward:.3e}, "
                             f"|g^T u| / (|g| |u|) = {orth:.3e} (tolerance {_BORDER_TOL:.0e})")
+    cond = kx / max(np.max(np.abs(rhs)), tiny)
+    if cond * np.finfo(float).eps > 10.0**-_BORDER_DIGITS:
+        raise AnalysisError(f"bordered block solve refused: ||K|| ||x|| / ||rhs|| = {cond:.3e} "
+                            f"leaves fewer than {_BORDER_DIGITS} digits; K is numerically singular")
     return u
 
 
@@ -711,98 +679,4 @@ def solve_report_csv(G: GluedOperator, report: SolveReport, f: np.ndarray) -> st
             f"{format_real(G.T)},{k + 1},{format_real(report.residuals[k])},"
             f"{format_real(report.contraction[k])},{format_real(ratio)}"
         )
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# block-level identities: the value of <Pu, v> and the obstruction frame
-
-
-def valuepuv_check(
-    block: BuildingBlock,
-    mode_index: int,
-    nu: float,
-    u: np.ndarray,
-    u_trace: tuple[complex, complex],
-    v: np.ndarray,
-    v_trace: tuple[complex, complex],
-    h: float = 1.0 / 16,
-) -> tuple[complex, complex, float]:
-    """Check <B u, v> = (u0, v0) on the half-line block grid.
-
-    u and v live on cells (j + 1/2) h with affine far fields u_trace and
-    v_trace = (a, b); the far closure row is excluded from the sum, which
-    is what turns the grid pairing into the boundary Wronskian
-    a_u conj(b_v) - b_u conj(a_v). Returns (grid value, trace value,
-    |difference|).
-    """
-    n = len(u)
-    s = (np.arange(n) + 0.5) * h
-    pot = block.potential_for(mode_index)
-    vals = pot.values(s, h) if pot is not None else np.zeros(n)
-    diag = nu + vals + 2.0 / h**2
-    diag[0] = nu + vals[0] + _corner_value(block.boundary, h)
-    bu = stencil(diag, -1.0 / h**2, np.asarray(u, dtype=complex))
-    lhs = h * complex(np.sum(bu[:-1] * np.conj(v[:-1])))
-    rhs = u_trace[0] * np.conj(v_trace[1]) - u_trace[1] * np.conj(v_trace[0])
-    return lhs, complex(rhs), abs(lhs - rhs)
-
-
-def obstruction_frame(
-    block: BuildingBlock, spec, q: int
-) -> tuple[list[tuple[int, np.ndarray]], list[tuple[int, np.ndarray]]]:
-    """(g_j, h_j) on the block grid of step 1/16: g_j the normalized bounded
-    kernel elements, h_j faded affine traces dual to them, certified to
-    satisfy <B h_i, g_j> = delta_ij (far row excluded) within 1e-8."""
-    h = 1.0 / 16
-    kd = block_kernel(block, spec, q, h=h)
-    gs: list[tuple[int, np.ndarray]] = []
-    hs: list[tuple[int, np.ndarray]] = []
-    for el in kd.elements:
-        if not el.bounded:
-            continue
-        n = len(el.samples)
-        s = (np.arange(n) + 0.5) * h
-        g = el.samples / math.sqrt(h * float(np.sum(el.samples**2)))
-        a_g = el.a / math.sqrt(h * float(np.sum(el.samples**2)))
-        # dual trace (0, b) with pairing(h, g) = -b conj(a_g) = 1
-        fade = CutoffFunction(el.reach - 3.0)(s)
-        hs.append((el.mode_index, fade * (-1.0 / a_g) * s))
-        gs.append((el.mode_index, g))
-    if not gs:
-        return [], []
-
-    def pairing(duals: list[tuple[int, np.ndarray]]) -> np.ndarray:
-        out = np.zeros((len(duals), len(gs)))
-        for i, (mi, hvec) in enumerate(duals):
-            for j, (mj, gvec) in enumerate(gs):
-                if mi == mj:
-                    lhs, _, _ = valuepuv_check(block, mi, 0.0, hvec, (0, 0), gvec, (0, 0), h)
-                    out[i, j] = lhs.real
-        return out
-
-    try:
-        corr = np.linalg.inv(pairing(hs))
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSystemError("obstruction pairing matrix is singular") from exc
-    hs = [
-        (hs[i][0], sum(corr[i, j] * hs[j][1] for j in range(len(hs)) if hs[j][0] == hs[i][0]))
-        for i in range(len(hs))
-    ]
-    defect = float(np.max(np.abs(pairing(hs) - np.eye(len(gs)))))
-    if defect > 1e-8:
-        raise AnalysisError(f"obstruction frame certificate failed: defect {defect:.3e}")
-    return gs, hs
-
-
-# ---------------------------------------------------------------------------
-# output
-
-
-def solution_csv(G: GluedOperator, u: np.ndarray) -> str:
-    t = G.grid()
-    lines = ["t,mode_index,u"]
-    for i in range(len(G.modes)):
-        for j in range(G.n_points):
-            lines.append(f"{format_real(float(t[j]))},{i},{format_complex(complex(u[i, j]))}")
     return "\n".join(lines) + "\n"

@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AnalysisError, ContractViolation
-from .ioutil import MAX_GRID_POINTS, format_complex, format_real
+from .errors import ContractViolation
+from .ioutil import MAX_GRID_POINTS
 from .polyhom import (
     CutoffFunction,
     DiracZero,
@@ -270,11 +270,6 @@ def q0_apply(modes: Sequence[ModeOperator], f: CompactSection) -> NeckSolution:
     )
 
 
-def asymptotic_trace(modes: Sequence[ModeOperator], f: CompactSection) -> PolyhomSection:
-    """The affine section the singular part equals beyond the support."""
-    return q0_apply(modes, f).trace_plus
-
-
 # ---------------------------------------------------------------------------
 # discrete operator application and checks
 
@@ -332,26 +327,6 @@ def duality_check(modes: Sequence[ModeOperator], f: CompactSection, v: PolyhomSe
     return pair, l2, abs(pair - l2)
 
 
-def invertibility_no_real_roots(modes: Sequence[ModeOperator], f: CompactSection):
-    """Bounded inverse on mode sets with nu >= nu0 > 0.
-
-    Returns the solution and the ratio ||u|| / ||f||; asserts the spectral
-    bound ratio <= (1/nu0)(1 + h^2) and refuses mode sets with zero modes.
-    """
-    nus = [m.nu for m in modes]
-    if any(m.is_zero_mode for m in modes):
-        raise ContractViolation("bounded inverse requires every mode to have nu > 0")
-    nu0 = min(nus)
-    sol = q0_apply(modes, f)
-    norm_f = f.norm()
-    norm_u = math.sqrt(f.h * float(np.sum(np.abs(sol.total()) ** 2)))
-    ratio = norm_u / norm_f if norm_f > 0 else 0.0
-    bound = (1.0 + f.h**2) / nu0
-    if ratio > bound:
-        raise AnalysisError(f"inverse norm ratio {ratio} exceeds spectral bound {bound}")
-    return sol, ratio
-
-
 # ---------------------------------------------------------------------------
 # operator-norm growth of the zero-mode inverse
 
@@ -402,7 +377,7 @@ def operator_norm_fit(kind: str, supports: Sequence[float], h: float = 1.0 / 16)
 
 
 # ---------------------------------------------------------------------------
-# seeded smooth test data and CSV output
+# seeded smooth test data
 
 
 def seeded_section(
@@ -432,17 +407,3 @@ def seeded_section(
                  + amp[:, 1:] * np.sin((k + 1) * math.pi * t / support))
     rows *= envelope
     return CompactSection(tuple(modes), s_max, support, h, vals)
-
-
-def solution_csv(sol: NeckSolution) -> str:
-    """CSV dump with columns (t, mode_index, u_r, u_s); mode_index is the
-    value-row index."""
-    t = sol.grid()
-    lines = ["t,mode_index,u_r,u_s"]
-    for r in range(sol.regular.shape[0]):
-        for j in range(len(t)):
-            lines.append(
-                f"{format_real(t[j])},{r},{format_complex(sol.regular[r, j])},"
-                f"{format_complex(sol.singular[r, j])}"
-            )
-    return "\n".join(lines) + "\n"

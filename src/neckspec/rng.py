@@ -23,17 +23,14 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
-
-    def uniform(self) -> float:
-        # 53 significant bits, in [0, 1)
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def uniforms(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        u = np.array([self.uniform() for _ in range(n)], dtype=float)
-        return low + (high - low) * u
+        """n draws in [low, high), each from 53 significant bits of one
+        output. Draw i = 1..n mixes the state s + i * gamma, s the state
+        before the call (mod 2^64, which uint64 arithmetic wraps), so all n
+        are mixed at once."""
+        z = np.uint64(self._state) + np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64)
+        self._state = (self._state + n * _GAMMA) & _MASK
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return low + (high - low) * ((z >> np.uint64(11)) * 2.0**-53)

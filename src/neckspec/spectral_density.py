@@ -3,9 +3,9 @@
 The number of eigenvalues of the degree-q glued operator in the window
 (0, pi^2 s/T^2] grows like 2(b^{q-1}+b^q) sqrt(s) with a T-independent
 remainder. This module counts them by the inertia of the tridiagonal
-matrices (Sturm counts, no eigenvalues computed), compares against the
-product benchmark, and builds the Fourier test spaces whose
-Rayleigh quotients give the matching upper bounds.
+matrices (Sturm counts, no eigenvalues computed), gives the product-model
+count as a reference, and builds the Fourier test spaces whose Rayleigh
+quotients give the matching upper bounds.
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ THRESHOLD_ZERO = 1e-10
 # mode families stacked per pass of the Sturm recurrence; bounds the
 # transient (n_points x STURM_CHUNK) diagonal block
 STURM_CHUNK = 128
-
-
-def betti_sum(spec: CrossSectionSpectrum, q: int) -> int:
-    """B = b^{q-1} + b^q, the density constant of the cross-section."""
-    return spec.betti(q - 1) + spec.betti(q)
 
 
 def window_top(G: GluedOperator, s: float) -> float:
@@ -98,20 +93,6 @@ def _branch_counts(G: GluedOperator, per_mode: np.ndarray) -> tuple[np.ndarray, 
     return per_mode[beta].sum(axis=0), per_mode[~beta].sum(axis=0)
 
 
-def count_low_eigenvalues(G: GluedOperator, s: float) -> int:
-    """Multiplicity count of eigenvalues in (threshold, pi^2 s/T^2]; the
-    threshold 1e-10 keeps the numerical kernel out of the window."""
-    return int(window_counts(G, [s]).sum())
-
-
-def coexact_split_counts(G: GluedOperator, s: float) -> tuple[int, int]:
-    """(exact branch, coexact branch): window counts split by the mode's
-    degree tag. Beta-tagged modes descend from harmonic (q-1)-forms and
-    carry the exact branch; alpha-tagged modes carry the coexact one."""
-    exact, coexact = _branch_counts(G, window_counts(G, [s]))
-    return int(exact[0]), int(coexact[0])
-
-
 def product_benchmark(spec: CrossSectionSpectrum, q: int, T: float, s: float) -> int:
     """Eigenvalue count of the product model circle(2T) x X in the window:
     values (k pi/T)^2 + nu over k in Z and the degree-q mode list."""
@@ -127,11 +108,6 @@ def product_benchmark(spec: CrossSectionSpectrum, q: int, T: float, s: float) ->
         else:
             total += 2 * int(math.floor(math.sqrt(s) + 1e-9))
     return total
-
-
-def product_shift(G: GluedOperator, s: float) -> int:
-    """Measured count minus the product benchmark; reported as data only."""
-    return count_low_eigenvalues(G, s) - product_benchmark(G.spec, G.q, G.T, s)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +252,6 @@ class TestSpace:
     n: int
     k_values: tuple[int, ...]
     basis: np.ndarray
-    constraints: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -326,22 +301,7 @@ def test_space(kind: str, n: int, window: int | None = None) -> TestSpace:
         ks = _k_window(window)
     rows = _constraint_rows(kind, n, ks)
     basis = scipy.linalg.null_space(rows).T
-    return TestSpace(kind=kind, n=n, k_values=ks, basis=basis, constraints=rows)
-
-
-def space_contains(space: TestSpace, coeffs: Mapping[int, complex]) -> bool:
-    """Whether the coefficient set satisfies the space's constraints within
-    1e-9 (any frequency outside the window, or k = 0, disqualifies)."""
-    scale = max((abs(v) for v in coeffs.values()), default=1.0)
-    vec = np.zeros(len(space.k_values), dtype=complex)
-    index = {k: i for i, k in enumerate(space.k_values)}
-    for k, a in coeffs.items():
-        if k not in index:
-            if abs(a) > 1e-9 * scale:
-                return False
-            continue
-        vec[index[k]] = a
-    return bool(np.max(np.abs(space.constraints @ vec), initial=0.0) <= 1e-9 * scale)
+    return TestSpace(kind=kind, n=n, k_values=ks, basis=basis)
 
 
 def assert_space_dimensions(n: int, window: int | None = None) -> dict[str, int]:

@@ -4,8 +4,7 @@ Separation of variables on a cylinder R x X turns an elliptic operator
 into a family of constant-coefficient ordinary differential operators,
 one per eigenvalue nu of the form Laplacian on X. This module holds the
 spectrum bookkeeping (:class:`CrossSectionSpectrum`), the per-mode
-operators (:class:`ModeOperator`), their symbol roots, and the Laurent
-expansion of the resolvent family around a base point.
+operators (:class:`ModeOperator`) and their symbol roots.
 
 Conventions. D_t = -i d/dt, so the Laplace mode with eigenvalue nu has
 symbol P(lambda) = lambda^2 + nu and acts by p -> nu p - p''. The Dirac
@@ -20,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Mapping, Sequence
 
-import numpy as np
-
 from .errors import ContractViolation, SpectrumFormatError
 
 KIND_LAPLACE = "laplace"
@@ -29,8 +26,6 @@ KIND_DIRAC = "dirac"
 
 # eigenvalues closer than this are merged into one multiplicity entry
 MERGE_TOL = 1e-12
-
-J_MATRIX = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def _normalize_degree(pairs: Sequence[tuple[float, int]], where: str) -> tuple[tuple[float, int], ...]:
@@ -118,32 +113,6 @@ class RootData:
     roots: tuple[tuple[complex, int], ...]
     real_roots: tuple[tuple[float, int], ...]
     max_real_order: int
-
-
-@dataclass(frozen=True)
-class LaurentCoefficients:
-    """Laurent data of the resolvent P(lambda)^{-1} around ``at_root``.
-
-    ``coeffs[m]`` is the coefficient of (lambda - at_root)^m; scalar for
-    Laplace modes and a 2 x 2 array for Dirac blocks. The expansion is
-    truncated at ``m_max``.
-    """
-
-    at_root: complex
-    coeffs: Mapping[int, complex | np.ndarray]
-    m_max: int
-
-    def pole_order(self) -> int:
-        neg = [-m for m in self.coeffs if m < 0]
-        return max(neg, default=0)
-
-    def evaluate(self, lam: complex) -> complex | np.ndarray:
-        z = lam - self.at_root
-        total = None
-        for m, c in sorted(self.coeffs.items()):
-            term = c * z**m
-            total = term if total is None else total + term
-        return total
 
 
 def circle_spectrum(length: float = 2 * math.pi, max_modes: int = 8) -> CrossSectionSpectrum:
@@ -248,12 +217,6 @@ def load_spectrum(path: str) -> CrossSectionSpectrum:
     return CrossSectionSpectrum(name=raw["name"], dimension=raw["dimension"], degrees=degrees)
 
 
-def default_cutoff(t_max: float, s_max: float) -> float:
-    """Mode cutoff that comfortably covers every eigenvalue window used in
-    a sweep up to neck length t_max and window parameter s_max."""
-    return 25.0 * (math.pi / t_max) ** 2 * s_max
-
-
 def mode_list(spec: CrossSectionSpectrum, q: int, cutoff: float) -> list[ModeOperator]:
     """Laplace modes of degree q below the cutoff.
 
@@ -277,76 +240,3 @@ def roots_of(op: ModeOperator) -> RootData:
         return RootData(roots=((0j, 2),), real_roots=((0.0, 2),), max_real_order=2)
     r = math.sqrt(op.nu)
     return RootData(roots=((1j * r, 1), (-1j * r, 1)), real_roots=(), max_real_order=0)
-
-
-def symbol_taylor(op: ModeOperator, lambda0: complex) -> list[complex | np.ndarray]:
-    """Taylor coefficients (1/n!) P^(n)(lambda0) of the mode symbol."""
-    if op.kind == KIND_DIRAC:
-        return [1j * lambda0 * J_MATRIX, 1j * J_MATRIX]
-    return [lambda0**2 + op.nu, 2 * lambda0, 1.0 + 0j]
-
-
-def _scalar_laurent(c: list[complex], m_max: int) -> tuple[dict[int, complex], int]:
-    """Laurent coefficients of 1/p around 0 where p(z) = sum c[n] z^n, and
-    the pole order d.
-
-    The convolution identity sum_{m+n=l} c[n] R[m] = [l = 0] determines the
-    coefficients one at a time starting at m = -d, where d is the number of
-    leading zero coefficients of p.
-    """
-    d = 0
-    scale = max(abs(x) for x in c)
-    while d < len(c) and abs(c[d]) <= 1e-14 * scale:
-        d += 1
-    if d >= len(c):
-        raise ContractViolation("symbol vanishes identically")
-    coeffs: dict[int, complex] = {}
-    for l in range(-d, m_max + 1):
-        # the equation sum_n c[n] R[(l+d) - n] = [l+d = 0] pins down R[l]
-        acc = 1.0 + 0j if l + d == 0 else 0j
-        for n in range(d + 1, len(c)):
-            m = l + d - n
-            if m in coeffs:
-                acc -= c[n] * coeffs[m]
-        coeffs[l] = acc / c[d]
-    return coeffs, d
-
-
-def _check_convolution(taylor: list, coeffs: dict, d: int, m_max: int, tol: float = 1e-10) -> None:
-    # internal certificate: sum_{m+n=l} (1/n!) P^(n) R_m = [l = 0]
-    dim = 1 if np.isscalar(taylor[0]) or np.asarray(taylor[0]).ndim == 0 else len(taylor[0])
-    eye = 1.0 if dim == 1 else np.eye(dim)
-    scale = max(float(np.max(np.abs(np.asarray(c)))) for c in coeffs.values())
-    scale = max(scale, 1.0)
-    for l in range(-d, m_max + 1):
-        acc = (1.0 if l == 0 else 0.0) * eye
-        for n, cn in enumerate(taylor):
-            m = l - n
-            if m in coeffs:
-                if dim > 1:
-                    acc = acc - np.asarray(cn) @ np.asarray(coeffs[m])
-                else:
-                    acc = acc - cn * coeffs[m]
-        err = float(np.max(np.abs(np.asarray(acc))))
-        if err > tol * scale:
-            raise AssertionError(f"resolvent Laurent data fails its defining identity at l={l}: {err}")
-
-
-def resolvent_laurent(op: ModeOperator, lambda0: complex, m_max: int) -> LaurentCoefficients:
-    """Laurent expansion of P(lambda)^{-1} around lambda0, truncated at m_max.
-
-    Coefficients are scalars for Laplace modes and 2 x 2 matrices for Dirac
-    blocks. The defining convolution identity against the symbol Taylor
-    coefficients is asserted internally before returning.
-    """
-    if op.kind == KIND_DIRAC:
-        # i lambda J inverts to (i J) / lambda since (iJ)^2 = Id
-        scalar, d = _scalar_laurent([complex(lambda0), 1.0 + 0j], m_max)
-        coeffs = {m: c * (1j * J_MATRIX) for m, c in scalar.items()}
-        _check_convolution(symbol_taylor(op, lambda0), coeffs, d, m_max)
-        return LaurentCoefficients(at_root=complex(lambda0), coeffs=coeffs, m_max=m_max)
-
-    c = [complex(lambda0) ** 2 + op.nu, 2 * complex(lambda0), 1.0 + 0j]
-    coeffs, d = _scalar_laurent(c, m_max)
-    _check_convolution(c, coeffs, d, m_max)
-    return LaurentCoefficients(at_root=complex(lambda0), coeffs=coeffs, m_max=m_max)

@@ -23,7 +23,6 @@ from neckspec.glued_model import (
     Potential,
     assemble,
     block_kernel,
-    eigen_csv,
     eigen_lowest,
     kernel_potential_dirichlet,
     kernel_potential_neumann,
@@ -478,15 +477,6 @@ def test_richardson_extrapolation_shows_second_order():
         lam.append(eigen_lowest(G, 1).values()[0])
     ratio = (lam[0] - lam[1]) / (lam[1] - lam[2])
     assert ratio == pytest.approx(4.0, rel=0.15)
-
-
-def test_eigen_csv_layout():
-    G = assemble(flat_block(), flat_block(), SCALAR, 0, T=2.0, h=H)
-    text = eigen_csv(eigen_lowest(G, 2))
-    lines = text.strip().split("\n")
-    assert lines[0] == "mode_nu,degree_tag,k,lambda"
-    assert lines[1].startswith("0,alpha,0,")
-    assert len(lines) == 3
 
 
 # ---------------------------------------------------------------------------

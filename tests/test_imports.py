@@ -75,3 +75,65 @@ def test_no_module_imports_scipy_at_load_time():
             if any(name == "scipy" or name.startswith("scipy.") for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"module-level scipy import at {', '.join(found)}; import it in the function"
+
+
+# ---------------------------------------------------------------------------
+# dead surface: public names no command, acceptance criterion or benchmark reads
+
+ROOT = SRC.parent
+# reference implementations that unit tests compare the fast paths against
+TEST_REFERENCES = ("product_benchmark", "SyntheticScalar")
+
+
+def _reads(tree) -> set[str]:
+    """Names a tree reads: loaded identifiers, attribute names and string
+    constants (the benchmark names the functions it wraps as strings)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def _src_modules():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((SRC / "neckspec").glob("*.py"))}
+
+
+def test_every_public_name_has_a_reader():
+    defined = []  # (module, name)
+    readers = set()
+    for name, tree in _src_modules().items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined.append((name, node.name))
+                # a definition's own body does not keep it alive
+                readers |= _reads(node) - {node.name}
+            else:
+                readers |= _reads(node)
+    outside = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    for path in outside:
+        readers |= _reads(ast.parse(path.read_text(encoding="utf-8")))
+    dead = [f"{module}:{name}" for module, name in defined
+            if name not in readers and name not in TEST_REFERENCES]
+    assert not dead, f"public names read by no src code, acceptance test or benchmark: {dead}"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for name, tree in _src_modules().items():
+        reads = _reads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{name}:{node.lineno} {b}" for b in bound if b not in reads]
+    assert not unused, f"imported and never used: {unused}"

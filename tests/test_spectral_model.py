@@ -1,9 +1,8 @@
-"""Spectrum bookkeeping, symbol roots, and resolvent Laurent data."""
+"""Spectrum bookkeeping and symbol roots."""
 
 import json
 import math
 
-import numpy as np
 import pytest
 
 from neckspec.errors import ContractViolation, SpectrumFormatError
@@ -11,15 +10,11 @@ from neckspec.spectral_model import (
     KIND_DIRAC,
     KIND_LAPLACE,
     CrossSectionSpectrum,
-    J_MATRIX,
     ModeOperator,
     circle_spectrum,
-    default_cutoff,
     load_spectrum,
     mode_list,
-    resolvent_laurent,
     roots_of,
-    symbol_taylor,
     torus2_spectrum,
 )
 
@@ -168,10 +163,6 @@ class TestModeList:
         modes = mode_list(circle_spectrum(), q=0, cutoff=2.0)
         assert sorted(m.nu for m in modes) == [0.0, 1.0, 1.0]
 
-    def test_default_cutoff_covers_window(self):
-        # windows reach pi^2 s / T^2; the default cutoff leaves a factor 25
-        assert default_cutoff(10.0, 4.0) == pytest.approx(25 * (math.pi / 10) ** 2 * 4)
-
 
 class TestRoots:
     def test_massive_laplace(self):
@@ -193,79 +184,6 @@ class TestRoots:
     def test_dirac_requires_zero_mode(self):
         with pytest.raises(ContractViolation):
             ModeOperator(KIND_DIRAC, 1.0, "alpha")
-
-
-class TestResolventLaurent:
-    def test_zero_laplace_pole(self):
-        op = ModeOperator(KIND_LAPLACE, 0.0, "alpha")
-        data = resolvent_laurent(op, 0.0, m_max=3)
-        assert data.pole_order() == 2
-        assert data.coeffs[-2] == pytest.approx(1.0)
-        assert data.coeffs[-1] == pytest.approx(0.0)
-
-    def test_massive_laplace_taylor(self):
-        # geometric series: 1/(1 + z^2) = 1 - z^2 + z^4 - ...
-        op = ModeOperator(KIND_LAPLACE, 1.0, "alpha")
-        data = resolvent_laurent(op, 0.0, m_max=4)
-        expected = {0: 1.0, 1: 0.0, 2: -1.0, 3: 0.0, 4: 1.0}
-        for m, val in expected.items():
-            assert data.coeffs[m] == pytest.approx(val, abs=1e-12)
-
-    def test_dirac_residue_is_ij(self):
-        op = ModeOperator(KIND_DIRAC, 0.0, "alpha")
-        data = resolvent_laurent(op, 0.0, m_max=2)
-        np.testing.assert_allclose(data.coeffs[-1], 1j * J_MATRIX)
-        np.testing.assert_allclose(data.coeffs[0], np.zeros((2, 2)), atol=1e-14)
-        jj = (1j * J_MATRIX) @ (1j * J_MATRIX)
-        np.testing.assert_allclose(jj, np.eye(2))
-
-    def test_resolvent_value_matches_reciprocal(self):
-        for nu in (0.5, 1.0, 4.0, 9.0):
-            op = ModeOperator(KIND_LAPLACE, nu, "alpha")
-            for lam in (-2.0, -0.5, 0.1, 1.7, 3.0):
-                data = resolvent_laurent(op, lam, m_max=0)
-                assert data.coeffs[0] == pytest.approx(1.0 / (lam**2 + nu), rel=1e-12)
-
-    def test_laurent_reconstruction_inside_half_distance(self):
-        # the nearest singularities sit at +-i sqrt(nu); expanding around a
-        # real base point, the series converges inside that distance
-        nu = 2.0
-        op = ModeOperator(KIND_LAPLACE, nu, "alpha")
-        lam0 = 0.7
-        dist = abs(lam0 - 1j * math.sqrt(nu))
-        data = resolvent_laurent(op, lam0, m_max=60)
-        for frac in (0.1, 0.3, 0.5):
-            lam = lam0 + frac * dist / 2
-            got = data.evaluate(lam)
-            assert abs(got - 1.0 / (lam**2 + nu)) <= 1e-10
-
-    def test_dirac_reconstruction_at_regular_point(self):
-        op = ModeOperator(KIND_DIRAC, 0.0, "alpha")
-        lam0 = 1.5
-        data = resolvent_laurent(op, lam0, m_max=40)
-        lam = 1.8
-        inv = np.linalg.inv(1j * lam * J_MATRIX)
-        np.testing.assert_allclose(data.evaluate(lam), inv, atol=1e-10)
-
-    def test_expansion_at_imaginary_root(self):
-        # lambda0 = i sqrt(nu) is a simple root: pole order 1 there
-        op = ModeOperator(KIND_LAPLACE, 4.0, "alpha")
-        data = resolvent_laurent(op, 2j, m_max=1)
-        assert data.pole_order() == 1
-        # residue of 1/((z)(z + 4i)) at 0 is 1/(4i)
-        assert data.coeffs[-1] == pytest.approx(1.0 / 4j)
-
-
-class TestSymbolTaylor:
-    def test_laplace(self):
-        op = ModeOperator(KIND_LAPLACE, 3.0, "alpha")
-        assert symbol_taylor(op, 2.0) == [pytest.approx(7.0), pytest.approx(4.0), pytest.approx(1.0)]
-
-    def test_dirac(self):
-        op = ModeOperator(KIND_DIRAC, 0.0, "alpha")
-        t = symbol_taylor(op, 0.5)
-        np.testing.assert_allclose(t[0], 0.5j * J_MATRIX)
-        np.testing.assert_allclose(t[1], 1j * J_MATRIX)
 
 
 class TestSpectrumInvariants:
