@@ -382,13 +382,12 @@ def _glued_source(G, seed: int) -> np.ndarray:
     rise = CutoffFunction(center=-G.T / 2 + 0.5)
     envelope = rise(t) * rise(-t)
     amps = rng.uniforms(8 * len(G.modes), -1.0, 1.0).reshape(len(G.modes), 4, 2)
-    f = np.zeros((len(G.modes), G.n_points), dtype=complex)
-    rows = f.real  # accumulated in place: the only (modes x n) temporary is one product
-    for k in range(4):
+    f = np.zeros((len(G.modes), G.n_points))
+    for k in range(4):  # accumulated in place: the only (modes x n) temporary is one product
         amp = amps[:, k] / (1 + k) ** 2
-        rows += amp[:, :1] * np.cos(2 * k * math.pi * t / G.T)
-        rows += amp[:, 1:] * np.sin(2 * (k + 1) * math.pi * t / G.T)
-    rows *= envelope
+        f += amp[:, :1] * np.cos(2 * k * math.pi * t / G.T)
+        f += amp[:, 1:] * np.sin(2 * (k + 1) * math.pi * t / G.T)
+    f *= envelope
     return f
 
 

@@ -310,7 +310,7 @@ class GluedOperator:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
-        out = np.zeros_like(values, dtype=complex)
+        out = np.zeros_like(values, dtype=np.result_type(values, float))
         for members in self.families:
             out[members] = stencil(*self.mats[members[0]], values[members])
         if self.coupling_eff:
@@ -621,7 +621,6 @@ class EigenEntry:
 @dataclass(frozen=True)
 class EigenResult:
     entries: tuple[EigenEntry, ...]
-    clipped: bool
 
     def values(self) -> np.ndarray:
         return np.array([e.value for e in self.entries])
@@ -679,9 +678,7 @@ def eigen_lowest(G: GluedOperator, k: int) -> EigenResult:
     import scipy.linalg
     if k < 1:
         raise ContractViolation("need k >= 1")
-    n = G.n_points
-    clipped = k > n
-    kk = min(k, n)
+    kk = min(k, G.n_points)
     coupled = set(coupled_modes(G))
     entries: list[EigenEntry] = []
     for members in G.families:
@@ -694,4 +691,4 @@ def eigen_lowest(G: GluedOperator, k: int) -> EigenResult:
         )
     entries.extend(coupled_entries(G, kk))
     entries.sort(key=lambda e: (e.value, e.mode_index, e.k_within))
-    return EigenResult(entries=tuple(entries), clipped=clipped)
+    return EigenResult(entries=tuple(entries))

@@ -10,7 +10,8 @@ pieces leaves a defect of size e^{-delta T}, which the exact solver
 drives below tolerance by iteration.
 
 All inner products are the grid pairing h * sum(x conj(y)) over every
-mode row, and "orthogonal to the kernel" always means this pairing.
+mode row, and "orthogonal to the kernel" always means this pairing. The
+glued matrices are real, and every solver works in the source's dtype.
 """
 
 from __future__ import annotations
@@ -52,8 +53,15 @@ def _require_uncoupled(G: GluedOperator) -> None:
         raise ContractViolation("neck solvers handle uncoupled mode families only")
 
 
+def _inexact(x) -> np.ndarray:
+    x = np.asarray(x)  # in its own dtype, promoted to at least float64
+    return x.astype(np.result_type(x, float), copy=False)
+
+
 def norm(G: GluedOperator, x: np.ndarray) -> float:
-    return math.sqrt(G.h * float(np.sum(np.abs(np.asarray(x)) ** 2)))
+    a = np.abs(x)
+    a *= a
+    return math.sqrt(G.h * float(np.sum(a)))
 
 
 def neck_windows(G: GluedOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,19 +172,16 @@ class SubstituteKernel:
         return tuple(p.mode_index for p in self.pairs if p.u1 is not None and p.u2 is not None)
 
     def overlaps(self, f: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(self.basis), dtype=complex)
-        for k, (mode, vec) in enumerate(self.basis):
-            out[k] = self.G.h * np.sum(np.asarray(f[mode]) * vec)
-        return out
+        return np.array([self.G.h * np.sum(np.asarray(f[mode]) * vec) for mode, vec in self.basis])
 
     def project_off(self, f: np.ndarray) -> np.ndarray:
-        out = np.array(f, dtype=complex)
+        out = np.array(_inexact(f))
         for mode, vec in self.basis:
             out[mode] -= (self.G.h * np.sum(out[mode] * vec)) * vec
         return out
 
     def project_onto(self, f: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(f, dtype=complex))
+        out = np.zeros_like(_inexact(f))
         for mode, vec in self.basis:
             out[mode] += (self.G.h * np.sum(np.asarray(f[mode]) * vec)) * vec
         return out
@@ -248,7 +253,7 @@ def _positive_mode_cylinder(f: np.ndarray, nu: float, h: float) -> np.ndarray:
     ab = np.zeros((2, n + 2 * pad))
     ab[0] = nu + 2.0 / h**2
     ab[1, :-1] = -1.0 / h**2
-    rhs = np.zeros((n + 2 * pad,) + np.shape(f)[1:], dtype=complex)
+    rhs = np.zeros((n + 2 * pad,) + f.shape[1:], dtype=f.dtype)
     rhs[pad : pad + n] = f
     sol = scipy.linalg.solveh_banded(ab, rhs, lower=True)
     return sol[pad : pad + n]
@@ -259,17 +264,17 @@ def cylinder_solve(G: GluedOperator, f0: np.ndarray) -> np.ndarray:
     grid; every interior stencil row of the result reproduces f0 exactly.
     The positive modes of one family share one banded solve."""
     t = G.grid()
-    f0 = np.asarray(f0, dtype=complex)
-    out = np.zeros((len(G.modes), G.n_points), dtype=complex)
+    f0 = _inexact(f0)
+    out = np.zeros((len(G.modes), G.n_points), dtype=f0.dtype)
     for members in G.families:
         m = G.modes[members[0]]
         if not m.is_zero_mode:
             out[members] = _positive_mode_cylinder(f0[members].T, m.nu, G.h).T
             continue
         for i in members:
-            out[i] = _laplace_zero_inverse(f0[i].real, t, G.h) + 1j * _laplace_zero_inverse(
-                f0[i].imag, t, G.h
-            )
+            out[i] = _laplace_zero_inverse(f0[i].real, t, G.h)
+            if np.iscomplexobj(f0):
+                out[i] += 1j * _laplace_zero_inverse(f0[i].imag, t, G.h)
     return out
 
 
@@ -285,7 +290,6 @@ class CharacteristicSystem:
     the a coefficient of the unmatched ones)."""
 
     G: GluedOperator
-    zero_modes: tuple[int, ...]
     columns: tuple[tuple[int, str], ...]
     matrix: np.ndarray
     rhs: np.ndarray
@@ -323,14 +327,13 @@ def characteristic_system(
     Wronskian of the traces, so the entries are chi-independent.
     """
     _require_uncoupled(G)
-    f = np.asarray(f, dtype=complex)
+    f = _inexact(f)
     t = G.grid()
     w1, zeta0, zeta1 = neck_windows(G)
     cyl = cylinder_solve(G, f * zeta1)
-    zero_modes = tuple(i for i, m in enumerate(G.modes) if m.is_zero_mode)
     matched = set(S.matched_modes())
     columns = []
-    for mi in zero_modes:
+    for mi in (i for i, m in enumerate(G.modes) if m.is_zero_mode):
         if mi not in matched:
             columns.append((mi, "a"))
         columns.append((mi, "b"))
@@ -343,7 +346,7 @@ def characteristic_system(
         for el in kd.elements:
             g = transplant(G, which, el)
             comm = _commutator_apply(G, w, el.mode_index, g)
-            row = np.zeros(len(columns), dtype=complex)
+            row = np.zeros(len(columns), dtype=f.dtype)
             if (el.mode_index, "a") in col_of:
                 row[col_of[(el.mode_index, "a")]] = G.h * np.sum(ones * np.conj(comm))
             row[col_of[(el.mode_index, "b")]] = G.h * np.sum(t * np.conj(comm))
@@ -353,7 +356,7 @@ def characteristic_system(
                 - G.h * np.sum(cyl[el.mode_index] * zeta0 * np.conj(comm))
             )
     A = np.array(rows) if rows else np.zeros((0, len(columns)))
-    b = np.array(rhs) if rhs else np.zeros(0, dtype=complex)
+    b = np.array(rhs) if rhs else np.zeros(0, dtype=f.dtype)
     if A.size:
         smax = float(np.max(np.abs(np.linalg.svd(A, compute_uv=False))))
         rank = int(np.linalg.matrix_rank(A, tol=1e-10 * max(smax, 1.0)))
@@ -363,8 +366,8 @@ def characteristic_system(
         raise DegenerateSystemError(
             f"characteristic system rank dropped to {rank} (expected {expected_rank})"
         )
-    return CharacteristicSystem(G=G, zero_modes=zero_modes, columns=tuple(columns),
-                                matrix=A, rhs=b, rank=rank, cylinder=cyl)
+    return CharacteristicSystem(G=G, columns=tuple(columns), matrix=A, rhs=b, rank=rank,
+                                cylinder=cyl)
 
 
 def characteristic_solve(sys: CharacteristicSystem) -> CharacteristicSolution:
@@ -372,8 +375,8 @@ def characteristic_solve(sys: CharacteristicSystem) -> CharacteristicSolution:
     inconsistency, i.e. the component of the source pairing with the
     global kernel."""
     if sys.matrix.size == 0:
-        return CharacteristicSolution(np.zeros(0, dtype=complex), float(np.linalg.norm(sys.rhs)),
-                                      sys.rank)
+        return CharacteristicSolution(np.zeros(0, dtype=sys.rhs.dtype),
+                                      float(np.linalg.norm(sys.rhs)), sys.rank)
     v, *_ = np.linalg.lstsq(sys.matrix, sys.rhs, rcond=None)
     consistency = float(np.linalg.norm(sys.matrix @ v - sys.rhs))
     return CharacteristicSolution(coefficients=v, consistency=consistency, rank=sys.rank)
@@ -383,7 +386,7 @@ def _trace_grid(sys: CharacteristicSystem, coeffs: np.ndarray) -> np.ndarray:
     """Realize a coefficient vector as affine rows a + b t on the grid."""
     G = sys.G
     t = G.grid()
-    out = np.zeros((len(G.modes), G.n_points), dtype=complex)
+    out = np.zeros((len(G.modes), G.n_points), dtype=np.result_type(coeffs, float))
     for (mode, kind), c in zip(sys.columns, coeffs):
         out[mode] += c if kind == "a" else c * t
     return out
@@ -423,7 +426,7 @@ def _block_matrix(G: GluedOperator, which: int, mode_index: int,
 
 def _solve_tridiag(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     import scipy.linalg
-    ab = np.zeros((3, len(diag)), dtype=complex)
+    ab = np.zeros((3, len(diag)))
     ab[0, 1:] = off
     ab[1] = diag
     ab[2, :-1] = off
@@ -491,7 +494,7 @@ def _shifted_bordered(diag: np.ndarray, off: np.ndarray, g: np.ndarray, rhs: np.
     unit = np.zeros(len(g))
     unit[k] = 1.0
     try:
-        xe, xg = _solve_tridiag(shifted, off, np.column_stack([unit, g])).T.real
+        xe, xg = _solve_tridiag(shifted, off, np.column_stack([unit, g])).T
         mu, lam = np.linalg.solve([[1.0 - sigma * xe[k], xg[k]], [sigma * xg[k], -(g @ xg)]],
                                   [xe @ rhs, -(xg @ rhs)])
         u = _solve_tridiag(shifted, off, rhs - lam * g + sigma * mu * unit)
@@ -564,11 +567,11 @@ def approx_solve(
     block solves run once per block and ``G.families`` entry.
     """
     _require_uncoupled(G)
-    f = np.asarray(f, dtype=complex)
-    nf = norm(G, f)
-    if nf == 0:
+    f = _inexact(f)
+    if not f.any():
         return np.zeros_like(f), np.zeros_like(f)
     if check_orthogonality:
+        nf = norm(G, f)
         ov = np.abs(S.overlaps(f))
         if ov.size and float(np.max(ov)) > 1e-6 * nf:
             raise NotOrthogonalError(
@@ -589,7 +592,7 @@ def approx_solve(
     r = f - G.apply(u_neck)
     blocks = [(1, w1, *_block_subgrid(G, 1)), (2, 1.0 - w1, *_block_subgrid(G, 2))]
     for members in G.families:
-        add = np.zeros((len(members), G.n_points), dtype=complex)
+        add = np.zeros((len(members), G.n_points), dtype=f.dtype)
         for which, weight, sub, t_sub in blocks:
             add[:, sub] += weight[sub] * _block_solve(G, S, which, members, r[members, sub], t_sub)
         u_neck[members] += add
@@ -622,7 +625,7 @@ def solve_exact(
     """Iterate approx_solve on residuals, projecting each round's source
     off the substitute kernel, until ||f - P u - w|| <= rtol ||f||."""
     _require_uncoupled(G)
-    f = np.asarray(f, dtype=complex)
+    f = _inexact(f)
     nf = norm(G, f)
     if nf == 0:
         return SolveReport(np.zeros_like(f), np.zeros_like(f), 0, (), (), 0.0)
@@ -655,7 +658,7 @@ def solve_direct(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> np.nda
     member of a (near-)singular family is solved bordered by its substitute
     kernel direction, one at a time."""
     _require_uncoupled(G)
-    f = np.asarray(f, dtype=complex)
+    f = _inexact(f)
     out = np.zeros_like(f)
     borders: dict[int, list[np.ndarray]] = {}
     for mode, vec in S.basis:

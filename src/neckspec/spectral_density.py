@@ -475,7 +475,7 @@ def scalar_lambda1_bounds(G: GluedOperator) -> tuple[float, float]:
     base = S.basis[0][1] if S.dim else np.ones(G.n_points)
     u = np.clip(t / G.T, -1.0, 1.0) * base
     u = u - (G.h * np.sum(u * base)) * base / (G.h * np.sum(base * base))
-    num = G.h * float(np.sum(G.apply_mode(0, u.astype(complex)).real * u))
+    num = G.h * float(np.sum(G.apply_mode(0, u) * u))
     den = G.h * float(np.sum(u * u))
     return lower, num / den
 

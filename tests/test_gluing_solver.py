@@ -228,6 +228,8 @@ def test_characteristic_zero_source():
     sol = characteristic_solve(sys)
     assert sol.consistency == pytest.approx(0.0, abs=1e-14)
     assert np.allclose(sol.coefficients, 0.0, atol=1e-14)
+    u, e = approx_solve(G, S, np.zeros((1, G.n_points)))
+    assert not u.any() and not e.any() and u.dtype == e.dtype == np.float64
 
 
 def test_characteristic_consistency_equivalence():
@@ -325,8 +327,9 @@ def per_mode_cylinder(G, f0):
     out = np.zeros_like(f0)
     for i, m in enumerate(G.modes):
         if m.is_zero_mode:
-            out[i] = (_laplace_zero_inverse(f0[i].real, t, G.h)
-                      + 1j * _laplace_zero_inverse(f0[i].imag, t, G.h))
+            out[i] = _laplace_zero_inverse(f0[i].real, t, G.h)
+            if np.iscomplexobj(f0):
+                out[i] += 1j * _laplace_zero_inverse(f0[i].imag, t, G.h)
         else:
             out[i] = gluing_solver._positive_mode_cylinder(f0[i], m.nu, G.h)
     return out
@@ -342,7 +345,7 @@ def per_mode_approx_solve(G, S, f):
     sub1, t1 = gluing_solver._block_subgrid(G, 1)
     sub2, t2 = gluing_solver._block_subgrid(G, 2)
     for i in range(len(G.modes)):
-        add = np.zeros(G.n_points, dtype=complex)
+        add = np.zeros(G.n_points, dtype=f.dtype)
         add[sub1] += w1[sub1] * gluing_solver._block_solve(G, S, 1, [i], r[[i]][:, sub1], t1)[0]
         add[sub2] += (1.0 - w1)[sub2] * gluing_solver._block_solve(G, S, 2, [i], r[[i]][:, sub2],
                                                                    t2)[0]
@@ -357,13 +360,35 @@ def test_batched_solves_equal_the_per_mode_loops_bit_for_bit():
     assert len({id(d) for d, _ in G.mats}) == len(G.families)
     assert [5] in G.families
     S = substitute_kernel(G)
-    f = S.project_off(cli._glued_source(G, 7))
-    assert np.array_equal(G.apply(f), np.array([G.apply_mode(i, f[i]) for i in range(len(f))]))
-    assert np.array_equal(cylinder_solve(G, f), per_mode_cylinder(G, f))
-    u, e = approx_solve(G, S, f)
-    u_ref, e_ref = per_mode_approx_solve(G, S, f)
-    assert np.array_equal(u, u_ref)
-    assert np.array_equal(e, e_ref)
+    # the real source of the CLI and a complex one: both dtypes of the glue path
+    for source in (cli._glued_source(G, 7), seeded_source(G, 7)):
+        f = S.project_off(source)
+        assert np.array_equal(G.apply(f),
+                              np.array([G.apply_mode(i, f[i]) for i in range(len(f))]))
+        assert np.array_equal(cylinder_solve(G, f), per_mode_cylinder(G, f))
+        u, e = approx_solve(G, S, f)
+        u_ref, e_ref = per_mode_approx_solve(G, S, f)
+        assert np.array_equal(u, u_ref)
+        assert np.array_equal(e, e_ref)
+
+
+@pytest.mark.parametrize("build", [torus_glue, lambda: glue(*sech_pair())],
+                         ids=["torus", "scalar-kernel"])
+def test_real_source_solves_in_real_arithmetic_like_its_complex_cast(build):
+    # the real path is checked against the complex path it replaces
+    G = build()
+    S = substitute_kernel(G)
+    f = cli._glued_source(G, 7)
+    real = solve_exact(G, S, f)
+    cplx = solve_exact(G, S, f.astype(complex))
+    assert real.iterations == cplx.iterations
+    assert not cplx.u.imag.any() and not cplx.w.imag.any()
+    assert norm(G, real.u - cplx.u) <= 1e-10 * norm(G, real.u)
+    assert real.residual <= 1e-9 and cplx.residual <= 1e-9
+    sys = characteristic_system(G, S, f)
+    arrays = [real.u, real.w, *approx_solve(G, S, S.project_off(f)), cylinder_solve(G, f),
+              sys.matrix, sys.rhs, sys.cylinder, solve_direct(G, S, f)]
+    assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
 
 
 def test_approx_solve_round_makes_one_cylinder_solve(monkeypatch):
