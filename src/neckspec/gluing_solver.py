@@ -180,12 +180,6 @@ class SubstituteKernel:
             out[mode] -= (self.G.h * np.sum(out[mode] * vec)) * vec
         return out
 
-    def project_onto(self, f: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(_inexact(f))
-        for mode, vec in self.basis:
-            out[mode] += (self.G.h * np.sum(np.asarray(f[mode]) * vec)) * vec
-        return out
-
     def flat_basis(self) -> np.ndarray:
         """Orthonormal kernel vectors flattened over (mode, grid)."""
         n = self.G.n_points
@@ -635,14 +629,16 @@ def solve_exact(
     etas: list[float] = []
     residuals: list[float] = []
     for it in range(1, 81):
-        wn = S.project_onto(fn)
-        w = w + wn
-        src = fn - wn
+        src = fn.copy()  # only the kernel-bearing rows move
+        for mode in {m for m, _ in S.basis}:
+            wn = sum((G.h * np.sum(fn[mode] * vec)) * vec for m, vec in S.basis if m == mode)
+            w[mode] += wn
+            src[mode] -= wn
         n_src = norm(G, src)
         if n_src <= rtol * nf:
             return SolveReport(u, w, it - 1, tuple(etas), tuple(residuals), n_src / nf)
         un, fn = approx_solve(G, S, src, check_orthogonality=False)
-        u = u + un
+        u += un
         n_fn = norm(G, fn)
         etas.append(n_fn / n_src)
         residuals.append(n_fn / nf)

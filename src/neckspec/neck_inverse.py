@@ -9,7 +9,8 @@ Laplace zero mode by u(t) = -int_{-inf}^t (t - tau) f, which is also an
 exact inverse of the discrete three-point stencil, and the Dirac zero mode
 by u = -J int f. Beyond the support the zero-mode solutions are affine;
 the asymptotic trace m0 - t m1 is computed from the same moment sums, so
-the support law and trace identity hold exactly on the grid.
+the support law and trace identity hold exactly on the grid. The inverse
+works in the section's dtype, so real data stays float64 throughout.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ class CompactSection:
         _exact_cells(2 * self.s_max, self.h)
         _exact_cells(2 * self.support, self.h)
         t = cell_grid(self.s_max, self.h)
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.asarray(self.values)
+        vals = vals.astype(np.result_type(vals, float), copy=False)
         if vals.shape != (total_rows(self.modes), len(t)):
             raise ContractViolation(
                 f"values shape {vals.shape}, expected ({total_rows(self.modes)}, {len(t)})"
@@ -186,14 +188,16 @@ def _gnu_convolve(f: np.ndarray, nus: Sequence[float], h: float) -> np.ndarray:
     e = np.array([math.exp(-a * h) for a in roots])
     w_prev, w_here = np.array([_panel_weights(a, h) for a in roots]).T
     n = len(f)
-    out = np.zeros(f.shape, dtype=complex)
+    out = np.zeros(f.shape, dtype=np.result_type(f, float))
     for j in range(1, n):
         out[j] = e * out[j - 1] + w_prev * f[j - 1] + w_here * f[j]
-    back = np.zeros(f.shape[1], dtype=complex)
+    back = np.zeros(f.shape[1], dtype=out.dtype)
     for j in range(n - 2, -1, -1):
         back = e * back + w_prev * f[j + 1] + w_here * f[j]
         out[j] += back
-    out /= 2 * np.array(roots)
+    # numpy divides complex by real as a multiply by the reciprocal; doing that
+    # here gives a real out the bits of a complex out's real part
+    out *= 1.0 / (2 * np.array(roots))
     return out
 
 
@@ -280,7 +284,7 @@ def apply_discrete(modes: Sequence[ModeOperator], values: np.ndarray, h: float) 
     Endpoint columns are returned as zero; callers only ever look at
     interior columns (the support sits strictly inside the grid).
     """
-    out = np.zeros_like(np.asarray(values, dtype=complex))
+    out = np.zeros_like(values, dtype=np.result_type(values, float))
     for m, sl in zip(modes, mode_rows(modes)):
         if m.kind == KIND_LAPLACE:
             u = values[sl.start]
@@ -350,10 +354,10 @@ def operator_norm_fit(kind: str, supports: Sequence[float], h: float = 1.0 / 16)
         s_max = t_half + 2
         if kind == KIND_LAPLACE:
             modes = (ModeOperator(KIND_LAPLACE, 0.0, "alpha"),)
-            vals = np.zeros((1, _exact_cells(2 * s_max, h)), dtype=complex)
+            vals = np.zeros((1, _exact_cells(2 * s_max, h)))
         elif kind == KIND_DIRAC:
             modes = (ModeOperator(KIND_DIRAC, 0.0, "alpha"),)
-            vals = np.zeros((2, _exact_cells(2 * s_max, h)), dtype=complex)
+            vals = np.zeros((2, _exact_cells(2 * s_max, h)))
         else:
             raise ContractViolation(f"unknown operator kind {kind!r}")
         t = cell_grid(s_max, h)
@@ -396,11 +400,13 @@ def seeded_section(
     """
     rng = SplitMix64(seed)
     t = cell_grid(s_max, h)
+    vals = np.zeros((total_rows(modes), len(t)))
+    # the envelope is 0 for |t| >= support: only the columns inside are filled
+    lo, hi = np.searchsorted(t, -support, side="right"), np.searchsorted(t, support)
+    rows, t = vals[:, lo:hi], t[lo:hi]
     rise = CutoffFunction(center=-support + 0.5)
     envelope = rise(t) * rise(-t)
-    vals = np.zeros((total_rows(modes), len(t)), dtype=complex)
     amps = rng.uniforms(8 * len(vals), -1.0, 1.0).reshape(len(vals), 4, 2)
-    rows = vals.real
     for k in range(4):
         amp = amps[:, k] / (1 + k) ** 2
         rows += (amp[:, :1] * np.cos(k * math.pi * t / support)

@@ -103,7 +103,7 @@ def test_substitute_kernel_flat_nd_empty():
     assert S.dim == 0
     f = seeded_source(G, 3)
     assert np.array_equal(S.project_off(f), f)
-    assert norm(G, S.project_onto(f)) == 0.0
+    assert S.overlaps(f).size == 0
 
 
 def test_substitute_kernel_multiplicity():
@@ -144,7 +144,9 @@ def test_projection_roundtrip():
     S = substitute_kernel(G)
     f = seeded_source(G, 11)
     off = S.project_off(f)
-    on = S.project_onto(f)
+    on = np.zeros_like(f)
+    for c, (mode, vec) in zip(S.overlaps(f), S.basis):
+        on[mode] += c * vec
     assert np.allclose(off + on, f, atol=1e-12)
     assert float(np.max(np.abs(S.overlaps(off)))) <= 1e-10 * norm(G, f)
 

@@ -209,18 +209,18 @@ class TestGreenConvolution:
 
 
 def convolve_row(f, nu, h):
-    """Reference: one row at a time, one complex element per step."""
+    """Reference: one row at a time, one element per step, in the row's dtype."""
     a = math.sqrt(nu)
     e = math.exp(-a * h)
     w_prev, w_here = _panel_weights(a, h)
     n = len(f)
-    forward = np.zeros(n, dtype=complex)
+    forward = np.zeros(n, dtype=np.result_type(f, float))
     for j in range(1, n):
         forward[j] = e * forward[j - 1] + w_prev * f[j - 1] + w_here * f[j]
-    backward = np.zeros(n, dtype=complex)
+    backward = np.zeros_like(forward)
     for j in range(n - 2, -1, -1):
         backward[j] = e * backward[j + 1] + w_prev * f[j + 1] + w_here * f[j]
-    return (forward + backward) / (2 * a)
+    return (forward + backward) * (1.0 / (2 * a))
 
 
 def bitwise_equal(x, y):
@@ -267,6 +267,41 @@ class TestBatchedConvolution:
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * f.values.nbytes
+
+
+class TestRealArithmetic:
+    """A real section stays float64 and gives the real parts of its complex cast."""
+
+    @pytest.mark.parametrize(
+        "modes",
+        [mode_list(torus2_spectrum(), 1, math.inf), (laplace(0.0), laplace(1.0), dirac())],
+        ids=["torus2-q1", "mixed-dirac"],
+    )
+    def test_real_section_matches_its_complex_cast(self, modes):
+        f = seeded_section(modes, 7.0, 5.0, 1.0 / 64, seed=31)
+        fc = CompactSection(f.modes, f.s_max, f.support, f.h, f.values.astype(complex))
+        assert f.values.dtype == np.float64
+        real, cplx = q0_apply(modes, f), q0_apply(modes, fc)
+        for name in ("regular", "singular"):
+            x, z = getattr(real, name), getattr(cplx, name)
+            assert x.dtype == np.float64
+            assert bitwise_equal(x, z.real.copy())
+            assert not np.any(z.imag)
+        assert apply_discrete(modes, real.total(), f.h).dtype == np.float64
+        assert residual_on_support(modes, real, f) == residual_on_support(modes, cplx, fc)
+        # a kernel element of the zero-mode operator: affine on Laplace
+        # slots, constant on Dirac slots
+        op, _ = trace_operator(modes)
+        slope = np.concatenate([[1.0] if m.kind == KIND_LAPLACE else [0.0, 0.0]
+                                for m in modes if m.is_zero_mode])
+        k = np.arange(op.fiber_dim)
+        v = PolyhomSection(op.fiber_dim, ((0.0, (np.cos(k), slope * np.sin(k + 1))),))
+        pair, l2, gap = duality_check(modes, f, v)
+        pair_c, l2_c, gap_c = duality_check(modes, fc, v)
+        scale = 1 + abs(pair) + abs(l2)
+        assert abs(pair - pair_c) <= 1e-13 * scale
+        assert abs(l2 - l2_c) <= 1e-13 * scale
+        assert max(gap, gap_c) <= 1e-10 * scale
 
 
 class TestMixedModes:
