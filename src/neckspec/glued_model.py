@@ -153,7 +153,6 @@ class BuildingBlock:
     boundary: str
     mu: float
     potentials: Mapping[int, Potential] = field(default_factory=dict)
-    coupling: Mapping[tuple[int, int], Potential] | None = None
 
     def __post_init__(self):
         if self.boundary not in (NEUMANN, DIRICHLET):
@@ -163,19 +162,8 @@ class BuildingBlock:
         if self.mu <= 0:
             raise ContractViolation("decay rate must be positive")
         object.__setattr__(self, "potentials", dict(self.potentials))
-        if self.coupling is not None:
-            norm = {}
-            for (i, j), pot in self.coupling.items():
-                if i == j:
-                    raise ContractViolation("coupling entries must join two distinct modes")
-                key = (min(i, j), max(i, j))
-                norm[key] = pot
-            object.__setattr__(self, "coupling", norm)
         for idx, pot in self.potentials.items():
             self._check_decay(pot, f"potentials[{idx}]")
-        if self.coupling:
-            for key, pot in self.coupling.items():
-                self._check_decay(pot, f"coupling[{key}]")
 
     def _check_decay(self, pot: Potential, where: str) -> None:
         """Verify |V(s)| <= A e^{-mu (s-L)} beyond L with A inferred from the
@@ -286,7 +274,6 @@ class GluedOperator:
     block2: BuildingBlock
     mats: tuple[tuple[np.ndarray, np.ndarray], ...]
     potentials_eff: tuple[np.ndarray, ...]
-    coupling_eff: Mapping[tuple[int, int], np.ndarray]
     families: tuple[list[int], ...]
 
     @property
@@ -297,9 +284,14 @@ class GluedOperator:
     def L2(self) -> float:
         return self.block2.L
 
+    @property
+    def coupling_eff(self) -> dict:
+        """Always empty: modes never couple. Kept read-only for the one
+        reader left, ``perfbench/tracing.py``; it goes with that line."""
+        return {}
+
     def grid(self) -> np.ndarray:
-        n = round((2 * self.T + self.L1 + self.L2) / self.h)
-        return -self.T - self.L1 + (np.arange(n) + 0.5) * self.h
+        return -self.T - self.L1 + (np.arange(self.n_points) + 0.5) * self.h
 
     @property
     def n_points(self) -> int:
@@ -313,10 +305,6 @@ class GluedOperator:
         out = np.zeros_like(values, dtype=np.result_type(values, float))
         for members in self.families:
             out[members] = stencil(*self.mats[members[0]], values[members])
-        if self.coupling_eff:
-            for (i, j), c in self.coupling_eff.items():
-                out[i] = out[i] + c * values[j]
-                out[j] = out[j] + c * values[i]
         return out
 
 
@@ -399,15 +387,6 @@ def assemble(
             mats[i] = (diag, off)
             pots_eff[i] = v_eff
 
-    coupling_eff: dict[tuple[int, int], np.ndarray] = {}
-    for block, s_block, fade in ((block1, s1, fade1), (block2, s2, fade2)):
-        if block.coupling:
-            for (i, j), pot in block.coupling.items():
-                if i >= len(modes) or j >= len(modes):
-                    raise ContractViolation("coupling references a mode beyond the cutoff")
-                cur = coupling_eff.get((i, j), np.zeros(n))
-                coupling_eff[(i, j)] = cur + pot.values(s_block, h) * fade
-
     return GluedOperator(
         spec=spec,
         q=q,
@@ -418,7 +397,6 @@ def assemble(
         block2=block2,
         mats=tuple(mats),
         potentials_eff=tuple(pots_eff),
-        coupling_eff=coupling_eff,
         families=tuple(families.values()),
     )
 
@@ -626,60 +604,16 @@ class EigenResult:
         return np.array([e.value for e in self.entries])
 
 
-def coupled_modes(G: GluedOperator) -> list[int]:
-    """Sorted indices of the modes joined by a coupling potential."""
-    return sorted({mode for pair in G.coupling_eff for mode in pair})
-
-
-def coupled_entries(G: GluedOperator, k: int) -> list[EigenEntry]:
-    """The k lowest eigenvalues per mode of the coupled group, solved densely.
-
-    Each eigenvalue is attributed to the mode carrying the largest share of
-    its eigenvector mass; k >= n_points returns the whole group spectrum.
-    """
-    group = coupled_modes(G)
-    if not group:
-        return []
-    import scipy.linalg  # below the return, so uncoupled operators never load scipy
-    n = G.n_points
-    size = len(group) * n
-    big = np.zeros((size, size))
-    pos = {mode: a for a, mode in enumerate(group)}
-    for mode in group:
-        diag, off = G.mats[mode]
-        a = pos[mode] * n
-        big[a : a + n, a : a + n] = (
-            np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        )
-    for (i, j), c in G.coupling_eff.items():
-        a, b = pos[i] * n, pos[j] * n
-        big[a : a + n, b : b + n] = np.diag(c)
-        big[b : b + n, a : a + n] = np.diag(c)
-    vals, vecs = scipy.linalg.eigh(big)
-    entries = []
-    per_mode_rank: dict[int, int] = {mode: 0 for mode in group}
-    for col in range(size):
-        mass = [float(np.sum(vecs[pos[m0] * n : pos[m0] * n + n, col] ** 2)) for m0 in group]
-        owner = group[int(np.argmax(mass))]
-        rank = per_mode_rank[owner]
-        if rank < k:
-            mo = G.modes[owner]
-            entries.append(EigenEntry(float(vals[col]), mo.nu, mo.degree_tag, owner, rank))
-        per_mode_rank[owner] = rank + 1
-    return entries
-
-
 def eigen_lowest(G: GluedOperator, k: int) -> EigenResult:
     """The k smallest eigenvalues of every per-mode matrix, merged sorted.
 
-    Tridiagonal modes use Sturm bisection once per mode family, whose
-    members share the values; coupled groups go through ``coupled_entries``.
+    Sturm bisection runs once per mode family, whose members share the
+    values.
     """
     import scipy.linalg
     if k < 1:
         raise ContractViolation("need k >= 1")
     kk = min(k, G.n_points)
-    coupled = set(coupled_modes(G))
     entries: list[EigenEntry] = []
     for members in G.families:
         vals = scipy.linalg.eigvalsh_tridiagonal(
@@ -687,8 +621,7 @@ def eigen_lowest(G: GluedOperator, k: int) -> EigenResult:
         )
         entries.extend(
             EigenEntry(float(v), G.modes[i].nu, G.modes[i].degree_tag, i, rank)
-            for i in members if i not in coupled for rank, v in enumerate(vals)
+            for i in members for rank, v in enumerate(vals)
         )
-    entries.extend(coupled_entries(G, kk))
     entries.sort(key=lambda e: (e.value, e.mode_index, e.k_within))
     return EigenResult(entries=tuple(entries))

@@ -48,11 +48,6 @@ _BORDER_DIGITS = 6  # significant digits a bordered solve must keep: eps cond <=
 _BORDER_ROWS = 4  # rows a bordered solve tries to shift before it refuses
 
 
-def _require_uncoupled(G: GluedOperator) -> None:
-    if G.coupling_eff:
-        raise ContractViolation("neck solvers handle uncoupled mode families only")
-
-
 def _inexact(x) -> np.ndarray:
     x = np.asarray(x)  # in its own dtype, promoted to at least float64
     return x.astype(np.result_type(x, float), copy=False)
@@ -320,7 +315,6 @@ def characteristic_system(
     unwindowed as ``cylinder``. The left side is an exact discrete
     Wronskian of the traces, so the entries are chi-independent.
     """
-    _require_uncoupled(G)
     f = _inexact(f)
     t = G.grid()
     w1, zeta0, zeta1 = neck_windows(G)
@@ -431,10 +425,15 @@ def _border_rows(g: np.ndarray):
     """Rows to shift in a bordered solve, at most _BORDER_ROWS of them by
     decreasing |g_k|, i.e. by decreasing 2 x 2 pivot [[B_kk, g_k], [g_k, 0]]
     (Bunch & Kaufman 1977): k = argmax |g| first, the rest sorted only if
-    that row fails."""
+    that row fails. Then the two end rows, if not tried yet: a kernel
+    vector of a tridiagonal B with nonzero off-diagonals is never zero at
+    an end row, so a shift there leaves C nonsingular even when B's kernel
+    vanishes on every row of large |g|."""
     a = np.abs(g)
     yield int(np.argmax(a))
-    yield from (int(k) for k in np.argsort(-a, kind="stable")[1:_BORDER_ROWS])
+    tried = [int(k) for k in np.argsort(-a, kind="stable")[:_BORDER_ROWS]]
+    yield from tried[1:]
+    yield from (k for k in dict.fromkeys((0, len(g) - 1)) if k not in tried)
 
 
 def _solve_bordered(diag: np.ndarray, off: np.ndarray, border: np.ndarray,
@@ -560,7 +559,6 @@ def approx_solve(
     closures, crossfade, and projection off the substitute kernel. The
     block solves run once per block and ``G.families`` entry.
     """
-    _require_uncoupled(G)
     f = _inexact(f)
     if not f.any():
         return np.zeros_like(f), np.zeros_like(f)
@@ -618,7 +616,6 @@ def solve_exact(
 ) -> SolveReport:
     """Iterate approx_solve on residuals, projecting each round's source
     off the substitute kernel, until ||f - P u - w|| <= rtol ||f||."""
-    _require_uncoupled(G)
     f = _inexact(f)
     nf = norm(G, f)
     if nf == 0:
@@ -653,7 +650,6 @@ def solve_direct(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> np.nda
     """Direct solve of the glued matrices per ``G.families`` entry; each
     member of a (near-)singular family is solved bordered by its substitute
     kernel direction, one at a time."""
-    _require_uncoupled(G)
     f = _inexact(f)
     out = np.zeros_like(f)
     borders: dict[int, list[np.ndarray]] = {}

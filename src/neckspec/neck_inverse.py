@@ -302,10 +302,13 @@ def residual_on_support(modes: Sequence[ModeOperator], sol: NeckSolution, f: Com
     """Relative l2 error of P(u) against f over the support window."""
     t = f.grid()
     pu = apply_discrete(modes, sol.total(), f.h)
-    window = (np.abs(t) <= f.support)
-    window[0] = window[-1] = False
-    diff = pu[:, window] - f.values[:, window]
-    denom = math.sqrt(f.h * float(np.sum(np.abs(f.values[:, window]) ** 2)))
+    # the support is one contiguous run of columns, less the two grid ends
+    inside = np.flatnonzero(np.abs(t) <= f.support)
+    window = slice(max(int(inside[0]), 1), min(int(inside[-1]) + 1, len(t) - 1))
+    # column-major temporaries are summed column by column, down the rows:
+    # the order that fixes the last bits of the residuals q0check writes
+    diff = np.subtract(pu[:, window], f.values[:, window], order="F")
+    denom = math.sqrt(f.h * float(np.sum(np.abs(f.values[:, window], order="F") ** 2)))
     if denom == 0:
         return 0.0
     return math.sqrt(f.h * float(np.sum(np.abs(diff) ** 2))) / denom

@@ -22,7 +22,7 @@ from .errors import (
     InsufficientEigenvaluesError,
     ResolutionError,
 )
-from .glued_model import GluedOperator, coupled_entries, coupled_modes, eigen_lowest
+from .glued_model import GluedOperator, eigen_lowest
 from .gluing_solver import SubstituteKernel, substitute_kernel
 from .ioutil import format_real
 from .polyhom import CutoffFunction
@@ -52,21 +52,15 @@ def sturm_counts(G: GluedOperator, shifts) -> np.ndarray:
     keep the window edges of the eigenvalue path.
     The recurrence runs once per grid point over a (families x shifts)
     array, STURM_CHUNK mode families at a time, and each family's row is
-    copied to its uncoupled members. Coupled groups are counted from their
-    full dense spectrum, attributed to modes as in ``eigen_lowest``.
+    copied to its members.
     """
     shifts = np.asarray(shifts, dtype=float)
     x = np.nextafter(shifts, np.inf)
     b2 = (1.0 / G.h**2) ** 2
     pivmin = np.finfo(float).tiny * max(1.0, b2)
     counts = np.zeros((len(G.modes), len(shifts)), dtype=np.int64)
-    for e in coupled_entries(G, G.n_points):
-        counts[e.mode_index] += e.value <= shifts
-    coupled = set(coupled_modes(G))
-    free = [[i for i in members if i not in coupled] for members in G.families]
-    free = [members for members in free if members]
-    for start in range(0, len(free), STURM_CHUNK):
-        chunk = free[start : start + STURM_CHUNK]
+    for start in range(0, len(G.families), STURM_CHUNK):
+        chunk = G.families[start : start + STURM_CHUNK]
         diags = np.stack([G.mats[members[0]][0] for members in chunk], axis=1)  # (n, families)
         d = np.full((len(chunk), len(x)), np.inf)
         negative = np.zeros(d.shape, dtype=np.int64)
@@ -79,12 +73,35 @@ def sturm_counts(G: GluedOperator, shifts) -> np.ndarray:
     return counts
 
 
-def window_counts(G: GluedOperator, s_values) -> np.ndarray:
+def window_counts(G: GluedOperator, s_values, refuse_negative: bool = False) -> np.ndarray:
     """Per mode, the eigenvalue count in (THRESHOLD_ZERO, pi^2 s/T^2] for
-    each s: shape (len(G.modes), len(s_values))."""
+    each s: shape (len(G.modes), len(s_values)).
+
+    The same Sturm count also counts each mode below -1/T^2, a floor that
+    scales like the window and sits well under the e^{-delta T} split of
+    the glued kernel; with ``refuse_negative`` a mode with an eigenvalue
+    there (a negative spectrum) raises ContractViolation.
+    """
     tops = [window_top(G, s) for s in s_values]
-    below = sturm_counts(G, [THRESHOLD_ZERO] + tops)
-    return np.maximum(below[:, 1:] - below[:, :1], 0)
+    below = sturm_counts(G, [-1.0 / G.T**2, THRESHOLD_ZERO] + tops)
+    if refuse_negative:
+        _refuse_negative_modes(G, below[:, 0])
+    return np.maximum(below[:, 2:] - below[:, 1:2], 0)
+
+
+def _refuse_negative_modes(G: GluedOperator, negative: np.ndarray) -> None:
+    hits = np.flatnonzero(negative)
+    if not len(hits):
+        return
+    i = int(hits[0])
+    # nu >= 0 and the free stencil is positive semidefinite, so a potential sits on mode i
+    blocks = [str(k) for k, b in ((1, G.block1), (2, G.block2)) if b.potential_for(i) is not None]
+    raise ContractViolation(
+        f"mode {i} (nu = {format_real(G.modes[i].nu)}) has {int(negative[i])} eigenvalue(s) "
+        f"below -1/T^2 = {format_real(-1.0 / G.T**2)} at T = {format_real(G.T)}: the "
+        f"potential of block {' and '.join(blocks)} on it makes a negative spectrum, "
+        "outside the density law"
+    )
 
 
 def _branch_counts(G: GluedOperator, per_mode: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,9 +176,10 @@ def density_sweep(
 ) -> DensityReport:
     """Count window eigenvalues for every (T, s) pair from one Sturm count
     per T; asserts count monotonicity in s and, when both s and 4s
-    appear, that their residuals differ by at most 2B + 2. A window that
-    holds an eigenvalue of a positive mode is outside the density law and
-    is refused with ContractViolation."""
+    appear, that their residuals differ by at most 2B + 2. A mode with an
+    eigenvalue below -1/T^2 (a negative spectrum) or a window that holds an
+    eigenvalue of a positive mode is outside the density law and is refused
+    with ContractViolation."""
     s_values = tuple(float(s) for s in s_values)
     T_values = tuple(float(T) for T in T_values)
     if not s_values or not T_values:
@@ -175,7 +193,7 @@ def density_sweep(
             raise ContractViolation("builder produced an operator of the wrong degree")
         b_exact, b_coexact = G.spec.betti(q - 1), G.spec.betti(q)
         B = b_exact + b_coexact
-        per_mode = window_counts(G, s_values)
+        per_mode = window_counts(G, s_values, refuse_negative=True)
         _refuse_positive_modes(G, s_values, per_mode)
         exact, coexact_row = _branch_counts(G, per_mode)
         row = [int(e + c) for e, c in zip(exact, coexact_row)]
@@ -489,8 +507,6 @@ def discrete_kernel_vectors(G: GluedOperator, dim: int) -> np.ndarray:
     (mode, grid) and sorted by eigenvalue, ties by mode. One eigensolve
     per mode family serves all its members."""
     import scipy.linalg
-    if G.coupling_eff:
-        raise ContractViolation("kernel extraction handles uncoupled modes only")
     n = G.n_points
     kk = min(dim, n)
     found = []

@@ -335,6 +335,20 @@ class TestDensity:
         assert "positive mode 1 (nu = 1)" in err
         assert f"T > {math.pi * 5:.17g}" in err
 
+    def test_negative_spectrum_is_refused(self, tmp_path, capsys):
+        # a deep well on block 1 pulls three eigenvalues below zero
+        # (-29.26, -23.45, -12.52); the window count would miss them
+        well = {"L": 2.0, "boundary": "neumann", "mu": 1.0,
+                "potentials": {"0": [[0, -30], [1.5, -30], [1.9, 0]]}}
+        cfg = write_config(tmp_path, spectrum="scalar", blocks=[well, FLAT_BLOCK],
+                           degrees=[0], T=[10], s=[4.41], seed=3)
+        code, out, err = run(capsys, "density", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert "mode 0 (nu = 0) has 3 eigenvalue(s) below -1/T^2 = -0.01 at T = 10" in err
+        assert "potential of block 1 on it" in err
+        assert not (tmp_path / "o").exists()
+
     def test_output_dir_from_config(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, spectrum="scalar", blocks=[FLAT_BLOCK, FLAT_BLOCK],

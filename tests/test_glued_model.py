@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -415,7 +414,6 @@ def test_affine_fit_guard_rejects_nonflat_far_fields():
     object.__setattr__(block, "boundary", NEUMANN)
     object.__setattr__(block, "mu", 1.0)
     object.__setattr__(block, "potentials", {0: sneaky})
-    object.__setattr__(block, "coupling", None)
     with pytest.raises(AnalysisError, match="decay contract|not affine"):
         block_kernel(block, SCALAR, 0, tol=1e-9)
 
@@ -441,29 +439,6 @@ def test_eigen_lowest_clips_with_flag():
     G = assemble(flat_block(), flat_block(), SCALAR, 0, T=2.0, h=H)
     res = eigen_lowest(G, G.n_points + 5)
     assert len(res.entries) == G.n_points
-
-
-def test_coupled_modes_match_a_dense_solve():
-    spec = scalar_spectrum(((0.0, 1), (1.0, 1)))
-    coup = Potential.from_callable(lambda s: 0.3 * np.exp(-s), mu=1.0)
-    b1 = BuildingBlock(spec, L=1.0, boundary=NEUMANN, mu=1.0, coupling={(0, 1): coup})
-    G = assemble(b1, flat_block(spec), spec, 0, T=2.0, h=H)
-    n = G.n_points
-    big = np.zeros((2 * n, 2 * n))
-    for i in range(2):
-        diag, off = G.mats[i]
-        big[i * n : (i + 1) * n, i * n : (i + 1) * n] = (
-            np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        )
-    c = G.coupling_eff[(0, 1)]
-    big[:n, n:] = np.diag(c)
-    big[n:, :n] = np.diag(c)
-    dense = np.sort(scipy.linalg.eigvalsh(big))
-    res = eigen_lowest(G, 3)
-    assert len(res.entries) == 6
-    assert res.values()[0] == pytest.approx(dense[0], abs=1e-8)
-    for e in res.entries:
-        assert np.min(np.abs(dense - e.value)) < 1e-7
 
 
 def test_richardson_extrapolation_shows_second_order():

@@ -673,6 +673,21 @@ def test_solve_bordered_regular_system_with_a_singular_first_shift(diag, off, g)
     assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_solve_bordered_tries_the_end_rows():
+    # B = tridiag(1, 0, 1) at n = 9 has the kernel (1, 0, -1, 0, ...), zero on
+    # all four rows of largest |g|, so every shift there leaves C singular;
+    # the bordered matrix is regular (cond ~ 700) and an end row solves it
+    n = 9
+    diag, off = np.zeros(n), np.ones(n - 1)
+    g = np.where(np.arange(n) % 2 == 0, 0.1, 1.0)
+    rows = list(gluing_solver._border_rows(g))
+    assert rows[:4] == [1, 3, 5, 7] and rows[4:] == [0, n - 1]
+    rhs = np.arange(1.0, n + 1.0) + 0j
+    u = gluing_solver._solve_bordered(diag, off, g, rhs)
+    ref = _dense_bordered(diag, off, g, rhs)
+    assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_solve_exact_scalar_fine_rounds():
     # the kernel-bearing blocks of the CLI glue runs at h = 1/128, where the
     # block subgrids reach n = 4352

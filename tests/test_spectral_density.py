@@ -73,7 +73,7 @@ def test_count_below_first_eigenvalue_is_zero():
 
 def _eigensolver_counts(G, shifts, widen=0.0):
     """Per mode, eigenvalues <= each shift + widen, from full tridiagonal
-    eigensolves of the uncoupled modes."""
+    eigensolves."""
     out = np.zeros((len(G.modes), len(shifts)), dtype=int)
     for i in range(len(G.modes)):
         diag, off = G.mats[i]
@@ -153,22 +153,6 @@ def test_sturm_counts_an_eigenvalue_equal_to_the_shift():
     diag = np.linspace(-1.0, 1.0, n)
     G0 = dataclasses.replace(G, mats=((diag, np.zeros(n - 1)),), h=1e100)
     assert sd.sturm_counts(G0, [diag[5], diag[-1], -2.0]).tolist() == [[6, n, 0]]
-
-
-def test_coupled_group_counts_follow_eigen_lowest_attribution():
-    spec = scalar_spectrum(((0.0, 1), (0.2, 1)))
-    coup = Potential.from_callable(lambda s: 0.3 * np.exp(-s), mu=1.0)
-    b1 = BuildingBlock(spec, L=1.0, boundary="neumann", mu=1.0, coupling={(0, 1): coup})
-    b2 = BuildingBlock(spec, L=0.0, boundary="neumann", mu=1.0)
-    G = assemble(b1, b2, spec, 0, T=3.0, h=H)
-    shifts = [sd.THRESHOLD_ZERO, 0.5, 2.0, 30.0]
-    got = sd.sturm_counts(G, shifts)
-    ref = eigen_lowest(G, G.n_points)
-    for i in range(2):
-        vals = np.array([e.value for e in ref.entries if e.mode_index == i])
-        assert got[i].tolist() == [int(np.sum(vals <= x)) for x in shifts]
-    for s in (1.0, 4.0, 16.0):
-        assert int(sd.window_counts(G, [s]).sum()) == sum(_eigen_window(G, s, ref))
 
 
 def test_default_split_matches_the_eigenvalue_path():
