@@ -4,7 +4,7 @@ along long cylindrical necks.
 The cross-section enters only through its form-Laplacian spectrum, so
 every computation reduces to families of ordinary differential operators
 on an interval: mode calculus and resolvent data (:mod:`.spectral_model`),
-polyhomogeneous sections and the boundary pairing (:mod:`.polyhom`), the
+polynomial zero-mode sections and the boundary pairing (:mod:`.polyhom`), the
 right inverse on the infinite cylinder (:mod:`.neck_inverse`), glued
 discrete operators (:mod:`.glued_model`), the characteristic system and
 neck solvers (:mod:`.gluing_solver`), and low-eigenvalue counting

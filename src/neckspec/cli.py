@@ -28,13 +28,8 @@ import numpy as np
 from .errors import (
     AnalysisError,
     ContractViolation,
-    DegenerateSystemError,
-    InsufficientEigenvaluesError,
     MatchingConditionError,
     NeckspecError,
-    NoContractionError,
-    NotOrthogonalError,
-    ResolutionError,
     SpectrumFormatError,
 )
 from .glued_model import (
@@ -451,15 +446,6 @@ COMMANDS = {
     "density": cmd_density,
 }
 
-_ANALYSIS_ERRORS = (
-    AnalysisError,
-    DegenerateSystemError,
-    InsufficientEigenvaluesError,
-    NoContractionError,
-    NotOrthogonalError,
-    ResolutionError,
-)
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -481,7 +467,7 @@ def main(argv=None) -> int:
     except (ConfigError, SpectrumFormatError, ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _ANALYSIS_ERRORS as exc:
+    except AnalysisError as exc:
         print(f"FAIL {args.command}: {exc}")
         return EXIT_FAIL
     for name in sorted(files):

@@ -16,22 +16,26 @@ class ContractViolation(NeckspecError):
 
 
 class AnalysisError(NeckspecError):
-    """A numerical certificate failed (fit residual, unexpected bound state)."""
+    """A numerical certificate failed (fit residual, unexpected bound state).
+
+    Every more specific analysis failure derives from it, so the CLI
+    catches this class alone and exits 1.
+    """
 
 
 class MatchingConditionError(NeckspecError):
     """Two building blocks cannot be glued (incompatible spectra or grids)."""
 
 
-class NotOrthogonalError(NeckspecError):
+class NotOrthogonalError(AnalysisError):
     """Data required to be orthogonal to the substitute kernel is not."""
 
 
-class DegenerateSystemError(NeckspecError):
+class DegenerateSystemError(AnalysisError):
     """The characteristic system lost rank at this neck length."""
 
 
-class NoContractionError(NeckspecError):
+class NoContractionError(AnalysisError):
     """The correction iteration does not contract; carries the measured rate."""
 
     def __init__(self, eta: float):
@@ -39,9 +43,9 @@ class NoContractionError(NeckspecError):
         self.eta = eta
 
 
-class ResolutionError(NeckspecError):
+class ResolutionError(AnalysisError):
     """The grid is too coarse to represent the requested object."""
 
 
-class InsufficientEigenvaluesError(NeckspecError):
+class InsufficientEigenvaluesError(AnalysisError):
     """An eigenvalue count was requested beyond the computed window."""

@@ -112,19 +112,15 @@ class CompactSection:
 
 @dataclass(frozen=True)
 class NeckSolution:
-    """Output of :func:`q0_apply`: regular and singular parts plus the
-    polyhomogeneous trace of the singular part beyond the support."""
+    """Output of :func:`q0_apply`: the solution samples, rows as in the
+    section, plus the affine trace of the zero-mode rows beyond the support."""
 
     modes: tuple[ModeOperator, ...]
     s_max: float
     support: float
     h: float
-    regular: np.ndarray
-    singular: np.ndarray
+    values: np.ndarray
     trace_plus: PolyhomSection
-
-    def total(self) -> np.ndarray:
-        return self.regular + self.singular
 
     def grid(self) -> np.ndarray:
         return cell_grid(self.s_max, self.h)
@@ -226,8 +222,8 @@ def _cumulative_midpoint(f: np.ndarray, h: float) -> np.ndarray:
 def q0_apply(modes: Sequence[ModeOperator], f: CompactSection) -> NeckSolution:
     """Apply the cylinder right inverse.
 
-    Positive modes produce the regular part (one Green's convolution march
-    over all their rows); zero modes produce the singular part and its
+    Positive-mode rows are filled by one Green's convolution march over all
+    of them; zero-mode rows by the moment kernels, which also give their
     affine trace. The grid must extend at least two units past the support
     so the trace identity has room to be checked.
     """
@@ -238,17 +234,15 @@ def q0_apply(modes: Sequence[ModeOperator], f: CompactSection) -> NeckSolution:
     slices = mode_rows(f.modes)
     positive = [(sl.start, m.nu) for m, sl in zip(f.modes, slices)
                 if m.kind == KIND_LAPLACE and not m.is_zero_mode]
-    regular = np.zeros_like(f.values)
+    values = np.zeros_like(f.values)
     if positive:
         idx = [r for r, _ in positive]
-        regular[idx] = _gnu_convolve(f.values.T[:, idx], [nu for _, nu in positive], h).T
-    # allocated after the march, whose two (n, rows) buffers are freed by now
-    singular = np.zeros_like(f.values)
+        values[idx] = _gnu_convolve(f.values.T[:, idx], [nu for _, nu in positive], h).T
     trace_terms: list[PolyhomSection] = []
     for m, sl in zip(f.modes, slices):
         if m.kind == KIND_LAPLACE and m.is_zero_mode:
             row = f.values[sl.start]
-            singular[sl.start] = _laplace_zero_inverse(row, t, h)
+            values[sl.start] = _laplace_zero_inverse(row, t, h)
             m1 = h * complex(np.sum(row))
             m0 = h * complex(np.sum(t * row))
             trace_terms.append(PolyhomSection(1, ((0.0, (np.array([m0]), np.array([-m1]))),)))
@@ -257,8 +251,8 @@ def q0_apply(modes: Sequence[ModeOperator], f: CompactSection) -> NeckSolution:
             ca = _cumulative_midpoint(fa, h)
             cb = _cumulative_midpoint(fb, h)
             # u = -J int f with J(a, b) = (-b, a)
-            singular[sl.start] = cb
-            singular[sl.start + 1] = -ca
+            values[sl.start] = cb
+            values[sl.start + 1] = -ca
             ma = h * complex(np.sum(fa))
             mb = h * complex(np.sum(fb))
             trace_terms.append(PolyhomSection(2, ((0.0, (np.array([mb, -ma]),)),)))
@@ -268,8 +262,7 @@ def q0_apply(modes: Sequence[ModeOperator], f: CompactSection) -> NeckSolution:
         s_max=f.s_max,
         support=f.support,
         h=h,
-        regular=regular,
-        singular=singular,
+        values=values,
         trace_plus=trace_plus,
     )
 
@@ -301,7 +294,7 @@ def apply_discrete(modes: Sequence[ModeOperator], values: np.ndarray, h: float) 
 def residual_on_support(modes: Sequence[ModeOperator], sol: NeckSolution, f: CompactSection) -> float:
     """Relative l2 error of P(u) against f over the support window."""
     t = f.grid()
-    pu = apply_discrete(modes, sol.total(), f.h)
+    pu = apply_discrete(modes, sol.values, f.h)
     # the support is one contiguous run of columns, less the two grid ends
     inside = np.flatnonzero(np.abs(t) <= f.support)
     window = slice(max(int(inside[0]), 1), min(int(inside[-1]) + 1, len(t) - 1))
@@ -368,7 +361,7 @@ def operator_norm_fit(kind: str, supports: Sequence[float], h: float = 1.0 / 16)
         vals[0, inside] = 1.0
         f = CompactSection(modes, s_max, t_half, h, vals)
         sol = q0_apply(modes, f)
-        u = sol.total()[:, inside]
+        u = sol.values[:, inside]
         norm_u = math.sqrt(h * float(np.sum(np.abs(u) ** 2)))
         norm_f = math.sqrt(h * float(np.sum(np.abs(vals[:, inside]) ** 2)))
         ratios.append(norm_u / norm_f)

@@ -108,11 +108,14 @@ class ModeOperator:
 
 @dataclass(frozen=True)
 class RootData:
-    """Symbol roots with orders, plus the real sublist used for growth rates."""
+    """Symbol roots with orders, plus the real sublist used for growth rates.
+
+    The real sublist is empty or the root 0 alone: lambda^2 + nu has real
+    roots only at nu = 0, and a Dirac block exists only there.
+    """
 
     roots: tuple[tuple[complex, int], ...]
     real_roots: tuple[tuple[float, int], ...]
-    max_real_order: int
 
 
 def circle_spectrum(length: float = 2 * math.pi, max_modes: int = 8) -> CrossSectionSpectrum:
@@ -235,8 +238,8 @@ def roots_of(op: ModeOperator) -> RootData:
     """Roots of the mode symbol with orders."""
     if op.kind == KIND_DIRAC:
         roots = ((0j, 1),)
-        return RootData(roots=roots, real_roots=((0.0, 1),), max_real_order=1)
+        return RootData(roots=roots, real_roots=((0.0, 1),))
     if op.nu <= MERGE_TOL:
-        return RootData(roots=((0j, 2),), real_roots=((0.0, 2),), max_real_order=2)
+        return RootData(roots=((0j, 2),), real_roots=((0.0, 2),))
     r = math.sqrt(op.nu)
-    return RootData(roots=((1j * r, 1), (-1j * r, 1)), real_roots=(), max_real_order=0)
+    return RootData(roots=((1j * r, 1), (-1j * r, 1)), real_roots=())

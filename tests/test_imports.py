@@ -82,7 +82,7 @@ def test_no_module_imports_scipy_at_load_time():
 
 ROOT = SRC.parent
 # reference implementations that unit tests compare the fast paths against
-TEST_REFERENCES = ("product_benchmark", "SyntheticScalar")
+TEST_REFERENCES = ("product_benchmark",)
 
 
 def _reads(tree) -> set[str]:

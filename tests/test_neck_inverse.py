@@ -12,6 +12,7 @@ from neckspec.errors import ContractViolation
 from neckspec.neck_inverse import (
     CompactSection,
     _gnu_convolve,
+    _laplace_zero_inverse,
     _panel_weights,
     apply_discrete,
     cell_grid,
@@ -96,7 +97,7 @@ class TestZeroModeInverse:
         f = seeded_section((laplace(0.0),), 6.0, 2.0, 1.0 / 16, seed=3)
         sol = q0_apply(f.modes, f)
         t = f.grid()
-        assert np.all(sol.singular[:, t < -2.0] == 0)
+        assert np.all(sol.values[:, t < -2.0] == 0)
 
     def test_trace_matches_samples_exactly(self):
         f = seeded_section((laplace(0.0),), 6.0, 2.0, 1.0 / 16, seed=4)
@@ -104,7 +105,7 @@ class TestZeroModeInverse:
         t = f.grid()
         right = t > 2.0
         expected = sol.trace_plus.evaluate(t[right])[0]
-        np.testing.assert_allclose(sol.singular[0, right], expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sol.values[0, right], expected, rtol=0, atol=1e-12)
 
     def test_discrete_stencil_inverted_exactly(self):
         f = seeded_section((laplace(0.0),), 6.0, 2.0, 1.0 / 64, seed=5)
@@ -132,9 +133,9 @@ class TestZeroModeInverse:
         # u = -J int f: alpha-row input feeds the beta row with a minus sign
         t = f.grid()
         right = t > 1.0
-        np.testing.assert_allclose(sol.singular[1, right], -2.0, atol=1e-12)
-        np.testing.assert_allclose(sol.singular[0, right], 0.0, atol=1e-12)
-        assert np.all(sol.singular[:, t < -1.0] == 0)
+        np.testing.assert_allclose(sol.values[1, right], -2.0, atol=1e-12)
+        np.testing.assert_allclose(sol.values[0, right], 0.0, atol=1e-12)
+        assert np.all(sol.values[:, t < -1.0] == 0)
 
     def test_dirac_residual_second_order(self):
         errs = []
@@ -161,7 +162,7 @@ class TestGreenConvolution:
         vals[0, j0] = 1.0 / h
         f = CompactSection(modes, 6.0, 1.0, h, vals)
         sol = q0_apply(modes, f)
-        u = sol.regular[0].real
+        u = sol.values[0].real
         expected = np.exp(-np.abs(t - t[j0])) / 2
         # the discrete delta is a width-2h hat, so the peak is low by O(h)
         assert np.max(np.abs(u - expected)) <= h / 4
@@ -174,7 +175,7 @@ class TestGreenConvolution:
         vals[0, len(t) // 2] = 1.0 / h
         f = CompactSection(modes, 4.0, 1.0, h, vals)
         sol = q0_apply(modes, f)
-        assert np.max(np.abs(sol.regular)) == pytest.approx(0.25, rel=2.0 * h)
+        assert np.max(np.abs(sol.values)) == pytest.approx(0.25, rel=2.0 * h)
 
     def test_residual_second_order(self):
         errs = []
@@ -192,7 +193,7 @@ class TestGreenConvolution:
         l1 = f.h * float(np.sum(np.abs(f.values)))
         outside = t > 2.0
         bound = l1 * np.exp(-(t[outside] - 2.0)) / 2.0
-        assert np.all(np.abs(sol.regular[0, outside]) <= bound * (1 + 1e-6))
+        assert np.all(np.abs(sol.values[0, outside]) <= bound * (1 + 1e-6))
 
     @given(st.floats(0.05, 50.0))
     @settings(max_examples=40, deadline=None)
@@ -282,12 +283,11 @@ class TestRealArithmetic:
         fc = CompactSection(f.modes, f.s_max, f.support, f.h, f.values.astype(complex))
         assert f.values.dtype == np.float64
         real, cplx = q0_apply(modes, f), q0_apply(modes, fc)
-        for name in ("regular", "singular"):
-            x, z = getattr(real, name), getattr(cplx, name)
-            assert x.dtype == np.float64
-            assert bitwise_equal(x, z.real.copy())
-            assert not np.any(z.imag)
-        assert apply_discrete(modes, real.total(), f.h).dtype == np.float64
+        x, z = real.values, cplx.values
+        assert x.dtype == np.float64
+        assert bitwise_equal(x, z.real.copy())
+        assert not np.any(z.imag)
+        assert apply_discrete(modes, x, f.h).dtype == np.float64
         assert residual_on_support(modes, real, f) == residual_on_support(modes, cplx, fc)
         # a kernel element of the zero-mode operator: affine on Laplace
         # slots, constant on Dirac slots
@@ -319,8 +319,11 @@ class TestMixedModes:
         modes = (laplace(0.0), laplace(1.0))
         f = seeded_section(modes, 6.0, 2.0, 1.0 / 32, seed=2)
         sol = q0_apply(modes, f)
-        assert np.all(sol.singular[1] == 0)
-        assert np.all(sol.regular[0] == 0)
+        # the positive row comes from the Green's march alone, the zero row
+        # from the moment kernel alone
+        march = _gnu_convolve(f.values[1][:, None], [1.0], f.h)[:, 0]
+        assert np.array_equal(sol.values[1], march)
+        assert np.array_equal(sol.values[0], _laplace_zero_inverse(f.values[0], f.grid(), f.h))
 
 
 class TestInvertibility:
@@ -328,7 +331,7 @@ class TestInvertibility:
         # on modes with nu >= nu0 > 0 the inverse has norm at most 1/nu0
         modes = (laplace(1.0), laplace(4.0))
         f = seeded_section(modes, 6.0, 2.0, 1.0 / 32, seed=8)
-        u = q0_apply(modes, f).total()
+        u = q0_apply(modes, f).values
         ratio = math.sqrt(f.h * float(np.sum(np.abs(u) ** 2))) / f.norm()
         assert ratio <= 1.0 + (1.0 / 32) ** 2
 

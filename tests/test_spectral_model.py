@@ -15,6 +15,7 @@ from neckspec.spectral_model import (
     load_spectrum,
     mode_list,
     roots_of,
+    scalar_spectrum,
     torus2_spectrum,
 )
 
@@ -167,19 +168,16 @@ class TestModeList:
 class TestRoots:
     def test_massive_laplace(self):
         data = roots_of(ModeOperator(KIND_LAPLACE, 4.0, "alpha"))
-        assert data.max_real_order == 0
         assert set(data.roots) == {(2j, 1), (-2j, 1)}
         assert data.real_roots == ()
 
     def test_zero_laplace(self):
         data = roots_of(ModeOperator(KIND_LAPLACE, 0.0, "alpha"))
         assert data.real_roots == ((0.0, 2),)
-        assert data.max_real_order == 2
 
     def test_dirac(self):
         data = roots_of(ModeOperator(KIND_DIRAC, 0.0, "alpha"))
         assert data.real_roots == ((0.0, 1),)
-        assert data.max_real_order == 1
 
     def test_dirac_requires_zero_mode(self):
         with pytest.raises(ContractViolation):
@@ -191,10 +189,16 @@ class TestSpectrumInvariants:
         spec = torus2_spectrum()
         for q in range(3):
             zero_modes = [m for m in mode_list(spec, q, cutoff=1.0) if m.is_zero_mode]
-            has_root = any(roots_of(m).max_real_order > 0 for m in mode_list(spec, q, cutoff=1.0))
+            has_root = any(roots_of(m).real_roots for m in mode_list(spec, q, cutoff=1.0))
             expected = spec.betti(q) + spec.betti(q - 1) > 0
             assert (len(zero_modes) > 0) == expected
             assert has_root == expected
+        # the polynomial calculus of neckspec.polyhom rests on this: no mode
+        # has a real symbol root other than 0
+        for spec in (torus2_spectrum(), circle_spectrum(), scalar_spectrum()):
+            for q in range(spec.dimension + 2):
+                for m in mode_list(spec, q, cutoff=math.inf):
+                    assert all(rate == 0 for rate, _ in roots_of(m).real_roots)
 
     def test_degree_outside_range_rejected(self):
         with pytest.raises(SpectrumFormatError):
