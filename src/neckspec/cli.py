@@ -251,6 +251,14 @@ def _effective_cutoff(cfg: ExperimentConfig) -> float:
     return math.inf if cfg.cutoff is None else cfg.cutoff
 
 
+def _require_modes(cfg: ExperimentConfig, q: int, modes):
+    """Refuse an empty mode list: every check would pass on it vacuously."""
+    if not modes:
+        below = "" if cfg.cutoff is None else f" below the cutoff {format_real(cfg.cutoff)}"
+        raise ConfigError(f"degree {q}: the spectrum has no modes{below}")
+    return modes
+
+
 # ---------------------------------------------------------------------------
 # commands; each returns (ok, stdout lines, {filename: text})
 
@@ -258,7 +266,8 @@ def _effective_cutoff(cfg: ExperimentConfig) -> float:
 def cmd_roots(cfg: ExperimentConfig):
     rows = ["q,mode,kind,nu,degree_tag,root,order"]
     for q in cfg.degrees:
-        for i, m in enumerate(mode_list(cfg.spectrum, q, _effective_cutoff(cfg))):
+        modes = _require_modes(cfg, q, mode_list(cfg.spectrum, q, _effective_cutoff(cfg)))
+        for i, m in enumerate(modes):
             for root, order in roots_of(m).roots:
                 rows.append(
                     f"{q},{i},{m.kind},{format_real(m.nu)},{m.degree_tag},"
@@ -280,9 +289,7 @@ def cmd_q0check(cfg: ExperimentConfig):
     worst = 0.0
     ratio_worst = 0.0
     for q in cfg.degrees:
-        modes = mode_list(cfg.spectrum, q, _effective_cutoff(cfg))
-        if not modes:
-            raise ConfigError(f"degree {q}: no modes below the cutoff")
+        modes = _require_modes(cfg, q, mode_list(cfg.spectrum, q, _effective_cutoff(cfg)))
         res = []
         for step in (cfg.h, cfg.h / 2):
             f = seeded_section(modes, support + 2.0, support, step, cfg.seed + 257 * q)
@@ -371,45 +378,60 @@ def cmd_paircheck(cfg: ExperimentConfig):
     return ok, lines, {"paircheck.csv": "\n".join(rows) + "\n"}
 
 
+_SOURCE_ROWS = 32  # rows of _glued_source built at once
+
+
 def _glued_source(G, seed: int) -> np.ndarray:
     rng = SplitMix64(seed)
     t = G.grid()
     rise = CutoffFunction(center=-G.T / 2 + 0.5)
     envelope = rise(t) * rise(-t)
     amps = rng.uniforms(8 * len(G.modes), -1.0, 1.0).reshape(len(G.modes), 4, 2)
+    waves = [(np.cos(2 * k * math.pi * t / G.T), np.sin(2 * (k + 1) * math.pi * t / G.T))
+             for k in range(4)]
     f = np.zeros((len(G.modes), G.n_points))
-    for k in range(4):  # accumulated in place: the only (modes x n) temporary is one product
-        amp = amps[:, k] / (1 + k) ** 2
-        f += amp[:, :1] * np.cos(2 * k * math.pi * t / G.T)
-        f += amp[:, 1:] * np.sin(2 * (k + 1) * math.pi * t / G.T)
-    f *= envelope
+    # accumulated in place by row blocks: each term's temporary is one block
+    for lo in range(0, len(f), _SOURCE_ROWS):
+        block = f[lo : lo + _SOURCE_ROWS]
+        for k, (cos_k, sin_k) in enumerate(waves):
+            amp = amps[lo : lo + _SOURCE_ROWS, k] / (1 + k) ** 2
+            block += amp[:, :1] * cos_k
+            block += amp[:, 1:] * sin_k
+        block *= envelope
     return f
 
 
-def cmd_glue(cfg: ExperimentConfig):
+def _glued_operator(cfg: ExperimentConfig, q: int, T: float):
     b1, b2 = _require_blocks(cfg)
+    G = assemble(b1, b2, cfg.spectrum, q, T=T, h=cfg.h, cutoff=cfg.cutoff)
+    _require_modes(cfg, q, G.modes)
+    return G
+
+
+def cmd_glue(cfg: ExperimentConfig):
     ok = True
     lines = []
     files = {}
     for q in cfg.degrees:
         for T in cfg.T_values:
-            G = assemble(b1, b2, cfg.spectrum, q, T=T, h=cfg.h, cutoff=cfg.cutoff)
+            G = _glued_operator(cfg, q, T)
             S = substitute_kernel(G)
             f = _glued_source(G, cfg.seed + 31 * q)
             report = solve_exact(G, S, f)
             ok &= report.residual <= 1e-6
-            files[f"glue_q{q}_T{format_real(T)}.csv"] = solve_report_csv(G, report, f)
+            files[f"glue_q{q}_T{format_real(T)}.csv"] = solve_report_csv(G, report)
             lines.append(
                 f"glue q={q} T={format_real(T)}: residual {report.residual:.3e}, "
                 f"{report.iterations} iterations, dim kernel {S.dim}"
             )
+            del report, f  # the next T's solve is the peak; free u and w first
     verdict = "PASS" if ok else "FAIL"
     lines.append(f"{verdict} glue: {len(cfg.degrees) * len(cfg.T_values)} solves at tol 1e-06")
     return ok, lines, files
 
 
 def cmd_density(cfg: ExperimentConfig):
-    b1, b2 = _require_blocks(cfg)
+    _require_blocks(cfg)
     if not cfg.s_values:
         raise ConfigError("density needs a nonempty 's' list")
     ok = True
@@ -417,8 +439,7 @@ def cmd_density(cfg: ExperimentConfig):
     files = {}
     for q in cfg.degrees:
         rep = spectral_density.density_sweep(
-            lambda T: assemble(b1, b2, cfg.spectrum, q, T=T, h=cfg.h, cutoff=cfg.cutoff),
-            q, cfg.s_values, cfg.T_values,
+            lambda T: _glued_operator(cfg, q, T), q, cfg.s_values, cfg.T_values,
         )
         r0 = 2 * rep.B + 3
         ok &= rep.max_residual <= r0

@@ -302,7 +302,11 @@ class GluedOperator:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
-        out = np.zeros_like(values, dtype=np.result_type(values, float))
+        return self._apply_into(values, np.empty_like(values, dtype=np.result_type(values, float)))
+
+    def _apply_into(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write P values into out, another (modes x n) array, and return
+        it; every row is written, as the families cover every mode."""
         for members in self.families:
             out[members] = stencil(*self.mats[members[0]], values[members])
         return out

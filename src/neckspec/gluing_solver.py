@@ -54,8 +54,11 @@ def _inexact(x) -> np.ndarray:
 
 
 def norm(G: GluedOperator, x: np.ndarray) -> float:
-    a = np.abs(x)
-    a *= a
+    if np.iscomplexobj(x):
+        a = np.abs(x)
+        a *= a
+    else:
+        a = x * x  # |x|^2 bit for bit, in one pass
     return math.sqrt(G.h * float(np.sum(a)))
 
 
@@ -170,7 +173,9 @@ class SubstituteKernel:
         return np.array([self.G.h * np.sum(np.asarray(f[mode]) * vec) for mode, vec in self.basis])
 
     def project_off(self, f: np.ndarray) -> np.ndarray:
-        out = np.array(_inexact(f))
+        return self._project_in_place(np.array(_inexact(f)))
+
+    def _project_in_place(self, out: np.ndarray) -> np.ndarray:
         for mode, vec in self.basis:
             out[mode] -= (self.G.h * np.sum(out[mode] * vec)) * vec
         return out
@@ -248,22 +253,26 @@ def _positive_mode_cylinder(f: np.ndarray, nu: float, h: float) -> np.ndarray:
     return sol[pad : pad + n]
 
 
-def cylinder_solve(G: GluedOperator, f0: np.ndarray) -> np.ndarray:
+def cylinder_solve(G: GluedOperator, f: np.ndarray, window: np.ndarray | float) -> np.ndarray:
     """Mode-by-mode inverse of the free cylinder operator on the glued
-    grid; every interior stencil row of the result reproduces f0 exactly.
-    The positive modes of one family share one banded solve."""
+    grid, applied to f0 = window * f (a grid array or a scalar); every
+    interior stencil row of the result reproduces f0 exactly. The positive
+    modes of one family share one banded solve. f0 is formed family by
+    family, so no windowed copy of the whole source is held."""
     t = G.grid()
-    f0 = _inexact(f0)
-    out = np.zeros((len(G.modes), G.n_points), dtype=f0.dtype)
+    f = _inexact(f)
+    out = np.zeros((len(G.modes), G.n_points), dtype=f.dtype)
     for members in G.families:
+        f0 = f[members]  # a copy: fancy indexing
+        f0 *= window
         m = G.modes[members[0]]
         if not m.is_zero_mode:
-            out[members] = _positive_mode_cylinder(f0[members].T, m.nu, G.h).T
+            out[members] = _positive_mode_cylinder(f0.T, m.nu, G.h).T
             continue
-        for i in members:
-            out[i] = _laplace_zero_inverse(f0[i].real, t, G.h)
-            if np.iscomplexobj(f0):
-                out[i] += 1j * _laplace_zero_inverse(f0[i].imag, t, G.h)
+        for i, row in zip(members, f0):
+            out[i] = _laplace_zero_inverse(row.real, t, G.h)
+            if np.iscomplexobj(row):
+                out[i] += 1j * _laplace_zero_inverse(row.imag, t, G.h)
     return out
 
 
@@ -318,7 +327,7 @@ def characteristic_system(
     f = _inexact(f)
     t = G.grid()
     w1, zeta0, zeta1 = neck_windows(G)
-    cyl = cylinder_solve(G, f * zeta1)
+    cyl = cylinder_solve(G, f, zeta1)
     matched = set(S.matched_modes())
     columns = []
     for mi in (i for i, m in enumerate(G.modes) if m.is_zero_mode):
@@ -368,16 +377,6 @@ def characteristic_solve(sys: CharacteristicSystem) -> CharacteristicSolution:
     v, *_ = np.linalg.lstsq(sys.matrix, sys.rhs, rcond=None)
     consistency = float(np.linalg.norm(sys.matrix @ v - sys.rhs))
     return CharacteristicSolution(coefficients=v, consistency=consistency, rank=sys.rank)
-
-
-def _trace_grid(sys: CharacteristicSystem, coeffs: np.ndarray) -> np.ndarray:
-    """Realize a coefficient vector as affine rows a + b t on the grid."""
-    G = sys.G
-    t = G.grid()
-    out = np.zeros((len(G.modes), G.n_points), dtype=np.result_type(coeffs, float))
-    for (mode, kind), c in zip(sys.columns, coeffs):
-        out[mode] += c if kind == "a" else c * t
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +557,11 @@ def approx_solve(
     (cancelling the block obstructions), then block solves with slope-zero
     closures, crossfade, and projection off the substitute kernel. The
     block solves run once per block and ``G.families`` entry.
+
+    f is left as given. Beyond it a pass holds two (modes x n) arrays, the
+    two it returns: u grows in the cylinder solve's buffer, and the buffer
+    that takes the residual of the neck part for the block solves then
+    takes e.
     """
     f = _inexact(f)
     if not f.any():
@@ -573,32 +577,36 @@ def approx_solve(
     w1, zeta0, _ = neck_windows(G)
     sys = characteristic_system(G, S, f)
     v = characteristic_solve(sys)
-    trace = _trace_grid(sys, v.coefficients)
-    # (cylinder + trace) * zeta0 in the cylinder's own buffer, which sys gives
-    # up: a fresh sum holds one more (modes x n) array at the round's peak
-    u_neck = sys.cylinder
+    # the trace a + b t lives on the zero-mode rows alone
+    t = G.grid()
+    traces: dict[int, np.ndarray] = {}
+    for (mode, kind), c in zip(sys.columns, v.coefficients):
+        row = traces.setdefault(mode, np.zeros(G.n_points, dtype=v.coefficients.dtype))
+        row += c if kind == "a" else c * t
+    u = sys.cylinder
     del sys
-    u_neck += trace
-    del trace
-    u_neck *= zeta0
-    r = f - G.apply(u_neck)
+    for mode, row in traces.items():
+        u[mode] += row
+    u *= zeta0
+    r = G.apply(u)
+    np.subtract(f, r, out=r)
     blocks = [(1, w1, *_block_subgrid(G, 1)), (2, 1.0 - w1, *_block_subgrid(G, 2))]
     for members in G.families:
         add = np.zeros((len(members), G.n_points), dtype=f.dtype)
         for which, weight, sub, t_sub in blocks:
             add[:, sub] += weight[sub] * _block_solve(G, S, which, members, r[members, sub], t_sub)
-        u_neck[members] += add
-    # the last apply is the memory peak of a round; free two (modes x n) arrays first
-    del r
-    u = S.project_off(u_neck)
-    del u_neck
-    return u, f - G.apply(u)
+        u[members] += add
+    S._project_in_place(u)
+    e = G._apply_into(u, r)
+    np.subtract(f, e, out=e)
+    return u, e
 
 
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of the correction iteration: f = P_T u + w + residual with
-    u orthogonal to the substitute kernel and w inside it."""
+    u orthogonal to the substitute kernel and w inside it. ``f_norm`` is
+    ||f||, the scale of the relative residuals."""
 
     u: np.ndarray
     w: np.ndarray
@@ -606,6 +614,7 @@ class SolveReport:
     contraction: tuple[float, ...]
     residuals: tuple[float, ...]
     residual: float
+    f_norm: float
 
 
 def solve_exact(
@@ -615,32 +624,41 @@ def solve_exact(
     rtol: float = 1e-9,
 ) -> SolveReport:
     """Iterate approx_solve on residuals, projecting each round's source
-    off the substitute kernel, until ||f - P u - w|| <= rtol ||f||."""
-    f = _inexact(f)
-    nf = norm(G, f)
+    off the substitute kernel, until ||f - P u - w|| <= rtol ||f||.
+
+    f is copied once, for the first round; every later source is the
+    residual the previous round returned, whose kernel rows are moved to w
+    in place. u is the first round's u, and later rounds add to it."""
+    fn = np.array(_inexact(f))
+    nf = norm(G, fn)
     if nf == 0:
-        return SolveReport(np.zeros_like(f), np.zeros_like(f), 0, (), (), 0.0)
-    u = np.zeros_like(f)
-    w = np.zeros_like(f)
-    fn = f
+        return SolveReport(np.zeros_like(fn), np.zeros_like(fn), 0, (), (), 0.0, nf)
+    u = None
+    w = np.zeros_like(fn)
     etas: list[float] = []
     residuals: list[float] = []
     for it in range(1, 81):
-        src = fn.copy()  # only the kernel-bearing rows move
         for mode in {m for m, _ in S.basis}:
             wn = sum((G.h * np.sum(fn[mode] * vec)) * vec for m, vec in S.basis if m == mode)
             w[mode] += wn
-            src[mode] -= wn
-        n_src = norm(G, src)
+            fn[mode] -= wn
+        n_src = norm(G, fn)
         if n_src <= rtol * nf:
-            return SolveReport(u, w, it - 1, tuple(etas), tuple(residuals), n_src / nf)
-        un, fn = approx_solve(G, S, src, check_orthogonality=False)
-        u += un
+            u = np.zeros_like(fn) if u is None else u
+            return SolveReport(u, w, it - 1, tuple(etas), tuple(residuals), n_src / nf, nf)
+        # rebinding fn frees this round's source before the next allocation
+        un, fn = approx_solve(G, S, fn, check_orthogonality=False)
+        if u is None:
+            u = un
+        else:
+            u += un
+        del un
         n_fn = norm(G, fn)
         etas.append(n_fn / n_src)
         residuals.append(n_fn / nf)
         if n_fn <= rtol * nf:
-            return SolveReport(S.project_off(u), w, it, tuple(etas), tuple(residuals), n_fn / nf)
+            return SolveReport(S._project_in_place(u), w, it, tuple(etas), tuple(residuals),
+                               n_fn / nf, nf)
         if len(etas) >= 2 and etas[-1] >= 1.0 and etas[-2] >= 1.0:
             raise NoContractionError(max(etas[-2:]))
     raise AnalysisError("correction iteration did not converge in 80 rounds")
@@ -666,8 +684,8 @@ def solve_direct(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> np.nda
     return S.project_off(out)
 
 
-def solve_report_csv(G: GluedOperator, report: SolveReport, f: np.ndarray) -> str:
-    ratio = norm(G, report.u) / norm(G, f)
+def solve_report_csv(G: GluedOperator, report: SolveReport) -> str:
+    ratio = norm(G, report.u) / report.f_norm
     lines = ["T,iter,residual,eta,u_norm_over_f_norm"]
     for k in range(report.iterations):
         lines.append(

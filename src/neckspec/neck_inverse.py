@@ -312,14 +312,17 @@ def duality_check(modes: Sequence[ModeOperator], f: CompactSection, v: PolyhomSe
 
     The first value is the closed-form pairing of the asymptotic trace with
     v; the second is the h-weighted grid sum of <f(t), v(t)>; both reduce to
-    the same moment sums, so the gap is roundoff.
+    the same moment sums, so the gap is roundoff. The trace depends on the
+    zero-mode rows alone, so only they are inverted.
     """
     op, rows = trace_operator(modes)
     if op is None:
         return 0j, 0j, 0.0
     if v.fiber_dim != op.fiber_dim:
         raise ContractViolation("section fiber does not match the zero-mode fiber")
-    trace = q0_apply(modes, f).trace_plus
+    zero = [m for m in modes if m.is_zero_mode]
+    zero_rows = CompactSection(zero, f.s_max, f.support, f.h, f.values[rows])
+    trace = q0_apply(zero, zero_rows).trace_plus
     pair = pairing_closed(op, trace, v)
     t = f.grid()
     vv = v.evaluate(t)

@@ -152,6 +152,19 @@ class TestConfigErrors:
         assert f"error: {field}:" in err
         assert "PASS" not in out
 
+    @pytest.mark.parametrize("command", ["roots", "glue", "density"])
+    def test_empty_mode_list_is_refused(self, tmp_path, capsys, command):
+        # no degree holds an eigenvalue: the checks would run on zero modes
+        spectrum = {"name": "empty", "dimension": 1, "degrees": {}}
+        (tmp_path / "spec.json").write_text(json.dumps(spectrum), encoding="utf-8")
+        cfg = write_config(tmp_path, spectrum={"file": "spec.json"},
+                           blocks=[FLAT_BLOCK, FLAT_BLOCK], degrees=[0], T=[8], s=[4.41], seed=1)
+        code, out, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert "error: degree 0: the spectrum has no modes\n" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["q0check", "glue", "density"])
     @pytest.mark.parametrize("field,value", [("T", [8, 1e308]), ("h", 1e-300)])
     def test_astronomical_grid_refused(self, tmp_path, capsys, command, field, value):

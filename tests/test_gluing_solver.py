@@ -4,6 +4,7 @@ system, the cylinder and block solves, and approximate and exact solves."""
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,12 +338,23 @@ def per_mode_cylinder(G, f0):
     return out
 
 
+def trace_grid(sys, coeffs):
+    """Realize a coefficient vector as affine rows a + b t on the grid."""
+    G = sys.G
+    t = G.grid()
+    out = np.zeros((len(G.modes), G.n_points), dtype=np.result_type(coeffs, float))
+    for (mode, kind), c in zip(sys.columns, coeffs):
+        out[mode] += c if kind == "a" else c * t
+    return out
+
+
 def per_mode_approx_solve(G, S, f):
-    """approx_solve with one cylinder and one block solve per mode."""
+    """approx_solve with one cylinder and one block solve per mode, and
+    fresh full-size arrays at every step."""
     w1, zeta0, zeta1 = neck_windows(G)
     sys = characteristic_system(G, S, f)
     v = characteristic_solve(sys)
-    u = (per_mode_cylinder(G, f * zeta1) + gluing_solver._trace_grid(sys, v.coefficients)) * zeta0
+    u = (per_mode_cylinder(G, f * zeta1) + trace_grid(sys, v.coefficients)) * zeta0
     r = f - G.apply(u)
     sub1, t1 = gluing_solver._block_subgrid(G, 1)
     sub2, t2 = gluing_solver._block_subgrid(G, 2)
@@ -367,7 +379,9 @@ def test_batched_solves_equal_the_per_mode_loops_bit_for_bit():
         f = S.project_off(source)
         assert np.array_equal(G.apply(f),
                               np.array([G.apply_mode(i, f[i]) for i in range(len(f))]))
-        assert np.array_equal(cylinder_solve(G, f), per_mode_cylinder(G, f))
+        assert np.array_equal(cylinder_solve(G, f, 1.0), per_mode_cylinder(G, f))
+        zeta1 = neck_windows(G)[2]
+        assert np.array_equal(cylinder_solve(G, f, zeta1), per_mode_cylinder(G, f * zeta1))
         u, e = approx_solve(G, S, f)
         u_ref, e_ref = per_mode_approx_solve(G, S, f)
         assert np.array_equal(u, u_ref)
@@ -388,9 +402,64 @@ def test_real_source_solves_in_real_arithmetic_like_its_complex_cast(build):
     assert norm(G, real.u - cplx.u) <= 1e-10 * norm(G, real.u)
     assert real.residual <= 1e-9 and cplx.residual <= 1e-9
     sys = characteristic_system(G, S, f)
-    arrays = [real.u, real.w, *approx_solve(G, S, S.project_off(f)), cylinder_solve(G, f),
+    arrays = [real.u, real.w, *approx_solve(G, S, S.project_off(f)), cylinder_solve(G, f, 1.0),
               sys.matrix, sys.rhs, sys.cylinder, solve_direct(G, S, f)]
     assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
+
+
+@functools.lru_cache(maxsize=None)
+def cli_torus_glue():
+    """The glued operator and substitute kernel of the CLI's torus2 glue
+    runs (q = 1 between the two sech blocks, h = 1/16) at T = 16, where
+    solve_exact takes two rounds."""
+    spec = torus2_spectrum()
+    b1 = BuildingBlock(spec, 2.0, NEUMANN, 1.0, {0: kernel_potential_neumann(1.0, 0.8)})
+    b2 = BuildingBlock(spec, 2.0, NEUMANN, 1.0, {0: kernel_potential_neumann(1.0, -0.35)})
+    G = glued_model.assemble(b1, b2, spec, 1, 16.0, H)
+    return G, substitute_kernel(G)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes allocated while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_glue_round_peaks_stay_within_a_few_sources():
+    # scipy.linalg is imported with this module, before tracing starts
+    G, S = cli_torus_glue()
+    f = cli._glued_source(G, 7)
+    assert f.shape == (507, 576)
+    src = S.project_off(f)
+    approx_solve(G, S, src)  # allocations made once per process stay out of the peaks
+    # beyond its source, a pass holds two (modes x n) arrays, u and the
+    # residual, plus one mode family's temporaries
+    peak = traced_peak(approx_solve, G, S, src)
+    assert peak <= 2.5 * f.nbytes, peak / f.nbytes
+    assert solve_exact(G, S, f).iterations == 2
+    # the one copy of f, which the rounds edit in place, u, w, and the two
+    # arrays of a pass, plus temporaries
+    peak = traced_peak(solve_exact, G, S, f)
+    assert peak <= 6.0 * f.nbytes, peak / f.nbytes
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_solvers_leave_the_source_as_given(dtype):
+    G, S = cli_torus_glue()
+    f = cli._glued_source(G, 7).astype(dtype)
+    src = S.project_off(f)
+    kept_f, kept_src = f.copy(), src.copy()
+    approx_solve(G, S, src)
+    approx_solve(G, S, src, check_orthogonality=False)
+    report = solve_exact(G, S, f)
+    assert report.iterations == 2
+    assert f.tobytes() == kept_f.tobytes()
+    assert src.tobytes() == kept_src.tobytes()
 
 
 def test_approx_solve_round_makes_one_cylinder_solve(monkeypatch):
@@ -399,9 +468,9 @@ def test_approx_solve_round_makes_one_cylinder_solve(monkeypatch):
     f = S.project_off(cli._glued_source(G, 7))
     calls = []
 
-    def counted(G, f0):
-        calls.append(f0.shape)
-        return cylinder_solve(G, f0)
+    def counted(G, f, window):
+        calls.append(f.shape)
+        return cylinder_solve(G, f, window)
 
     monkeypatch.setattr(gluing_solver, "cylinder_solve", counted)
     approx_solve(G, S, f)
@@ -551,7 +620,7 @@ def test_solve_report_csv_layout():
     S = substitute_kernel(G)
     f = S.project_off(seeded_source(G, 61))
     report = solve_exact(G, S, f)
-    text = solve_report_csv(G, report, f)
+    text = solve_report_csv(G, report)
     lines = text.strip().split("\n")
     assert lines[0] == "T,iter,residual,eta,u_norm_over_f_norm"
     assert len(lines) == 1 + report.iterations
@@ -559,6 +628,7 @@ def test_solve_report_csv_layout():
     assert float(first[0]) == G.T
     assert int(first[1]) == 1
     assert float(first[2]) == report.residuals[0]
+    assert report.f_norm == norm(G, f)
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +779,7 @@ def test_cylinder_solve_reproduces_interior_rows():
     f = seeded_source(G, 81)
     _, _, zeta1 = neck_windows(G)
     f0 = f * zeta1
-    u0 = cylinder_solve(G, f0)
+    u0 = cylinder_solve(G, f, zeta1)
     out = G.apply_mode(0, u0[0])
     t = G.grid()
     inside = np.abs(t) <= G.T - 1.0

@@ -104,24 +104,37 @@ def _src_modules():
             for path in sorted((SRC / "neckspec").glob("*.py"))}
 
 
-def test_every_public_name_has_a_reader():
-    defined = []  # (module, name)
+def _top_level_definitions():
+    """(module, name) of every top-level function and class in src/, and the
+    names src/ reads; a definition's own body does not keep it alive."""
+    defined = []
     readers = set()
     for name, tree in _src_modules().items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    defined.append((name, node.name))
-                # a definition's own body does not keep it alive
+                defined.append((name, node.name))
                 readers |= _reads(node) - {node.name}
             else:
                 readers |= _reads(node)
+    return defined, readers
+
+
+def test_every_public_name_has_a_reader():
+    defined, readers = _top_level_definitions()
     outside = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
     for path in outside:
         readers |= _reads(ast.parse(path.read_text(encoding="utf-8")))
     dead = [f"{module}:{name}" for module, name in defined
-            if name not in readers and name not in TEST_REFERENCES]
+            if not name.startswith("_") and name not in readers and name not in TEST_REFERENCES]
     assert not dead, f"public names read by no src code, acceptance test or benchmark: {dead}"
+
+
+def test_every_private_name_has_a_reader_in_src():
+    # a private helper only a test reads belongs in that test
+    defined, readers = _top_level_definitions()
+    dead = [f"{module}:{name}" for module, name in defined
+            if name.startswith("_") and name not in readers]
+    assert not dead, f"private names read by no src code: {dead}"
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -25,7 +25,7 @@ from neckspec.neck_inverse import (
     total_rows,
     trace_operator,
 )
-from neckspec.polyhom import PolyhomSection, affine_section
+from neckspec.polyhom import PolyhomSection, affine_section, pairing_closed
 from neckspec.spectral_model import (
     KIND_DIRAC,
     KIND_LAPLACE,
@@ -375,6 +375,24 @@ class TestDuality:
             pair, l2, gap = duality_check(modes, f, v)
             scale = 1 + abs(pair) + abs(l2)
             assert gap <= 1e-10 * scale
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_rows_alone_give_the_full_inverse_values_bit_for_bit(self, dtype):
+        # positive modes between the zero modes, so the zero rows are no prefix
+        modes = (laplace(2.0), laplace(0.0, "alpha"), laplace(1.0), dirac(), laplace(0.0, "beta"))
+        op, rows = trace_operator(modes)
+        assert rows == [1, 3, 4, 5]
+        for seed in range(5):
+            f = seeded_section(modes, 6.0, 2.0, 1.0 / 16, seed=seed)
+            f = CompactSection(f.modes, f.s_max, f.support, f.h, f.values.astype(dtype))
+            # a kernel element: affine on the Laplace slots, constant on the Dirac ones
+            k = np.arange(op.fiber_dim) + seed
+            slope = np.array([1.0, 0.0, 0.0, 1.0]) * np.sin(k)
+            v = PolyhomSection(op.fiber_dim, ((0.0, (np.cos(k), slope)),))
+            # the reference: the trace of the full inverse, every row marched
+            pair = pairing_closed(op, q0_apply(modes, f).trace_plus, v)
+            l2 = f.h * complex(np.sum(f.values[rows, :] * np.conj(v.evaluate(f.grid()))))
+            assert duality_check(modes, f, v) == (pair, l2, abs(pair - l2))
 
     def test_zero_section(self):
         modes = (laplace(0.0),)
