@@ -275,6 +275,7 @@ class GluedOperator:
     mats: tuple[tuple[np.ndarray, np.ndarray], ...]
     potentials_eff: tuple[np.ndarray, ...]
     families: tuple[list[int], ...]
+    cutoff: float | None = None  # the mode list's cutoff, for the block kernels
 
     @property
     def L1(self) -> float:
@@ -402,6 +403,7 @@ def assemble(
         mats=tuple(mats),
         potentials_eff=tuple(pots_eff),
         families=tuple(families.values()),
+        cutoff=cutoff,
     )
 
 

@@ -203,9 +203,9 @@ def substitute_kernel(
     affine-continuation seam pollutes the crossfade."""
     span = 2 * G.T + G.L1 + G.L2
     if kd1 is None:
-        kd1 = block_kernel(G.block1, G.spec, G.q, h=G.h, reach=span)
+        kd1 = block_kernel(G.block1, G.spec, G.q, h=G.h, cutoff=G.cutoff, reach=span)
     if kd2 is None:
-        kd2 = block_kernel(G.block2, G.spec, G.q, h=G.h, reach=span)
+        kd2 = block_kernel(G.block2, G.spec, G.q, h=G.h, cutoff=G.cutoff, reach=span)
     by_mode1 = {e.mode_index: e for e in kd1.elements}
     by_mode2 = {e.mode_index: e for e in kd2.elements}
     pairs = []
@@ -238,27 +238,29 @@ def substitute_kernel(
 
 
 def _positive_mode_cylinder(f: np.ndarray, nu: float, h: float) -> np.ndarray:
-    # padded symmetric positive definite solve of every column of f; every
-    # retained interior row is reproduced exactly and the pad pushes the
-    # closure artifacts under e^{-sqrt(nu) * 33/sqrt(nu)} = e^{-33}
+    # nu - D_h^2 = (1 - r S)(1 - r S^-1) / (r h^2) with r + 1/r = 2 + h^2 nu,
+    # r < 1 the decaying root; the ghost u_{-1} = r u_0 (and its mirror) at
+    # the ends makes every column the exact infinite-grid inverse of f
+    # padded by zeros (discrete transparent boundary condition)
     import scipy.linalg
-    pad = min(int(math.ceil(33.0 / (math.sqrt(nu) * h))), 8000)
-    n = len(f)
-    ab = np.zeros((2, n + 2 * pad))
+    a = 0.5 * h**2 * nu
+    r = 1.0 / (1.0 + a + math.sqrt(a * (2.0 + a)))  # no cancellation as nu -> 0
+    ab = np.empty((2, len(f)))
     ab[0] = nu + 2.0 / h**2
-    ab[1, :-1] = -1.0 / h**2
-    rhs = np.zeros((n + 2 * pad,) + f.shape[1:], dtype=f.dtype)
-    rhs[pad : pad + n] = f
-    sol = scipy.linalg.solveh_banded(ab, rhs, lower=True)
-    return sol[pad : pad + n]
+    ab[0, [0, -1]] -= r / h**2
+    ab[1] = -1.0 / h**2
+    return scipy.linalg.solveh_banded(ab, f, lower=True)
 
 
 def cylinder_solve(G: GluedOperator, f: np.ndarray, window: np.ndarray | float) -> np.ndarray:
-    """Mode-by-mode inverse of the free cylinder operator on the glued
-    grid, applied to f0 = window * f (a grid array or a scalar); every
-    interior stencil row of the result reproduces f0 exactly. The positive
-    modes of one family share one banded solve. f0 is formed family by
-    family, so no windowed copy of the whole source is held."""
+    """Mode-by-mode inverse of the free cylinder operator on the infinite
+    grid, applied to f0 = window * f (a grid array or a scalar) continued
+    by zeros. Every row of the result, the two end rows included,
+    reproduces f0 exactly with the ghost values the infinite-grid solution
+    takes past the ends: positive modes decay both ways, zero modes vanish
+    left of the support. The positive modes of one family share one
+    banded solve. f0 is formed family by family, so no windowed copy of
+    the whole source is held."""
     t = G.grid()
     f = _inexact(f)
     out = np.zeros((len(G.modes), G.n_points), dtype=f.dtype)
@@ -270,9 +272,7 @@ def cylinder_solve(G: GluedOperator, f: np.ndarray, window: np.ndarray | float) 
             out[members] = _positive_mode_cylinder(f0.T, m.nu, G.h).T
             continue
         for i, row in zip(members, f0):
-            out[i] = _laplace_zero_inverse(row.real, t, G.h)
-            if np.iscomplexobj(row):
-                out[i] += 1j * _laplace_zero_inverse(row.imag, t, G.h)
+            out[i] = _laplace_zero_inverse(row, t, G.h)
     return out
 
 
@@ -354,11 +354,8 @@ def characteristic_system(
             )
     A = np.array(rows) if rows else np.zeros((0, len(columns)))
     b = np.array(rhs) if rhs else np.zeros(0, dtype=f.dtype)
-    if A.size:
-        smax = float(np.max(np.abs(np.linalg.svd(A, compute_uv=False))))
-        rank = int(np.linalg.matrix_rank(A, tol=1e-10 * max(smax, 1.0)))
-    else:
-        rank = 0
+    sv = np.linalg.svd(A, compute_uv=False) if A.size else np.zeros(0)
+    rank = int(np.count_nonzero(sv > 1e-10 * max(float(sv.max(initial=0.0)), 1.0)))
     if expected_rank is not None and rank < expected_rank:
         raise DegenerateSystemError(
             f"characteristic system rank dropped to {rank} (expected {expected_rank})"

@@ -307,6 +307,18 @@ class TestGlue:
         code, out, _ = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
         assert code == 0
 
+    @pytest.mark.parametrize("cutoff", [9.5, 50])
+    def test_cutoff_reaches_the_block_kernels(self, tmp_path, capsys, cutoff):
+        # the substitute kernel shoots the modes below the cutoff that the
+        # glued operator was assembled with, not the whole mode list
+        other = dict(SECH_BLOCK, potentials={"0": {"profile": "kernel_neumann", "c": -0.35}})
+        cfg = write_config(tmp_path, spectrum="torus2", blocks=[SECH_BLOCK, other],
+                           degrees=[1], T=[16], h=1.0 / 16, cutoff=cutoff, seed=1)
+        code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, err) == (0, "")
+        assert "2 iterations, dim kernel 3" in out
+        assert "PASS glue: 1 solves" in out
+
     def test_mismatched_block_spectra(self, tmp_path, capsys):
         other = dict(FLAT_BLOCK, spectrum="circle")
         cfg = write_config(tmp_path, spectrum="scalar", blocks=[FLAT_BLOCK, other],

@@ -784,3 +784,46 @@ def test_cylinder_solve_reproduces_interior_rows():
     t = G.grid()
     inside = np.abs(t) <= G.T - 1.0
     assert np.allclose(out[inside], f0[0][inside], atol=1e-9 * max(1.0, norm(G, f0)))
+
+
+def decaying_root(nu, h):
+    """The root r < 1 of r + 1/r = 2 + h^2 nu: the infinite grid continues a
+    solution of (nu - D_h^2) u = 0 past an end by the powers of r."""
+    return math.exp(-math.acosh(1.0 + 0.5 * h**2 * nu))
+
+
+@pytest.mark.parametrize("complex_part", [False, True], ids=["real", "complex"])
+def test_cylinder_solve_is_exact_on_the_infinite_grid(complex_part):
+    # every row of a positive family's solve, the end rows with the ghost
+    # r u_end the infinite grid continues them by, reproduces the source
+    G = torus_glue()
+    f = seeded_source(G, 83, complex_part)
+    if not complex_part:
+        f = f.real.copy()
+    u = cylinder_solve(G, f, 1.0)
+    positive = [members for members in G.families if not G.modes[members[0]].is_zero_mode]
+    assert len(positive) > 20
+    for members in positive:
+        nu = G.modes[members[0]].nu
+        r = decaying_root(nu, G.h)
+        for i in members:
+            ext = np.concatenate([[r * u[i, 0]], u[i], [r * u[i, -1]]])
+            residual = nu * ext[1:-1] - (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) / G.h**2
+            scale = np.max(np.abs(f[i])) + (nu + 4.0 / G.h**2) * np.max(np.abs(u[i]))
+            assert np.max(np.abs(residual - f[i])) <= 1e-14 * scale, (i, nu)
+
+
+def test_cylinder_solve_matches_a_padded_reference_at_small_nu():
+    # at h sqrt(nu) = 1/1600 the solution decays by e every 1600 points;
+    # the reference pads each side until r^pad < e^-40, 64001 points
+    nu, h, n = 1e-4, 1.0 / 16, 576
+    f = np.array(SplitMix64(84).uniforms(n, -1.0, 1.0))
+    pad = math.ceil(40.0 / -math.log(decaying_root(nu, h)))
+    ab = np.zeros((2, n + 2 * pad))
+    ab[0] = nu + 2.0 / h**2
+    ab[1, :-1] = -1.0 / h**2
+    rhs = np.zeros(n + 2 * pad)
+    rhs[pad : pad + n] = f
+    ref = scipy.linalg.solveh_banded(ab, rhs, lower=True)[pad : pad + n]
+    u = gluing_solver._positive_mode_cylinder(f, nu, h)
+    assert np.linalg.norm(u - ref) <= 1e-8 * np.linalg.norm(ref)
