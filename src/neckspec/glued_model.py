@@ -19,7 +19,6 @@ shoots u(s) = s.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Container, Mapping, Sequence
@@ -27,7 +26,7 @@ from typing import Callable, Container, Mapping, Sequence
 import numpy as np
 
 from .errors import AnalysisError, ContractViolation, MatchingConditionError, SpectrumFormatError
-from .ioutil import MAX_GRID_POINTS, finite_number
+from .ioutil import MAX_GRID_POINTS, finite_number, read_json_object
 from .polyhom import CutoffFunction
 from .spectral_model import (CrossSectionSpectrum, KIND_LAPLACE, ModeOperator, _require_keys,
                              mode_list)
@@ -187,7 +186,7 @@ class BuildingBlock:
         bad = v > amp * np.exp(-pot.mu * (s - self.L)) * 1.1 + floor
         if np.any(bad):
             k = int(np.argmax(bad))
-            raise AnalysisError(
+            raise ContractViolation(
                 f"{where}: samples decay slower than the declared rate {pot.mu} "
                 f"(first violation at s = {s[k]:.4f})"
             )
@@ -199,13 +198,7 @@ class BuildingBlock:
 def load_block(path: str, spec: CrossSectionSpectrum) -> BuildingBlock:
     """Read block data from JSON: { "L", "boundary", "mu", "potentials":
     { "<mode-index>": [[s, V], ...] } }. Strict about unknown keys."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpectrumFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise SpectrumFormatError("top level: expected an object")
+    raw = read_json_object(path, SpectrumFormatError)
     _require_keys(raw, {"L", "boundary", "mu", "potentials"}, "top level")
     L, mu = finite_number(raw["L"]), finite_number(raw["mu"])
     if L is None or mu is None:

@@ -1,8 +1,9 @@
 """Small shared helpers for JSON input and deterministic text output, and
-the size limit every grid is checked against."""
+the size limits every grid and mode list are checked against."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import tempfile
@@ -10,6 +11,22 @@ import tempfile
 # the most points one grid may have; a length and step past it ask for an
 # astronomically large grid, not a fine one
 MAX_GRID_POINTS = 2**31 - 1
+# the most modes one mode list may hold, counted before it is built
+MAX_MODES = 2**20
+
+
+def read_json_object(path: str, error: type[Exception]) -> dict:
+    """The JSON object in a UTF-8 file. Bytes that are not UTF-8, text that
+    is not JSON, nesting too deep to parse and a top level that is not an
+    object all raise ``error``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise error("top level: expected an object")
+    return raw
 
 
 def format_complex(z: complex) -> str:

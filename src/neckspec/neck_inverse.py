@@ -112,18 +112,12 @@ class CompactSection:
 
 @dataclass(frozen=True)
 class NeckSolution:
-    """Output of :func:`q0_apply`: the solution samples, rows as in the
-    section, plus the affine trace of the zero-mode rows beyond the support."""
+    """Output of :func:`q0_apply`: the solution samples, rows and columns as
+    in the section, plus the affine trace of the zero-mode rows beyond the
+    support."""
 
-    modes: tuple[ModeOperator, ...]
-    s_max: float
-    support: float
-    h: float
     values: np.ndarray
     trace_plus: PolyhomSection
-
-    def grid(self) -> np.ndarray:
-        return cell_grid(self.s_max, self.h)
 
 
 def trace_operator(modes: Sequence[ModeOperator]):
@@ -219,8 +213,8 @@ def _cumulative_midpoint(f: np.ndarray, h: float) -> np.ndarray:
     return inclusive - 0.5 * h * f
 
 
-def q0_apply(modes: Sequence[ModeOperator], f: CompactSection) -> NeckSolution:
-    """Apply the cylinder right inverse.
+def q0_apply(f: CompactSection) -> NeckSolution:
+    """Apply the cylinder right inverse to f, mode by mode of ``f.modes``.
 
     Positive-mode rows are filled by one Green's convolution march over all
     of them; zero-mode rows by the moment kernels, which also give their
@@ -245,7 +239,7 @@ def q0_apply(modes: Sequence[ModeOperator], f: CompactSection) -> NeckSolution:
             values[sl.start] = _laplace_zero_inverse(row, t, h)
             m1 = h * complex(np.sum(row))
             m0 = h * complex(np.sum(t * row))
-            trace_terms.append(PolyhomSection(1, ((0.0, (np.array([m0]), np.array([-m1]))),)))
+            trace_terms.append(PolyhomSection(1, (np.array([m0]), np.array([-m1]))))
         elif m.kind == KIND_DIRAC:
             fa, fb = f.values[sl.start], f.values[sl.start + 1]
             ca = _cumulative_midpoint(fa, h)
@@ -255,16 +249,9 @@ def q0_apply(modes: Sequence[ModeOperator], f: CompactSection) -> NeckSolution:
             values[sl.start + 1] = -ca
             ma = h * complex(np.sum(fa))
             mb = h * complex(np.sum(fb))
-            trace_terms.append(PolyhomSection(2, ((0.0, (np.array([mb, -ma]),)),)))
+            trace_terms.append(PolyhomSection(2, (np.array([mb, -ma]),)))
     trace_plus = _concat_sections(trace_terms, sum(p.fiber_dim for p in trace_terms))
-    return NeckSolution(
-        modes=f.modes,
-        s_max=f.s_max,
-        support=f.support,
-        h=h,
-        values=values,
-        trace_plus=trace_plus,
-    )
+    return NeckSolution(values=values, trace_plus=trace_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +278,11 @@ def apply_discrete(modes: Sequence[ModeOperator], values: np.ndarray, h: float) 
     return out
 
 
-def residual_on_support(modes: Sequence[ModeOperator], sol: NeckSolution, f: CompactSection) -> float:
-    """Relative l2 error of P(u) against f over the support window."""
+def residual_on_support(sol: NeckSolution, f: CompactSection) -> float:
+    """Relative l2 error of P(u) against f over the support window, with P
+    the operators of ``f.modes``."""
     t = f.grid()
-    pu = apply_discrete(modes, sol.values, f.h)
+    pu = apply_discrete(f.modes, sol.values, f.h)
     # the support is one contiguous run of columns, less the two grid ends
     inside = np.flatnonzero(np.abs(t) <= f.support)
     window = slice(max(int(inside[0]), 1), min(int(inside[-1]) + 1, len(t) - 1))
@@ -307,7 +295,7 @@ def residual_on_support(modes: Sequence[ModeOperator], sol: NeckSolution, f: Com
     return math.sqrt(f.h * float(np.sum(np.abs(diff) ** 2))) / denom
 
 
-def duality_check(modes: Sequence[ModeOperator], f: CompactSection, v: PolyhomSection):
+def duality_check(f: CompactSection, v: PolyhomSection):
     """Both sides of the trace duality (u_f, v) = <f, v> and their gap.
 
     The first value is the closed-form pairing of the asymptotic trace with
@@ -315,14 +303,13 @@ def duality_check(modes: Sequence[ModeOperator], f: CompactSection, v: PolyhomSe
     the same moment sums, so the gap is roundoff. The trace depends on the
     zero-mode rows alone, so only they are inverted.
     """
-    op, rows = trace_operator(modes)
+    op, rows = trace_operator(f.modes)
     if op is None:
         return 0j, 0j, 0.0
     if v.fiber_dim != op.fiber_dim:
         raise ContractViolation("section fiber does not match the zero-mode fiber")
-    zero = [m for m in modes if m.is_zero_mode]
-    zero_rows = CompactSection(zero, f.s_max, f.support, f.h, f.values[rows])
-    trace = q0_apply(zero, zero_rows).trace_plus
+    zero = [m for m in f.modes if m.is_zero_mode]
+    trace = q0_apply(CompactSection(zero, f.s_max, f.support, f.h, f.values[rows])).trace_plus
     pair = pairing_closed(op, trace, v)
     t = f.grid()
     vv = v.evaluate(t)
@@ -348,23 +335,16 @@ def operator_norm_fit(kind: str, supports: Sequence[float], h: float = 1.0 / 16)
     The measured log-log slope is the degree of the moment kernel: 2 for the
     Laplace zero mode, 1 for the Dirac block.
     """
+    modes = (ModeOperator(kind, 0.0, "alpha"),)
     ratios = []
     for t_half in supports:
         s_max = t_half + 2
-        if kind == KIND_LAPLACE:
-            modes = (ModeOperator(KIND_LAPLACE, 0.0, "alpha"),)
-            vals = np.zeros((1, _exact_cells(2 * s_max, h)))
-        elif kind == KIND_DIRAC:
-            modes = (ModeOperator(KIND_DIRAC, 0.0, "alpha"),)
-            vals = np.zeros((2, _exact_cells(2 * s_max, h)))
-        else:
-            raise ContractViolation(f"unknown operator kind {kind!r}")
+        vals = np.zeros((total_rows(modes), _exact_cells(2 * s_max, h)))
         t = cell_grid(s_max, h)
         inside = np.abs(t) <= t_half
         vals[0, inside] = 1.0
         f = CompactSection(modes, s_max, t_half, h, vals)
-        sol = q0_apply(modes, f)
-        u = sol.values[:, inside]
+        u = q0_apply(f).values[:, inside]
         norm_u = math.sqrt(h * float(np.sum(np.abs(u) ** 2)))
         norm_f = math.sqrt(h * float(np.sum(np.abs(vals[:, inside]) ** 2)))
         ratios.append(norm_u / norm_f)

@@ -61,12 +61,6 @@ def _poly_scale(coeffs: Sequence[np.ndarray], factor) -> tuple[np.ndarray, ...]:
     return tuple(factor * c for c in coeffs)
 
 
-def _poly_add(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    return tuple(x + y for x, y in zip(a, b)) + tuple(a[len(b):])
-
-
 def _poly_values(coeffs: Sequence[np.ndarray], t: np.ndarray, dim: int) -> np.ndarray:
     """Horner evaluation, shape (dim, len(t))."""
     acc = np.zeros((dim, len(t)), dtype=complex)
@@ -83,53 +77,42 @@ def _poly_values(coeffs: Sequence[np.ndarray], t: np.ndarray, dim: int) -> np.nd
 class PolyhomSection:
     """Polynomial section q(t) of a zero-mode fiber.
 
-    ``terms`` holds (rate, coefficients) pairs, the degree-j fiber vector at
-    index j of the coefficients. Every rate must be 0: the constructor sums
-    the terms it is given into one and trims trailing zero coefficients, so
-    ``terms`` ends up empty or a single pair at rate 0.0.
+    ``coeffs`` holds the fiber vectors of q, the degree-j vector at index j.
+    The constructor checks each vector's shape and trims trailing zero
+    vectors, so the zero section has no coefficients.
     """
 
     fiber_dim: int
-    terms: tuple[tuple[float, tuple[np.ndarray, ...]], ...]
+    coeffs: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        total: tuple[np.ndarray, ...] = ()
-        for rate, coeffs in self.terms:
-            if rate != 0:
-                raise ContractViolation(f"rate {rate}: sections of the zero-mode operators have rate 0")
-            total = _poly_add(total, tuple(_vec(c, self.fiber_dim) for c in coeffs))
-        total = _poly_trim(total)
-        object.__setattr__(self, "terms", ((0.0, total),) if total else ())
+        coeffs = tuple(_vec(c, self.fiber_dim) for c in self.coeffs)
+        object.__setattr__(self, "coeffs", _poly_trim(coeffs))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeffs_at(self, rate: float) -> tuple[np.ndarray, ...]:
-        return self.terms[0][1] if self.terms and rate == 0 else ()
+        return not self.coeffs
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         """Values on a grid, shape (fiber_dim, len(t)), complex."""
-        return _poly_values(self.coeffs_at(0.0), np.asarray(t, dtype=float), self.fiber_dim)
+        return _poly_values(self.coeffs, np.asarray(t, dtype=float), self.fiber_dim)
 
 
 def affine_section(a, b=None) -> PolyhomSection:
-    """The rate-zero section a + t b."""
+    """The section a + t b."""
     a = np.atleast_1d(np.asarray(a))
     coeffs = [a]
     if b is not None:
         coeffs.append(np.atleast_1d(np.asarray(b)))
-    return PolyhomSection(len(a), ((0.0, tuple(coeffs)),))
+    return PolyhomSection(len(a), tuple(coeffs))
 
 
 def dump(u: PolyhomSection) -> str:
-    """Canonical text form: the rate line, then one line per power of t."""
+    """Canonical text form: one line per power of t."""
     lines = [f"section fiber_dim={u.fiber_dim}"]
-    for rate, coeffs in u.terms:
-        lines.append(f"rate {rate!r}")
-        for j, c in enumerate(coeffs):
-            entries = ", ".join(repr(x) for x in c.tolist())
-            lines.append(f"  t^{j}: [{entries}]")
+    for j, c in enumerate(u.coeffs):
+        entries = ", ".join(repr(x) for x in c.tolist())
+        lines.append(f"  t^{j}: [{entries}]")
     return "\n".join(lines) + "\n"
 
 
@@ -213,14 +196,13 @@ class DirectSumOperator:
 
 
 def _slice_section(u: PolyhomSection, sl: slice, dim: int) -> PolyhomSection:
-    return PolyhomSection(dim, tuple((r, tuple(c[sl] for c in coeffs)) for r, coeffs in u.terms))
+    return PolyhomSection(dim, tuple(c[sl] for c in u.coeffs))
 
 
 def _concat_sections(parts: Sequence[PolyhomSection], total_dim: int) -> PolyhomSection:
-    deg = max((len(p.coeffs_at(0.0)) for p in parts), default=0)
-    padded = [_pad_poly(p.coeffs_at(0.0), deg, p.fiber_dim) for p in parts]
-    coeffs = tuple(np.concatenate(row) for row in zip(*padded))
-    return PolyhomSection(total_dim, ((0.0, coeffs),))
+    deg = max((len(p.coeffs) for p in parts), default=0)
+    padded = [_pad_poly(p.coeffs, deg, p.fiber_dim) for p in parts]
+    return PolyhomSection(total_dim, tuple(np.concatenate(row) for row in zip(*padded)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +216,13 @@ def apply_P(op, u: PolyhomSection) -> PolyhomSection:
     if isinstance(op, DirectSumOperator):
         parts = [apply_P(sub, _slice_section(u, sl, sub.fiber_dim)) for sub, sl in op.slices()]
         return _concat_sections(parts, op.fiber_dim)
-    coeffs = u.coeffs_at(0.0)
     if isinstance(op, LaplaceZero):
-        out = _poly_scale(_poly_deriv(_poly_deriv(coeffs)), -1)
+        out = _poly_scale(_poly_deriv(_poly_deriv(u.coeffs)), -1)
     elif isinstance(op, DiracZero):
-        out = tuple(op.j_matrix @ c for c in _poly_deriv(coeffs))
+        out = tuple(op.j_matrix @ c for c in _poly_deriv(u.coeffs))
     else:
         raise ContractViolation(f"no operator of kind {op.kind!r} acts on polynomial sections")
-    return PolyhomSection(op.fiber_dim, ((0.0, out),))
+    return PolyhomSection(op.fiber_dim, out)
 
 
 def in_kernel(op, u: PolyhomSection) -> bool:
@@ -251,7 +232,7 @@ def in_kernel(op, u: PolyhomSection) -> bool:
 
 
 def _section_scale(u: PolyhomSection) -> float:
-    return max((abs(complex(x)) for c in u.coeffs_at(0.0) for x in c.tolist()), default=0.0)
+    return max((abs(complex(x)) for c in u.coeffs for x in c.tolist()), default=0.0)
 
 
 def q_lambda0(op, f) -> PolyhomSection:
@@ -266,17 +247,17 @@ def q_lambda0(op, f) -> PolyhomSection:
         parts = [q_lambda0(sub, _slice_section(f, sl, sub.fiber_dim)) for sub, sl in op.slices()]
         return _concat_sections(parts, op.fiber_dim)
 
-    coeffs = _coerce_poly_section(f, op.fiber_dim).coeffs_at(0.0)
+    coeffs = _coerce_poly_section(f, op.fiber_dim).coeffs
     if isinstance(op, LaplaceZero):
         out = [np.zeros(op.fiber_dim, dtype=object), np.zeros(op.fiber_dim, dtype=object)]
         for j, c in enumerate(coeffs):
             out.append(_exact_div(c, -((j + 1) * (j + 2))))
-        return PolyhomSection(op.fiber_dim, ((0.0, tuple(out)),))
+        return PolyhomSection(op.fiber_dim, tuple(out))
     if isinstance(op, DiracZero):
         out = [np.zeros(op.fiber_dim, dtype=object)]
         for j, c in enumerate(coeffs):
             out.append(_exact_div(op.j_matrix @ c, -(j + 1)))
-        return PolyhomSection(op.fiber_dim, ((0.0, tuple(out)),))
+        return PolyhomSection(op.fiber_dim, tuple(out))
     raise ContractViolation(f"no closed right inverse for operator kind {op.kind!r}")
 
 
@@ -291,10 +272,7 @@ def _exact_div(vec: np.ndarray, denom: int) -> np.ndarray:
 
 
 def _coerce_poly_section(f, dim: int) -> PolyhomSection:
-    if isinstance(f, PolyhomSection):
-        return f
-    coeffs = tuple(_vec(c, dim) for c in f)
-    return PolyhomSection(dim, ((0.0, coeffs),))
+    return f if isinstance(f, PolyhomSection) else PolyhomSection(dim, tuple(f))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +303,7 @@ def pairing_integral(op, u: PolyhomSection, v: PolyhomSection, chi: CutoffFuncti
 
     c0 = chi(t)
     c1 = chi.d1(t)
-    q = tuple(np.asarray(c, dtype=complex) for c in u.coeffs_at(0.0))
+    q = tuple(np.asarray(c, dtype=complex) for c in u.coeffs)
     qv = _poly_values(q, t, op.fiber_dim)
     qv1 = _poly_values(_poly_deriv(q), t, op.fiber_dim)
     if isinstance(op, LaplaceZero):
@@ -361,14 +339,14 @@ def pairing_closed(op, u: PolyhomSection, v: PolyhomSection) -> complex:
         return total
 
     if isinstance(op, LaplaceZero):
-        cu = _pad_poly(u.coeffs_at(0.0), 2, op.fiber_dim)
-        cv = _pad_poly(v.coeffs_at(0.0), 2, op.fiber_dim)
+        cu = _pad_poly(u.coeffs, 2, op.fiber_dim)
+        cv = _pad_poly(v.coeffs, 2, op.fiber_dim)
         if len(cu) > 2 or len(cv) > 2:
             raise ContractViolation("Laplace kernel sections have degree at most one")
         return _herm(cu[0], cv[1]) - _herm(cu[1], cv[0])
     if isinstance(op, DiracZero):
-        cu = _pad_poly(u.coeffs_at(0.0), 1, op.fiber_dim)
-        cv = _pad_poly(v.coeffs_at(0.0), 1, op.fiber_dim)
+        cu = _pad_poly(u.coeffs, 1, op.fiber_dim)
+        cv = _pad_poly(v.coeffs, 1, op.fiber_dim)
         if len(cu) > 1 or len(cv) > 1:
             raise ContractViolation("Dirac kernel sections are constant")
         n = op.n_pairs
@@ -424,21 +402,18 @@ def standard_kernel_basis(op) -> list[PolyhomSection]:
     dim = op.fiber_dim
     eye = np.eye(dim)
     if isinstance(op, LaplaceZero):
-        consts = [PolyhomSection(dim, ((0.0, (eye[i],)),)) for i in range(dim)]
-        linears = [PolyhomSection(dim, ((0.0, (np.zeros(dim), eye[i])),)) for i in range(dim)]
+        consts = [PolyhomSection(dim, (eye[i],)) for i in range(dim)]
+        linears = [PolyhomSection(dim, (np.zeros(dim), eye[i])) for i in range(dim)]
         return consts + linears
     if isinstance(op, DiracZero):
-        return [PolyhomSection(dim, ((0.0, (eye[i],)),)) for i in range(dim)]
+        return [PolyhomSection(dim, (eye[i],)) for i in range(dim)]
     raise ContractViolation(f"no canonical kernel basis for operator kind {op.kind!r}")
 
 
 def _embed_section(u: PolyhomSection, dim: int, sl: slice) -> PolyhomSection:
-    terms = []
-    for rate, coeffs in u.terms:
-        rows = []
-        for c in coeffs:
-            full = np.zeros(dim, dtype=np.asarray(c).dtype if np.asarray(c).dtype != object else object)
-            full[sl] = c
-            rows.append(full)
-        terms.append((rate, tuple(rows)))
-    return PolyhomSection(dim, tuple(terms))
+    rows = []
+    for c in u.coeffs:
+        full = np.zeros(dim, dtype=c.dtype)
+        full[sl] = c
+        rows.append(full)
+    return PolyhomSection(dim, tuple(rows))

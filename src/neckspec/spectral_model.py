@@ -14,12 +14,12 @@ J = [[0, -1], [1, 0]], so its symbol is i lambda J.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Literal, Mapping, Sequence
 
 from .errors import ContractViolation, SpectrumFormatError
+from .ioutil import MAX_MODES, read_json_object
 
 KIND_LAPLACE = "laplace"
 KIND_DIRAC = "dirac"
@@ -106,18 +106,6 @@ class ModeOperator:
         return self.nu <= MERGE_TOL
 
 
-@dataclass(frozen=True)
-class RootData:
-    """Symbol roots with orders, plus the real sublist used for growth rates.
-
-    The real sublist is empty or the root 0 alone: lambda^2 + nu has real
-    roots only at nu = 0, and a Dirac block exists only there.
-    """
-
-    roots: tuple[tuple[complex, int], ...]
-    real_roots: tuple[tuple[float, int], ...]
-
-
 def circle_spectrum(length: float = 2 * math.pi, max_modes: int = 8) -> CrossSectionSpectrum:
     """Spectrum of the circle of a given circumference.
 
@@ -182,13 +170,7 @@ def load_spectrum(path: str) -> CrossSectionSpectrum:
     ...]}}``. Unknown keys are errors, as are malformed entries; error
     messages name the offending field.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpectrumFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise SpectrumFormatError("top level: expected an object")
+    raw = read_json_object(path, SpectrumFormatError)
     _require_keys(raw, {"name", "dimension", "degrees"}, "top level")
     if not isinstance(raw["name"], str):
         raise SpectrumFormatError("name: expected a string")
@@ -225,21 +207,25 @@ def mode_list(spec: CrossSectionSpectrum, q: int, cutoff: float) -> list[ModeOpe
 
     Degree-q eigenforms enter tangentially (alpha), degree q-1 forms enter
     wedged with dt (beta); each eigenvalue is repeated per multiplicity.
+    More than MAX_MODES modes are refused before any is built.
     """
-    modes: list[ModeOperator] = []
-    for tag, deg in (("alpha", q), ("beta", q - 1)):
-        for nu, mult in spec.eigenvalues(deg):
-            if nu <= cutoff:
-                modes.extend(ModeOperator(KIND_LAPLACE, nu, tag) for _ in range(mult))
-    return modes
+    kept = [(nu, mult, tag) for tag, deg in (("alpha", q), ("beta", q - 1))
+            for nu, mult in spec.eigenvalues(deg) if nu <= cutoff]
+    count = sum(mult for _, mult, _ in kept)
+    if count > MAX_MODES:
+        raise ContractViolation(
+            f"degree {q}: the spectrum has {count} modes, more than MAX_MODES = {MAX_MODES}"
+        )
+    return [ModeOperator(KIND_LAPLACE, nu, tag) for nu, mult, tag in kept for _ in range(mult)]
 
 
-def roots_of(op: ModeOperator) -> RootData:
-    """Roots of the mode symbol with orders."""
+def roots_of(op: ModeOperator) -> tuple[tuple[complex, int], ...]:
+    """(root, order) pairs of the mode symbol. The only real root is 0:
+    lambda^2 + nu has real roots only at nu = 0, and a Dirac block exists
+    only there."""
     if op.kind == KIND_DIRAC:
-        roots = ((0j, 1),)
-        return RootData(roots=roots, real_roots=((0.0, 1),))
+        return ((0j, 1),)
     if op.nu <= MERGE_TOL:
-        return RootData(roots=((0j, 2),), real_roots=((0.0, 2),))
+        return ((0j, 2),)
     r = math.sqrt(op.nu)
-    return RootData(roots=((1j * r, 1), (-1j * r, 1)), real_roots=())
+    return ((1j * r, 1), (-1j * r, 1))

@@ -184,6 +184,19 @@ class TestConfigErrors:
         assert code == 2
         assert "error: mu:" in err
 
+    @pytest.mark.parametrize("command", ["roots", "glue"])
+    def test_oversized_mode_list_is_refused_before_it_is_built(self, tmp_path, capsys, command):
+        # expanding 2^62 modes one by one would exhaust memory
+        spectrum = {"name": "huge", "dimension": 1, "degrees": {"0": [[0.0, 2**62]]}}
+        (tmp_path / "spec.json").write_text(json.dumps(spectrum), encoding="utf-8")
+        cfg = write_config(tmp_path, spectrum={"file": "spec.json"},
+                           blocks=[FLAT_BLOCK, FLAT_BLOCK], degrees=[0], T=[8], seed=1)
+        code, out, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert f"error: degree 0: the spectrum has {2**62} modes" in err
+        assert "Traceback" not in err
+
     def test_spectrum_file_with_twist(self, tmp_path, capsys):
         spectrum = {"name": "x", "dimension": 1, "degrees": {"0": [[0.0, 1]]},
                     "twist": {"0": [[[1.0]]]}}
@@ -192,6 +205,33 @@ class TestConfigErrors:
         code, _, err = run(capsys, "roots", "--config", cfg, "--out", str(tmp_path / "o"))
         assert code == 2
         assert "unknown field 'twist'" in err
+
+
+class TestUnreadableJson:
+    """A config, spectrum or block file that is not UTF-8 JSON, nests too
+    deep to parse or holds an integer too long to convert exits 2 naming
+    the file."""
+
+    @pytest.mark.parametrize("content", [b'{"seed": "\xff"}', b"[" * 100_000,
+                                         b'{"seed": ' + b"1" * 5000 + b"}"],
+                             ids=["byte-0xff", "deep-nesting", "5000-digit-integer"])
+    @pytest.mark.parametrize("kind,command", [("config", "paircheck"), ("spectrum", "roots"),
+                                              ("block", "glue")])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, kind, command, content):
+        bad = tmp_path / f"{kind}.json"
+        bad.write_bytes(content)
+        fields = dict(spectrum="scalar", blocks=[FLAT_BLOCK, FLAT_BLOCK], degrees=[0], T=[8],
+                      seed=1)
+        if kind == "spectrum":
+            fields["spectrum"] = {"file": bad.name}
+        elif kind == "block":
+            fields["blocks"] = [{"file": bad.name}, FLAT_BLOCK]
+        cfg = str(bad) if kind == "config" else write_config(tmp_path, **fields)
+        code, out, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {bad}: not valid JSON (")
+        assert "Traceback" not in err
 
 
 class TestPotentialEntries:
@@ -232,6 +272,12 @@ class TestPotentialEntries:
         code, _, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
         assert code == 2
         assert "blocks[0].L" in err
+
+    def test_slow_decay_samples_are_refused(self, tmp_path, capsys):
+        # samples falling as e^{-0.2 s} where the block declares mu = 1
+        rows = [[s, 0.3 * math.exp(-0.2 * s)] for s in np.arange(0.0, 20.5, 0.5).tolist()]
+        err = self._run(tmp_path, capsys, "glue", {"0": rows})
+        assert "error: potentials[0]: samples decay slower than the declared rate 1.0" in err
 
     @pytest.mark.parametrize("command", ["glue", "density"])
     def test_potential_on_a_missing_mode(self, tmp_path, capsys, command):

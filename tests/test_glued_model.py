@@ -170,7 +170,7 @@ def test_mode_floor_shifts_with_nu():
 
 
 def test_slow_decay_is_rejected_at_construction():
-    with pytest.raises(AnalysisError, match="decay slower"):
+    with pytest.raises(ContractViolation, match="decay slower"):
         BuildingBlock(SCALAR, L=1.0, boundary=NEUMANN, mu=1.0,
                       potentials={0: exp_potential(0.2, 0.3, declared=1.0)})
 

@@ -150,3 +150,22 @@ def test_no_module_imports_a_name_it_never_uses():
                 continue
             unused += [f"{name}:{node.lineno} {b}" for b in bound if b not in reads]
     assert not unused, f"imported and never used: {unused}"
+
+
+def test_every_parameter_is_read():
+    # a parameter the body never reads is a second copy of a fact the
+    # caller must keep in step for nothing; lambdas are exempt, as the
+    # Potential callables take h by interface
+    unread = []
+    for name, tree in _src_modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{name}:{node.lineno} {node.name}({p.arg})" for p in params
+                       if p is not None and p.arg not in ("self", "cls")
+                       and not p.arg.startswith("_") and p.arg not in loaded]
+    assert not unread, f"parameters never read: {unread}"

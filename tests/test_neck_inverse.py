@@ -87,21 +87,21 @@ class TestZeroModeInverse:
     def test_box_trace_value(self):
         # u_s(t) = -int_{-1}^{1} (t - tau) dtau = -2t for t > 1
         f = box_section((laplace(0.0),), 4.0, 1.0, 1.0 / 32)
-        sol = q0_apply(f.modes, f)
-        coeffs = sol.trace_plus.coeffs_at(0.0)
+        sol = q0_apply(f)
+        coeffs = sol.trace_plus.coeffs
         assert coeffs[0][0] == pytest.approx(0.0, abs=1e-13)
         assert coeffs[1][0] == pytest.approx(-2.0)
         assert sol.trace_plus.evaluate(np.array([1.0]))[0, 0] == pytest.approx(-2.0)
 
     def test_support_law_exact(self):
         f = seeded_section((laplace(0.0),), 6.0, 2.0, 1.0 / 16, seed=3)
-        sol = q0_apply(f.modes, f)
+        sol = q0_apply(f)
         t = f.grid()
         assert np.all(sol.values[:, t < -2.0] == 0)
 
     def test_trace_matches_samples_exactly(self):
         f = seeded_section((laplace(0.0),), 6.0, 2.0, 1.0 / 16, seed=4)
-        sol = q0_apply(f.modes, f)
+        sol = q0_apply(f)
         t = f.grid()
         right = t > 2.0
         expected = sol.trace_plus.evaluate(t[right])[0]
@@ -109,8 +109,8 @@ class TestZeroModeInverse:
 
     def test_discrete_stencil_inverted_exactly(self):
         f = seeded_section((laplace(0.0),), 6.0, 2.0, 1.0 / 64, seed=5)
-        sol = q0_apply(f.modes, f)
-        assert residual_on_support(f.modes, sol, f) <= 1e-9
+        sol = q0_apply(f)
+        assert residual_on_support(sol, f) <= 1e-9
 
     def test_odd_input_has_no_linear_trace(self):
         modes = (laplace(0.0),)
@@ -120,8 +120,8 @@ class TestZeroModeInverse:
         inside = np.abs(t) <= 1.0
         vals[0, inside] = t[inside]
         f = CompactSection(modes, 5.0, 1.0, h, vals)
-        trace = q0_apply(modes, f).trace_plus
-        coeffs = trace.coeffs_at(0.0)
+        trace = q0_apply(f).trace_plus
+        coeffs = trace.coeffs
         # m1 = integral of odd vanishes; m0 = int tau^2 = 2/3 up to O(h^2)
         assert coeffs[0][0] == pytest.approx(2.0 / 3.0, abs=h**2)
         assert len(coeffs) == 1 or abs(coeffs[1][0]) <= 1e-13
@@ -129,7 +129,7 @@ class TestZeroModeInverse:
     def test_dirac_inverse(self):
         modes = (dirac(),)
         f = box_section(modes, 4.0, 1.0, 1.0 / 32, row=0)
-        sol = q0_apply(modes, f)
+        sol = q0_apply(f)
         # u = -J int f: alpha-row input feeds the beta row with a minus sign
         t = f.grid()
         right = t > 1.0
@@ -141,15 +141,15 @@ class TestZeroModeInverse:
         errs = []
         for h in (1.0 / 64, 1.0 / 128):
             f = seeded_section((dirac(),), 6.0, 2.0, h, seed=9)
-            sol = q0_apply(f.modes, f)
-            errs.append(residual_on_support(f.modes, sol, f))
+            sol = q0_apply(f)
+            errs.append(residual_on_support(sol, f))
         assert errs[0] <= 1e-3
         assert errs[1] <= errs[0] / 3.0
 
     def test_grid_margin_required(self):
         f = box_section((laplace(0.0),), 2.5, 1.0, 0.25)
         with pytest.raises(ContractViolation):
-            q0_apply(f.modes, f)
+            q0_apply(f)
 
 
 class TestGreenConvolution:
@@ -161,7 +161,7 @@ class TestGreenConvolution:
         j0 = len(t) // 2
         vals[0, j0] = 1.0 / h
         f = CompactSection(modes, 6.0, 1.0, h, vals)
-        sol = q0_apply(modes, f)
+        sol = q0_apply(f)
         u = sol.values[0].real
         expected = np.exp(-np.abs(t - t[j0])) / 2
         # the discrete delta is a width-2h hat, so the peak is low by O(h)
@@ -174,21 +174,21 @@ class TestGreenConvolution:
         vals = np.zeros((1, len(t)), dtype=complex)
         vals[0, len(t) // 2] = 1.0 / h
         f = CompactSection(modes, 4.0, 1.0, h, vals)
-        sol = q0_apply(modes, f)
+        sol = q0_apply(f)
         assert np.max(np.abs(sol.values)) == pytest.approx(0.25, rel=2.0 * h)
 
     def test_residual_second_order(self):
         errs = []
         for h in (1.0 / 64, 1.0 / 128):
             f = seeded_section((laplace(2.0),), 6.0, 2.0, h, seed=12)
-            sol = q0_apply(f.modes, f)
-            errs.append(residual_on_support(f.modes, sol, f))
+            sol = q0_apply(f)
+            errs.append(residual_on_support(sol, f))
         assert errs[0] <= 1e-3
         assert errs[1] <= errs[0] / 3.0
 
     def test_exponential_decay_beyond_support(self):
         f = seeded_section((laplace(1.0),), 10.0, 2.0, 1.0 / 32, seed=6)
-        sol = q0_apply(f.modes, f)
+        sol = q0_apply(f)
         t = f.grid()
         l1 = f.h * float(np.sum(np.abs(f.values)))
         outside = t > 2.0
@@ -263,7 +263,7 @@ class TestBatchedConvolution:
         f = seeded_section(modes, 7.0, 5.0, 1.0 / 128, seed=264)
         tracemalloc.start()
         try:
-            q0_apply(modes, f)
+            q0_apply(f)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -282,22 +282,22 @@ class TestRealArithmetic:
         f = seeded_section(modes, 7.0, 5.0, 1.0 / 64, seed=31)
         fc = CompactSection(f.modes, f.s_max, f.support, f.h, f.values.astype(complex))
         assert f.values.dtype == np.float64
-        real, cplx = q0_apply(modes, f), q0_apply(modes, fc)
+        real, cplx = q0_apply(f), q0_apply(fc)
         x, z = real.values, cplx.values
         assert x.dtype == np.float64
         assert bitwise_equal(x, z.real.copy())
         assert not np.any(z.imag)
         assert apply_discrete(modes, x, f.h).dtype == np.float64
-        assert residual_on_support(modes, real, f) == residual_on_support(modes, cplx, fc)
+        assert residual_on_support(real, f) == residual_on_support(cplx, fc)
         # a kernel element of the zero-mode operator: affine on Laplace
         # slots, constant on Dirac slots
         op, _ = trace_operator(modes)
         slope = np.concatenate([[1.0] if m.kind == KIND_LAPLACE else [0.0, 0.0]
                                 for m in modes if m.is_zero_mode])
         k = np.arange(op.fiber_dim)
-        v = PolyhomSection(op.fiber_dim, ((0.0, (np.cos(k), slope * np.sin(k + 1))),))
-        pair, l2, gap = duality_check(modes, f, v)
-        pair_c, l2_c, gap_c = duality_check(modes, fc, v)
+        v = PolyhomSection(op.fiber_dim, (np.cos(k), slope * np.sin(k + 1)))
+        pair, l2, gap = duality_check(f, v)
+        pair_c, l2_c, gap_c = duality_check(fc, v)
         scale = 1 + abs(pair) + abs(l2)
         assert abs(pair - pair_c) <= 1e-13 * scale
         assert abs(l2 - l2_c) <= 1e-13 * scale
@@ -310,15 +310,15 @@ class TestMixedModes:
         errs = []
         for h in (1.0 / 64, 1.0 / 128):
             f = seeded_section(modes, 6.0, 2.0, h, seed=21)
-            sol = q0_apply(modes, f)
-            errs.append(residual_on_support(modes, sol, f))
+            sol = q0_apply(f)
+            errs.append(residual_on_support(sol, f))
         assert errs[0] <= 1e-3
         assert errs[1] <= errs[0] / 3.0
 
     def test_positive_mode_rows_stay_regular(self):
         modes = (laplace(0.0), laplace(1.0))
         f = seeded_section(modes, 6.0, 2.0, 1.0 / 32, seed=2)
-        sol = q0_apply(modes, f)
+        sol = q0_apply(f)
         # the positive row comes from the Green's march alone, the zero row
         # from the moment kernel alone
         march = _gnu_convolve(f.values[1][:, None], [1.0], f.h)[:, 0]
@@ -331,7 +331,7 @@ class TestInvertibility:
         # on modes with nu >= nu0 > 0 the inverse has norm at most 1/nu0
         modes = (laplace(1.0), laplace(4.0))
         f = seeded_section(modes, 6.0, 2.0, 1.0 / 32, seed=8)
-        u = q0_apply(modes, f).values
+        u = q0_apply(f).values
         ratio = math.sqrt(f.h * float(np.sum(np.abs(u) ** 2))) / f.norm()
         assert ratio <= 1.0 + (1.0 / 32) ** 2
 
@@ -350,7 +350,7 @@ class TestDuality:
     def test_box_against_constant(self):
         modes = (laplace(0.0),)
         f = box_section(modes, 4.0, 1.0, 1.0 / 64)
-        pair, l2, gap = duality_check(modes, f, affine_section([1.0]))
+        pair, l2, gap = duality_check(f, affine_section([1.0]))
         assert l2 == pytest.approx(2.0)
         assert pair == pytest.approx(2.0)
         assert gap <= 1e-12
@@ -358,7 +358,7 @@ class TestDuality:
     def test_box_against_linear(self):
         modes = (laplace(0.0),)
         f = box_section(modes, 4.0, 1.0, 1.0 / 64)
-        pair, l2, gap = duality_check(modes, f, affine_section([0.0], [1.0]))
+        pair, l2, gap = duality_check(f, affine_section([0.0], [1.0]))
         assert abs(l2) <= 1e-12
         assert gap <= 1e-12
 
@@ -369,10 +369,8 @@ class TestDuality:
         for seed in range(30):
             f = seeded_section(modes, 6.0, 2.0, 1.0 / 16, seed=seed)
             rng_v = np.cos(seed + np.arange(8.0))
-            v = PolyhomSection(
-                4, ((0.0, (rng_v[:4], np.array([rng_v[4], rng_v[5], 0.0, 0.0]))),)
-            )
-            pair, l2, gap = duality_check(modes, f, v)
+            v = PolyhomSection(4, (rng_v[:4], np.array([rng_v[4], rng_v[5], 0.0, 0.0])))
+            pair, l2, gap = duality_check(f, v)
             scale = 1 + abs(pair) + abs(l2)
             assert gap <= 1e-10 * scale
 
@@ -388,17 +386,17 @@ class TestDuality:
             # a kernel element: affine on the Laplace slots, constant on the Dirac ones
             k = np.arange(op.fiber_dim) + seed
             slope = np.array([1.0, 0.0, 0.0, 1.0]) * np.sin(k)
-            v = PolyhomSection(op.fiber_dim, ((0.0, (np.cos(k), slope)),))
+            v = PolyhomSection(op.fiber_dim, (np.cos(k), slope))
             # the reference: the trace of the full inverse, every row marched
-            pair = pairing_closed(op, q0_apply(modes, f).trace_plus, v)
+            pair = pairing_closed(op, q0_apply(f).trace_plus, v)
             l2 = f.h * complex(np.sum(f.values[rows, :] * np.conj(v.evaluate(f.grid()))))
-            assert duality_check(modes, f, v) == (pair, l2, abs(pair - l2))
+            assert duality_check(f, v) == (pair, l2, abs(pair - l2))
 
     def test_zero_section(self):
         modes = (laplace(0.0),)
         t = cell_grid(4.0, 1.0 / 16)
         f = CompactSection(modes, 4.0, 1.0, 1.0 / 16, np.zeros((1, len(t)), dtype=complex))
-        pair, l2, gap = duality_check(modes, f, affine_section([1.0]))
+        pair, l2, gap = duality_check(f, affine_section([1.0]))
         assert (pair, l2, gap) == (0, 0, 0)
 
 

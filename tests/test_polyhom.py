@@ -28,18 +28,15 @@ from neckspec.polyhom import (
 
 
 def poly_section(dim, *coeffs):
-    return PolyhomSection(dim, ((0.0, tuple(np.asarray(c) for c in coeffs)),))
+    return PolyhomSection(dim, tuple(np.asarray(c) for c in coeffs))
 
 
 def sections_equal(u, v):
-    if len(u.terms) != len(v.terms):
+    if len(u.coeffs) != len(v.coeffs):
         return False
-    for (ru, cu), (rv, cv) in zip(u.terms, v.terms):
-        if ru != rv or len(cu) != len(cv):
+    for a, b in zip(u.coeffs, v.coeffs):
+        if not all(x == y for x, y in zip(a.tolist(), b.tolist())):
             return False
-        for a, b in zip(cu, cv):
-            if not all(x == y for x, y in zip(a.tolist(), b.tolist())):
-                return False
     return True
 
 
@@ -92,16 +89,7 @@ class TestCutoff:
 class TestSections:
     def test_trailing_zeros_trimmed(self):
         u = poly_section(1, [1.0], [0.0], [0.0])
-        assert len(u.terms[0][1]) == 1
-
-    def test_duplicate_rates_merge(self):
-        u = PolyhomSection(1, ((0.0, (np.array([1.0]),)), (0.0, (np.array([2.0]),))))
-        assert len(u.terms) == 1
-        assert u.terms[0][1][0][0] == 3.0
-
-    def test_close_rates_rejected(self):
-        with pytest.raises(ContractViolation):
-            PolyhomSection(1, ((0.0, (np.array([1.0]),)), (1e-12, (np.array([1.0]),))))
+        assert len(u.coeffs) == 1
 
     def test_evaluate(self):
         u = affine_section([1.0], [2.0])
@@ -112,7 +100,6 @@ class TestSections:
         u = affine_section([1.0, 0.0], [0.0, -0.5])
         assert dump(u) == (
             "section fiber_dim=2\n"
-            "rate 0.0\n"
             "  t^0: [1.0, 0.0]\n"
             "  t^1: [0.0, -0.5]\n"
         )
@@ -158,26 +145,26 @@ class TestRightInverse:
         op = LaplaceZero(1, 0)
         u = q_lambda0(op, [np.array([Fraction(1)], dtype=object)])
         # -t^2/2
-        assert u.terms[0][1][2][0] == Fraction(-1, 2)
+        assert u.coeffs[2][0] == Fraction(-1, 2)
 
     def test_laplace_linear(self):
         op = LaplaceZero(1, 0)
         u = q_lambda0(op, [np.array([0]), np.array([Fraction(1)], dtype=object)])
         # -t^3/6
-        assert u.terms[0][1][3][0] == Fraction(-1, 6)
+        assert u.coeffs[3][0] == Fraction(-1, 6)
 
     def test_dirac_constant(self):
         op = DiracZero(1)
         c = np.array([Fraction(1), Fraction(0)], dtype=object)
         u = q_lambda0(op, [c])
         # -t J alpha = -t beta
-        coeffs = u.terms[0][1]
+        coeffs = u.coeffs
         assert coeffs[1][0] == 0 and coeffs[1][1] == Fraction(-1)
 
     def test_no_kernel_component(self):
         op = LaplaceZero(1, 0)
         u = q_lambda0(op, [np.array([3.0])])
-        coeffs = u.terms[0][1]
+        coeffs = u.coeffs
         assert coeffs[0][0] == 0 and coeffs[1][0] == 0
 
     @given(
@@ -193,7 +180,7 @@ class TestRightInverse:
         f = [np.array([Fraction(p, q)], dtype=object) for p, q in data]
         u = q_lambda0(op, f)
         back = apply_P(op, u)
-        expected = PolyhomSection(1, ((0.0, tuple(f)),))
+        expected = PolyhomSection(1, tuple(f))
         assert sections_equal(back, expected)
 
     @given(
@@ -209,14 +196,14 @@ class TestRightInverse:
         f = [np.array([Fraction(p1, q1), Fraction(p2, q2)], dtype=object) for p1, q1, p2, q2 in data]
         u = q_lambda0(op, f)
         back = apply_P(op, u)
-        expected = PolyhomSection(2, ((0.0, tuple(f)),))
+        expected = PolyhomSection(2, tuple(f))
         assert sections_equal(back, expected)
 
     def test_degree_bound(self):
         op = LaplaceZero(1, 0)
         f = [np.array([1.0]), np.array([2.0]), np.array([3.0])]
         u = q_lambda0(op, f)
-        assert len(u.terms[0][1]) - 1 == len(f) - 1 + 2
+        assert len(u.coeffs) - 1 == len(f) - 1 + 2
 
     def test_direct_sum(self):
         op = DirectSumOperator([LaplaceZero(1, 0), DiracZero(1)])
@@ -224,10 +211,6 @@ class TestRightInverse:
         u = q_lambda0(op, f)
         back = apply_P(op, u)
         assert sections_equal(back, poly_section(3, [1.0, 1.0, 0.0]))
-
-    def test_nonzero_rate_refused(self):
-        with pytest.raises(ContractViolation):
-            PolyhomSection(1, ((1.0, (np.array([1.0]),)),))
 
 
 class TestPairing:

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from neckspec.errors import ContractViolation, SpectrumFormatError
+from neckspec.ioutil import MAX_MODES
 from neckspec.spectral_model import (
     KIND_DIRAC,
     KIND_LAPLACE,
@@ -164,20 +165,33 @@ class TestModeList:
         modes = mode_list(circle_spectrum(), q=0, cutoff=2.0)
         assert sorted(m.nu for m in modes) == [0.0, 1.0, 1.0]
 
+    def test_mode_count_is_bounded_before_expansion(self):
+        # MAX_MODES alpha modes from degree 1 and one beta mode from degree 0
+        spec = CrossSectionSpectrum("x", 1, {1: ((0.0, MAX_MODES),), 0: ((0.0, 1),)})
+        message = f"^degree 1: the spectrum has {MAX_MODES + 1} modes, more than MAX_MODES = {MAX_MODES}$"
+        with pytest.raises(ContractViolation, match=message):
+            mode_list(spec, 1, cutoff=math.inf)
+        # only the modes below the cutoff count
+        huge = CrossSectionSpectrum("x", 1, {0: ((0.0, 1), (4.0, 2**62))})
+        assert len(mode_list(huge, 0, cutoff=1.0)) == 1
+
+
+def real_roots_of(op):
+    """The symbol roots of op with zero imaginary part, with their orders."""
+    return [(root, order) for root, order in roots_of(op) if root.imag == 0]
+
 
 class TestRoots:
     def test_massive_laplace(self):
-        data = roots_of(ModeOperator(KIND_LAPLACE, 4.0, "alpha"))
-        assert set(data.roots) == {(2j, 1), (-2j, 1)}
-        assert data.real_roots == ()
+        op = ModeOperator(KIND_LAPLACE, 4.0, "alpha")
+        assert set(roots_of(op)) == {(2j, 1), (-2j, 1)}
+        assert real_roots_of(op) == []
 
     def test_zero_laplace(self):
-        data = roots_of(ModeOperator(KIND_LAPLACE, 0.0, "alpha"))
-        assert data.real_roots == ((0.0, 2),)
+        assert real_roots_of(ModeOperator(KIND_LAPLACE, 0.0, "alpha")) == [(0.0, 2)]
 
     def test_dirac(self):
-        data = roots_of(ModeOperator(KIND_DIRAC, 0.0, "alpha"))
-        assert data.real_roots == ((0.0, 1),)
+        assert real_roots_of(ModeOperator(KIND_DIRAC, 0.0, "alpha")) == [(0.0, 1)]
 
     def test_dirac_requires_zero_mode(self):
         with pytest.raises(ContractViolation):
@@ -189,7 +203,7 @@ class TestSpectrumInvariants:
         spec = torus2_spectrum()
         for q in range(3):
             zero_modes = [m for m in mode_list(spec, q, cutoff=1.0) if m.is_zero_mode]
-            has_root = any(roots_of(m).real_roots for m in mode_list(spec, q, cutoff=1.0))
+            has_root = any(real_roots_of(m) for m in mode_list(spec, q, cutoff=1.0))
             expected = spec.betti(q) + spec.betti(q - 1) > 0
             assert (len(zero_modes) > 0) == expected
             assert has_root == expected
@@ -198,7 +212,7 @@ class TestSpectrumInvariants:
         for spec in (torus2_spectrum(), circle_spectrum(), scalar_spectrum()):
             for q in range(spec.dimension + 2):
                 for m in mode_list(spec, q, cutoff=math.inf):
-                    assert all(rate == 0 for rate, _ in roots_of(m).real_roots)
+                    assert all(root == 0 for root, _ in real_roots_of(m))
 
     def test_degree_outside_range_rejected(self):
         with pytest.raises(SpectrumFormatError):
