@@ -42,8 +42,10 @@ from .glued_model import (
     sample_rows,
 )
 from .gluing_solver import solve_exact, solve_report_csv, substitute_kernel
-from .ioutil import finite_number, format_complex, format_real, read_json_object, write_text_atomic
-from .neck_inverse import operator_norm_fit, q0_apply, residual_on_support, seeded_section
+from .ioutil import (MAX_GRID_VALUES, finite_number, format_complex, format_real,
+                     read_json_object, write_text_atomic)
+from .neck_inverse import (cell_grid, operator_norm_fit, q0_apply, residual_on_support,
+                           seeded_section)
 from .polyhom import (
     CutoffFunction,
     DiracZero,
@@ -253,6 +255,15 @@ def _require_modes(cfg: ExperimentConfig, q: int, modes):
     return modes
 
 
+def _require_grid_values(q: int, modes: int, points: int) -> None:
+    """Refuse a (modes x points) array over MAX_GRID_VALUES before it is built."""
+    if modes * points > MAX_GRID_VALUES:
+        raise ConfigError(
+            f"degree {q}: {modes} modes on {points} grid points make {modes * points} "
+            f"values, more than MAX_GRID_VALUES = {MAX_GRID_VALUES}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # commands; each returns (ok, stdout lines, {filename: text})
 
@@ -286,6 +297,7 @@ def cmd_q0check(cfg: ExperimentConfig):
         modes = _require_modes(cfg, q, mode_list(cfg.spectrum, q, _effective_cutoff(cfg)))
         res = []
         for step in (cfg.h, cfg.h / 2):
+            _require_grid_values(q, len(modes), len(cell_grid(support + 2.0, step)))
             f = seeded_section(modes, support + 2.0, support, step, cfg.seed + 257 * q)
             r = residual_on_support(q0_apply(f), f)
             res.append(r)
@@ -408,6 +420,7 @@ def cmd_glue(cfg: ExperimentConfig):
     for q in cfg.degrees:
         for T in cfg.T_values:
             G = _glued_operator(cfg, q, T)
+            _require_grid_values(q, len(G.modes), G.n_points)
             S = substitute_kernel(G)
             f = _glued_source(G, cfg.seed + 31 * q)
             report = solve_exact(G, S, f)
@@ -437,10 +450,8 @@ def cmd_density(cfg: ExperimentConfig):
         r0 = 2 * rep.B + 3
         ok &= rep.max_residual <= r0
         for i in range(len(rep.T_values)):
-            for j, s in enumerate(rep.s_values):
-                ex, co = rep.coexact[i][j]
-                ok &= abs(ex - 2.0 * rep.b_exact * math.sqrt(s)) <= r0
-                ok &= abs(co - 2.0 * rep.b_coexact * math.sqrt(s)) <= r0
+            for j in range(len(rep.s_values)):
+                ok &= all(abs(cnt - pred) <= r0 for _, cnt, pred in rep.branches(i, j))
         files[f"density_q{q}.csv"] = spectral_density.density_csv(rep)
         files.update(spectral_density.gnuplot_tables(rep))
         lines.append(

@@ -31,10 +31,6 @@ class NotOrthogonalError(AnalysisError):
     """Data required to be orthogonal to the substitute kernel is not."""
 
 
-class DegenerateSystemError(AnalysisError):
-    """The characteristic system lost rank at this neck length."""
-
-
 class NoContractionError(AnalysisError):
     """The correction iteration does not contract; carries the measured rate."""
 

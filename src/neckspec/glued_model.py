@@ -34,7 +34,7 @@ from .spectral_model import (CrossSectionSpectrum, KIND_LAPLACE, ModeOperator, _
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
 
-# shooting classification tolerance (relative) and its residual guard factor
+# shooting classification tolerance (relative); the affine-fit guard is 10x it
 KERNEL_TOL = 1e-6
 
 
@@ -406,26 +406,20 @@ def assemble(
 
 @dataclass(frozen=True)
 class ShootingElement:
-    """One zero mode's shooting solution and its affine far field a + b s."""
+    """One zero mode's shooting solution and its affine far field a + b s.
+    ``samples`` is read-only and shared by the members of a mode family."""
 
     mode_index: int
-    nu: float
-    degree_tag: str
     h: float
-    reach: float
     samples: np.ndarray
     a: float
     b: float
     bounded: bool
     decaying: bool
-    fit_residual: float
 
 
 @dataclass(frozen=True)
 class BlockKernelData:
-    block: BuildingBlock
-    q: int
-    h: float
     elements: tuple[ShootingElement, ...]
 
     @property
@@ -499,7 +493,6 @@ def block_kernel(
     block: BuildingBlock,
     spec: CrossSectionSpectrum,
     q: int,
-    tol: float = KERNEL_TOL,
     h: float = 1.0 / 16,
     cutoff: float | None = None,
     reach: float | None = None,
@@ -508,7 +501,7 @@ def block_kernel(
     boundary and classify.
 
     Zero modes yield one element each with its affine far data (a, b);
-    bounded means |b| below tol relative to the window scale. A positive
+    bounded means |b| below KERNEL_TOL relative to the window scale. A positive
     mode with a potential on the block is certified kernel-free by its
     growth rate: a bound state or threshold resonance below nu would hold
     the log slope of the shot under sqrt(nu) / 2. A free positive mode is
@@ -519,8 +512,6 @@ def block_kernel(
     (``mode_families`` of the modes with a potential on the block); zero
     modes shoot with nu = 0.
     """
-    if tol <= 0:
-        raise ContractViolation("tolerance must be positive")
     if block.spec != spec:
         raise MatchingConditionError("block was built on a different spectrum")
     modes = mode_list(spec, q, cutoff if cutoff is not None else math.inf)
@@ -550,36 +541,22 @@ def block_kernel(
         shot = u[:, c]
         a, b, resid = _affine_fit(s[window], shot[window])
         scale = max(1.0, abs(a), abs(b) * reach, float(np.max(np.abs(shot[window]))))
-        if resid > 10.0 * tol * scale:
+        if resid > 10.0 * KERNEL_TOL * scale:
             raise AnalysisError(
                 f"mode {i}: far field is not affine (fit residual {resid:.3e}); "
                 "the potential violates its decay contract"
             )
-        bounded = abs(b) <= tol * scale
-        decaying = bounded and abs(a) <= tol * scale
+        bounded = abs(b) <= KERNEL_TOL * scale
+        decaying = bounded and abs(a) <= KERNEL_TOL * scale
+        samples = shot.copy()
+        samples.flags.writeable = False
         elements.extend(
-            ShootingElement(
-                mode_index=k,
-                nu=modes[k].nu,
-                degree_tag=modes[k].degree_tag,
-                h=h,
-                reach=reach,
-                samples=shot.copy(),
-                a=a,
-                b=b,
-                bounded=bounded,
-                decaying=decaying,
-                fit_residual=resid,
-            )
+            ShootingElement(mode_index=k, h=h, samples=samples, a=a, b=b, bounded=bounded,
+                            decaying=decaying)
             for k in members
         )
     elements.sort(key=lambda e: e.mode_index)
-    return BlockKernelData(
-        block=block,
-        q=q,
-        h=h,
-        elements=tuple(elements),
-    )
+    return BlockKernelData(elements=tuple(elements))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ glued matrices are real, and every solver works in the source's dtype.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,6 @@ import numpy as np
 from .errors import (
     AnalysisError,
     ContractViolation,
-    DegenerateSystemError,
     NoContractionError,
     NotOrthogonalError,
 )
@@ -46,6 +44,7 @@ _CUT = 2.0  # block subgrids reach this far past the neck center
 _BORDER_TOL = 1e-10  # certificate of every bordered block solve
 _BORDER_DIGITS = 6  # significant digits a bordered solve must keep: eps cond <= 1e-6
 _BORDER_ROWS = 4  # rows a bordered solve tries to shift before it refuses
+RTOL = 1e-9  # solve_exact stops at ||f - P u - w|| <= RTOL ||f||
 
 
 def _inexact(x) -> np.ndarray:
@@ -91,65 +90,8 @@ def transplant(G: GluedOperator, which: int, element: ShootingElement) -> np.nda
     return out
 
 
-def _trace_in_t(G: GluedOperator, which: int, element: ShootingElement) -> tuple[float, float]:
-    """The element's affine far field written in the glued coordinate:
-    block 1 gives (a + b (T+L1)) + b t, block 2 gives (a + b (T+L2)) - b t."""
-    if which == 1:
-        return element.a + element.b * (G.T + G.L1), element.b
-    return element.a + element.b * (G.T + G.L2), -element.b
-
-
 # ---------------------------------------------------------------------------
-# matching pairs and the substitute kernel
-
-
-@dataclass(frozen=True)
-class MatchingPair:
-    """Two block kernel elements and their crossfaded glued section.
-
-    matched_at_T records whether the transplanted traces agree through the
-    neck (for the constant traces of bounded elements this is independent
-    of T). A decaying element stands alone with the partner set to None.
-    """
-
-    mode_index: int
-    u1: ShootingElement | None
-    u2: ShootingElement | None
-    matched_at_T: bool
-    glued_section: np.ndarray
-
-
-def matching_pair(G: GluedOperator, e1: ShootingElement | None,
-                  e2: ShootingElement | None) -> MatchingPair:
-    """Crossfade two shooting elements (as given, no rescaling) and test
-    whether their traces continue each other through the neck."""
-    if e1 is None and e2 is None:
-        raise ContractViolation("a matching pair needs at least one element")
-    mode = e1.mode_index if e1 is not None else e2.mode_index
-    if e1 is not None and e2 is not None and e1.mode_index != e2.mode_index:
-        raise ContractViolation("elements of a pair must share their mode")
-    w1 = neck_windows(G)[0]
-    section = np.zeros(G.n_points)
-    traces = []
-    for e, which, w in ((e1, 1, w1), (e2, 2, 1.0 - w1)):
-        if e is None:
-            traces.append(None)
-            continue
-        section = section + w * transplant(G, which, e)
-        traces.append(_trace_in_t(G, which, e))
-    if None in traces:
-        (tr,) = [x for x in traces if x is not None]
-        matched = abs(tr[0]) <= KERNEL_TOL and abs(tr[1]) <= KERNEL_TOL  # lone element must decay
-    else:
-        (a1, b1), (a2, b2) = traces
-        scale = max(1.0, abs(a1), abs(a2), (abs(b1) + abs(b2)) * G.T)
-        matched = abs(a1 - a2) <= KERNEL_TOL * scale and abs(b1 - b2) <= KERNEL_TOL * scale
-    return MatchingPair(mode_index=mode, u1=e1, u2=e2, matched_at_T=matched,
-                        glued_section=section)
-
-
-def _unit_trace(e: ShootingElement) -> ShootingElement:
-    return dataclasses.replace(e, samples=e.samples / e.a, a=1.0, b=e.b / e.a)
+# the substitute kernel
 
 
 @dataclass(frozen=True)
@@ -157,17 +99,14 @@ class SubstituteKernel:
     """Basis of the glued kernel built from matched block elements."""
 
     G: GluedOperator
-    pairs: tuple[MatchingPair, ...]
     kernel1: BlockKernelData
     kernel2: BlockKernelData
     basis: tuple[tuple[int, np.ndarray], ...]  # (mode_index, orthonormal values)
+    matched: frozenset[int]  # modes whose two bounded traces continue each other
 
     @property
     def dim(self) -> int:
-        return len(self.pairs)
-
-    def matched_modes(self) -> tuple[int, ...]:
-        return tuple(p.mode_index for p in self.pairs if p.u1 is not None and p.u2 is not None)
+        return len(self.basis)
 
     def overlaps(self, f: np.ndarray) -> np.ndarray:
         return np.array([self.G.h * np.sum(np.asarray(f[mode]) * vec) for mode, vec in self.basis])
@@ -189,48 +128,50 @@ class SubstituteKernel:
         return out
 
 
-def substitute_kernel(
-    G: GluedOperator,
-    kd1: BlockKernelData | None = None,
-    kd2: BlockKernelData | None = None,
-) -> SubstituteKernel:
-    """Shoot both blocks at the glued step and keep the crossfaded matched
-    pairs: one kernel direction per mode where both traces are bounded
-    (normalized to the shared constant), plus any decaying elements.
+def substitute_kernel(G: GluedOperator) -> SubstituteKernel:
+    """Shoot both blocks at the glued step and crossfade their elements,
+    mode by mode: each decaying element gives a kernel direction alone,
+    and a mode whose two elements are bounded and not decaying gives one
+    when their traces, normalized to the constant 1, continue each other
+    through the neck (for bounded traces this is independent of T).
 
     The shooting reach is extended to cover the whole glued grid, so the
     transplanted sections are exact discrete solutions everywhere and no
     affine-continuation seam pollutes the crossfade."""
     span = 2 * G.T + G.L1 + G.L2
-    if kd1 is None:
-        kd1 = block_kernel(G.block1, G.spec, G.q, h=G.h, cutoff=G.cutoff, reach=span)
-    if kd2 is None:
-        kd2 = block_kernel(G.block2, G.spec, G.q, h=G.h, cutoff=G.cutoff, reach=span)
-    by_mode1 = {e.mode_index: e for e in kd1.elements}
-    by_mode2 = {e.mode_index: e for e in kd2.elements}
-    pairs = []
-    for i in sorted(by_mode1):
-        e1, e2 = by_mode1[i], by_mode2[i]
-        for e, slot in ((e1, 1), (e2, 2)):
-            if e.decaying:
-                pairs.append(matching_pair(G, e if slot == 1 else None,
-                                           e if slot == 2 else None))
-        if e1.bounded and not e1.decaying and e2.bounded and not e2.decaying:
-            pair = matching_pair(G, _unit_trace(e1), _unit_trace(e2))
-            if pair.matched_at_T:
-                pairs.append(pair)
+    kd1 = block_kernel(G.block1, G.spec, G.q, h=G.h, cutoff=G.cutoff, reach=span)
+    kd2 = block_kernel(G.block2, G.spec, G.q, h=G.h, cutoff=G.cutoff, reach=span)
+    w1 = neck_windows(G)[0]
+    sections = []
+    matched = set()
+    for e1, e2 in zip(kd1.elements, kd2.elements):
+        if e1.decaying:
+            sections.append((e1.mode_index, w1 * transplant(G, 1, e1)))
+        if e2.decaying:
+            sections.append((e2.mode_index, (1.0 - w1) * transplant(G, 2, e2)))
+        if not (e1.bounded and not e1.decaying and e2.bounded and not e2.decaying):
+            continue
+        # the unit traces in the glued coordinate t: block 1 gives
+        # (1 + b1 (T+L1)) + b1 t, block 2 gives (1 + b2 (T+L2)) - b2 t
+        b1, b2 = e1.b / e1.a, e2.b / e2.a
+        a1, a2 = 1.0 + b1 * (G.T + G.L1), 1.0 + b2 * (G.T + G.L2)
+        scale = max(1.0, abs(a1), abs(a2), (abs(b1) + abs(b2)) * G.T)
+        if abs(a1 - a2) <= KERNEL_TOL * scale and abs(b1 + b2) <= KERNEL_TOL * scale:
+            # the samples cover the grid, so transplant / a is the unit trace's transplant
+            sections.append((e1.mode_index, w1 * (transplant(G, 1, e1) / e1.a)
+                             + (1.0 - w1) * (transplant(G, 2, e2) / e2.a)))
+            matched.add(e1.mode_index)
     basis = []
-    for p in pairs:
-        vec = np.array(p.glued_section, dtype=float)
-        for mode, prev in basis:
-            if mode == p.mode_index:
+    for mode, vec in sections:
+        for prev_mode, prev in basis:
+            if prev_mode == mode:
                 vec -= G.h * np.sum(vec * prev) * prev
         nrm = math.sqrt(G.h * float(np.sum(vec * vec)))
         if nrm < 1e-12:
             raise AnalysisError("substitute kernel elements are linearly dependent")
-        basis.append((p.mode_index, vec / nrm))
-    return SubstituteKernel(G=G, pairs=tuple(pairs), kernel1=kd1, kernel2=kd2,
-                            basis=tuple(basis))
+        basis.append((mode, vec / nrm))
+    return SubstituteKernel(G=G, kernel1=kd1, kernel2=kd2, basis=tuple(basis),
+                            matched=frozenset(matched))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +232,6 @@ class CharacteristicSystem:
     columns: tuple[tuple[int, str], ...]
     matrix: np.ndarray
     rhs: np.ndarray
-    rank: int
     cylinder: np.ndarray  # the unwindowed neck solve the rows pair against
 
 
@@ -299,7 +239,6 @@ class CharacteristicSystem:
 class CharacteristicSolution:
     coefficients: np.ndarray
     consistency: float
-    rank: int
 
 
 def _commutator_apply(G: GluedOperator, w: np.ndarray, mode_index: int,
@@ -309,12 +248,8 @@ def _commutator_apply(G: GluedOperator, w: np.ndarray, mode_index: int,
     return G.apply_mode(mode_index, w * g) - w * G.apply_mode(mode_index, g)
 
 
-def characteristic_system(
-    G: GluedOperator,
-    S: SubstituteKernel,
-    f: np.ndarray,
-    expected_rank: int | None = None,
-) -> CharacteristicSystem:
+def characteristic_system(G: GluedOperator, S: SubstituteKernel,
+                          f: np.ndarray) -> CharacteristicSystem:
     """Green's identity on each block region reduces P u = f to a linear
     system for the affine trace correction v at the neck.
 
@@ -328,10 +263,9 @@ def characteristic_system(
     t = G.grid()
     w1, zeta0, zeta1 = neck_windows(G)
     cyl = cylinder_solve(G, f, zeta1)
-    matched = set(S.matched_modes())
     columns = []
     for mi in (i for i, m in enumerate(G.modes) if m.is_zero_mode):
-        if mi not in matched:
+        if mi not in S.matched:
             columns.append((mi, "a"))
         columns.append((mi, "b"))
     col_of = {c: k for k, c in enumerate(columns)}
@@ -354,14 +288,7 @@ def characteristic_system(
             )
     A = np.array(rows) if rows else np.zeros((0, len(columns)))
     b = np.array(rhs) if rhs else np.zeros(0, dtype=f.dtype)
-    sv = np.linalg.svd(A, compute_uv=False) if A.size else np.zeros(0)
-    rank = int(np.count_nonzero(sv > 1e-10 * max(float(sv.max(initial=0.0)), 1.0)))
-    if expected_rank is not None and rank < expected_rank:
-        raise DegenerateSystemError(
-            f"characteristic system rank dropped to {rank} (expected {expected_rank})"
-        )
-    return CharacteristicSystem(G=G, columns=tuple(columns), matrix=A, rhs=b, rank=rank,
-                                cylinder=cyl)
+    return CharacteristicSystem(G=G, columns=tuple(columns), matrix=A, rhs=b, cylinder=cyl)
 
 
 def characteristic_solve(sys: CharacteristicSystem) -> CharacteristicSolution:
@@ -370,10 +297,10 @@ def characteristic_solve(sys: CharacteristicSystem) -> CharacteristicSolution:
     global kernel."""
     if sys.matrix.size == 0:
         return CharacteristicSolution(np.zeros(0, dtype=sys.rhs.dtype),
-                                      float(np.linalg.norm(sys.rhs)), sys.rank)
+                                      float(np.linalg.norm(sys.rhs)))
     v, *_ = np.linalg.lstsq(sys.matrix, sys.rhs, rcond=None)
     consistency = float(np.linalg.norm(sys.matrix @ v - sys.rhs))
-    return CharacteristicSolution(coefficients=v, consistency=consistency, rank=sys.rank)
+    return CharacteristicSolution(coefficients=v, consistency=consistency)
 
 
 # ---------------------------------------------------------------------------
@@ -607,21 +534,20 @@ class SolveReport:
 
     u: np.ndarray
     w: np.ndarray
-    iterations: int
     contraction: tuple[float, ...]
     residuals: tuple[float, ...]
     residual: float
     f_norm: float
 
+    @property
+    def iterations(self) -> int:
+        """Rounds run: each appends its contraction."""
+        return len(self.contraction)
 
-def solve_exact(
-    G: GluedOperator,
-    S: SubstituteKernel,
-    f: np.ndarray,
-    rtol: float = 1e-9,
-) -> SolveReport:
+
+def solve_exact(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> SolveReport:
     """Iterate approx_solve on residuals, projecting each round's source
-    off the substitute kernel, until ||f - P u - w|| <= rtol ||f||.
+    off the substitute kernel, until ||f - P u - w|| <= RTOL ||f||.
 
     f is copied once, for the first round; every later source is the
     residual the previous round returned, whose kernel rows are moved to w
@@ -629,20 +555,20 @@ def solve_exact(
     fn = np.array(_inexact(f))
     nf = norm(G, fn)
     if nf == 0:
-        return SolveReport(np.zeros_like(fn), np.zeros_like(fn), 0, (), (), 0.0, nf)
+        return SolveReport(np.zeros_like(fn), np.zeros_like(fn), (), (), 0.0, nf)
     u = None
     w = np.zeros_like(fn)
     etas: list[float] = []
     residuals: list[float] = []
-    for it in range(1, 81):
+    for _ in range(80):
         for mode in {m for m, _ in S.basis}:
             wn = sum((G.h * np.sum(fn[mode] * vec)) * vec for m, vec in S.basis if m == mode)
             w[mode] += wn
             fn[mode] -= wn
         n_src = norm(G, fn)
-        if n_src <= rtol * nf:
+        if n_src <= RTOL * nf:
             u = np.zeros_like(fn) if u is None else u
-            return SolveReport(u, w, it - 1, tuple(etas), tuple(residuals), n_src / nf, nf)
+            return SolveReport(u, w, tuple(etas), tuple(residuals), n_src / nf, nf)
         # rebinding fn frees this round's source before the next allocation
         un, fn = approx_solve(G, S, fn, check_orthogonality=False)
         if u is None:
@@ -653,8 +579,8 @@ def solve_exact(
         n_fn = norm(G, fn)
         etas.append(n_fn / n_src)
         residuals.append(n_fn / nf)
-        if n_fn <= rtol * nf:
-            return SolveReport(S._project_in_place(u), w, it, tuple(etas), tuple(residuals),
+        if n_fn <= RTOL * nf:
+            return SolveReport(S._project_in_place(u), w, tuple(etas), tuple(residuals),
                                n_fn / nf, nf)
         if len(etas) >= 2 and etas[-1] >= 1.0 and etas[-2] >= 1.0:
             raise NoContractionError(max(etas[-2:]))

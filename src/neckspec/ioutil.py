@@ -13,6 +13,10 @@ import tempfile
 MAX_GRID_POINTS = 2**31 - 1
 # the most modes one mode list may hold, counted before it is built
 MAX_MODES = 2**20
+# the most values one (modes x grid points) array of glue or q0check may
+# hold, checked before it is built: 18x the largest a benchmark workload
+# makes (507 x 1792, q0check at h/2)
+MAX_GRID_VALUES = 2**24
 
 
 def read_json_object(path: str, error: type[Exception]) -> dict:

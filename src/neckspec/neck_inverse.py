@@ -326,7 +326,6 @@ class NormLawFit:
     supports: tuple[float, ...]
     ratios: tuple[float, ...]
     exponent: float
-    prefactor: float
 
 
 def operator_norm_fit(kind: str, supports: Sequence[float], h: float = 1.0 / 16) -> NormLawFit:
@@ -350,12 +349,11 @@ def operator_norm_fit(kind: str, supports: Sequence[float], h: float = 1.0 / 16)
         ratios.append(norm_u / norm_f)
     logs_t = np.log(np.asarray(supports, dtype=float))
     logs_r = np.log(np.asarray(ratios))
-    slope, intercept = np.polyfit(logs_t, logs_r, 1)
+    slope = np.polyfit(logs_t, logs_r, 1)[0]
     return NormLawFit(
         supports=tuple(float(x) for x in supports),
         ratios=tuple(float(r) for r in ratios),
         exponent=float(slope),
-        prefactor=float(math.exp(intercept)),
     )
 
 

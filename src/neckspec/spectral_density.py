@@ -131,24 +131,49 @@ def product_benchmark(spec: CrossSectionSpectrum, q: int, T: float, s: float) ->
 # density sweeps
 
 
+def _law(mult: int, s: float) -> float:
+    """The density law's count 2 mult sqrt(s) for a branch of multiplicity mult."""
+    return 2.0 * mult * math.sqrt(s)
+
+
 @dataclass(frozen=True)
 class DensityReport:
     """Window counts over a (T, s) sweep against the density prediction."""
 
     q: int
-    B: int
     b_exact: int  # b^{q-1}, the exact-branch multiplicity
     b_coexact: int  # b^q
     T_values: tuple[float, ...]
     s_values: tuple[float, ...]
-    counts: tuple[tuple[int, ...], ...]  # indexed [T][s]
-    prediction: tuple[float, ...]  # per s: 2 B sqrt(s)
-    residuals: tuple[tuple[float, ...], ...]
     coexact: tuple[tuple[tuple[int, int], ...], ...]  # (exact, coexact) per [T][s]
+
+    @property
+    def B(self) -> int:
+        return self.b_exact + self.b_coexact
+
+    @property
+    def counts(self) -> tuple[tuple[int, ...], ...]:
+        """Both branches' counts, indexed [T][s]."""
+        return tuple(tuple(ex + co for ex, co in row) for row in self.coexact)
+
+    @property
+    def prediction(self) -> tuple[float, ...]:
+        """Per s: 2 B sqrt(s)."""
+        return tuple(_law(self.B, s) for s in self.s_values)
+
+    @property
+    def residuals(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(c - p for c, p in zip(row, self.prediction)) for row in self.counts)
 
     @property
     def max_residual(self) -> float:
         return float(max(abs(r) for row in self.residuals for r in row))
+
+    def branches(self, i: int, j: int) -> tuple[tuple[str, int, float], ...]:
+        """(branch, count, prediction) of both branches at T_values[i], s_values[j]."""
+        ex, co = self.coexact[i][j]
+        s = self.s_values[j]
+        return (("exact", ex, _law(self.b_exact, s)), ("coexact", co, _law(self.b_coexact, s)))
 
 
 def _refuse_positive_modes(G: GluedOperator, s_values, per_mode: np.ndarray) -> None:
@@ -184,47 +209,31 @@ def density_sweep(
     T_values = tuple(float(T) for T in T_values)
     if not s_values or not T_values:
         raise ContractViolation("density sweep needs at least one s and one T")
-    counts = []
     coexact = []
-    B = b_exact = b_coexact = None
     for T in T_values:
         G = builder(T)
         if G.q != q:
             raise ContractViolation("builder produced an operator of the wrong degree")
         b_exact, b_coexact = G.spec.betti(q - 1), G.spec.betti(q)
-        B = b_exact + b_coexact
         per_mode = window_counts(G, s_values, refuse_negative=True)
         _refuse_positive_modes(G, s_values, per_mode)
         exact, coexact_row = _branch_counts(G, per_mode)
         row = [int(e + c) for e, c in zip(exact, coexact_row)]
         if any(b < a for a, b in zip(row, row[1:])) and sorted(s_values) == list(s_values):
             raise AnalysisError("window counts decreased in s")
-        counts.append(tuple(row))
         coexact.append(tuple((int(e), int(c)) for e, c in zip(exact, coexact_row)))
-    prediction = tuple(2.0 * B * math.sqrt(s) for s in s_values)
-    residuals = tuple(
-        tuple(c - p for c, p in zip(row, prediction)) for row in counts
-    )
+    report = DensityReport(q=q, b_exact=b_exact, b_coexact=b_coexact, T_values=T_values,
+                           s_values=s_values, coexact=tuple(coexact))
+    residuals = report.residuals
     for i, s in enumerate(s_values):
         for j, s4 in enumerate(s_values):
             if abs(s4 - 4.0 * s) < 1e-12:
                 for row in residuals:
-                    if abs(row[j] - row[i]) > 2 * B + 2:
+                    if abs(row[j] - row[i]) > 2 * report.B + 2:
                         raise AnalysisError(
                             f"residual drift between s = {s} and 4s exceeds 2B + 2"
                         )
-    return DensityReport(
-        q=q,
-        B=B,
-        b_exact=b_exact,
-        b_coexact=b_coexact,
-        T_values=T_values,
-        s_values=s_values,
-        counts=tuple(counts),
-        prediction=prediction,
-        residuals=residuals,
-        coexact=tuple(coexact),
-    )
+    return report
 
 
 def density_csv(report: DensityReport) -> str:
@@ -235,10 +244,7 @@ def density_csv(report: DensityReport) -> str:
                 f"{report.q},{format_real(T)},{format_real(s)},{report.counts[i][j]},"
                 f"{format_real(report.prediction[j])},{format_real(report.residuals[i][j])},all"
             )
-            ex, co = report.coexact[i][j]
-            for name, cnt, mult in (("exact", ex, report.b_exact),
-                                    ("coexact", co, report.b_coexact)):
-                pred = 2.0 * mult * math.sqrt(s)
+            for name, cnt, pred in report.branches(i, j):
                 lines.append(
                     f"{report.q},{format_real(T)},{format_real(s)},{cnt},"
                     f"{format_real(pred)},{format_real(cnt - pred)},{name}"
@@ -267,7 +273,6 @@ class TestSpace:
     coefficients; basis rows are orthonormal coefficient vectors."""
 
     kind: str
-    n: int
     k_values: tuple[int, ...]
     basis: np.ndarray
 
@@ -319,7 +324,7 @@ def test_space(kind: str, n: int, window: int | None = None) -> TestSpace:
         ks = _k_window(window)
     rows = _constraint_rows(kind, n, ks)
     basis = scipy.linalg.null_space(rows).T
-    return TestSpace(kind=kind, n=n, k_values=ks, basis=basis)
+    return TestSpace(kind=kind, k_values=ks, basis=basis)
 
 
 def assert_space_dimensions(n: int, window: int | None = None) -> dict[str, int]:

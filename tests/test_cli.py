@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,29 @@ class TestConfigErrors:
         assert out == ""
         assert f"error: degree 0: the spectrum has {2**62} modes" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,T,h,points", [("glue", [40], 1 / 16, 1280),
+                                                    ("q0check", [5, 10], 1 / 64, 896)])
+    def test_oversized_grid_is_refused_before_it_is_built(self, tmp_path, capsys, command, T, h,
+                                                          points):
+        # 20001 modes on the glued grid at T = 40, or on q0check's grid at
+        # step h, exceed MAX_GRID_VALUES = 2^24 values
+        spectrum = {"name": "wide", "dimension": 1, "degrees": {"0": [[0.0, 1], [4.0, 20000]]}}
+        (tmp_path / "spec.json").write_text(json.dumps(spectrum), encoding="utf-8")
+        cfg = write_config(tmp_path, spectrum={"file": "spec.json"},
+                           blocks=[FLAT_BLOCK, FLAT_BLOCK], degrees=[0], T=T, h=h, seed=1)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "o"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert (f"error: degree 0: 20001 modes on {points} grid points make {20001 * points} "
+                f"values, more than MAX_GRID_VALUES = {2**24}") in err
+        # the refusal allocates no (modes x grid points) array
+        assert peak < 20001 * points * 8 / 10, peak
 
     def test_spectrum_file_with_twist(self, tmp_path, capsys):
         spectrum = {"name": "x", "dimension": 1, "degrees": {"0": [[0.0, 1]]},

@@ -415,7 +415,7 @@ def test_affine_fit_guard_rejects_nonflat_far_fields():
     object.__setattr__(block, "mu", 1.0)
     object.__setattr__(block, "potentials", {0: sneaky})
     with pytest.raises(AnalysisError, match="decay contract|not affine"):
-        block_kernel(block, SCALAR, 0, tol=1e-9)
+        block_kernel(block, SCALAR, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -169,3 +169,31 @@ def test_every_parameter_is_read():
                        if p is not None and p.arg not in ("self", "cls")
                        and not p.arg.startswith("_") and p.arg not in loaded]
     assert not unread, f"parameters never read: {unread}"
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def _attribute_reads(tree) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_record_field_is_read():
+    # a field nothing reads is a fact every constructor must supply for
+    # nothing; fields are matched by name, as a reader rarely names its type
+    readers = set()
+    fields = []
+    for name, tree in _src_modules().items():
+        readers |= _attribute_reads(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                fields += [f"{name}:{node.name}.{stmt.target.id}" for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    outside = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    for path in outside:
+        readers |= _attribute_reads(ast.parse(path.read_text(encoding="utf-8")))
+    unread = [f for f in fields if f.rsplit(".", 1)[1] not in readers]
+    assert not unread, f"record fields read by no src code, acceptance test or benchmark: {unread}"

@@ -413,7 +413,7 @@ def test_minmax_argument_errors():
 
 def test_minmax_degenerate_gram(monkeypatch):
     base = sd.test_space("Vn", 2)
-    doubled = sd.TestSpace(kind="Vn", n=2, k_values=base.k_values,
+    doubled = sd.TestSpace(kind="Vn", k_values=base.k_values,
                            basis=np.vstack([base.basis[0], base.basis[0]]))
     monkeypatch.setattr(sd, "test_space", lambda *a, **k: doubled)
     with pytest.raises(ResolutionError):
