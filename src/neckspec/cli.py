@@ -36,6 +36,7 @@ from .glued_model import (
     BuildingBlock,
     Potential,
     assemble,
+    glued_points,
     kernel_potential_dirichlet,
     kernel_potential_neumann,
     load_block,
@@ -66,6 +67,7 @@ from .spectral_model import (
     KIND_LAPLACE,
     circle_spectrum,
     load_spectrum,
+    mode_count,
     mode_list,
     roots_of,
     scalar_spectrum,
@@ -256,7 +258,8 @@ def _require_modes(cfg: ExperimentConfig, q: int, modes):
 
 
 def _require_grid_values(q: int, modes: int, points: int) -> None:
-    """Refuse a (modes x points) array over MAX_GRID_VALUES before it is built."""
+    """Refuse a (modes x points) array over MAX_GRID_VALUES before it, or
+    the mode list, is built."""
     if modes * points > MAX_GRID_VALUES:
         raise ConfigError(
             f"degree {q}: {modes} modes on {points} grid points make {modes * points} "
@@ -294,10 +297,12 @@ def cmd_q0check(cfg: ExperimentConfig):
     worst = 0.0
     ratio_worst = 0.0
     for q in cfg.degrees:
+        count = mode_count(cfg.spectrum, q, _effective_cutoff(cfg))
+        for step in (cfg.h, cfg.h / 2):
+            _require_grid_values(q, count, len(cell_grid(support + 2.0, step)))
         modes = _require_modes(cfg, q, mode_list(cfg.spectrum, q, _effective_cutoff(cfg)))
         res = []
         for step in (cfg.h, cfg.h / 2):
-            _require_grid_values(q, len(modes), len(cell_grid(support + 2.0, step)))
             f = seeded_section(modes, support + 2.0, support, step, cfg.seed + 257 * q)
             r = residual_on_support(q0_apply(f), f)
             res.append(r)
@@ -417,10 +422,12 @@ def cmd_glue(cfg: ExperimentConfig):
     ok = True
     lines = []
     files = {}
+    b1, b2 = _require_blocks(cfg)
     for q in cfg.degrees:
+        count = mode_count(cfg.spectrum, q, _effective_cutoff(cfg))
         for T in cfg.T_values:
+            _require_grid_values(q, count, glued_points(T, b1.L, b2.L, cfg.h))
             G = _glued_operator(cfg, q, T)
-            _require_grid_values(q, len(G.modes), G.n_points)
             S = substitute_kernel(G)
             f = _glued_source(G, cfg.seed + 31 * q)
             report = solve_exact(G, S, f)

@@ -312,6 +312,28 @@ def _corner_value(boundary: str, h: float) -> float:
     return 1.0 / h**2 if boundary == NEUMANN else 3.0 / h**2
 
 
+def glued_points(T: float, L1: float, L2: float, h: float) -> int:
+    """Points of the cell-centered glued grid on [-T-L1, T+L2] at step h;
+    refuses a step above 1/16, T < 2, a grid over MAX_GRID_POINTS and a step
+    that does not divide T, L1 and L2."""
+    if h > 1.0 / 16 + 1e-12:
+        raise ContractViolation("need h <= 1/16")
+    if T < 2:
+        raise ContractViolation("need T >= 2")
+    cells = (2 * T + L1 + L2) / h
+    if not math.isfinite(cells) or cells > MAX_GRID_POINTS:
+        raise ContractViolation(
+            f"T or h: T = {T}, L1 + L2 = {L1 + L2} and h = {h} give "
+            f"{cells:.3g} grid points, more than {MAX_GRID_POINTS}"
+        )
+    # h | T keeps t = 0 on a cell boundary, where the solver splits residuals
+    for name, length in (("T", T), ("L1", L1), ("L2", L2)):
+        n = round(length / h)
+        if abs(n * h - length) > 1e-9:
+            raise ContractViolation(f"step {h} does not divide {name}")
+    return round(cells)
+
+
 def assemble(
     block1: BuildingBlock,
     block2: BuildingBlock,
@@ -330,21 +352,7 @@ def assemble(
     """
     if block1.spec != spec or block2.spec != spec:
         raise MatchingConditionError("blocks must be built on the same cross-section spectrum")
-    if h > 1.0 / 16 + 1e-12:
-        raise ContractViolation("need h <= 1/16")
-    if T < 2:
-        raise ContractViolation("need T >= 2")
-    cells = (2 * T + block1.L + block2.L) / h
-    if not math.isfinite(cells) or cells > MAX_GRID_POINTS:
-        raise ContractViolation(
-            f"T or h: T = {T}, L1 + L2 = {block1.L + block2.L} and h = {h} give "
-            f"{cells:.3g} grid points, more than {MAX_GRID_POINTS}"
-        )
-    # h | T keeps t = 0 on a cell boundary, where the solver splits residuals
-    for name, length in (("T", T), ("L1", block1.L), ("L2", block2.L)):
-        n = round(length / h)
-        if abs(n * h - length) > 1e-9:
-            raise ContractViolation(f"step {h} does not divide {name}")
+    n = glued_points(T, block1.L, block2.L, h)
     modes = tuple(mode_list(spec, q, cutoff if cutoff is not None else math.inf))
     if any(m.kind != KIND_LAPLACE for m in modes):
         raise ContractViolation("glued blocks are Laplace-type only")
@@ -356,7 +364,6 @@ def assemble(
                     + ("" if cutoff is None else f" below the cutoff {cutoff}")
                 )
 
-    n = round(cells)
     t = -T - block1.L + (np.arange(n) + 0.5) * h
     s1 = t + T + block1.L
     s2 = T + block2.L - t
@@ -566,8 +573,6 @@ def block_kernel(
 @dataclass(frozen=True)
 class EigenEntry:
     value: float
-    nu: float
-    degree_tag: str
     mode_index: int
     k_within: int
 
@@ -596,7 +601,7 @@ def eigen_lowest(G: GluedOperator, k: int) -> EigenResult:
             *G.mats[members[0]], select="i", select_range=(0, kk - 1)
         )
         entries.extend(
-            EigenEntry(float(v), G.modes[i].nu, G.modes[i].degree_tag, i, rank)
+            EigenEntry(float(v), i, rank)
             for i in members for rank, v in enumerate(vals)
         )
     entries.sort(key=lambda e: (e.value, e.mode_index, e.k_within))

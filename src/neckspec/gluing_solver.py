@@ -228,7 +228,6 @@ class CharacteristicSystem:
     matched trace directions (the b coefficient of every zero mode, plus
     the a coefficient of the unmatched ones)."""
 
-    G: GluedOperator
     columns: tuple[tuple[int, str], ...]
     matrix: np.ndarray
     rhs: np.ndarray
@@ -288,7 +287,7 @@ def characteristic_system(G: GluedOperator, S: SubstituteKernel,
             )
     A = np.array(rows) if rows else np.zeros((0, len(columns)))
     b = np.array(rhs) if rhs else np.zeros(0, dtype=f.dtype)
-    return CharacteristicSystem(G=G, columns=tuple(columns), matrix=A, rhs=b, cylinder=cyl)
+    return CharacteristicSystem(columns=tuple(columns), matrix=A, rhs=b, cylinder=cyl)
 
 
 def characteristic_solve(sys: CharacteristicSystem) -> CharacteristicSolution:

@@ -30,63 +30,117 @@ from .spectral_model import CrossSectionSpectrum, mode_list
 
 THRESHOLD_ZERO = 1e-10
 
-# mode families stacked per pass of the Sturm recurrence; bounds the
-# transient (n_points x STURM_CHUNK) diagonal block
+# rows (mode families of all operators) stacked per pass of the Sturm
+# recurrence; bounds the transient (n_max x STURM_CHUNK) padded diagonal block
 STURM_CHUNK = 128
+# grid steps whose pivots are held at once: the pivmin test and the count of
+# negative pivots run once per block of steps, not once per step
+STURM_BLOCK = 16
 
 
 def window_top(G: GluedOperator, s: float) -> float:
     return math.pi**2 * s / G.T**2
 
 
-def sturm_counts(G: GluedOperator, shifts) -> np.ndarray:
-    """Per mode, the number of eigenvalues <= each shift: an integer array
-    of shape (len(G.modes), len(shifts)).
+def _eliminate(pivots: np.ndarray, diags: np.ndarray, x: np.ndarray, b2: np.ndarray,
+               quotient: np.ndarray, pivmin: np.ndarray | None = None) -> None:
+    """Fill pivots[1:] with the LDL^T pivots of the steps in ``diags``,
+    d_{k+1} = (a_k - x) - b2/d_k from d_0 = pivots[0], two ufunc calls per
+    step into the given buffers. With ``pivmin``, a pivot smaller than
+    pivmin in magnitude is replaced by -pivmin as it is made."""
+    np.subtract(diags[:, :, None], x, out=pivots[1:])
+    steps = list(pivots)
+    for before, d in zip(steps, steps[1:]):
+        np.divide(b2, before, out=quotient)
+        np.subtract(d, quotient, out=d)
+        if pivmin is not None:
+            np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
+
+
+def _sturm_pass(operators, shifts) -> list[np.ndarray]:
+    """Per operator, per mode, the number of eigenvalues <= each of that
+    operator's shifts (``shifts[k]`` belongs to ``operators[k]``; every row
+    has the same length): integer arrays of shape (len(G.modes), len(shifts[k])).
 
     For a tridiagonal mode this is the inertia of A - xI, the number of
     negative pivots d_i = (a_i - x) - b^2/d_{i-1} of its LDL^T factorization:
     the Sturm count of Barth, Martin & Wilkinson (1967), as in LAPACK dstebz.
-    The off-diagonal b = -1/h^2 is the same for every mode. A pivot smaller
-    than pivmin in magnitude is replaced by -pivmin, as dstebz does. The
-    pivots count eigenvalues < x, so x is moved up one ulp to count <= x and
-    keep the window edges of the eigenvalue path.
-    The recurrence runs once per grid point over a (families x shifts)
-    array, STURM_CHUNK mode families at a time, and each family's row is
+    The off-diagonal b = -1/h^2 is the same for every mode of an operator. A
+    pivot smaller than pivmin in magnitude is replaced by -pivmin, as dstebz
+    does. The pivots count eigenvalues < x, so x is moved up one ulp to count
+    <= x and keep the window edges of the eigenvalue path.
+
+    One recurrence runs over the mode families of every operator at once,
+    STURM_CHUNK families (rows) per pass, each row with its operator's
+    shifts, b^2 and pivmin. A shorter diagonal is continued with +inf: its
+    pivots stay +inf and count nothing, so every real step does the same
+    float operations on the same values as a pass over its operator alone.
+    Steps run STURM_BLOCK at a time without the pivmin replacement; a block
+    with a pivot below pivmin is run again with it, so the pivots, and the
+    counts, are those of the step-by-step recurrence. Each family's row is
     copied to its members.
     """
-    shifts = np.asarray(shifts, dtype=float)
-    x = np.nextafter(shifts, np.inf)
-    b2 = (1.0 / G.h**2) ** 2
-    pivmin = np.finfo(float).tiny * max(1.0, b2)
-    counts = np.zeros((len(G.modes), len(shifts)), dtype=np.int64)
-    for start in range(0, len(G.families), STURM_CHUNK):
-        chunk = G.families[start : start + STURM_CHUNK]
-        diags = np.stack([G.mats[members[0]][0] for members in chunk], axis=1)  # (n, families)
-        d = np.full((len(chunk), len(x)), np.inf)
-        negative = np.zeros(d.shape, dtype=np.int64)
-        for a in diags:
-            d = (a[:, None] - x) - b2 / d
-            d[np.abs(d) < pivmin] = -pivmin
-            negative += d < 0
-        for members, row in zip(chunk, negative):
-            counts[members] = row
+    x_all = np.nextafter(np.asarray(shifts, dtype=float), np.inf)
+    counts = [np.zeros((len(G.modes), x_all.shape[1]), dtype=np.int64) for G in operators]
+    rows = [(k, members) for k, G in enumerate(operators) for members in G.families]
+    for start in range(0, len(rows), STURM_CHUNK):
+        chunk = rows[start : start + STURM_CHUNK]
+        owner = [k for k, _ in chunk]
+        columns = [operators[k].mats[members[0]][0] for k, members in chunk]
+        n = max(len(diag) for diag in columns)
+        diags = np.full((n, len(chunk)), np.inf)
+        for r, diag in enumerate(columns):
+            diags[: len(diag), r] = diag
+        x = x_all[owner]
+        # full-shaped, as a broadcast operand doubles the cost of each division
+        b2 = np.repeat([[(1.0 / operators[k].h**2) ** 2] for k in owner], x.shape[1], axis=1)
+        pivmin = np.finfo(float).tiny * np.maximum(1.0, b2)
+        pivots = np.empty((STURM_BLOCK + 1,) + x.shape)
+        pivots[0] = np.inf
+        quotient = np.empty(x.shape)
+        negative = np.zeros(x.shape, dtype=np.int64)
+        # a zero pivot divides by zero in the first run of its block, which
+        # is then run again with the replacement
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for j in range(0, n, STURM_BLOCK):
+                block = pivots[: min(STURM_BLOCK, n - j) + 1]
+                _eliminate(block, diags[j : j + STURM_BLOCK], x, b2, quotient)
+                if np.any((block[1:] > -pivmin) & (block[1:] < pivmin)):
+                    _eliminate(block, diags[j : j + STURM_BLOCK], x, b2, quotient, pivmin)
+                # d < pivmin is exactly "negative after the pivmin replacement"
+                negative += np.count_nonzero(block[1:] < pivmin, axis=0)
+                pivots[0] = block[-1]
+        for row, (k, members) in zip(negative, chunk):
+            counts[k][members] = row
     return counts
 
 
-def window_counts(G: GluedOperator, s_values, refuse_negative: bool = False) -> np.ndarray:
-    """Per mode, the eigenvalue count in (THRESHOLD_ZERO, pi^2 s/T^2] for
-    each s: shape (len(G.modes), len(s_values)).
+def sturm_counts(G: GluedOperator, shifts) -> np.ndarray:
+    """Per mode, the number of eigenvalues <= each shift: an integer array
+    of shape (len(G.modes), len(shifts)); the one-operator case of the
+    stacked Sturm pass (``_sturm_pass``)."""
+    return _sturm_pass([G], [shifts])[0]
 
-    The same Sturm count also counts each mode below -1/T^2, a floor that
-    scales like the window and sits well under the e^{-delta T} split of
-    the glued kernel; with ``refuse_negative`` a mode with an eigenvalue
-    there (a negative spectrum) raises ContractViolation.
+
+def window_counts(operators, s_values, refuse_negative: bool = False) -> list[np.ndarray]:
+    """Per operator, per mode, the eigenvalue count in
+    (THRESHOLD_ZERO, pi^2 s/T^2] for each s: arrays of shape
+    (len(G.modes), len(s_values)), all from one Sturm pass.
+
+    The same pass also counts each mode below -1/T^2, a floor that scales
+    like the window and sits well under the e^{-delta T} split of the glued
+    kernel; with ``refuse_negative`` the first operator, in the given order,
+    with a mode that has an eigenvalue there (a negative spectrum) raises
+    ContractViolation.
     """
-    tops = [window_top(G, s) for s in s_values]
-    below = sturm_counts(G, [-1.0 / G.T**2, THRESHOLD_ZERO] + tops)
-    if refuse_negative:
-        _refuse_negative_modes(G, below[:, 0])
-    return np.maximum(below[:, 2:] - below[:, 1:2], 0)
+    shifts = [[-1.0 / G.T**2, THRESHOLD_ZERO] + [window_top(G, s) for s in s_values]
+              for G in operators]
+    out = []
+    for G, below in zip(operators, _sturm_pass(operators, shifts)):
+        if refuse_negative:
+            _refuse_negative_modes(G, below[:, 0])
+        out.append(np.maximum(below[:, 2:] - below[:, 1:2], 0))
+    return out
 
 
 def _refuse_negative_modes(G: GluedOperator, negative: np.ndarray) -> None:
@@ -199,23 +253,31 @@ def density_sweep(
     s_values,
     T_values,
 ) -> DensityReport:
-    """Count window eigenvalues for every (T, s) pair from one Sturm count
-    per T; asserts count monotonicity in s and, when both s and 4s
-    appear, that their residuals differ by at most 2B + 2. A mode with an
-    eigenvalue below -1/T^2 (a negative spectrum) or a window that holds an
-    eigenvalue of a positive mode is outside the density law and is refused
-    with ContractViolation."""
+    """Count window eigenvalues for every (T, s) pair from one Sturm pass
+    over the operators of every T; asserts count monotonicity in s and,
+    when both s and 4s appear, that their residuals differ by at most
+    2B + 2. A mode with an eigenvalue below -1/T^2 (a negative spectrum) or
+    a window that holds an eigenvalue of a positive mode is outside the
+    density law and is refused with ContractViolation.
+
+    Every T is built (and its degree checked) before any is counted, so a
+    sweep reports the first of: an operator that cannot be built or has the
+    wrong degree, in T order; then a negative spectrum, in T order; then,
+    T by T, a window reaching a positive mode or a count decreasing in s.
+    """
     s_values = tuple(float(s) for s in s_values)
     T_values = tuple(float(T) for T in T_values)
     if not s_values or not T_values:
         raise ContractViolation("density sweep needs at least one s and one T")
-    coexact = []
+    operators = []
     for T in T_values:
         G = builder(T)
         if G.q != q:
             raise ContractViolation("builder produced an operator of the wrong degree")
-        b_exact, b_coexact = G.spec.betti(q - 1), G.spec.betti(q)
-        per_mode = window_counts(G, s_values, refuse_negative=True)
+        operators.append(G)
+    b_exact, b_coexact = G.spec.betti(q - 1), G.spec.betti(q)
+    coexact = []
+    for G, per_mode in zip(operators, window_counts(operators, s_values, refuse_negative=True)):
         _refuse_positive_modes(G, s_values, per_mode)
         exact, coexact_row = _branch_counts(G, per_mode)
         row = [int(e + c) for e, c in zip(exact, coexact_row)]

@@ -202,6 +202,22 @@ def load_spectrum(path: str) -> CrossSectionSpectrum:
     return CrossSectionSpectrum(name=raw["name"], dimension=raw["dimension"], degrees=degrees)
 
 
+def _kept_eigenvalues(spec: CrossSectionSpectrum, q: int, cutoff: float):
+    return [(nu, mult, tag) for tag, deg in (("alpha", q), ("beta", q - 1))
+            for nu, mult in spec.eigenvalues(deg) if nu <= cutoff]
+
+
+def mode_count(spec: CrossSectionSpectrum, q: int, cutoff: float) -> int:
+    """The number of modes ``mode_list`` holds, summed from the
+    multiplicities without building any; more than MAX_MODES is refused."""
+    count = sum(mult for _, mult, _ in _kept_eigenvalues(spec, q, cutoff))
+    if count > MAX_MODES:
+        raise ContractViolation(
+            f"degree {q}: the spectrum has {count} modes, more than MAX_MODES = {MAX_MODES}"
+        )
+    return count
+
+
 def mode_list(spec: CrossSectionSpectrum, q: int, cutoff: float) -> list[ModeOperator]:
     """Laplace modes of degree q below the cutoff.
 
@@ -209,14 +225,9 @@ def mode_list(spec: CrossSectionSpectrum, q: int, cutoff: float) -> list[ModeOpe
     wedged with dt (beta); each eigenvalue is repeated per multiplicity.
     More than MAX_MODES modes are refused before any is built.
     """
-    kept = [(nu, mult, tag) for tag, deg in (("alpha", q), ("beta", q - 1))
-            for nu, mult in spec.eigenvalues(deg) if nu <= cutoff]
-    count = sum(mult for _, mult, _ in kept)
-    if count > MAX_MODES:
-        raise ContractViolation(
-            f"degree {q}: the spectrum has {count} modes, more than MAX_MODES = {MAX_MODES}"
-        )
-    return [ModeOperator(KIND_LAPLACE, nu, tag) for nu, mult, tag in kept for _ in range(mult)]
+    mode_count(spec, q, cutoff)
+    return [ModeOperator(KIND_LAPLACE, nu, tag)
+            for nu, mult, tag in _kept_eigenvalues(spec, q, cutoff) for _ in range(mult)]
 
 
 def roots_of(op: ModeOperator) -> tuple[tuple[complex, int], ...]:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neckspec import spectral_model
 from neckspec.cli import main
 
 
@@ -200,14 +201,20 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command,T,h,points", [("glue", [40], 1 / 16, 1280),
                                                     ("q0check", [5, 10], 1 / 64, 896)])
-    def test_oversized_grid_is_refused_before_it_is_built(self, tmp_path, capsys, command, T, h,
-                                                          points):
+    def test_oversized_grid_is_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch,
+                                                          command, T, h, points):
         # 20001 modes on the glued grid at T = 40, or on q0check's grid at
         # step h, exceed MAX_GRID_VALUES = 2^24 values
         spectrum = {"name": "wide", "dimension": 1, "degrees": {"0": [[0.0, 1], [4.0, 20000]]}}
         (tmp_path / "spec.json").write_text(json.dumps(spectrum), encoding="utf-8")
         cfg = write_config(tmp_path, spectrum={"file": "spec.json"},
                            blocks=[FLAT_BLOCK, FLAT_BLOCK], degrees=[0], T=T, h=h, seed=1)
+
+        def no_modes(*args):
+            raise AssertionError("the refusal must come before the mode list is built")
+
+        # the modes are counted from the multiplicities, not built
+        monkeypatch.setattr(spectral_model, "ModeOperator", no_modes)
         tracemalloc.start()
         try:
             code, out, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "o"))
@@ -443,6 +450,32 @@ class TestDensity:
         assert "mode 0 (nu = 0) has 3 eigenvalue(s) below -1/T^2 = -0.01 at T = 10" in err
         assert "potential of block 1 on it" in err
         assert not (tmp_path / "o").exists()
+
+    def test_counts_of_an_unsorted_T_sweep_match_the_closed_form(self, tmp_path, capsys):
+        # flat Neumann blocks of length 0: each mode's matrix is nu plus the
+        # Neumann second difference on n = 2T/h points, whose eigenvalues are
+        # nu + (4/h^2) sin^2(k pi / 2n), k = 0 .. n-1. T = 3, 5, 4 gives three
+        # grid lengths in one Sturm pass per degree, the two shorter padded.
+        h = 1 / 16
+        cfg = write_config(tmp_path, spectrum="torus2", blocks=[FLAT_BLOCK, FLAT_BLOCK],
+                           degrees=[0, 1, 2], T=[3, 5, 4], s=[4.41, 9.61, 16.81], h=h, seed=3)
+        code, out, _ = run(capsys, "density", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 0, out
+        spec = spectral_model.torus2_spectrum()
+        for q in (0, 1, 2):
+            rows = (tmp_path / "o" / f"density_q{q}.csv").read_text().splitlines()[1:]
+            assert [row.split(",")[1] for row in rows[::9]] == ["3", "5", "4"]
+            assert len(rows) == 3 * 3 * 3
+            for row in rows:
+                _, T, s, count, _, _, branch = row.split(",")
+                T, s = float(T), float(s)
+                n = round(2 * T / h)
+                free = (4 / h**2) * np.sin(np.arange(n) * math.pi / (2 * n)) ** 2
+                top = math.pi**2 * s / T**2
+                degrees = {"exact": [q - 1], "coexact": [q], "all": [q - 1, q]}[branch]
+                want = sum(mult * int(np.count_nonzero((nu + free > 1e-10) & (nu + free <= top)))
+                           for d in degrees for nu, mult in spec.eigenvalues(d))
+                assert int(count) == want, row
 
     def test_output_dir_from_config(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

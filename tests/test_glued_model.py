@@ -160,7 +160,7 @@ def test_mode_floor_shifts_with_nu():
     G = assemble(b1, flat_block(spec), spec, 0, T=3.0, h=H)
     vmin = float(np.min(G.potentials_eff[1]))
     low = eigen_lowest(G, 1)
-    nu4 = [e for e in low.entries if e.nu == 4.0]
+    nu4 = [e for e in low.entries if G.modes[e.mode_index].nu == 4.0]
     assert nu4[0].value >= 4.0 + vmin - 1e-10
     assert nu4[0].value < 4.0 + math.pi**2 / 16
 
@@ -427,9 +427,9 @@ def test_eigen_lowest_merges_modes_with_provenance():
     G = assemble(flat_block(spec), flat_block(spec), SCALAR if False else spec, 0, T=3.0, h=H)
     res = eigen_lowest(G, 3)
     assert len(res.entries) == 6
-    assert res.entries[0].nu == 0.0 and res.entries[0].value == pytest.approx(0.0, abs=1e-9)
+    assert G.modes[res.entries[0].mode_index].nu == 0.0 and res.entries[0].value == pytest.approx(0.0, abs=1e-9)
     # second-lowest is the nu = 0.25 ground state, not the next interval mode
-    assert res.entries[1].nu == 0.25
+    assert G.modes[res.entries[1].mode_index].nu == 0.25
     assert res.entries[1].value == pytest.approx(0.25, abs=1e-6)
     vals = res.values()
     assert np.all(np.diff(vals) >= -1e-12)

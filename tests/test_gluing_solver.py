@@ -318,9 +318,8 @@ def per_mode_cylinder(G, f0):
     return out
 
 
-def trace_grid(sys, coeffs):
+def trace_grid(G, sys, coeffs):
     """Realize a coefficient vector as affine rows a + b t on the grid."""
-    G = sys.G
     t = G.grid()
     out = np.zeros((len(G.modes), G.n_points), dtype=np.result_type(coeffs, float))
     for (mode, kind), c in zip(sys.columns, coeffs):
@@ -334,7 +333,7 @@ def per_mode_approx_solve(G, S, f):
     w1, zeta0, zeta1 = neck_windows(G)
     sys = characteristic_system(G, S, f)
     v = characteristic_solve(sys)
-    u = (per_mode_cylinder(G, f * zeta1) + trace_grid(sys, v.coefficients)) * zeta0
+    u = (per_mode_cylinder(G, f * zeta1) + trace_grid(G, sys, v.coefficients)) * zeta0
     r = f - G.apply(u)
     sub1, t1 = gluing_solver._block_subgrid(G, 1)
     sub2, t2 = gluing_solver._block_subgrid(G, 2)
@@ -486,7 +485,8 @@ def test_family_solvers_equal_the_per_mode_loops():
         vals = scipy.linalg.eigvalsh_tridiagonal(*G.mats[i], select="i", select_range=(0, k - 1))
         want.extend((float(v), m.nu, m.degree_tag, i, r) for r, v in enumerate(vals))
     got = glued_model.eigen_lowest(G, k).entries
-    assert [(e.value, e.nu, e.degree_tag, e.mode_index, e.k_within) for e in got] == sorted(
+    assert [(e.value, G.modes[e.mode_index].nu, G.modes[e.mode_index].degree_tag, e.mode_index,
+             e.k_within) for e in got] == sorted(
         want, key=lambda e: (e[0], e[3], e[4]))
 
     dim = S.dim + 6

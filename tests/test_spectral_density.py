@@ -59,12 +59,12 @@ def test_flat_counts_match_closed_form():
     # holds exactly floor(2 sqrt(s)) of them
     G = flat_scalar(20.0)
     for s in (4.41, 9.61, 16.81, 25.21):
-        assert int(sd.window_counts(G, [s]).sum()) == math.floor(2 * math.sqrt(s))
+        assert int(sd.window_counts([G], [s])[0].sum()) == math.floor(2 * math.sqrt(s))
 
 
 def test_count_below_first_eigenvalue_is_zero():
     G = flat_scalar(20.0)
-    assert int(sd.window_counts(G, [0.2]).sum()) == 0
+    assert int(sd.window_counts([G], [0.2])[0].sum()) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def _eigen_window(G, s, result):
     from eigen_lowest entries."""
     top = sd.window_top(G, s)
     inside = [e for e in result.entries if sd.THRESHOLD_ZERO < e.value <= top]
-    exact = sum(e.degree_tag == "beta" for e in inside)
+    exact = sum(G.modes[e.mode_index].degree_tag == "beta" for e in inside)
     return exact, len(inside) - exact
 
 
@@ -106,31 +106,51 @@ _samples = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    T=st.integers(min_value=2, max_value=6),
-    L1=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
-    L2=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
-    boundaries=st.tuples(st.sampled_from(["neumann", "dirichlet"]),
-                         st.sampled_from(["neumann", "dirichlet"])),
-    nus=st.lists(st.tuples(st.floats(min_value=0.01, max_value=5.0), st.integers(1, 3)),
-                 unique_by=lambda p: p[0], max_size=2),
-    pots=st.tuples(st.dictionaries(st.integers(0, 6), _samples, max_size=3),
-                   st.dictionaries(st.integers(0, 6), _samples, max_size=3)),
-    shifts=st.lists(st.floats(min_value=-30.0, max_value=300.0), min_size=1, max_size=5),
-)
-def test_sturm_counts_match_the_eigensolver(T, L1, L2, boundaries, nus, pots, shifts):
-    # n = (2T + L1 + L2)/h stays at or below 256
-    # repeated nu, with potentials on some copies, exercises the family rows
+@st.composite
+def _random_blocks(draw):
+    """Two blocks on a random scalar spectrum, each of length at most 2, with
+    either boundary and sampled potentials on some modes; repeated nu, with
+    potentials on some copies, exercises the family rows."""
+    nus = draw(st.lists(st.tuples(st.floats(min_value=0.01, max_value=5.0), st.integers(1, 3)),
+                        unique_by=lambda p: p[0], max_size=2))
     spec = scalar_spectrum(pairs=((0.0, 1),) + tuple(sorted(nus)), name="rand")
     n_modes = 1 + sum(mult for _, mult in nus)
-    blocks = [
-        BuildingBlock(spec=spec, L=L, boundary=bc, mu=1.0, potentials={
-            i: Potential.from_samples(rows, 1.0) for i, rows in table.items() if i < n_modes
-        })
-        for L, bc, table in zip((L1, L2), boundaries, pots)
-    ]
-    G = assemble(blocks[0], blocks[1], spec, 0, T=float(T), h=H)
+    blocks = []
+    for _ in range(2):
+        table = draw(st.dictionaries(st.integers(0, 6), _samples, max_size=3))
+        blocks.append(BuildingBlock(
+            spec=spec, L=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+            boundary=draw(st.sampled_from(["neumann", "dirichlet"])), mu=1.0,
+            potentials={i: Potential.from_samples(rows, 1.0)
+                        for i, rows in table.items() if i < n_modes}))
+    return blocks
+
+
+def _reference_sturm_counts(G, shifts):
+    """The step-by-step Sturm recurrence over one mode at a time, with the
+    pivmin replacement at every step: the reference that the stacked pass
+    must match bit for bit."""
+    x = np.nextafter(np.asarray(shifts, dtype=float), np.inf)
+    b2 = (1.0 / G.h**2) ** 2
+    pivmin = np.finfo(float).tiny * max(1.0, b2)
+    counts = np.zeros((len(G.mats), len(x)), dtype=np.int64)
+    for i, (diag, _) in enumerate(G.mats):
+        d = np.full(len(x), np.inf)
+        for a in diag:
+            d = (a - x) - b2 / d
+            d[np.abs(d) < pivmin] = -pivmin
+            counts[i] += d < 0
+    return counts
+
+
+_shift_lists = st.lists(st.floats(min_value=-30.0, max_value=300.0), min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.integers(min_value=2, max_value=6), blocks=_random_blocks(), shifts=_shift_lists)
+def test_sturm_counts_match_the_eigensolver(T, blocks, shifts):
+    # n = (2T + L1 + L2)/h stays at or below 256
+    G = assemble(blocks[0], blocks[1], blocks[0].spec, 0, T=float(T), h=H)
     got = sd.sturm_counts(G, shifts)
     tol = _roundoff(G)
     low = _eigensolver_counts(G, shifts, -tol)
@@ -141,7 +161,26 @@ def test_sturm_counts_match_the_eigensolver(T, L1, L2, boundaries, nus, pots, sh
     edges = [sd.THRESHOLD_ZERO, sd.window_top(G, s)]
     assume(np.array_equal(_eigensolver_counts(G, edges, -tol), _eigensolver_counts(G, edges, tol)))
     reference = eigen_lowest(G, G.n_points)
-    assert int(sd.window_counts(G, [s]).sum()) == sum(_eigen_window(G, s, reference))
+    assert int(sd.window_counts([G], [s])[0].sum()) == sum(_eigen_window(G, s, reference))
+
+
+@settings(max_examples=40, deadline=None)
+@given(Ts=st.lists(st.integers(min_value=2, max_value=6), min_size=2, max_size=4),
+       blocks=_random_blocks(), shifts=_shift_lists)
+def test_stacked_pass_matches_each_operator_alone(Ts, blocks, shifts):
+    # T values in any order, repeats allowed: the operators have different
+    # grid lengths, so all but the longest are continued with +inf
+    operators = [assemble(blocks[0], blocks[1], blocks[0].spec, 0, T=float(T), h=H) for T in Ts]
+    rows = [[x * (1.0 + 0.25 * k) for x in shifts] for k in range(len(operators))]
+    got = sd._sturm_pass(operators, rows)
+    assert len(got) == len(operators)
+    for G, x, counts in zip(operators, rows, got):
+        assert np.array_equal(counts, _reference_sturm_counts(G, x))
+        assert np.array_equal(counts, sd.sturm_counts(G, x))
+        tol = _roundoff(G)
+        low = _eigensolver_counts(G, x, -tol)
+        high = _eigensolver_counts(G, x, tol)
+        assert np.all((low <= counts) & (counts <= high))
 
 
 def test_sturm_counts_an_eigenvalue_equal_to_the_shift():
@@ -153,6 +192,42 @@ def test_sturm_counts_an_eigenvalue_equal_to_the_shift():
     diag = np.linspace(-1.0, 1.0, n)
     G0 = dataclasses.replace(G, mats=((diag, np.zeros(n - 1)),), h=1e100)
     assert sd.sturm_counts(G0, [diag[5], diag[-1], -2.0]).tolist() == [[6, n, 0]]
+    # the same in one pass with operators of another step and other lengths:
+    # each row keeps its own b^2 and pivmin
+    G1, G2 = flat_scalar(3.0), sech_scalar(2.0)
+    rows = [[0.5, 3.0, 40.0], [diag[5], diag[-1], -2.0], [-1.0, 0.01, 7.0]]
+    got = sd._sturm_pass([G1, G0, G2], rows)
+    assert got[1].tolist() == [[6, n, 0]]
+    assert np.array_equal(got[0], _reference_sturm_counts(G1, rows[0]))
+    assert np.array_equal(got[2], _reference_sturm_counts(G2, rows[2]))
+
+
+@pytest.mark.parametrize("off_diagonal", ["vanishing", "grid"])
+def test_zero_pivots_are_replaced_as_in_the_step_by_step_recurrence(off_diagonal):
+    # a diagonal entry equal to the shift moved up one ulp makes a pivot
+    # exactly 0 where b^2/d of the step before is 0, which dstebz replaces
+    # by -pivmin. Unreplaced, b^2/0 would turn the next pivot into -inf
+    # (b^2 > 0) or NaN (b^2 = 0). With b^2 = 0 the zeros sit on the first
+    # step, at both sides of a STURM_BLOCK boundary and on the last step of
+    # an operator stacked with a longer one; with the grid's b^2, on the
+    # first step.
+    G = flat_scalar(2.0)
+    n = G.n_points
+    shift = 0.25
+    diag = np.linspace(-1.0, 1.0, n) if off_diagonal == "vanishing" else G.mats[0][0].copy()
+    steps = [0, sd.STURM_BLOCK - 1, sd.STURM_BLOCK, n - 1]
+    diag[steps] = np.nextafter(shift, np.inf)
+    G0 = dataclasses.replace(G, mats=((diag, G.mats[0][1]),),
+                             h=1e100 if off_diagonal == "vanishing" else G.h)
+    want = _reference_sturm_counts(G0, [shift, -2.0])
+    assert np.array_equal(sd.sturm_counts(G0, [shift, -2.0]), want)
+    longer = flat_scalar(5.0)
+    got = sd._sturm_pass([G0, longer], [[shift, -2.0], [shift, 2.0]])
+    assert np.array_equal(got[0], want)
+    assert np.array_equal(got[1], _reference_sturm_counts(longer, [shift, 2.0]))
+    if off_diagonal == "vanishing":
+        # a diagonal matrix: a zero pivot counts its eigenvalue as <= the shift
+        assert want.tolist() == [[int(np.sum(diag <= np.nextafter(shift, np.inf))), 0]]
 
 
 def test_default_split_matches_the_eigenvalue_path():
@@ -162,10 +237,10 @@ def test_default_split_matches_the_eigenvalue_path():
     G = assemble(b, b, spec, 1, T=4.0, h=H, cutoff=20.0)
     ref = eigen_lowest(G, G.n_points)
     for s in (2.3, 7.7, 30.1):
-        exact, coexact = sd._branch_counts(G, sd.window_counts(G, [s]))
+        exact, coexact = sd._branch_counts(G, sd.window_counts([G], [s])[0])
         split = (int(exact[0]), int(coexact[0]))
         assert split == _eigen_window(G, s, ref)
-        assert sum(split) == int(sd.window_counts(G, [s]).sum())
+        assert sum(split) == int(sd.window_counts([G], [s])[0].sum())
 
 
 def test_long_flat_blocks_count_past_the_old_eigenvalue_budget():
@@ -178,8 +253,8 @@ def test_long_flat_blocks_count_past_the_old_eigenvalue_budget():
     k = np.arange(1, G.n_points)
     closed = (4.0 / H**2) * np.sin(k * math.pi / (2 * G.n_points)) ** 2
     assert int(np.sum(closed <= sd.window_top(G, s))) == 49
-    assert int(sd.window_counts(G, [s]).sum()) == 49
-    exact, coexact = sd._branch_counts(G, sd.window_counts(G, [s]))
+    assert int(sd.window_counts([G], [s])[0].sum()) == 49
+    exact, coexact = sd._branch_counts(G, sd.window_counts([G], [s])[0])
     assert (exact.tolist(), coexact.tolist()) == ([0], [49])
 
 
@@ -229,7 +304,7 @@ def test_product_benchmark_matches_enumeration(s, T, nu1):
 def test_product_shift_vanishes_for_flat_model():
     G = flat_scalar(20.0)
     for s in (4.41, 9.61, 16.81):
-        assert int(sd.window_counts(G, [s]).sum()) == sd.product_benchmark(G.spec, G.q, G.T, s)
+        assert int(sd.window_counts([G], [s])[0].sum()) == sd.product_benchmark(G.spec, G.q, G.T, s)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +339,32 @@ def test_density_sweep_checks_quadrupled_s():
     rep = sd.density_sweep(flat_scalar, 0, [2.25, 9.0], [20.0])
     assert rep.counts[0] == (3, 6)
     assert abs(rep.residuals[0][1] - rep.residuals[0][0]) <= 2 * rep.B + 2
+
+
+def test_density_sweep_builds_every_T_before_it_refuses_a_count():
+    # alone, T = 10 puts a positive mode in the window s = 25, T = 20 has a
+    # negative spectrum (a deep well on block 1) and T = 30 the wrong degree
+    spec = circle_spectrum()
+    flat = BuildingBlock(spec=spec, L=0.0, boundary="neumann", mu=1.0)
+    well = BuildingBlock(spec=spec, L=2.0, boundary="neumann", mu=1.0, potentials={
+        0: Potential.from_samples([(0.0, -30.0), (1.5, -30.0), (1.9, 0.0)], 1.0)})
+
+    def builder(T):
+        if T == 30.0:
+            return assemble(flat, flat, spec, 0, T=T, h=H)
+        return assemble(well if T == 20.0 else flat, flat, spec, 1, T=T, h=H)
+
+    s_values = [1.0, 25.0]
+    with pytest.raises(ContractViolation, match="positive mode 1"):
+        sd.density_sweep(builder, 1, s_values, [10.0])
+    with pytest.raises(ContractViolation, match=r"below -1/T\^2 .* at T = 20"):
+        sd.density_sweep(builder, 1, s_values, [20.0])
+    # the first of: a bad build, in T order; a negative spectrum, in T
+    # order; then, T by T, a window reaching a positive mode
+    with pytest.raises(ContractViolation, match="wrong degree"):
+        sd.density_sweep(builder, 1, s_values, [10.0, 20.0, 30.0])
+    with pytest.raises(ContractViolation, match=r"below -1/T\^2 .* at T = 20"):
+        sd.density_sweep(builder, 1, s_values, [10.0, 20.0])
 
 
 def test_density_sweep_rejects_wrong_degree():
