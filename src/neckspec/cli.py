@@ -45,7 +45,7 @@ from .glued_model import (
 from .gluing_solver import solve_exact, solve_report_csv, substitute_kernel
 from .ioutil import (MAX_GRID_VALUES, finite_number, format_complex, format_real,
                      read_json_object, write_text_atomic)
-from .neck_inverse import (cell_grid, operator_norm_fit, q0_apply, residual_on_support,
+from .neck_inverse import (_exact_cells, operator_norm_fit, q0_apply, residual_on_support,
                            seeded_section)
 from .polyhom import (
     CutoffFunction,
@@ -92,7 +92,7 @@ class ExperimentConfig:
     T_values: tuple[float, ...]
     s_values: tuple[float, ...]
     h: float
-    cutoff: float | None
+    cutoff: float  # math.inf keeps every mode
     seed: int
     output: str
 
@@ -217,9 +217,7 @@ def load_config(path: str, out_override: str | None) -> ExperimentConfig:
     s_values = _positive_floats(raw.get("s", []), "s") if raw.get("s") else ()
 
     h = _positive(raw.get("h", 1.0 / 16), "h")
-    cutoff = raw.get("cutoff")
-    if cutoff is not None:
-        cutoff = _positive(cutoff, "cutoff")
+    cutoff = math.inf if raw.get("cutoff") is None else _positive(raw["cutoff"], "cutoff")
     seed = raw.get("seed", 1)
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ConfigError("seed: expected a 64-bit unsigned integer")
@@ -245,24 +243,20 @@ def _require_blocks(cfg: ExperimentConfig) -> tuple[BuildingBlock, BuildingBlock
     return cfg.blocks
 
 
-def _effective_cutoff(cfg: ExperimentConfig) -> float:
-    return math.inf if cfg.cutoff is None else cfg.cutoff
-
-
 def _require_modes(cfg: ExperimentConfig, q: int, modes):
     """Refuse an empty mode list: every check would pass on it vacuously."""
     if not modes:
-        below = "" if cfg.cutoff is None else f" below the cutoff {format_real(cfg.cutoff)}"
+        below = f" below the cutoff {format_real(cfg.cutoff)}" if math.isfinite(cfg.cutoff) else ""
         raise ConfigError(f"degree {q}: the spectrum has no modes{below}")
     return modes
 
 
-def _require_grid_values(q: int, modes: int, points: int) -> None:
-    """Refuse a (modes x points) array over MAX_GRID_VALUES before it, or
-    the mode list, is built."""
-    if modes * points > MAX_GRID_VALUES:
+def _require_grid_values(where: str, rows: int, points: int, what: str = "modes") -> None:
+    """Refuse a (rows x points) array over MAX_GRID_VALUES before it, or
+    the mode list, is built; ``where`` names the field, ``what`` the rows."""
+    if rows * points > MAX_GRID_VALUES:
         raise ConfigError(
-            f"degree {q}: {modes} modes on {points} grid points make {modes * points} "
+            f"{where}: {rows} {what} on {points} grid points make {rows * points} "
             f"values, more than MAX_GRID_VALUES = {MAX_GRID_VALUES}"
         )
 
@@ -274,7 +268,7 @@ def _require_grid_values(q: int, modes: int, points: int) -> None:
 def cmd_roots(cfg: ExperimentConfig):
     rows = ["q,mode,kind,nu,degree_tag,root,order"]
     for q in cfg.degrees:
-        modes = _require_modes(cfg, q, mode_list(cfg.spectrum, q, _effective_cutoff(cfg)))
+        modes = _require_modes(cfg, q, mode_list(cfg.spectrum, q, cfg.cutoff))
         for i, m in enumerate(modes):
             for root, order in roots_of(m):
                 rows.append(
@@ -297,10 +291,10 @@ def cmd_q0check(cfg: ExperimentConfig):
     worst = 0.0
     ratio_worst = 0.0
     for q in cfg.degrees:
-        count = mode_count(cfg.spectrum, q, _effective_cutoff(cfg))
+        count = mode_count(cfg.spectrum, q, cfg.cutoff)
         for step in (cfg.h, cfg.h / 2):
-            _require_grid_values(q, count, len(cell_grid(support + 2.0, step)))
-        modes = _require_modes(cfg, q, mode_list(cfg.spectrum, q, _effective_cutoff(cfg)))
+            _require_grid_values(f"degree {q}", count, _exact_cells(2 * (support + 2.0), step))
+        modes = _require_modes(cfg, q, mode_list(cfg.spectrum, q, cfg.cutoff))
         res = []
         for step in (cfg.h, cfg.h / 2):
             f = seeded_section(modes, support + 2.0, support, step, cfg.seed + 257 * q)
@@ -314,6 +308,9 @@ def cmd_q0check(cfg: ExperimentConfig):
             ok &= res[1] <= res[0] / 3.0
             ratio_worst = max(ratio_worst, res[1] / res[0])
         worst = max(worst, res[0])
+    # the norm fit puts a section of up to two rows (a Dirac block) on the grid of each T
+    for k, T in enumerate(cfg.T_values):
+        _require_grid_values(f"T[{k}]", 2, _exact_cells(2 * (T + 2), cfg.h), "norm-fit rows")
     fit_rows = ["kind,T,ratio"]
     fit_lines = []
     bands = {KIND_LAPLACE: (1.8, 2.2), KIND_DIRAC: (0.8, 1.2)}
@@ -424,9 +421,9 @@ def cmd_glue(cfg: ExperimentConfig):
     files = {}
     b1, b2 = _require_blocks(cfg)
     for q in cfg.degrees:
-        count = mode_count(cfg.spectrum, q, _effective_cutoff(cfg))
+        count = mode_count(cfg.spectrum, q, cfg.cutoff)
         for T in cfg.T_values:
-            _require_grid_values(q, count, glued_points(T, b1.L, b2.L, cfg.h))
+            _require_grid_values(f"degree {q}", count, glued_points(T, b1.L, b2.L, cfg.h))
             G = _glued_operator(cfg, q, T)
             S = substitute_kernel(G)
             f = _glued_source(G, cfg.seed + 31 * q)
@@ -444,16 +441,24 @@ def cmd_glue(cfg: ExperimentConfig):
 
 
 def cmd_density(cfg: ExperimentConfig):
-    _require_blocks(cfg)
+    b1, b2 = _require_blocks(cfg)
     if not cfg.s_values:
         raise ConfigError("density needs a nonempty 's' list")
     ok = True
     lines = []
     files = {}
     for q in cfg.degrees:
-        rep = spectral_density.density_sweep(
-            lambda T: _glued_operator(cfg, q, T), q, cfg.s_values, cfg.T_values,
-        )
+        # an operator holds one diagonal per mode family: at most one per
+        # kept nu and one per mode carrying a potential
+        families = len({nu for deg in (q, q - 1) for nu, _ in cfg.spectrum.eigenvalues(deg)
+                        if nu <= cfg.cutoff}) + len(set(b1.potentials) | set(b2.potentials))
+
+        def build(T):
+            _require_grid_values(f"degree {q}", families, glued_points(T, b1.L, b2.L, cfg.h),
+                                 "mode families")
+            return _glued_operator(cfg, q, T)
+
+        rep = spectral_density.density_sweep(build, q, cfg.s_values, cfg.T_values)
         r0 = 2 * rep.B + 3
         ok &= rep.max_residual <= r0
         for i in range(len(rep.T_values)):

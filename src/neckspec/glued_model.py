@@ -28,8 +28,7 @@ import numpy as np
 from .errors import AnalysisError, ContractViolation, MatchingConditionError, SpectrumFormatError
 from .ioutil import MAX_GRID_POINTS, finite_number, read_json_object
 from .polyhom import CutoffFunction
-from .spectral_model import (CrossSectionSpectrum, KIND_LAPLACE, ModeOperator, _require_keys,
-                             mode_list)
+from .spectral_model import CrossSectionSpectrum, ModeOperator, _require_keys, mode_list
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -162,6 +161,13 @@ class BuildingBlock:
             raise ContractViolation("decay rate must be positive")
         object.__setattr__(self, "potentials", dict(self.potentials))
         for idx, pot in self.potentials.items():
+            # block_kernel sizes its shot from the block's mu, which must
+            # cover the slowest potential
+            if pot.mu < self.mu:
+                raise ContractViolation(
+                    f"potentials[{idx}]: decay rate {pot.mu} is slower than the block's "
+                    f"mu = {self.mu}"
+                )
             self._check_decay(pot, f"potentials[{idx}]")
 
     def _check_decay(self, pot: Potential, where: str) -> None:
@@ -268,7 +274,7 @@ class GluedOperator:
     mats: tuple[tuple[np.ndarray, np.ndarray], ...]
     potentials_eff: tuple[np.ndarray, ...]
     families: tuple[list[int], ...]
-    cutoff: float | None = None  # the mode list's cutoff, for the block kernels
+    cutoff: float = math.inf  # the mode list's cutoff, for the block kernels
 
     @property
     def L1(self) -> float:
@@ -306,10 +312,16 @@ class GluedOperator:
         return out
 
 
-def _corner_value(boundary: str, h: float) -> float:
+def mode_diagonal(nu: float, v: np.ndarray, h: float, left: str, right: str) -> np.ndarray:
+    """Diagonal nu + v + 2/h^2 of one mode's matrix, with the corner
+    entries of the boundaries ``left`` and ``right`` at its two ends."""
     # mirror ghost u_{-1} = u_0 (Neumann) keeps constants in the kernel;
     # antisymmetric ghost u_{-1} = -u_0 (Dirichlet) pins the wall at 0
-    return 1.0 / h**2 if boundary == NEUMANN else 3.0 / h**2
+    corner = {NEUMANN: 1.0 / h**2, DIRICHLET: 3.0 / h**2}
+    diag = nu + v + 2.0 / h**2
+    diag[0] = nu + v[0] + corner[left]
+    diag[-1] = nu + v[-1] + corner[right]
+    return diag
 
 
 def glued_points(T: float, L1: float, L2: float, h: float) -> int:
@@ -341,7 +353,7 @@ def assemble(
     q: int,
     T: float,
     h: float,
-    cutoff: float | None = None,
+    cutoff: float = math.inf,
 ) -> GluedOperator:
     """Glue two blocks across a neck of half length T.
 
@@ -353,15 +365,13 @@ def assemble(
     if block1.spec != spec or block2.spec != spec:
         raise MatchingConditionError("blocks must be built on the same cross-section spectrum")
     n = glued_points(T, block1.L, block2.L, h)
-    modes = tuple(mode_list(spec, q, cutoff if cutoff is not None else math.inf))
-    if any(m.kind != KIND_LAPLACE for m in modes):
-        raise ContractViolation("glued blocks are Laplace-type only")
+    modes = tuple(mode_list(spec, q, cutoff))
     for name, block in (("block 1", block1), ("block 2", block2)):
         for idx in sorted(block.potentials):
             if not 0 <= idx < len(modes):
                 raise ContractViolation(
                     f"{name}: potential on mode {idx}, but degree {q} has {len(modes)} modes"
-                    + ("" if cutoff is None else f" below the cutoff {cutoff}")
+                    + (f" below the cutoff {cutoff}" if math.isfinite(cutoff) else "")
                 )
 
     t = -T - block1.L + (np.arange(n) + 0.5) * h
@@ -384,9 +394,7 @@ def assemble(
         p2 = block2.potential_for(members[0])
         if p2 is not None:
             v_eff += p2.values(s2, h) * fade2
-        diag = nu + v_eff + 2.0 / h**2
-        diag[0] = nu + v_eff[0] + _corner_value(block1.boundary, h)
-        diag[-1] = nu + v_eff[-1] + _corner_value(block2.boundary, h)
+        diag = mode_diagonal(nu, v_eff, h, block1.boundary, block2.boundary)
         diag.flags.writeable = v_eff.flags.writeable = False
         for i in members:
             mats[i] = (diag, off)
@@ -423,19 +431,6 @@ class ShootingElement:
     b: float
     bounded: bool
     decaying: bool
-
-
-@dataclass(frozen=True)
-class BlockKernelData:
-    elements: tuple[ShootingElement, ...]
-
-    @property
-    def dim_kernel(self) -> int:
-        return sum(e.bounded for e in self.elements)
-
-    @property
-    def dim_kernel_decaying(self) -> int:
-        return sum(e.decaying for e in self.elements)
 
 
 def _shoot_families(block: BuildingBlock, cases: Sequence[tuple[int, float]], h: float,
@@ -501,9 +496,9 @@ def block_kernel(
     spec: CrossSectionSpectrum,
     q: int,
     h: float = 1.0 / 16,
-    cutoff: float | None = None,
+    cutoff: float = math.inf,
     reach: float | None = None,
-) -> BlockKernelData:
+) -> tuple[ShootingElement, ...]:
     """Shoot the modes of degree q that can hold a kernel from the outer
     boundary and classify.
 
@@ -521,7 +516,7 @@ def block_kernel(
     """
     if block.spec != spec:
         raise MatchingConditionError("block was built on a different spectrum")
-    modes = mode_list(spec, q, cutoff if cutoff is not None else math.inf)
+    modes = mode_list(spec, q, cutoff)
     default_reach = float(block.L + _shooting_reach(block.mu))
     reach = default_reach if reach is None else max(float(reach), default_reach)
     families = {key: members for key, members in mode_families(modes, block.potentials).items()
@@ -546,6 +541,9 @@ def block_kernel(
                 )
             continue
         shot = u[:, c]
+        if not np.all(np.isfinite(shot)):
+            raise AnalysisError(f"mode {i}: the shot overflows; the potential is too large to "
+                                f"shoot at step {h}")
         a, b, resid = _affine_fit(s[window], shot[window])
         scale = max(1.0, abs(a), abs(b) * reach, float(np.max(np.abs(shot[window]))))
         if resid > 10.0 * KERNEL_TOL * scale:
@@ -563,7 +561,7 @@ def block_kernel(
             for k in members
         )
     elements.sort(key=lambda e: e.mode_index)
-    return BlockKernelData(elements=tuple(elements))
+    return tuple(elements)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,11 @@ from .errors import (
 )
 from .glued_model import (
     KERNEL_TOL,
-    BlockKernelData,
+    NEUMANN,
     GluedOperator,
     ShootingElement,
-    _corner_value,
     block_kernel,
+    mode_diagonal,
     stencil,
 )
 from .ioutil import format_real
@@ -74,20 +74,19 @@ def neck_windows(G: GluedOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def transplant(G: GluedOperator, which: int, element: ShootingElement) -> np.ndarray:
-    """Carry a shooting element onto the glued grid, continuing its affine
-    far field a + b s beyond the shooting reach. Block 2 enters reversed."""
+    """The glued-grid row of a shooting element shot over the whole glued
+    span: its first n samples, read in place for block 1 and copied
+    reversed for block 2. A copy, not a reversed view, keeps every sum over
+    the row in grid order."""
     if abs(element.h - G.h) > 1e-12:
         raise ContractViolation("element was shot at a different step than the glued grid")
     n = G.n_points
-    t = G.grid()
-    s = t + G.T + G.L1 if which == 1 else G.T + G.L2 - t
-    out = element.a + element.b * s
-    k = min(len(element.samples), n)
-    if which == 1:
-        out[:k] = element.samples[:k]
-    else:
-        out[n - k :] = element.samples[:k][::-1]
-    return out
+    if len(element.samples) < n:
+        raise ContractViolation(
+            f"element was shot over {len(element.samples)} points, fewer than the {n} "
+            "points of the glued grid"
+        )
+    return element.samples[:n] if which == 1 else element.samples[n - 1 :: -1].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +98,8 @@ class SubstituteKernel:
     """Basis of the glued kernel built from matched block elements."""
 
     G: GluedOperator
-    kernel1: BlockKernelData
-    kernel2: BlockKernelData
+    kernel1: tuple[ShootingElement, ...]  # the block kernels, shot over the glued span
+    kernel2: tuple[ShootingElement, ...]
     basis: tuple[tuple[int, np.ndarray], ...]  # (mode_index, orthonormal values)
     matched: frozenset[int]  # modes whose two bounded traces continue each other
 
@@ -135,16 +134,15 @@ def substitute_kernel(G: GluedOperator) -> SubstituteKernel:
     when their traces, normalized to the constant 1, continue each other
     through the neck (for bounded traces this is independent of T).
 
-    The shooting reach is extended to cover the whole glued grid, so the
-    transplanted sections are exact discrete solutions everywhere and no
-    affine-continuation seam pollutes the crossfade."""
+    The shooting reach is extended to cover the whole glued grid, so each
+    transplanted section is an exact discrete solution everywhere."""
     span = 2 * G.T + G.L1 + G.L2
     kd1 = block_kernel(G.block1, G.spec, G.q, h=G.h, cutoff=G.cutoff, reach=span)
     kd2 = block_kernel(G.block2, G.spec, G.q, h=G.h, cutoff=G.cutoff, reach=span)
     w1 = neck_windows(G)[0]
     sections = []
     matched = set()
-    for e1, e2 in zip(kd1.elements, kd2.elements):
+    for e1, e2 in zip(kd1, kd2):
         if e1.decaying:
             sections.append((e1.mode_index, w1 * transplant(G, 1, e1)))
         if e2.decaying:
@@ -273,7 +271,7 @@ def characteristic_system(G: GluedOperator, S: SubstituteKernel,
     rhs = []
     for which, kd in ((1, S.kernel1), (2, S.kernel2)):
         w = w1 if which == 1 else 1.0 - w1
-        for el in kd.elements:
+        for el in kd:
             g = transplant(G, which, el)
             comm = _commutator_apply(G, w, el.mode_index, g)
             row = np.zeros(len(columns), dtype=f.dtype)
@@ -319,17 +317,14 @@ def _block_matrix(G: GluedOperator, which: int, mode_index: int,
                   t_sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tridiagonal block operator on the subgrid with the unfaded potential
     and a slope-zero closure at the cut."""
-    m = G.modes[mode_index]
     block = G.block1 if which == 1 else G.block2
     n_sub = len(t_sub)
     s = t_sub + G.T + G.L1 if which == 1 else G.T + G.L2 - t_sub
     pot = block.potential_for(mode_index)
     v = pot.values(s, G.h) if pot is not None else np.zeros(n_sub)
-    diag = m.nu + v + 2.0 / G.h**2
-    outer = 0 if which == 1 else n_sub - 1
-    cut = n_sub - 1 - outer
-    diag[outer] = m.nu + v[outer] + _corner_value(block.boundary, G.h)
-    diag[cut] = m.nu + v[cut] + 1.0 / G.h**2
+    # the slope-zero cut is a Neumann end
+    ends = (block.boundary, NEUMANN) if which == 1 else (NEUMANN, block.boundary)
+    diag = mode_diagonal(G.modes[mode_index].nu, v, G.h, *ends)
     off = np.full(n_sub - 1, -1.0 / G.h**2)
     return diag, off
 
@@ -442,9 +437,7 @@ def _block_solve(G: GluedOperator, S: SubstituteKernel, which: int, members: lis
     are solved bordered one at a time."""
     diag, off = _block_matrix(G, which, members[0], t_sub)
     kd = S.kernel1 if which == 1 else S.kernel2
-    bounded = next(
-        (e for e in kd.elements if e.mode_index == members[0] and e.bounded), None
-    )
+    bounded = next((e for e in kd if e.mode_index == members[0] and e.bounded), None)
     if bounded is None:
         return _solve_tridiag(diag, off, rows.T).T
     g = transplant(G, which, bounded)[_block_subgrid(G, which)[0]]

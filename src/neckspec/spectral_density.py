@@ -299,12 +299,14 @@ def density_sweep(
 
 
 def density_csv(report: DensityReport) -> str:
+    # each property rebuilds its whole tuple, so each is read once
+    counts, prediction, residuals = report.counts, report.prediction, report.residuals
     lines = ["q,T,s,count,prediction,residual,branch"]
     for i, T in enumerate(report.T_values):
         for j, s in enumerate(report.s_values):
             lines.append(
-                f"{report.q},{format_real(T)},{format_real(s)},{report.counts[i][j]},"
-                f"{format_real(report.prediction[j])},{format_real(report.residuals[i][j])},all"
+                f"{report.q},{format_real(T)},{format_real(s)},{counts[i][j]},"
+                f"{format_real(prediction[j])},{format_real(residuals[i][j])},all"
             )
             for name, cnt, pred in report.branches(i, j):
                 lines.append(
@@ -317,10 +319,10 @@ def density_csv(report: DensityReport) -> str:
 def gnuplot_tables(report: DensityReport) -> dict[str, str]:
     """Two-column (s, count) tables, one file name per (q, T)."""
     out = {}
-    for i, T in enumerate(report.T_values):
+    for T, row in zip(report.T_values, report.counts):
         rows = ["# s count"]
-        for j, s in enumerate(report.s_values):
-            rows.append(f"{format_real(s)} {report.counts[i][j]}")
+        for s, count in zip(report.s_values, row):
+            rows.append(f"{format_real(s)} {count}")
         out[f"density_q{report.q}_T{format_real(T)}.dat"] = "\n".join(rows) + "\n"
     return out
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neckspec import spectral_model
+from neckspec import cli, neck_inverse, spectral_model
 from neckspec.cli import main
 
 
@@ -228,6 +228,36 @@ class TestConfigErrors:
         # the refusal allocates no (modes x grid points) array
         assert peak < 20001 * points * 8 / 10, peak
 
+    @pytest.mark.parametrize("command,T,where,rows,points", [
+        ("q0check", [3e7, 6e7], "degree 0", "1 modes", 960000064),
+        ("q0check", [3, 3e7], "T[1]", "2 norm-fit rows", 960000064),
+        ("density", [3e7], "degree 0", "2 mode families", 960000032),
+    ])
+    def test_huge_grid_is_counted_not_built(self, tmp_path, capsys, monkeypatch, command, T,
+                                            where, rows, points):
+        # a 7.15 GiB grid at h = 1/16: q0check's grid at its smaller T, the
+        # norm fit's grid at its larger T, or one glued operator of density,
+        # whose bound on the mode families is the one kept nu plus the one
+        # mode carrying a potential
+        cfg = write_config(tmp_path, spectrum="scalar", blocks=[SECH_BLOCK, FLAT_BLOCK],
+                           degrees=[0], T=T, s=[4.41], h=1 / 16, seed=1)
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the refusal must come before the grid is built")
+
+        if where == "T[1]":
+            # the residuals at T = 3 build their grids; the norm fit must not
+            monkeypatch.setattr(cli, "operator_norm_fit", no_grid)
+        else:
+            monkeypatch.setattr(neck_inverse, "cell_grid", no_grid)
+            monkeypatch.setattr(cli, "cell_grid", no_grid, raising=False)  # if bound there too
+            monkeypatch.setattr(cli, "assemble", no_grid)
+        code, out, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {where}: {rows} on {points} grid points make "
+                       f"{int(rows[0]) * points} values, more than MAX_GRID_VALUES = {2**24}\n")
+
     def test_spectrum_file_with_twist(self, tmp_path, capsys):
         spectrum = {"name": "x", "dimension": 1, "degrees": {"0": [[0.0, 1]]},
                     "twist": {"0": [[[1.0]]]}}
@@ -303,6 +333,36 @@ class TestPotentialEntries:
         code, _, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
         assert code == 2
         assert "blocks[0].L" in err
+
+    @pytest.mark.parametrize("block_mu,code", [(1.0, 2), (0.5, 0)])
+    def test_potential_decaying_slower_than_its_block_is_refused(self, tmp_path, capsys,
+                                                                 block_mu, code):
+        # the block's shot is sized from the block's mu: at mu = 1 it is too
+        # short for a rate-0.5 profile and classifies its bounded element as
+        # unbounded, so the solve would fail to contract instead
+        sech = {"L": 2.0, "boundary": "neumann", "mu": block_mu,
+                "potentials": {"0": {"profile": "kernel_neumann", "c": 0.8, "mu": 0.5}}}
+        cfg = write_config(tmp_path, spectrum="scalar", blocks=[sech, FLAT_BLOCK],
+                           degrees=[0], T=[10], h=1 / 16, seed=1)
+        got, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert got == code
+        if code == 2:
+            assert out == ""
+            assert err == ("error: potentials[0]: decay rate 0.5 is slower than the "
+                           "block's mu = 1.0\n")
+        else:
+            assert "PASS glue: 1 solves" in out
+
+    def test_a_shot_that_overflows_fails_the_analysis(self, tmp_path, capsys):
+        # V = 1e308 is finite, but the zero mode's shot overflows at once
+        block = {"L": 2.0, "boundary": "neumann", "mu": 1.0,
+                 "potentials": {"0": [[0.0, 1e308], [1.0, 0.05], [2.0, 0.0]]}}
+        cfg = write_config(tmp_path, spectrum="scalar", blocks=[block, FLAT_BLOCK],
+                           degrees=[0], T=[4], seed=1)
+        code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, err) == (1, "")
+        assert out == ("FAIL glue: mode 0: the shot overflows; the potential is too large "
+                       "to shoot at step 0.0625\n")
 
     def test_slow_decay_samples_are_refused(self, tmp_path, capsys):
         # samples falling as e^{-0.2 s} where the block declares mu = 1
@@ -503,15 +563,66 @@ FUZZ_VALUES = [math.nan, math.inf, -math.inf, True, None, "x", [], {}, -1, 0, 1e
        st.sampled_from(["roots", "density", "glue"]))
 def test_mutated_config_exits_cleanly(site, value, command):
     config = copy.deepcopy(FUZZ_BASE)
-    target = config
+    _mutate(config, site, value)
+    _assert_exits_cleanly(command, {"config": config})
+
+
+def _mutate(data, site, value):
     for key in site[:-1]:
-        target = target[key]
-    target[site[-1]] = value
+        data = data[key]
+    data[site[-1]] = value
+
+
+def _assert_exits_cleanly(command, files):
+    """Run command on files["config"], with every entry of files written
+    as <name>.json beside it: exit 0, 1 or 2 and no traceback."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
+        for name, data in files.items():
+            (Path(tmp) / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "o")])
+            code = main([command, "--config", str(Path(tmp) / "config.json"),
+                         "--out", str(Path(tmp) / "o")])
     assert code in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+# a spectrum file and a block file for the fuzz config, and the places a
+# mutation may hit in them: a field, a degree's rows, one row or one entry
+FUZZ_SPECTRUM = {"name": "fuzz", "dimension": 1, "degrees": {"0": [[0.0, 1], [4.0, 2]]}}
+FUZZ_BLOCK = {"L": 2.0, "boundary": "neumann", "mu": 1.0,
+              "potentials": {"0": [[0.0, 0.1], [1.0, 0.05], [2.0, 0.0]]}}
+FILE_SITES = (
+    [("spectrum", key) for key in FUZZ_SPECTRUM]
+    + [("spectrum", "degrees", "0")]
+    + [("spectrum", "degrees", "0", k) for k in range(2)]
+    + [("spectrum", "degrees", "0", k, i) for k in range(2) for i in range(2)]
+    + [("block", key) for key in FUZZ_BLOCK]
+    + [("block", "potentials", "0")]
+    + [("block", "potentials", "0", k) for k in range(3)]
+    + [("block", "potentials", "0", k, i) for k in range(3) for i in range(2)]
+)
+# besides FUZZ_VALUES: a nu at and below MERGE_TOL = 1e-12, which joins the
+# zero mode; multiplicities past MAX_MODES, refused before any mode is
+# built; empty and duplicate rows; and a second boundary. Block lengths stay
+# small or astronomical, which the grid count refuses: a length of 1e5
+# would be shot point by point.
+FILE_VALUES = FUZZ_VALUES + [
+    1e-12, 1e-13, 0.5, 2.0, 4.0, 2**20 + 1, 2**62, "dirichlet",
+    [[0.0, 1], [0.0, 1]], [[4.0, 2], [4.0, 2], [0.0, 1]], [[1e-13, 1], [0.0, 2]], [[0.0, 1]],
+    [[0.0, 0.1], [0.0, 0.2]], [[0.0, -30.0], [1.5, -30.0], [1.9, 0.0]], [0.0], [1.0, "x"],
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FILE_SITES), st.sampled_from(FILE_VALUES),
+       st.sampled_from(["0", "1", "-1", "x", "00"]), st.sampled_from(["roots", "density", "glue"]))
+def test_mutated_input_files_exit_cleanly(site, value, degree_key, command):
+    files = {"spectrum": copy.deepcopy(FUZZ_SPECTRUM), "block": copy.deepcopy(FUZZ_BLOCK),
+             "config": dict(FUZZ_BASE, spectrum={"file": "spectrum.json"},
+                            blocks=[{"file": "block.json"}, FLAT_BLOCK])}
+    _mutate(files, site, value)
+    degrees = files["spectrum"]["degrees"]
+    if isinstance(degrees, dict) and "0" in degrees:
+        degrees[degree_key] = degrees.pop("0")
+    _assert_exits_cleanly(command, files)

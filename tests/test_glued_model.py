@@ -191,8 +191,8 @@ def test_potential_needs_positive_rate():
 
 def test_flat_neumann_block_has_the_constant_kernel():
     data = block_kernel(flat_block(L=1.0), SCALAR, 0)
-    assert data.dim_kernel == 1 and data.dim_kernel_decaying == 0
-    (el,) = data.elements
+    assert sum(e.bounded for e in data) == 1 and sum(e.decaying for e in data) == 0
+    (el,) = data
     assert el.a == pytest.approx(1.0, abs=1e-12) and abs(el.b) < 1e-12
     assert el.bounded and not el.decaying
     assert np.all(el.samples == 1.0)
@@ -200,8 +200,8 @@ def test_flat_neumann_block_has_the_constant_kernel():
 
 def test_flat_dirichlet_block_grows_linearly():
     data = block_kernel(flat_block(L=1.0, boundary=DIRICHLET), SCALAR, 0)
-    assert data.dim_kernel == 0
-    (el,) = data.elements
+    assert sum(e.bounded for e in data) == 0
+    (el,) = data
     assert not el.bounded
     assert abs(el.a) < 1e-9 and abs(el.b - 1.0) < 1e-12
     s = (np.arange(len(el.samples)) + 0.5) * el.h
@@ -214,7 +214,7 @@ def test_bump_slope_equals_the_resolvent_moment():
     bump = Potential.from_callable(lambda s: np.where(s < 1.0, 0.1, 0.0), mu=1.0)
     block = BuildingBlock(SCALAR, L=1.0, boundary=NEUMANN, mu=1.0, potentials={0: bump})
     data = block_kernel(block, SCALAR, 0)
-    (el,) = data.elements
+    (el,) = data
     s = (np.arange(len(el.samples)) + 0.5) * el.h
     moment = el.h * float(np.sum(bump.values(s, el.h) * el.samples))
     assert not el.bounded
@@ -228,8 +228,8 @@ def test_sech_profile_gives_an_exact_neumann_kernel(c):
     pot = kernel_potential_neumann(mu, c)
     block = BuildingBlock(SCALAR, L=2.0, boundary=NEUMANN, mu=mu, potentials={0: pot})
     data = block_kernel(block, SCALAR, 0)
-    assert data.dim_kernel == 1
-    (el,) = data.elements
+    assert sum(e.bounded for e in data) == 1
+    (el,) = data
     s = (np.arange(len(el.samples)) + 0.5) * el.h
     w = pot.kernel_profile(s)
     # shooting normalizes u(h/2) to the boundary start, so u = w / w(h/2);
@@ -244,8 +244,8 @@ def test_tanh_profile_gives_an_exact_dirichlet_kernel():
     pot = kernel_potential_dirichlet(2.0)
     block = BuildingBlock(SCALAR, L=2.0, boundary=DIRICHLET, mu=2.0, potentials={0: pot})
     data = block_kernel(block, SCALAR, 0)
-    assert data.dim_kernel == 1
-    (el,) = data.elements
+    assert sum(e.bounded for e in data) == 1
+    (el,) = data
     s = (np.arange(len(el.samples)) + 0.5) * el.h
     # the Dirichlet start is u(h/2) = h/2, so u = tanh(s) * (h/2)/tanh(h/2)
     scale = s[0] / np.tanh(s[0])
@@ -279,7 +279,7 @@ def test_clean_positive_modes_are_certified():
     block = BuildingBlock(spec, L=1.0, boundary=NEUMANN, mu=1.0,
                           potentials={1: exp_potential(0.3, 1.0)})
     data = block_kernel(block, spec, 0)
-    assert len(data.elements) == 1
+    assert len(data) == 1
 
 
 def test_only_families_that_can_hold_a_kernel_are_shot(monkeypatch):
@@ -298,7 +298,7 @@ def test_only_families_that_can_hold_a_kernel_are_shot(monkeypatch):
     monkeypatch.setattr(glued_model, "_shoot_families", recorded)
     data = block_kernel(block, spec, 1)
     assert cases == [(0, 0.0), (1, 0.0)]
-    assert [e.mode_index for e in data.elements] == [0, 1, 338]
+    assert [e.mode_index for e in data] == [0, 1, 338]
 
 
 def scalar_growth_slope(block, mode_index, nu, h, reach):

@@ -145,19 +145,26 @@ def test_projection_roundtrip():
 # transplants
 
 
-def test_transplant_reversal_and_affine_continuation():
-    (e,) = block_kernel(dblock(), SCALAR, 0, h=H).elements
+def test_transplant_reversal_and_short_elements():
     G = glue(nblock(), dblock(), T=30.0)
+    span = 2 * G.T + G.L1 + G.L2
+    (e,) = block_kernel(dblock(), SCALAR, 0, h=H, reach=span)
     g = transplant(G, 2, e)
-    t = G.grid()
-    s2 = G.T + G.L2 - t
-    # flat Dirichlet element is exactly linear, so samples and affine
-    # continuation agree with b * s2 everywhere
-    assert np.allclose(g, e.b * s2 + e.a, atol=1e-7)
+    # block 2 enters reversed, bit for bit, as a copy of the samples
+    assert np.array_equal(g, e.samples[: G.n_points][::-1])
+    assert g.flags.c_contiguous and not np.shares_memory(g, e.samples)
+    # the flat Dirichlet shot is u = s2 exactly
+    assert np.allclose(g, G.T + G.L2 - G.grid(), rtol=0, atol=1e-9)
+    # block 1 reads the head of the samples
+    assert np.array_equal(transplant(G, 1, e), e.samples[: G.n_points])
+    # the default reach covers L + 20 / mu = 22 units, short of the 64 glued ones
+    (short,) = block_kernel(dblock(), SCALAR, 0, h=H)
+    with pytest.raises(ContractViolation, match="fewer than the 1024 points of the glued grid"):
+        transplant(G, 2, short)
 
 
 def test_transplant_step_mismatch():
-    (e,) = block_kernel(nblock(), SCALAR, 0, h=1.0 / 8).elements
+    (e,) = block_kernel(nblock(), SCALAR, 0, h=1.0 / 8)
     G = glue(nblock(), nblock())
     with pytest.raises(ContractViolation, match="different step"):
         transplant(G, 1, e)
@@ -193,7 +200,7 @@ def test_characteristic_entries_match_trace_wronskian():
     b1 = nblock(kernel_potential_neumann(2.0, 0.8), mu=2.0)
     G = glue(b1, dblock(), T=12.0)
     S = substitute_kernel(G)
-    (e1,) = S.kernel1.elements
+    (e1,) = S.kernel1
     sys = characteristic_system(G, S, seeded_source(G, 7))
     a_col = sys.columns.index((0, "a"))
     b_col = sys.columns.index((0, "b"))
@@ -584,8 +591,8 @@ def test_solve_exact_no_contraction():
     # the near-singular block solves blow the residual up instead of down
     S = dataclasses.replace(
         S,
-        kernel1=dataclasses.replace(S.kernel1, elements=()),
-        kernel2=dataclasses.replace(S.kernel2, elements=()),
+        kernel1=(),
+        kernel2=(),
         basis=(),
         matched=frozenset(),
     )
@@ -637,7 +644,7 @@ def _kernel_block_system(T, which):
     sub, t_sub = gluing_solver._block_subgrid(G, which)
     diag, off = gluing_solver._block_matrix(G, which, 0, t_sub)
     kd = S.kernel1 if which == 1 else S.kernel2
-    (bounded,) = [e for e in kd.elements if e.bounded]
+    (bounded,) = [e for e in kd if e.bounded]
     return diag, off, transplant(G, which, bounded)[sub]
 
 

@@ -397,6 +397,42 @@ def test_gnuplot_tables():
     assert body[1].split() == ["4.4100000000000001", "4"]
 
 
+
+def test_density_writers_read_each_report_property_once(monkeypatch):
+    # each property rebuilds its whole tuple, so a read per (T, s) point
+    # would make writing the tables quadratic in the sweep size
+    T_values = tuple(float(T) for T in range(10, 18))
+    s_values = (4.41, 9.61, 16.81, 25.21, 36.0)
+    coexact = tuple(tuple((i + j, 2 * j) for j in range(len(s_values)))
+                    for i in range(len(T_values)))
+    rep = sd.DensityReport(q=1, b_exact=1, b_coexact=2, T_values=T_values,
+                           s_values=s_values, coexact=coexact)
+    expected_csv, expected_dat = sd.density_csv(rep), sd.gnuplot_tables(rep)
+    reads = {}
+    depth = [0]
+    for name in ("counts", "prediction", "residuals"):
+        fget = getattr(sd.DensityReport, name).fget
+
+        def counted(self, name=name, fget=fget):
+            # only the writer's own reads count, not those one property makes of another
+            if depth[0] == 0:
+                reads[name] = reads.get(name, 0) + 1
+            depth[0] += 1
+            try:
+                return fget(self)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(sd.DensityReport, name, property(counted))
+    assert sd.density_csv(rep) == expected_csv
+    assert reads == {"counts": 1, "prediction": 1, "residuals": 1}
+    reads.clear()
+    assert sd.gnuplot_tables(rep) == expected_dat
+    assert reads == {"counts": 1}
+    assert expected_dat["density_q1_T11.dat"].split("\n")[1:3] == ["4.4100000000000001 1",
+                                                                  "9.6099999999999994 4"]
+
+
 # ---------------------------------------------------------------------------
 # Fourier test spaces
 
