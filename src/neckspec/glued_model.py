@@ -181,9 +181,16 @@ class BuildingBlock:
         if not np.all(np.isfinite(v)):
             k = int(np.argmin(np.isfinite(v)))
             raise ContractViolation(f"{where}: potential is not finite at s = {s[k]:.4f}")
-        weights = np.exp(pot.mu * (s - self.L))
         near = s <= self.L + 8.0
-        amp = float(np.max(v[near] * weights[near], initial=0.0))
+        # a weight that overflows makes amp inf or NaN, and every v > bound
+        # comparison below False
+        with np.errstate(over="ignore", invalid="ignore"):
+            amp = float(np.max(v[near] * np.exp(pot.mu * (s[near] - self.L)), initial=0.0))
+        if not math.isfinite(amp):
+            raise ContractViolation(
+                f"{where}: decay rate mu = {pot.mu} is too large to check: "
+                "the weight e^{mu (s - L)} |V(s)| overflows on [L, L + 8]"
+            )
         amp = max(amp, 1e-12)
         # 10% slack absorbs the approach to the asymptotic amplitude; the
         # additive floor absorbs roundoff noise in computed sample tables.
@@ -302,11 +309,8 @@ class GluedOperator:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
-        return self._apply_into(values, np.empty_like(values, dtype=np.result_type(values, float)))
-
-    def _apply_into(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write P values into out, another (modes x n) array, and return
-        it; every row is written, as the families cover every mode."""
+        out = np.empty_like(values, dtype=np.result_type(values, float))
+        # every row is written, as the families cover every mode
         for members in self.families:
             out[members] = stencil(*self.mats[members[0]], values[members])
         return out

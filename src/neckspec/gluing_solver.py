@@ -7,7 +7,8 @@ the characteristic system then picks the affine trace correction v that
 cancels the block obstructions; the leftover residual (supported in the
 block regions) is removed by slope-zero block solves; crossfading the
 pieces leaves a defect of size e^{-delta T}, which the exact solver
-drives below tolerance by iteration.
+drives below tolerance by iteration. Every stage is block diagonal in
+the mode families, so a pass can run on any subset of them.
 
 All inner products are the grid pairing h * sum(x conj(y)) over every
 mode row, and "orthogonal to the kernel" always means this pairing. The
@@ -17,6 +18,7 @@ glued matrices are real, and every solver works in the source's dtype.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,13 +54,16 @@ def _inexact(x) -> np.ndarray:
     return x.astype(np.result_type(x, float), copy=False)
 
 
-def norm(G: GluedOperator, x: np.ndarray) -> float:
+def _abs2(x: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(x):
         a = np.abs(x)
         a *= a
-    else:
-        a = x * x  # |x|^2 bit for bit, in one pass
-    return math.sqrt(G.h * float(np.sum(a)))
+        return a
+    return x * x  # |x|^2 bit for bit, in one pass
+
+
+def norm(G: GluedOperator, x: np.ndarray) -> float:
+    return math.sqrt(G.h * float(np.sum(_abs2(x))))
 
 
 def neck_windows(G: GluedOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -176,22 +181,42 @@ def substitute_kernel(G: GluedOperator) -> SubstituteKernel:
 # the cylinder-model solve on the glued grid
 
 
+def _lapack_tridiag(name: str, bands: tuple[np.ndarray, ...], rhs: np.ndarray) -> np.ndarray:
+    """Solve with LAPACK's ?gtsv (bands dl, d, du) or ?ptsv (bands d, e),
+    called directly: z for a complex rhs, d otherwise, as scipy's
+    ``solve_banded`` and ``solveh_banded`` pick them, and the same bits,
+    without their band array, finiteness scan and batch wrapper. An empty
+    rhs and n = 1 are handled as ``solve_banded`` handles them (f2py
+    refuses an empty off-diagonal). A zero pivot, or for ptsv a pivot
+    that is not positive, raises LinAlgError."""
+    from scipy.linalg import lapack
+    diag = bands[0] if name == "ptsv" else bands[1]
+    if rhs.size == 0:
+        return np.empty_like(rhs, dtype=np.result_type(diag, rhs))
+    if len(diag) == 1:
+        x = np.array(rhs)
+        x /= diag[0]
+        return x
+    *_, x, info = getattr(lapack, ("z" if np.iscomplexobj(rhs) else "d") + name)(*bands, rhs)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"?{name}: singular matrix (pivot {info})")
+    return x
+
+
 def _positive_mode_cylinder(f: np.ndarray, nu: float, h: float) -> np.ndarray:
     # nu - D_h^2 = (1 - r S)(1 - r S^-1) / (r h^2) with r + 1/r = 2 + h^2 nu,
     # r < 1 the decaying root; the ghost u_{-1} = r u_0 (and its mirror) at
     # the ends makes every column the exact infinite-grid inverse of f
     # padded by zeros (discrete transparent boundary condition)
-    import scipy.linalg
     a = 0.5 * h**2 * nu
     r = 1.0 / (1.0 + a + math.sqrt(a * (2.0 + a)))  # no cancellation as nu -> 0
-    ab = np.empty((2, len(f)))
-    ab[0] = nu + 2.0 / h**2
-    ab[0, [0, -1]] -= r / h**2
-    ab[1] = -1.0 / h**2
-    return scipy.linalg.solveh_banded(ab, f, lower=True)
+    d = np.full(len(f), nu + 2.0 / h**2)
+    d[[0, -1]] -= r / h**2
+    return _lapack_tridiag("ptsv", (d, np.full(len(f) - 1, -1.0 / h**2)), f)
 
 
-def cylinder_solve(G: GluedOperator, f: np.ndarray, window: np.ndarray | float) -> np.ndarray:
+def cylinder_solve(G: GluedOperator, f: np.ndarray, window: np.ndarray | float,
+                   families: Sequence[list[int]] | None = None) -> np.ndarray:
     """Mode-by-mode inverse of the free cylinder operator on the infinite
     grid, applied to f0 = window * f (a grid array or a scalar) continued
     by zeros. Every row of the result, the two end rows included,
@@ -199,11 +224,12 @@ def cylinder_solve(G: GluedOperator, f: np.ndarray, window: np.ndarray | float) 
     takes past the ends: positive modes decay both ways, zero modes vanish
     left of the support. The positive modes of one family share one
     banded solve. f0 is formed family by family, so no windowed copy of
-    the whole source is held."""
+    the whole source is held. Only the rows of ``families`` (all of
+    ``G.families`` by default) are solved; the others are zero."""
     t = G.grid()
     f = _inexact(f)
     out = np.zeros((len(G.modes), G.n_points), dtype=f.dtype)
-    for members in G.families:
+    for members in G.families if families is None else families:
         f0 = f[members]  # a copy: fancy indexing
         f0 *= window
         m = G.modes[members[0]]
@@ -245,8 +271,8 @@ def _commutator_apply(G: GluedOperator, w: np.ndarray, mode_index: int,
     return G.apply_mode(mode_index, w * g) - w * G.apply_mode(mode_index, g)
 
 
-def characteristic_system(G: GluedOperator, S: SubstituteKernel,
-                          f: np.ndarray) -> CharacteristicSystem:
+def characteristic_system(G: GluedOperator, S: SubstituteKernel, f: np.ndarray,
+                          families: Sequence[list[int]] | None = None) -> CharacteristicSystem:
     """Green's identity on each block region reduces P u = f to a linear
     system for the affine trace correction v at the neck.
 
@@ -255,13 +281,19 @@ def characteristic_system(G: GluedOperator, S: SubstituteKernel,
     with u0 the cylinder solve of zeta1 f, the round's one neck solve, kept
     unwindowed as ``cylinder``. The left side is an exact discrete
     Wronskian of the traces, so the entries are chi-independent.
+
+    A row and its columns belong to one zero mode, so the system restricted
+    to the modes of ``families`` (all of ``G.families`` by default) is the
+    system of those rows alone.
     """
     f = _inexact(f)
     t = G.grid()
+    families = G.families if families is None else families
     w1, zeta0, zeta1 = neck_windows(G)
-    cyl = cylinder_solve(G, f, zeta1)
+    cyl = cylinder_solve(G, f, zeta1, families)
     columns = []
-    for mi in (i for i, m in enumerate(G.modes) if m.is_zero_mode):
+    for mi in sorted(i for members in families if G.modes[members[0]].is_zero_mode
+                     for i in members):
         if mi not in S.matched:
             columns.append((mi, "a"))
         columns.append((mi, "b"))
@@ -271,7 +303,8 @@ def characteristic_system(G: GluedOperator, S: SubstituteKernel,
     rhs = []
     for which, kd in ((1, S.kernel1), (2, S.kernel2)):
         w = w1 if which == 1 else 1.0 - w1
-        for el in kd:
+        # every element is of a zero mode; those outside the families have no column
+        for el in (el for el in kd if (el.mode_index, "b") in col_of):
             g = transplant(G, which, el)
             comm = _commutator_apply(G, w, el.mode_index, g)
             row = np.zeros(len(columns), dtype=f.dtype)
@@ -330,12 +363,7 @@ def _block_matrix(G: GluedOperator, which: int, mode_index: int,
 
 
 def _solve_tridiag(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    import scipy.linalg
-    ab = np.zeros((3, len(diag)))
-    ab[0, 1:] = off
-    ab[1] = diag
-    ab[2, :-1] = off
-    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+    return _lapack_tridiag("gtsv", (off, diag, off), rhs)
 
 
 def _border_rows(g: np.ndarray):
@@ -459,11 +487,25 @@ def _block_solve(G: GluedOperator, S: SubstituteKernel, which: int, members: lis
 # approximate and exact solves
 
 
+def _residual_into(G: GluedOperator, f: np.ndarray, u: np.ndarray, out: np.ndarray,
+                   families: Sequence[list[int]]) -> np.ndarray:
+    """out = f - P u on the rows of ``families``; its other rows are left
+    as they are."""
+    for members in families:
+        # P u before the gather of f, and freed before the next family's,
+        # so at most one family's temporaries are live
+        pu = G.apply_mode(members[0], u[members])
+        out[members] = np.subtract(f[members], pu, out=pu)
+        del pu
+    return out
+
+
 def approx_solve(
     G: GluedOperator,
     S: SubstituteKernel,
     f: np.ndarray,
     check_orthogonality: bool = True,
+    families: Sequence[list[int]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One pass of the gluing construction: returns (u, e) with
     e = f - P_T u of relative size e^{-delta T}.
@@ -472,7 +514,12 @@ def approx_solve(
     windowed to the neck (zeta1), plus the affine trace v it picks
     (cancelling the block obstructions), then block solves with slope-zero
     closures, crossfade, and projection off the substitute kernel. The
-    block solves run once per block and ``G.families`` entry.
+    block solves run once per block and family.
+
+    The pass runs on the rows of ``families`` (all of ``G.families`` by
+    default). Every stage is block diagonal in the families and the
+    kernel basis is per mode, so a subset is exact: on the other rows
+    u = 0 and e = f.
 
     f is left as given. Beyond it a pass holds two (modes x n) arrays, the
     two it returns: u grows in the cylinder solve's buffer, and the buffer
@@ -490,8 +537,9 @@ def approx_solve(
                 f"source overlaps the substitute kernel: |<f, k>| = {float(np.max(ov)):.3e}"
                 f" > 1.0e-06 * ||f|| = {1e-6 * nf:.3e}"
             )
+    families = G.families if families is None else families
     w1, zeta0, _ = neck_windows(G)
-    sys = characteristic_system(G, S, f)
+    sys = characteristic_system(G, S, f, families)
     v = characteristic_solve(sys)
     # the trace a + b t lives on the zero-mode rows alone
     t = G.grid()
@@ -504,18 +552,17 @@ def approx_solve(
     for mode, row in traces.items():
         u[mode] += row
     u *= zeta0
-    r = G.apply(u)
-    np.subtract(f, r, out=r)
+    # a row outside the families keeps e = f, as u is 0 there
+    r = np.empty_like(u) if len(families) == len(G.families) else np.array(f)
+    _residual_into(G, f, u, r, families)
     blocks = [(1, w1, *_block_subgrid(G, 1)), (2, 1.0 - w1, *_block_subgrid(G, 2))]
-    for members in G.families:
+    for members in families:
         add = np.zeros((len(members), G.n_points), dtype=f.dtype)
         for which, weight, sub, t_sub in blocks:
             add[:, sub] += weight[sub] * _block_solve(G, S, which, members, r[members, sub], t_sub)
         u[members] += add
     S._project_in_place(u)
-    e = G._apply_into(u, r)
-    np.subtract(f, e, out=e)
-    return u, e
+    return u, _residual_into(G, f, u, r, families)
 
 
 @dataclass(frozen=True)
@@ -537,32 +584,51 @@ class SolveReport:
         return len(self.contraction)
 
 
+def _family_norms(G: GluedOperator, a: np.ndarray) -> np.ndarray:
+    """The norm of each ``G.families`` entry, from |x|^2 over the rows."""
+    rows = np.sum(a, axis=1)
+    return np.sqrt(G.h * np.array([np.sum(rows[members]) for members in G.families]))
+
+
 def solve_exact(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> SolveReport:
     """Iterate approx_solve on residuals, projecting each round's source
     off the substitute kernel, until ||f - P u - w|| <= RTOL ||f||.
+
+    The first round solves every family. A later round solves only the
+    families whose source norm is above RTOL ||f|| / (2 sqrt(m)), m the
+    number of families: those left out hold at most RTOL ||f|| / 2
+    together, so while the stop test, over all rows, fails, some family
+    is solved. A non-finite source is refused.
 
     f is copied once, for the first round; every later source is the
     residual the previous round returned, whose kernel rows are moved to w
     in place. u is the first round's u, and later rounds add to it."""
     fn = np.array(_inexact(f))
     nf = norm(G, fn)
+    if not math.isfinite(nf):
+        raise ContractViolation(f"the source is not finite: ||f|| = {nf}")
     if nf == 0:
         return SolveReport(np.zeros_like(fn), np.zeros_like(fn), (), (), 0.0, nf)
     u = None
     w = np.zeros_like(fn)
     etas: list[float] = []
     residuals: list[float] = []
+    bar = RTOL * nf / (2.0 * math.sqrt(len(G.families)))
     for _ in range(80):
         for mode in {m for m, _ in S.basis}:
             wn = sum((G.h * np.sum(fn[mode] * vec)) * vec for m, vec in S.basis if m == mode)
             w[mode] += wn
             fn[mode] -= wn
-        n_src = norm(G, fn)
+        a = _abs2(fn)
+        n_src = math.sqrt(G.h * float(np.sum(a)))
         if n_src <= RTOL * nf:
             u = np.zeros_like(fn) if u is None else u
             return SolveReport(u, w, tuple(etas), tuple(residuals), n_src / nf, nf)
+        families = G.families if u is None else [
+            members for members, nrm in zip(G.families, _family_norms(G, a)) if nrm > bar]
+        del a
         # rebinding fn frees this round's source before the next allocation
-        un, fn = approx_solve(G, S, fn, check_orthogonality=False)
+        un, fn = approx_solve(G, S, fn, check_orthogonality=False, families=families)
         if u is None:
             u = un
         else:
@@ -575,15 +641,19 @@ def solve_exact(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> SolveRe
             return SolveReport(S._project_in_place(u), w, tuple(etas), tuple(residuals),
                                n_fn / nf, nf)
         if len(etas) >= 2 and etas[-1] >= 1.0 and etas[-2] >= 1.0:
-            raise NoContractionError(max(etas[-2:]))
+            worst = G.families[int(np.argmax(_family_norms(G, _abs2(fn))))][0]
+            raise NoContractionError(max(etas[-2:]), worst, G.modes[worst].nu, G.T)
     raise AnalysisError("correction iteration did not converge in 80 rounds")
 
 
 def solve_direct(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> np.ndarray:
     """Direct solve of the glued matrices per ``G.families`` entry; each
     member of a (near-)singular family is solved bordered by its substitute
-    kernel direction, one at a time."""
+    kernel direction, one at a time. A non-finite source is refused."""
     f = _inexact(f)
+    nf = norm(G, f)
+    if not math.isfinite(nf):
+        raise ContractViolation(f"the source is not finite: ||f|| = {nf}")
     out = np.zeros_like(f)
     borders: dict[int, list[np.ndarray]] = {}
     for mode, vec in S.basis:

@@ -5,6 +5,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,21 @@ class TestPotentialEntries:
         else:
             assert "PASS glue: 1 solves" in out
 
+    def test_a_decay_rate_that_overflows_the_decay_check_is_refused(self, tmp_path, capsys):
+        # e^{mu (s - L)} overflows at mu = 1e308, which would make the decay
+        # bound NaN and pass samples that do not decay at all
+        block = {"L": 0.5, "boundary": "neumann", "mu": 1e308,
+                 "potentials": {"0": [[s / 2, 0.1] for s in range(19)]}}
+        (tmp_path / "block.json").write_text(json.dumps(block), encoding="utf-8")
+        cfg = write_config(tmp_path, spectrum="scalar", blocks=[{"file": "block.json"}, FLAT_BLOCK],
+                           degrees=[0], T=[10], seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: potentials[0]: decay rate mu = 1e+308 is too large")
+        assert [str(w.message) for w in caught] == []
+
     def test_a_shot_that_overflows_fails_the_analysis(self, tmp_path, capsys):
         # V = 1e308 is finite, but the zero mode's shot overflows at once
         block = {"L": 2.0, "boundary": "neumann", "mu": 1.0,
@@ -455,6 +471,20 @@ class TestGlue:
         assert (code, err) == (0, "")
         assert "2 iterations, dim kernel 3" in out
         assert "PASS glue: 1 solves" in out
+
+    def test_no_contraction_names_the_worst_family(self, tmp_path, capsys):
+        # nu = 1e-6 is positive, so no kernel direction corrects it, yet at
+        # sqrt(nu) T = 0.003 it is nearly a zero mode: its rounds grow
+        spectrum = {"name": "x", "dimension": 1, "degrees": {"0": [[0, 1], [1e-6, 1]]}}
+        (tmp_path / "spec.json").write_text(json.dumps(spectrum), encoding="utf-8")
+        cfg = write_config(tmp_path, spectrum={"file": "spec.json"},
+                           blocks=[FLAT_BLOCK, FLAT_BLOCK], degrees=[0], T=[3, 5], h=1.0 / 16,
+                           seed=1)
+        code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, err) == (1, "")
+        assert out.startswith("FAIL glue: iteration does not contract: eta = ")
+        assert out.endswith("the largest residual is on the family of mode 1, nu = 1e-06, "
+                            "sqrt(nu) T = 0.003\n")
 
     def test_mismatched_block_spectra(self, tmp_path, capsys):
         other = dict(FLAT_BLOCK, spectrum="circle")

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -394,14 +395,14 @@ def test_real_source_solves_in_real_arithmetic_like_its_complex_cast(build):
 
 
 @functools.lru_cache(maxsize=None)
-def cli_torus_glue():
+def cli_torus_glue(T=16.0):
     """The glued operator and substitute kernel of the CLI's torus2 glue
-    runs (q = 1 between the two sech blocks, h = 1/16) at T = 16, where
-    solve_exact takes two rounds."""
+    runs (q = 1 between the two sech blocks, h = 1/16), by default at
+    T = 16, where solve_exact takes two rounds."""
     spec = torus2_spectrum()
     b1 = BuildingBlock(spec, 2.0, NEUMANN, 1.0, {0: kernel_potential_neumann(1.0, 0.8)})
     b2 = BuildingBlock(spec, 2.0, NEUMANN, 1.0, {0: kernel_potential_neumann(1.0, -0.35)})
-    G = glued_model.assemble(b1, b2, spec, 1, 16.0, H)
+    G = glued_model.assemble(b1, b2, spec, 1, T, H)
     return G, substitute_kernel(G)
 
 
@@ -454,9 +455,9 @@ def test_approx_solve_round_makes_one_cylinder_solve(monkeypatch):
     f = S.project_off(cli._glued_source(G, 7))
     calls = []
 
-    def counted(G, f, window):
+    def counted(G, f, window, families=None):
         calls.append(f.shape)
-        return cylinder_solve(G, f, window)
+        return cylinder_solve(G, f, window, families)
 
     monkeypatch.setattr(gluing_solver, "cylinder_solve", counted)
     approx_solve(G, S, f)
@@ -598,8 +599,84 @@ def test_solve_exact_no_contraction():
     )
     assert S.dim == 0
     f = seeded_source(G, 51)
-    with pytest.raises(NoContractionError):
+    with pytest.raises(NoContractionError, match=r"family of mode 0, nu = 0, sqrt\(nu\) T = 0$"):
         solve_exact(G, S, f)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solvers_refuse_a_non_finite_source(bad):
+    G, S = cli_torus_glue()
+    f = cli._glued_source(G, 7)
+    f[3, 5] = bad
+    with pytest.raises(ContractViolation, match="source is not finite"):
+        solve_exact(G, S, f)
+    with pytest.raises(ContractViolation, match="source is not finite"):
+        solve_direct(G, S, f)
+
+
+def _recorded_rounds(monkeypatch, every_family=False):
+    """Record the families solve_exact asks each approx_solve round for;
+    with every_family, solve them all, as rounds did before they were per
+    family."""
+    asked = []
+
+    def recorded(G, S, f, check_orthogonality=True, families=None):
+        asked.append(families)
+        return approx_solve(G, S, f, check_orthogonality, None if every_family else families)
+
+    monkeypatch.setattr(gluing_solver, "approx_solve", recorded)
+    return asked
+
+
+@pytest.mark.parametrize("T, seed", [(10.0, 1), (16.0, 1), (16.0, 2), (24.0, 1)])
+def test_per_family_rounds_match_full_rounds(monkeypatch, T, seed):
+    # torus2 q = 1 between the CLI's sech blocks: after round 1 the residual
+    # sits on a few of the 28 families
+    G, S = cli_torus_glue(T)
+    f = cli._glued_source(G, seed)
+    asked = _recorded_rounds(monkeypatch)
+    per_family = solve_exact(G, S, f)
+    _recorded_rounds(monkeypatch, every_family=True)
+    full = solve_exact(G, S, f)
+    assert per_family.iterations == full.iterations == len(asked)
+    assert per_family.residual <= 1e-9
+    assert norm(G, per_family.u - full.u) <= 1e-12 * norm(G, full.u)
+    assert norm(G, per_family.w - full.w) <= 1e-12 * norm(G, full.w)
+    assert asked[0] is G.families
+    for families in asked[1:]:
+        assert 0 < len(families) < len(G.families)
+        assert all(members in G.families for members in families)
+
+
+def test_a_slowly_contracting_family_is_solved_again_with_the_zero_mode(monkeypatch):
+    # nu = 0.1 contracts by about 0.019 a round at T = 10 on L = 2 blocks;
+    # the zero mode carries the sech potentials, and nu = 4 is done in one round
+    spec = scalar_spectrum(((0.0, 1), (0.1, 1), (4.0, 2)))
+    b1 = BuildingBlock(spec, 2.0, NEUMANN, 1.0, {0: kernel_potential_neumann(1.0, 0.8)})
+    b2 = BuildingBlock(spec, 2.0, NEUMANN, 1.0, {0: kernel_potential_neumann(1.0, -0.35)})
+    G = glue(b1, b2, T=10.0, spec=spec)
+    assert G.families == ([0], [1], [2, 3])
+    S = substitute_kernel(G)
+    f = S.project_off(seeded_source(G, 1, complex_part=False))
+    asked = _recorded_rounds(monkeypatch)
+    report = solve_exact(G, S, f)
+    assert report.residual <= 1e-9
+    assert asked[0] is G.families
+    assert asked[1] == [[0], [1]]
+
+
+def test_approx_solve_on_a_subset_is_the_subset_of_a_full_pass():
+    G, S = cli_torus_glue()
+    f = S.project_off(cli._glued_source(G, 3))
+    u, e = approx_solve(G, S, f)
+    subset = [members for members in G.families if 0 in members or len(members) > 20]
+    rows = [i for members in subset for i in members]
+    rest = [i for i in range(len(G.modes)) if i not in rows]
+    u_sub, e_sub = approx_solve(G, S, f, families=subset)
+    assert not u_sub[rest].any()
+    assert np.array_equal(e_sub[rest], f[rest])
+    assert norm(G, u_sub[rows] - u[rows]) <= 1e-13 * norm(G, u[rows])
+    assert norm(G, e_sub[rows] - e[rows]) <= 1e-13 * norm(G, f[rows])
 
 
 def test_solve_report_csv_layout():
@@ -744,6 +821,89 @@ def test_solve_bordered_tries_the_end_rows():
     u = gluing_solver._solve_bordered(diag, off, g, rhs)
     ref = _dense_bordered(diag, off, g, rhs)
     assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+# ---------------------------------------------------------------------------
+# the LAPACK drivers against the scipy wrappers they replace
+
+
+def _no_scipy_wrappers():
+    """Patch scipy's banded solvers to fail: the drivers are called directly."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scipy banded wrapper was called")
+
+    return mock.patch.multiple(scipy.linalg, solve_banded=refuse, solveh_banded=refuse)
+
+
+def _same_outcome(reference, call):
+    """call() equals reference() bit for bit, or both raise LinAlgError."""
+    try:
+        want = reference()
+    except np.linalg.LinAlgError:
+        with _no_scipy_wrappers(), pytest.raises(np.linalg.LinAlgError):
+            call()
+        return
+    with _no_scipy_wrappers():
+        got = call()
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+def _rhs(rng, n, shape, is_complex):
+    size = (n,) if shape == 0 else (n, shape)
+    rhs = rng.normal(size=size)
+    return rhs + 1j * rng.normal(size=size) if is_complex else rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), columns=st.integers(0, 3), is_complex=st.booleans(),
+       scale=st.sampled_from([1e-3, 1.0, 4.0 / H**2]), seed=st.integers(0, 2**32 - 1))
+def test_solve_tridiag_equals_solve_banded(n, columns, is_complex, scale, seed):
+    # columns = 0 is a 1-D right-hand side; a diagonal small against the
+    # off-diagonal makes gtsv pivot
+    rng = np.random.default_rng(seed)
+    diag = scale * rng.uniform(-1.0, 1.0, n)
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    rhs = _rhs(rng, n, columns, is_complex)
+    ab = np.zeros((3, n))
+    ab[0, 1:], ab[1], ab[2, :-1] = off, diag, off
+    _same_outcome(lambda: scipy.linalg.solve_banded((1, 1), ab, rhs),
+                  lambda: gluing_solver._solve_tridiag(diag, off, rhs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), columns=st.integers(0, 3), is_complex=st.booleans(),
+       nu=st.sampled_from([0.0, 1e-6, 0.1, 4.0, 1e4]), h=st.sampled_from([H, 1.0 / 128]),
+       seed=st.integers(0, 2**32 - 1))
+def test_positive_mode_cylinder_equals_solveh_banded(n, columns, is_complex, nu, h, seed):
+    rhs = _rhs(np.random.default_rng(seed), n, columns, is_complex)
+    a = 0.5 * h**2 * nu
+    r = 1.0 / (1.0 + a + math.sqrt(a * (2.0 + a)))
+    ab = np.empty((2, n))
+    ab[0] = nu + 2.0 / h**2
+    ab[0, [0, -1]] -= r / h**2
+    ab[1] = -1.0 / h**2
+    if n == 1:
+        # solveh_banded cannot take n = 1; solve_banded divides by the one entry
+        reference = lambda: scipy.linalg.solve_banded((1, 1), np.array([[0.0], ab[0], [0.0]]), rhs)
+    else:
+        reference = lambda: scipy.linalg.solveh_banded(ab, rhs, lower=True)
+    _same_outcome(reference, lambda: gluing_solver._positive_mode_cylinder(rhs, nu, h))
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_tridiagonal_drivers_raise_on_a_singular_matrix(is_complex):
+    rhs = _rhs(np.random.default_rng(0), 3, 2, is_complex)
+    diag, off = np.ones(3), np.array([1.0, 0.0])  # rows 0 and 1 agree
+    with _no_scipy_wrappers():
+        with pytest.raises(np.linalg.LinAlgError):
+            gluing_solver._solve_tridiag(diag, off, rhs)
+        with pytest.raises(np.linalg.LinAlgError):
+            gluing_solver._lapack_tridiag("ptsv", (np.array([1.0, 1.0, -1.0]), np.zeros(2)), rhs)
+    # an empty right-hand side is returned empty, in scipy's dtype
+    ab = np.array([[0.0, *off], diag, [*off, 0.0]])
+    _same_outcome(lambda: scipy.linalg.solve_banded((1, 1), ab, rhs[:, :0]),
+                  lambda: gluing_solver._solve_tridiag(diag, off, rhs[:, :0]))
 
 
 def test_solve_exact_scalar_fine_rounds():
