@@ -33,6 +33,7 @@ from .errors import (
     SpectrumFormatError,
 )
 from .glued_model import (
+    BlockMarch,
     BuildingBlock,
     Potential,
     assemble,
@@ -397,13 +398,15 @@ def _glued_source(G, seed: int) -> np.ndarray:
     waves = [(np.cos(2 * k * math.pi * t / G.T), np.sin(2 * (k + 1) * math.pi * t / G.T))
              for k in range(4)]
     f = np.zeros((len(G.modes), G.n_points))
-    # accumulated in place by row blocks: each term's temporary is one block
+    term = np.empty((min(len(f), _SOURCE_ROWS), G.n_points))
+    # accumulated in place by row blocks, each term written into one buffer
     for lo in range(0, len(f), _SOURCE_ROWS):
         block = f[lo : lo + _SOURCE_ROWS]
+        out = term[: len(block)]
         for k, (cos_k, sin_k) in enumerate(waves):
             amp = amps[lo : lo + _SOURCE_ROWS, k] / (1 + k) ** 2
-            block += amp[:, :1] * cos_k
-            block += amp[:, 1:] * sin_k
+            block += np.multiply(amp[:, :1], cos_k, out=out)
+            block += np.multiply(amp[:, 1:], sin_k, out=out)
         block *= envelope
     return f
 
@@ -420,12 +423,20 @@ def cmd_glue(cfg: ExperimentConfig):
     lines = []
     files = {}
     b1, b2 = _require_blocks(cfg)
+    widest = max(2 * T + b1.L + b2.L for T in cfg.T_values)
     for q in cfg.degrees:
         count = mode_count(cfg.spectrum, q, cfg.cutoff)
+        # every grid is refused or passed before the march to the widest one
         for T in cfg.T_values:
             _require_grid_values(f"degree {q}", count, glued_points(T, b1.L, b2.L, cfg.h))
+        marches = None
+        for T in cfg.T_values:
             G = _glued_operator(cfg, q, T)
-            S = substitute_kernel(G)
+            # the block kernels of every T are read off one march per block,
+            # shot once the first operator has checked the blocks
+            marches = marches or tuple(BlockMarch.shoot(b, q, cfg.h, cfg.cutoff, widest)
+                                       for b in (b1, b2))
+            S = substitute_kernel(G, marches)
             f = _glued_source(G, cfg.seed + 31 * q)
             report = solve_exact(G, S, f)
             ok &= report.residual <= 1e-6

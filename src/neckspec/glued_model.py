@@ -172,7 +172,9 @@ class BuildingBlock:
 
     def _check_decay(self, pot: Potential, where: str) -> None:
         """Verify |V(s)| <= A e^{-mu (s-L)} beyond L with A inferred from the
-        first stretch; a slower actual rate makes far samples break the bound."""
+        first stretch; a slower actual rate makes far samples break the bound.
+        The bound is compared in logarithms, so no weight e^{mu (s-L)} is
+        formed and any rate whose exponent mu (s-L) is finite can be checked."""
         h = 1.0 / 16
         reach = _shooting_reach(pot.mu)
         s = np.arange(self.L, self.L + reach + h / 2, h)
@@ -181,22 +183,25 @@ class BuildingBlock:
         if not np.all(np.isfinite(v)):
             k = int(np.argmin(np.isfinite(v)))
             raise ContractViolation(f"{where}: potential is not finite at s = {s[k]:.4f}")
-        near = s <= self.L + 8.0
-        # a weight that overflows makes amp inf or NaN, and every v > bound
-        # comparison below False
-        with np.errstate(over="ignore", invalid="ignore"):
-            amp = float(np.max(v[near] * np.exp(pot.mu * (s[near] - self.L)), initial=0.0))
-        if not math.isfinite(amp):
+        with np.errstate(over="ignore"):
+            rate = pot.mu * (s - self.L)
+        if not np.all(np.isfinite(rate)):
             raise ContractViolation(
                 f"{where}: decay rate mu = {pot.mu} is too large to check: "
-                "the weight e^{mu (s - L)} |V(s)| overflows on [L, L + 8]"
+                f"the exponent mu (s - L) overflows on [L, L + {reach}]"
             )
-        amp = max(amp, 1e-12)
+        near = s <= self.L + 8.0
+        with np.errstate(divide="ignore"):
+            log_v = np.log(v)
+        log_amp = max(float(np.max(log_v[near] + rate[near], initial=-math.inf)),
+                      math.log(1e-12))
         # 10% slack absorbs the approach to the asymptotic amplitude; the
         # additive floor absorbs roundoff noise in computed sample tables.
-        # A genuinely slower rate overshoots both by e^{(mu - rate) s}.
+        # A genuinely slower rate overshoots both by e^{(mu - rate) s}. Where
+        # the floor is negligible, this is log|V| <= log A - mu (s-L) + log 1.1.
         floor = 1e-12 * max(1.0, float(np.max(v, initial=0.0)))
-        bad = v > amp * np.exp(-pot.mu * (s - self.L)) * 1.1 + floor
+        with np.errstate(over="ignore"):
+            bad = v > np.exp(log_amp - rate) * 1.1 + floor
         if np.any(bad):
             k = int(np.argmax(bad))
             raise ContractViolation(
@@ -426,7 +431,8 @@ def assemble(
 @dataclass(frozen=True)
 class ShootingElement:
     """One zero mode's shooting solution and its affine far field a + b s.
-    ``samples`` is read-only and shared by the members of a mode family."""
+    ``samples`` is a read-only view of a ``BlockMarch``, shared by the
+    members of a mode family and by every T read off that march."""
 
     mode_index: int
     h: float
@@ -449,11 +455,12 @@ def _shoot_families(block: BuildingBlock, cases: Sequence[tuple[int, float]], h:
     shot. Zero-mode columns (nu = 0) are never rescaled. Each column is
     marched in Python floats: at the few families a block shoots that is
     faster than a numpy step per grid point, whose overhead dominates.
+    Both arrays are column-major, so each column is contiguous.
     """
     n = round(reach / h)
     s = (np.arange(n) + 0.5) * h
-    u = np.empty((n, len(cases)))
-    log_scale = np.zeros((n, len(cases)))
+    u = np.empty((n, len(cases)), order="F")
+    log_scale = np.zeros((n, len(cases)), order="F")
     for c, (mode_index, nu) in enumerate(cases):
         pot = block.potential_for(mode_index)
         v = pot.values(s, h) if pot is not None else np.zeros(n)
@@ -461,15 +468,22 @@ def _shoot_families(block: BuildingBlock, cases: Sequence[tuple[int, float]], h:
         u_prev = 1.0 if block.boundary == NEUMANN else h / 2.0
         u_here = u_prev * ((1.0 if block.boundary == NEUMANN else 3.0) + hv[0])
         column = [u_prev, u_here]
-        for j in range(1, n - 1):
-            u_next = 2.0 * u_here - u_prev + hv[j] * u_here
-            if nu > 0 and abs(u_next) > 1e150:
-                mag = abs(u_next)
-                u_next /= mag
-                u_here /= mag
-                log_scale[j + 1 :, c] += math.log(mag)
-            column.append(u_next)
-            u_prev, u_here = u_here, u_next
+        if nu > 0:
+            for j in range(1, n - 1):
+                u_next = 2.0 * u_here - u_prev + hv[j] * u_here
+                if abs(u_next) > 1e150:
+                    mag = abs(u_next)
+                    u_next /= mag
+                    u_here /= mag
+                    log_scale[j + 1 :, c] += math.log(mag)
+                column.append(u_next)
+                u_prev, u_here = u_here, u_next
+        else:
+            # the same step with no rescale test and no index lookups
+            append = column.append
+            for hvj in hv[1 : n - 1]:
+                u_prev, u_here = u_here, 2.0 * u_here - u_prev + hvj * u_here
+                append(u_here)
         u[:, c] = column
     return u, log_scale
 
@@ -495,6 +509,56 @@ def _growth_slopes(s: np.ndarray, u: np.ndarray, log_scale: np.ndarray) -> np.nd
     return slopes
 
 
+def _kernel_reach(block: BuildingBlock, reach: float | None) -> float:
+    """The reach a block's shot covers: ``reach``, raised to the default
+    that the block's decay rate asks for."""
+    default = float(block.L + _shooting_reach(block.mu))
+    return default if reach is None else max(float(reach), default)
+
+
+@dataclass(frozen=True)
+class BlockMarch:
+    """One block's shots of degree q at step h, marched once from its
+    boundary: column c of ``u`` (read-only, contiguous) and of
+    ``log_scale`` belong to the family ``members[c]``, shot as
+    ``cases[c]`` = (first mode, nu) by ``_shoot_families``.
+
+    The march is prefix-stable: the potential is sampled pointwise and a
+    rescale depends only on earlier points, so the first n points are the
+    march to reach n h, bit for bit. One march to the widest span of a
+    command therefore serves the block kernel of every T in it
+    (``block_kernel(..., march=)``)."""
+
+    block: BuildingBlock
+    q: int
+    cutoff: float
+    h: float
+    cases: tuple[tuple[int, float], ...]
+    members: tuple[list[int], ...]
+    u: np.ndarray
+    log_scale: np.ndarray
+
+    @classmethod
+    def shoot(cls, block: BuildingBlock, q: int, h: float, cutoff: float,
+              reach: float) -> "BlockMarch":
+        """March the mode families of degree q that can hold a kernel out to
+        ``reach``, raised to the block's default reach: the zero modes
+        (shot with nu = 0) and the positive modes carrying a potential
+        (``mode_families`` of the modes with a potential on the block). A
+        free positive mode is -d^2 + nu, positive definite at every step,
+        and is not shot."""
+        modes = mode_list(block.spec, q, cutoff)
+        families = [(nu, members)
+                    for (nu, _), members in mode_families(modes, block.potentials).items()
+                    if modes[members[0]].is_zero_mode or members[0] in block.potentials]
+        cases = tuple((members[0], 0.0 if modes[members[0]].is_zero_mode else nu)
+                      for nu, members in families)
+        u, log_scale = _shoot_families(block, cases, h, _kernel_reach(block, reach))
+        u.flags.writeable = False
+        return cls(block=block, q=q, cutoff=cutoff, h=h, cases=cases,
+                   members=tuple(members for _, members in families), u=u, log_scale=log_scale)
+
+
 def block_kernel(
     block: BuildingBlock,
     spec: CrossSectionSpectrum,
@@ -502,6 +566,7 @@ def block_kernel(
     h: float = 1.0 / 16,
     cutoff: float = math.inf,
     reach: float | None = None,
+    march: BlockMarch | None = None,
 ) -> tuple[ShootingElement, ...]:
     """Shoot the modes of degree q that can hold a kernel from the outer
     boundary and classify.
@@ -510,33 +575,34 @@ def block_kernel(
     bounded means |b| below KERNEL_TOL relative to the window scale. A positive
     mode with a potential on the block is certified kernel-free by its
     growth rate: a bound state or threshold resonance below nu would hold
-    the log slope of the shot under sqrt(nu) / 2. A free positive mode is
-    -d^2 + nu, positive definite at every step, and is not shot. The
-    shooting reach can only be extended, never shortened below its default.
+    the log slope of the shot under sqrt(nu) / 2. The shooting reach can
+    only be extended, never shortened below its default.
 
     One shot serves each family of modes that shoot the same ODE
-    (``mode_families`` of the modes with a potential on the block); zero
-    modes shoot with nu = 0.
+    (``BlockMarch.shoot``). A given ``march`` of this block, degree,
+    cutoff and step, to at least the reach, is read on its prefix instead
+    of shooting again: the elements are the same, bit for bit.
     """
     if block.spec != spec:
         raise MatchingConditionError("block was built on a different spectrum")
-    modes = mode_list(spec, q, cutoff)
-    default_reach = float(block.L + _shooting_reach(block.mu))
-    reach = default_reach if reach is None else max(float(reach), default_reach)
-    families = {key: members for key, members in mode_families(modes, block.potentials).items()
-                if modes[members[0]].is_zero_mode or members[0] in block.potentials}
-    cases = [(members[0], 0.0 if modes[members[0]].is_zero_mode else nu)
-             for (nu, _), members in families.items()]
-    u, log_scale = _shoot_families(block, cases, h, reach)
-    s = (np.arange(len(u)) + 0.5) * h
-    grows = [c for c, (_, nu) in enumerate(cases) if nu > 0]
+    reach = _kernel_reach(block, reach)
+    if march is None:
+        march = BlockMarch.shoot(block, q, h, cutoff, reach)
+    n = round(reach / h)
+    if (march.block, march.q, march.cutoff, march.h) != (block, q, cutoff, h) or len(march.u) < n:
+        raise ContractViolation(
+            "march: shot for another block, degree, cutoff or step, or to a shorter reach"
+        )
+    u, log_scale = march.u[:n], march.log_scale[:n]
+    s = (np.arange(n) + 0.5) * h
+    grows = [c for c, (_, nu) in enumerate(march.cases) if nu > 0]
     slopes = dict(zip(grows, _growth_slopes(s, u[:, grows], log_scale[:, grows])))
     window = s >= reach - 2.0
     elements = []
     # families are ordered by their first mode, so the first failure raised
     # names the lowest mode that fails
-    for c, members in enumerate(families.values()):
-        i, nu = cases[c]
+    for c, members in enumerate(march.members):
+        i, nu = march.cases[c]
         if nu > 0:
             if not slopes[c] >= math.sqrt(nu) / 2.0:
                 raise AnalysisError(
@@ -544,6 +610,7 @@ def block_kernel(
                     f"slope {slopes[c]:.4f}; a bound state or threshold resonance is present"
                 )
             continue
+        # a contiguous read-only view, shared by the family and by every T
         shot = u[:, c]
         if not np.all(np.isfinite(shot)):
             raise AnalysisError(f"mode {i}: the shot overflows; the potential is too large to "
@@ -557,10 +624,8 @@ def block_kernel(
             )
         bounded = abs(b) <= KERNEL_TOL * scale
         decaying = bounded and abs(a) <= KERNEL_TOL * scale
-        samples = shot.copy()
-        samples.flags.writeable = False
         elements.extend(
-            ShootingElement(mode_index=k, h=h, samples=samples, a=a, b=b, bounded=bounded,
+            ShootingElement(mode_index=k, h=h, samples=shot, a=a, b=b, bounded=bounded,
                             decaying=decaying)
             for k in members
         )

@@ -32,6 +32,7 @@ from .errors import (
 from .glued_model import (
     KERNEL_TOL,
     NEUMANN,
+    BlockMarch,
     GluedOperator,
     ShootingElement,
     block_kernel,
@@ -132,7 +133,8 @@ class SubstituteKernel:
         return out
 
 
-def substitute_kernel(G: GluedOperator) -> SubstituteKernel:
+def substitute_kernel(G: GluedOperator,
+                      marches: tuple[BlockMarch, BlockMarch] | None = None) -> SubstituteKernel:
     """Shoot both blocks at the glued step and crossfade their elements,
     mode by mode: each decaying element gives a kernel direction alone,
     and a mode whose two elements are bounded and not decaying gives one
@@ -140,10 +142,14 @@ def substitute_kernel(G: GluedOperator) -> SubstituteKernel:
     through the neck (for bounded traces this is independent of T).
 
     The shooting reach is extended to cover the whole glued grid, so each
-    transplanted section is an exact discrete solution everywhere."""
+    transplanted section is an exact discrete solution everywhere. Given
+    ``marches``, the two blocks' ``BlockMarch`` of G's degree, cutoff and
+    step to at least the glued span, the blocks are not shot again: each
+    kernel is read off its march's prefix."""
     span = 2 * G.T + G.L1 + G.L2
-    kd1 = block_kernel(G.block1, G.spec, G.q, h=G.h, cutoff=G.cutoff, reach=span)
-    kd2 = block_kernel(G.block2, G.spec, G.q, h=G.h, cutoff=G.cutoff, reach=span)
+    march1, march2 = (None, None) if marches is None else marches
+    kd1 = block_kernel(G.block1, G.spec, G.q, h=G.h, cutoff=G.cutoff, reach=span, march=march1)
+    kd2 = block_kernel(G.block2, G.spec, G.q, h=G.h, cutoff=G.cutoff, reach=span, march=march2)
     w1 = neck_windows(G)[0]
     sections = []
     matched = set()

@@ -361,6 +361,9 @@ def operator_norm_fit(kind: str, supports: Sequence[float], h: float = 1.0 / 16)
 # seeded smooth test data
 
 
+_SECTION_ROWS = 32  # rows of seeded_section built at once
+
+
 def seeded_section(
     modes: Sequence[ModeOperator],
     s_max: float,
@@ -384,9 +387,18 @@ def seeded_section(
     rise = CutoffFunction(center=-support + 0.5)
     envelope = rise(t) * rise(-t)
     amps = rng.uniforms(8 * len(vals), -1.0, 1.0).reshape(len(vals), 4, 2)
-    for k in range(4):
-        amp = amps[:, k] / (1 + k) ** 2
-        rows += (amp[:, :1] * np.cos(k * math.pi * t / support)
-                 + amp[:, 1:] * np.sin((k + 1) * math.pi * t / support))
-    rows *= envelope
+    waves = [(np.cos(k * math.pi * t / support), np.sin((k + 1) * math.pi * t / support))
+             for k in range(4)]
+    # accumulated by row blocks, each harmonic a cos + b sin summed in two
+    # preallocated buffers and then added, in the grouping of a one-pass fill
+    term = np.empty((2, min(len(rows), _SECTION_ROWS), len(t)))
+    for lo in range(0, len(rows), _SECTION_ROWS):
+        block = rows[lo : lo + _SECTION_ROWS]
+        harmonic, sine = term[:, : len(block)]
+        for k, (cos_k, sin_k) in enumerate(waves):
+            amp = amps[lo : lo + _SECTION_ROWS, k] / (1 + k) ** 2
+            np.multiply(amp[:, :1], cos_k, out=harmonic)
+            harmonic += np.multiply(amp[:, 1:], sin_k, out=sine)
+            block += harmonic
+        block *= envelope
     return CompactSection(tuple(modes), s_max, support, h, vals)

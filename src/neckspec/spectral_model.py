@@ -222,12 +222,15 @@ def mode_list(spec: CrossSectionSpectrum, q: int, cutoff: float) -> list[ModeOpe
     """Laplace modes of degree q below the cutoff.
 
     Degree-q eigenforms enter tangentially (alpha), degree q-1 forms enter
-    wedged with dt (beta); each eigenvalue is repeated per multiplicity.
-    More than MAX_MODES modes are refused before any is built.
+    wedged with dt (beta); each eigenvalue is repeated per multiplicity,
+    as one shared instance, since a ModeOperator is frozen. More than
+    MAX_MODES modes are refused before any is built.
     """
     mode_count(spec, q, cutoff)
-    return [ModeOperator(KIND_LAPLACE, nu, tag)
-            for nu, mult, tag in _kept_eigenvalues(spec, q, cutoff) for _ in range(mult)]
+    modes: list[ModeOperator] = []
+    for nu, mult, tag in _kept_eigenvalues(spec, q, cutoff):
+        modes += [ModeOperator(KIND_LAPLACE, nu, tag)] * mult
+    return modes
 
 
 def roots_of(op: ModeOperator) -> tuple[tuple[complex, int], ...]:

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neckspec import cli, neck_inverse, spectral_model
+from neckspec import cli, glued_model, neck_inverse, spectral_model
 from neckspec.cli import main
+from neckspec.polyhom import CutoffFunction
+from neckspec.rng import SplitMix64
 
 
 def write_config(tmp_path, name="config.json", **fields):
@@ -369,6 +371,20 @@ class TestPotentialEntries:
         assert err.startswith("error: potentials[0]: decay rate mu = 1e+308 is too large")
         assert [str(w.message) for w in caught] == []
 
+    def test_a_fast_decay_rate_on_a_compact_potential_passes(self, tmp_path, capsys):
+        # V vanishes past L, so every rate holds; the weight e^{mu (s - L)}
+        # overflows at mu = 100 over [L, L + 8], but its exponent does not
+        block = {"L": 2.0, "boundary": "neumann", "mu": 100,
+                 "potentials": {"0": [[0.0, 0.1], [0.49, 0.1], [0.5, 0.0], [3.0, 0.0]]}}
+        cfg = write_config(tmp_path, spectrum="scalar", blocks=[block, FLAT_BLOCK],
+                           degrees=[0], T=[8], seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, err) == (0, "")
+        assert "PASS glue: 1 solves" in out
+        assert [str(w.message) for w in caught] == []
+
     def test_a_shot_that_overflows_fails_the_analysis(self, tmp_path, capsys):
         # V = 1e308 is finite, but the zero mode's shot overflows at once
         block = {"L": 2.0, "boundary": "neumann", "mu": 1.0,
@@ -485,6 +501,41 @@ class TestGlue:
         assert out.startswith("FAIL glue: iteration does not contract: eta = ")
         assert out.endswith("the largest residual is on the family of mode 1, nu = 1e-06, "
                             "sqrt(nu) T = 0.003\n")
+
+    def test_each_block_is_shot_once_per_degree(self, tmp_path, capsys, monkeypatch):
+        # one march per block and degree, to the widest span, serves all three T
+        shoot = glued_model._shoot_families
+        shots = []
+
+        def recorded(block, cases, h, reach):
+            shots.append((block.potentials.keys(), reach))
+            return shoot(block, cases, h, reach)
+
+        monkeypatch.setattr(glued_model, "_shoot_families", recorded)
+        cfg = write_config(tmp_path, spectrum="circle", blocks=[SECH_BLOCK, FLAT_BLOCK],
+                           degrees=[0, 1], T=[10, 20, 30], h=1.0 / 16, seed=1)
+        code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, err) == (0, "")
+        assert "PASS glue: 6 solves" in out
+        assert shots == [({0}, 62.0), (set(), 62.0)] * 2
+
+    @pytest.mark.parametrize("T", [5, 12])
+    def test_glued_source_matches_the_term_by_term_sum(self, T):
+        # a test-local copy of the source fill the preallocated buffer
+        # replaced, whose every term made its own temporary
+        b = glued_model.BuildingBlock(spectral_model.torus2_spectrum(), 2.0, "neumann", 1.0)
+        G = glued_model.assemble(b, b, b.spec, 1, T=T, h=1.0 / 16)
+        gen = SplitMix64(11)
+        t = G.grid()
+        rise = CutoffFunction(center=-G.T / 2 + 0.5)
+        amps = gen.uniforms(8 * len(G.modes), -1.0, 1.0).reshape(len(G.modes), 4, 2)
+        want = np.zeros((len(G.modes), G.n_points))
+        for k in range(4):
+            amp = amps[:, k] / (1 + k) ** 2
+            want += amp[:, :1] * np.cos(2 * k * math.pi * t / G.T)
+            want += amp[:, 1:] * np.sin(2 * (k + 1) * math.pi * t / G.T)
+        want *= rise(t) * rise(-t)
+        assert np.array_equal(cli._glued_source(G, 11), want)
 
     def test_mismatched_block_spectra(self, tmp_path, capsys):
         other = dict(FLAT_BLOCK, spectrum="circle")

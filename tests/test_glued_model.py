@@ -358,6 +358,45 @@ def test_family_march_matches_the_per_mode_certificate(boundary, pairs, amps, wh
             assert abs(slope - want) <= 1e-12 * abs(want)
 
 
+def per_step_zero_mode_march(block, mode_index, h, reach):
+    """The zero-mode march the tighter loop replaced, kept as its oracle:
+    an index lookup and a rescale test at every step."""
+    n = round(reach / h)
+    s = (np.arange(n) + 0.5) * h
+    pot = block.potential_for(mode_index)
+    v = pot.values(s, h) if pot is not None else np.zeros(n)
+    nu = 0.0
+    hv = (h * h * (nu + v if nu > 0 else v)).tolist()
+    u_prev = 1.0 if block.boundary == NEUMANN else h / 2.0
+    u_here = u_prev * ((1.0 if block.boundary == NEUMANN else 3.0) + hv[0])
+    column = [u_prev, u_here]
+    for j in range(1, n - 1):
+        u_next = 2.0 * u_here - u_prev + hv[j] * u_here
+        if nu > 0 and abs(u_next) > 1e150:
+            raise AssertionError("a zero-mode column never rescales")
+        column.append(u_next)
+        u_prev, u_here = u_here, u_next
+    return column
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    boundary=st.sampled_from([NEUMANN, DIRICHLET]),
+    amp=st.floats(-0.4, 3.0),
+    rate=st.floats(1.0, 4.0),
+    L=st.sampled_from([0.0, 1.0, 2.5]),
+    h=st.sampled_from([1.0 / 16, 1.0 / 32, 1.0 / 128]),
+    reach=st.sampled_from([12.0, 30.0, 45.0]),
+)
+def test_zero_mode_march_matches_the_per_step_march(boundary, amp, rate, L, h, reach):
+    pots = {0: exp_potential(amp, rate)} if amp != 0 else {}
+    block = BuildingBlock(SCALAR, L=L, boundary=boundary, mu=1.0, potentials=pots)
+    u, log_scale = glued_model._shoot_families(block, [(0, 0.0)], h, reach)
+    assert np.array_equal(u[:, 0], per_step_zero_mode_march(block, 0, h, reach))
+    assert u[:, 0].flags.c_contiguous
+    assert not np.any(log_scale)
+
+
 def threshold_bound_state(nu, h, m=16, n=40 * 16):
     """Samples of a potential whose Neumann shot of the nu mode is u = 1 on
     the first m cells and then a decaying discrete-exact tail."""

@@ -172,6 +172,73 @@ def test_transplant_step_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# one march per block serves every T
+
+
+def _torus_kernel_blocks():
+    spec = torus2_spectrum()
+    blocks = tuple(BuildingBlock(spec, 2.0, NEUMANN, 1.0, {0: kernel_potential_neumann(1.0, c)})
+                   for c in (0.8, -0.35))
+    return blocks, spec, 1, 1.0 / 64, (16.0, 24.0, 40.0)
+
+
+def _positive_mode_potential_blocks():
+    # mode 1 (nu = 100) carries a potential, so its growth certificate runs
+    # on the march, which rescales it many times over the widest span
+    spec = scalar_spectrum(((0.0, 1), (100.0, 2)))
+    pot = Potential.from_callable(lambda s: 0.4 * np.exp(-s), 1.0)
+    blocks = (BuildingBlock(spec, 2.0, NEUMANN, 1.0, {0: kernel_potential_neumann(1.0, 0.8),
+                                                      1: pot}),
+              BuildingBlock(spec, 2.0, DIRICHLET, 1.0, {1: pot}))
+    return blocks, spec, 0, H, (10.0, 20.0, 30.0)
+
+
+MARCH_CASES = {
+    "glue-torus blocks": _torus_kernel_blocks,
+    "glue-scalar-fine blocks": lambda: (sech_pair(), SCALAR, 0, 1.0 / 128, (10.0, 20.0, 30.0)),
+    "potential on a positive mode": _positive_mode_potential_blocks,
+}
+
+
+@pytest.mark.parametrize("case", MARCH_CASES)
+def test_one_march_to_the_widest_span_gives_every_T_its_kernel(case):
+    blocks, spec, q, h, T_values = MARCH_CASES[case]()
+    widest = max(2 * T + blocks[0].L + blocks[1].L for T in T_values)
+    marches = tuple(glued_model.BlockMarch.shoot(b, q, h, math.inf, widest) for b in blocks)
+    for T in T_values:
+        G = glued_model.assemble(*blocks, spec, q, T, h)
+        span = 2 * G.T + G.L1 + G.L2
+        for block, march in zip(blocks, marches):
+            # the march is prefix-stable, rescales and log scales included
+            own = glued_model.BlockMarch.shoot(block, q, h, math.inf, span)
+            assert np.array_equal(march.u[: len(own.u)], own.u)
+            assert np.array_equal(march.log_scale[: len(own.u)], own.log_scale)
+            fast = block_kernel(block, spec, q, h=h, reach=span, march=march)
+            ref = block_kernel(block, spec, q, h=h, reach=span)
+            assert [(e.mode_index, e.h, e.a, e.b, e.bounded, e.decaying) for e in fast] == \
+                   [(e.mode_index, e.h, e.a, e.b, e.bounded, e.decaying) for e in ref]
+            for e, r in zip(fast, ref):
+                assert np.array_equal(e.samples, r.samples)
+                assert not e.samples.flags.writeable and e.samples.flags.c_contiguous
+                assert np.shares_memory(e.samples, march.u)
+        S, S_ref = substitute_kernel(G, marches), substitute_kernel(G)
+        assert S.matched == S_ref.matched
+        assert [mode for mode, _ in S.basis] == [mode for mode, _ in S_ref.basis]
+        assert all(np.array_equal(v, w) for (_, v), (_, w) in zip(S.basis, S_ref.basis))
+    if case == "potential on a positive mode":
+        assert all(np.max(m.log_scale) > 0 for m in marches)
+
+
+def test_a_march_for_other_data_is_refused():
+    b1, b2 = sech_pair()
+    march = glued_model.BlockMarch.shoot(b1, 0, H, math.inf, 30.0)
+    block_kernel(b1, SCALAR, 0, h=H, reach=30.0, march=march)
+    for block, h, reach in ((b2, H, 30.0), (b1, H / 2, 30.0), (b1, H, 40.0)):
+        with pytest.raises(ContractViolation, match="march: shot for another block"):
+            block_kernel(block, SCALAR, 0, h=h, reach=reach, march=march)
+
+
+# ---------------------------------------------------------------------------
 # the characteristic system
 
 

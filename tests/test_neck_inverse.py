@@ -25,7 +25,8 @@ from neckspec.neck_inverse import (
     total_rows,
     trace_operator,
 )
-from neckspec.polyhom import PolyhomSection, affine_section, pairing_closed
+from neckspec.polyhom import CutoffFunction, PolyhomSection, affine_section, pairing_closed
+from neckspec.rng import SplitMix64
 from neckspec.spectral_model import (
     KIND_DIRAC,
     KIND_LAPLACE,
@@ -408,6 +409,26 @@ class TestOutput:
         np.testing.assert_array_equal(a.values, b.values)
         assert np.any(a.values != c.values)
         assert np.any(a.values != 0)
+
+    @pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 128])
+    def test_seeded_section_matches_the_whole_array_fill(self, h):
+        # a test-local copy of the fill the row blocks replaced: each
+        # harmonic over all rows at once, in the same (a cos + b sin) grouping
+        modes = tuple(mode_list(torus2_spectrum(), 1, math.inf)[:70]) + (dirac(),)
+        got = seeded_section(modes, 6.0, 4.0, h, seed=13)
+        gen = SplitMix64(13)
+        t = cell_grid(6.0, h)
+        want = np.zeros((total_rows(modes), len(t)))
+        lo, hi = np.searchsorted(t, -4.0, side="right"), np.searchsorted(t, 4.0)
+        rows, t = want[:, lo:hi], t[lo:hi]
+        rise = CutoffFunction(center=-4.0 + 0.5)
+        amps = gen.uniforms(8 * len(want), -1.0, 1.0).reshape(len(want), 4, 2)
+        for k in range(4):
+            amp = amps[:, k] / (1 + k) ** 2
+            rows += (amp[:, :1] * np.cos(k * math.pi * t / 4.0)
+                     + amp[:, 1:] * np.sin((k + 1) * math.pi * t / 4.0))
+        rows *= rise(t) * rise(-t)
+        assert np.array_equal(got.values, want)
 
 
 class TestDiscreteApply:

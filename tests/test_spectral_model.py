@@ -175,6 +175,23 @@ class TestModeList:
         huge = CrossSectionSpectrum("x", 1, {0: ((0.0, 1), (4.0, 2**62))})
         assert len(mode_list(huge, 0, cutoff=1.0)) == 1
 
+    @pytest.mark.parametrize("spec,q,cutoff", [(torus2_spectrum(), 1, math.inf),
+                                               (torus2_spectrum(), 2, 400.0),
+                                               (circle_spectrum(), 1, math.inf)])
+    def test_one_shared_operator_per_kept_eigenvalue(self, spec, q, cutoff):
+        modes = mode_list(spec, q, cutoff)
+        kept = [(nu, mult, tag) for tag, deg in (("alpha", q), ("beta", q - 1))
+                for nu, mult in spec.eigenvalues(deg) if nu <= cutoff]
+        # equal to a fresh operator per mode, in the same order
+        assert modes == [ModeOperator(KIND_LAPLACE, nu, tag)
+                         for nu, mult, tag in kept for _ in range(mult)]
+        # one instance per kept (nu, tag), repeated over its multiplicity
+        assert len({id(m) for m in modes}) == len(kept)
+        first = 0
+        for _, mult, _ in kept:
+            assert all(m is modes[first] for m in modes[first : first + mult])
+            first += mult
+
 
 def real_roots_of(op):
     """The symbol roots of op with zero imaginary part, with their orders."""
