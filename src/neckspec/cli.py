@@ -411,11 +411,16 @@ def _glued_source(G, seed: int) -> np.ndarray:
     return f
 
 
-def _glued_operator(cfg: ExperimentConfig, q: int, T: float):
+def _glued_operators(cfg: ExperimentConfig, q: int, rows: int, what: str):
+    """Yield the degree-q glued operator of each T in turn, once every T's
+    (rows x points) grid has passed the MAX_GRID_VALUES check."""
     b1, b2 = _require_blocks(cfg)
-    G = assemble(b1, b2, cfg.spectrum, q, T=T, h=cfg.h, cutoff=cfg.cutoff)
-    _require_modes(cfg, q, G.modes)
-    return G
+    for T in cfg.T_values:
+        _require_grid_values(f"degree {q}", rows, glued_points(T, b1.L, b2.L, cfg.h), what)
+    for T in cfg.T_values:
+        G = assemble(b1, b2, cfg.spectrum, q, T=T, h=cfg.h, cutoff=cfg.cutoff)
+        _require_modes(cfg, q, G.modes)
+        yield G
 
 
 def cmd_glue(cfg: ExperimentConfig):
@@ -425,13 +430,9 @@ def cmd_glue(cfg: ExperimentConfig):
     b1, b2 = _require_blocks(cfg)
     widest = max(2 * T + b1.L + b2.L for T in cfg.T_values)
     for q in cfg.degrees:
-        count = mode_count(cfg.spectrum, q, cfg.cutoff)
-        # every grid is refused or passed before the march to the widest one
-        for T in cfg.T_values:
-            _require_grid_values(f"degree {q}", count, glued_points(T, b1.L, b2.L, cfg.h))
         marches = None
-        for T in cfg.T_values:
-            G = _glued_operator(cfg, q, T)
+        # drawn lazily: each T's operator is built once the previous T is solved
+        for G in _glued_operators(cfg, q, mode_count(cfg.spectrum, q, cfg.cutoff), "modes"):
             # the block kernels of every T are read off one march per block,
             # shot once the first operator has checked the blocks
             marches = marches or tuple(BlockMarch.shoot(b, q, cfg.h, cfg.cutoff, widest)
@@ -440,9 +441,9 @@ def cmd_glue(cfg: ExperimentConfig):
             f = _glued_source(G, cfg.seed + 31 * q)
             report = solve_exact(G, S, f)
             ok &= report.residual <= 1e-6
-            files[f"glue_q{q}_T{format_real(T)}.csv"] = solve_report_csv(G, report)
+            files[f"glue_q{q}_T{format_real(G.T)}.csv"] = solve_report_csv(G, report)
             lines.append(
-                f"glue q={q} T={format_real(T)}: residual {report.residual:.3e}, "
+                f"glue q={q} T={format_real(G.T)}: residual {report.residual:.3e}, "
                 f"{report.iterations} iterations, dim kernel {S.dim}"
             )
             del report, f  # the next T's solve is the peak; free u and w first
@@ -464,12 +465,8 @@ def cmd_density(cfg: ExperimentConfig):
         families = len({nu for deg in (q, q - 1) for nu, _ in cfg.spectrum.eigenvalues(deg)
                         if nu <= cfg.cutoff}) + len(set(b1.potentials) | set(b2.potentials))
 
-        def build(T):
-            _require_grid_values(f"degree {q}", families, glued_points(T, b1.L, b2.L, cfg.h),
-                                 "mode families")
-            return _glued_operator(cfg, q, T)
-
-        rep = spectral_density.density_sweep(build, q, cfg.s_values, cfg.T_values)
+        rep = spectral_density.density_sweep(
+            list(_glued_operators(cfg, q, families, "mode families")), cfg.s_values)
         r0 = 2 * rep.B + 3
         ok &= rep.max_residual <= r0
         for i in range(len(rep.T_values)):

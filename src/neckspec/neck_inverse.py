@@ -26,10 +26,10 @@ from .ioutil import MAX_GRID_POINTS
 from .polyhom import (
     CutoffFunction,
     DiracZero,
-    DirectSumOperator,
     LaplaceZero,
     PolyhomSection,
     _concat_sections,
+    _slice_section,
     pairing_closed,
 )
 from .rng import SplitMix64
@@ -121,8 +121,10 @@ class NeckSolution:
 
 
 def trace_operator(modes: Sequence[ModeOperator]):
-    """Fiber operator of the zero-mode trace space and the value-row index of
-    each fiber slot. Returns (None, []) when no zero mode is present."""
+    """Fiber operators of the zero-mode trace space, one per zero mode in
+    mode order, and the value-row index of each fiber slot. The trace space
+    is their direct sum: each operator's slots follow the previous one's.
+    Returns ([], []) when no zero mode is present."""
     ops = []
     rows: list[int] = []
     slices = mode_rows(modes)
@@ -138,10 +140,7 @@ def trace_operator(modes: Sequence[ModeOperator]):
         else:
             ops.append(LaplaceZero(1, 0))
             rows.append(sl.start)
-    if not ops:
-        return None, []
-    op = ops[0] if len(ops) == 1 else DirectSumOperator(ops)
-    return op, rows
+    return ops, rows
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +302,20 @@ def duality_check(f: CompactSection, v: PolyhomSection):
     the same moment sums, so the gap is roundoff. The trace depends on the
     zero-mode rows alone, so only they are inverted.
     """
-    op, rows = trace_operator(f.modes)
-    if op is None:
+    ops, rows = trace_operator(f.modes)
+    if not ops:
         return 0j, 0j, 0.0
-    if v.fiber_dim != op.fiber_dim:
+    if v.fiber_dim != len(rows):
         raise ContractViolation("section fiber does not match the zero-mode fiber")
     zero = [m for m in f.modes if m.is_zero_mode]
     trace = q0_apply(CompactSection(zero, f.s_max, f.support, f.h, f.values[rows])).trace_plus
-    pair = pairing_closed(op, trace, v)
+    # P0 separates, so the pairing is the sum of the summands' pairings
+    pair, lo = 0j, 0
+    for op in ops:
+        sl = slice(lo, lo + op.fiber_dim)
+        pair += pairing_closed(op, _slice_section(trace, sl, op.fiber_dim),
+                               _slice_section(v, sl, op.fiber_dim))
+        lo += op.fiber_dim
     t = f.grid()
     vv = v.evaluate(t)
     l2 = f.h * complex(np.sum(f.values[rows, :] * np.conj(vv)))

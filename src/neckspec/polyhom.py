@@ -179,22 +179,6 @@ class DiracZero:
         self.j_matrix = j
 
 
-class DirectSumOperator:
-    """Componentwise direct sum; sections are concatenated along the fiber."""
-
-    kind = "sum"
-
-    def __init__(self, ops: Sequence):
-        self.ops = tuple(ops)
-        self.fiber_dim = sum(op.fiber_dim for op in self.ops)
-
-    def slices(self):
-        lo = 0
-        for op in self.ops:
-            yield op, slice(lo, lo + op.fiber_dim)
-            lo += op.fiber_dim
-
-
 def _slice_section(u: PolyhomSection, sl: slice, dim: int) -> PolyhomSection:
     return PolyhomSection(dim, tuple(c[sl] for c in u.coeffs))
 
@@ -213,9 +197,6 @@ def apply_P(op, u: PolyhomSection) -> PolyhomSection:
     """Apply the zero-mode operator exactly, with no complex scalars
     introduced: the Laplace block sends q to -q'' and the Dirac block to J q'.
     """
-    if isinstance(op, DirectSumOperator):
-        parts = [apply_P(sub, _slice_section(u, sl, sub.fiber_dim)) for sub, sl in op.slices()]
-        return _concat_sections(parts, op.fiber_dim)
     if isinstance(op, LaplaceZero):
         out = _poly_scale(_poly_deriv(_poly_deriv(u.coeffs)), -1)
     elif isinstance(op, DiracZero):
@@ -242,11 +223,6 @@ def q_lambda0(op, f) -> PolyhomSection:
     Dirac: u = -J (antiderivative of f with zero constant term).
     Exact in rational arithmetic on the coefficients.
     """
-    if isinstance(op, DirectSumOperator):
-        f = _coerce_poly_section(f, op.fiber_dim)
-        parts = [q_lambda0(sub, _slice_section(f, sl, sub.fiber_dim)) for sub, sl in op.slices()]
-        return _concat_sections(parts, op.fiber_dim)
-
     coeffs = _coerce_poly_section(f, op.fiber_dim).coeffs
     if isinstance(op, LaplaceZero):
         out = [np.zeros(op.fiber_dim, dtype=object), np.zeros(op.fiber_dim, dtype=object)]
@@ -330,14 +306,6 @@ def pairing_closed(op, u: PolyhomSection, v: PolyhomSection) -> complex:
     <eta0, eta1'> - <eta1, eta0'>; the Dirac pairing of constants
     (alpha, beta) against (alpha', beta') is <alpha, beta'> - <beta, alpha'>.
     """
-    if isinstance(op, DirectSumOperator):
-        total = 0j
-        for sub, sl in op.slices():
-            total += pairing_closed(
-                sub, _slice_section(u, sl, sub.fiber_dim), _slice_section(v, sl, sub.fiber_dim)
-            )
-        return total
-
     if isinstance(op, LaplaceZero):
         cu = _pad_poly(u.coeffs, 2, op.fiber_dim)
         cv = _pad_poly(v.coeffs, 2, op.fiber_dim)
@@ -393,12 +361,6 @@ def gram_matrix(op, basis_e: Sequence[PolyhomSection], basis_estar: Sequence[Pol
 def standard_kernel_basis(op) -> list[PolyhomSection]:
     """Canonical basis of the polynomial kernel: constants then linears for
     a Laplace block, fiber constants for a Dirac block."""
-    if isinstance(op, DirectSumOperator):
-        out = []
-        for sub, sl in op.slices():
-            for w in standard_kernel_basis(sub):
-                out.append(_embed_section(w, op.fiber_dim, sl))
-        return out
     dim = op.fiber_dim
     eye = np.eye(dim)
     if isinstance(op, LaplaceZero):
@@ -408,12 +370,3 @@ def standard_kernel_basis(op) -> list[PolyhomSection]:
     if isinstance(op, DiracZero):
         return [PolyhomSection(dim, (eye[i],)) for i in range(dim)]
     raise ContractViolation(f"no canonical kernel basis for operator kind {op.kind!r}")
-
-
-def _embed_section(u: PolyhomSection, dim: int, sl: slice) -> PolyhomSection:
-    rows = []
-    for c in u.coeffs:
-        full = np.zeros(dim, dtype=c.dtype)
-        full[sl] = c
-        rows.append(full)
-    return PolyhomSection(dim, tuple(rows))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -247,34 +247,28 @@ def _refuse_positive_modes(G: GluedOperator, s_values, per_mode: np.ndarray) -> 
     )
 
 
-def density_sweep(
-    builder: Callable[[float], GluedOperator],
-    q: int,
-    s_values,
-    T_values,
-) -> DensityReport:
+def density_sweep(operators: Sequence[GluedOperator], s_values) -> DensityReport:
     """Count window eigenvalues for every (T, s) pair from one Sturm pass
-    over the operators of every T; asserts count monotonicity in s and,
-    when both s and 4s appear, that their residuals differ by at most
-    2B + 2. A mode with an eigenvalue below -1/T^2 (a negative spectrum) or
-    a window that holds an eigenvalue of a positive mode is outside the
-    density law and is refused with ContractViolation.
+    over ``operators``, one glued operator per T, all of one degree and
+    spectrum; asserts count monotonicity in s and, when both s and 4s
+    appear, that their residuals differ by at most 2B + 2. A mode with an
+    eigenvalue below -1/T^2 (a negative spectrum) or a window that holds an
+    eigenvalue of a positive mode is outside the density law and is refused
+    with ContractViolation.
 
-    Every T is built (and its degree checked) before any is counted, so a
-    sweep reports the first of: an operator that cannot be built or has the
-    wrong degree, in T order; then a negative spectrum, in T order; then,
-    T by T, a window reaching a positive mode or a count decreasing in s.
+    A sweep reports the first of: no operator or no s, or an operator of
+    another degree or spectrum than the first; then a negative spectrum, in
+    T order; then, T by T, a window reaching a positive mode or a count
+    decreasing in s.
     """
     s_values = tuple(float(s) for s in s_values)
-    T_values = tuple(float(T) for T in T_values)
-    if not s_values or not T_values:
+    if not s_values or not operators:
         raise ContractViolation("density sweep needs at least one s and one T")
-    operators = []
-    for T in T_values:
-        G = builder(T)
-        if G.q != q:
-            raise ContractViolation("builder produced an operator of the wrong degree")
-        operators.append(G)
+    G = operators[0]
+    q = G.q
+    if any(H.q != q or H.spec != G.spec for H in operators):
+        raise ContractViolation("density sweep: an operator of the wrong degree or spectrum")
+    T_values = tuple(H.T for H in operators)
     b_exact, b_coexact = G.spec.betti(q - 1), G.spec.betti(q)
     coexact = []
     for G, per_mode in zip(operators, window_counts(operators, s_values, refuse_negative=True)):

@@ -303,7 +303,7 @@ def test_criterion_7_density_law():
     ok = True
     details = []
     for builder, q, B in ((scalar_builder, 0, 1), (torus_builder, 1, 3)):
-        rep = sd.density_sweep(builder, q, s_values, T_values)
+        rep = sd.density_sweep([builder(T) for T in T_values], s_values)
         ok &= rep.B == B
         r0 = 2 * B + 3
         ok &= rep.max_residual <= r0

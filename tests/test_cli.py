@@ -235,13 +235,15 @@ class TestConfigErrors:
         ("q0check", [3e7, 6e7], "degree 0", "1 modes", 960000064),
         ("q0check", [3, 3e7], "T[1]", "2 norm-fit rows", 960000064),
         ("density", [3e7], "degree 0", "2 mode families", 960000032),
+        ("density", [4, 6e5], "degree 0", "2 mode families", 19200032),
     ])
     def test_huge_grid_is_counted_not_built(self, tmp_path, capsys, monkeypatch, command, T,
                                             where, rows, points):
         # a 7.15 GiB grid at h = 1/16: q0check's grid at its smaller T, the
         # norm fit's grid at its larger T, or one glued operator of density,
         # whose bound on the mode families is the one kept nu plus the one
-        # mode carrying a potential
+        # mode carrying a potential; density refuses a 0.29 GiB operator at
+        # its second T before it builds the first
         cfg = write_config(tmp_path, spectrum="scalar", blocks=[SECH_BLOCK, FLAT_BLOCK],
                            degrees=[0], T=T, s=[4.41], h=1 / 16, seed=1)
 
@@ -395,6 +397,21 @@ class TestPotentialEntries:
         assert (code, err) == (1, "")
         assert out == ("FAIL glue: mode 0: the shot overflows; the potential is too large "
                        "to shoot at step 0.0625\n")
+
+    def test_a_finite_shot_past_the_rescale_bound_fails_the_analysis(self, tmp_path, capsys):
+        # V = 2^62 at s = L: the zero mode's shot stays finite but reaches
+        # 2.6e255, so every norm of it would overflow
+        block = {"L": 2.0, "boundary": "neumann", "mu": 1.0,
+                 "potentials": {"0": [[0.0, 0.1], [1.0, 0.05], [2.0, 2**62]]}}
+        cfg = write_config(tmp_path, spectrum="scalar", blocks=[block, FLAT_BLOCK],
+                           degrees=[0], T=[4], seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, err) == (1, "")
+        assert out == ("FAIL glue: mode 0: the shot overflows; the potential is too large "
+                       "to shoot at step 0.0625\n")
+        assert [str(w.message) for w in caught] == []
 
     def test_slow_decay_samples_are_refused(self, tmp_path, capsys):
         # samples falling as e^{-0.2 s} where the block declares mu = 1
@@ -656,16 +673,19 @@ def _mutate(data, site, value):
 
 def _assert_exits_cleanly(command, files):
     """Run command on files["config"], with every entry of files written
-    as <name>.json beside it: exit 0, 1 or 2 and no traceback."""
+    as <name>.json beside it: exit 0, 1 or 2, no traceback and no warning."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in files.items():
             (Path(tmp) / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main([command, "--config", str(Path(tmp) / "config.json"),
                          "--out", str(Path(tmp) / "o")])
     assert code in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert [str(w.message) for w in caught] == []
 
 
 # a spectrum file and a block file for the fuzz config, and the places a

@@ -25,7 +25,15 @@ from neckspec.neck_inverse import (
     total_rows,
     trace_operator,
 )
-from neckspec.polyhom import CutoffFunction, PolyhomSection, affine_section, pairing_closed
+from neckspec.polyhom import (
+    CutoffFunction,
+    DiracZero,
+    LaplaceZero,
+    PolyhomSection,
+    _slice_section,
+    affine_section,
+    pairing_closed,
+)
 from neckspec.rng import SplitMix64
 from neckspec.spectral_model import (
     KIND_DIRAC,
@@ -56,6 +64,15 @@ class TestLayout:
         modes = (laplace(0.0), dirac(), laplace(1.0))
         assert mode_rows(modes) == [slice(0, 1), slice(1, 3), slice(3, 4)]
         assert total_rows(modes) == 4
+
+    def test_trace_operator_has_one_operator_per_zero_mode(self):
+        modes = (laplace(2.0), laplace(0.0, "beta"), dirac(), laplace(1.0), laplace(0.0))
+        ops, rows = trace_operator(modes)
+        assert [type(op) for op in ops] == [LaplaceZero, DiracZero, LaplaceZero]
+        assert [op.fiber_dim for op in ops] == [1, 2, 1]
+        assert [(op.n_alpha, op.n_beta) for op in (ops[0], ops[2])] == [(0, 1), (1, 0)]
+        assert rows == [1, 2, 3, 5]
+        assert trace_operator((laplace(1.0),)) == ([], [])
 
     def test_grid_is_cell_centered(self):
         t = cell_grid(2.0, 0.5)
@@ -292,11 +309,11 @@ class TestRealArithmetic:
         assert residual_on_support(real, f) == residual_on_support(cplx, fc)
         # a kernel element of the zero-mode operator: affine on Laplace
         # slots, constant on Dirac slots
-        op, _ = trace_operator(modes)
+        _, rows = trace_operator(modes)
         slope = np.concatenate([[1.0] if m.kind == KIND_LAPLACE else [0.0, 0.0]
                                 for m in modes if m.is_zero_mode])
-        k = np.arange(op.fiber_dim)
-        v = PolyhomSection(op.fiber_dim, (np.cos(k), slope * np.sin(k + 1)))
+        k = np.arange(len(rows))
+        v = PolyhomSection(len(rows), (np.cos(k), slope * np.sin(k + 1)))
         pair, l2, gap = duality_check(f, v)
         pair_c, l2_c, gap_c = duality_check(fc, v)
         scale = 1 + abs(pair) + abs(l2)
@@ -365,7 +382,7 @@ class TestDuality:
 
     def test_seeded_cases_exact(self):
         modes = (laplace(0.0, "alpha"), laplace(0.0, "beta"), dirac(), laplace(1.0))
-        op, rows = trace_operator(modes)
+        _, rows = trace_operator(modes)
         assert rows == [0, 1, 2, 3]
         for seed in range(30):
             f = seeded_section(modes, 6.0, 2.0, 1.0 / 16, seed=seed)
@@ -379,17 +396,24 @@ class TestDuality:
     def test_zero_rows_alone_give_the_full_inverse_values_bit_for_bit(self, dtype):
         # positive modes between the zero modes, so the zero rows are no prefix
         modes = (laplace(2.0), laplace(0.0, "alpha"), laplace(1.0), dirac(), laplace(0.0, "beta"))
-        op, rows = trace_operator(modes)
+        ops, rows = trace_operator(modes)
         assert rows == [1, 3, 4, 5]
         for seed in range(5):
             f = seeded_section(modes, 6.0, 2.0, 1.0 / 16, seed=seed)
             f = CompactSection(f.modes, f.s_max, f.support, f.h, f.values.astype(dtype))
             # a kernel element: affine on the Laplace slots, constant on the Dirac ones
-            k = np.arange(op.fiber_dim) + seed
+            k = np.arange(len(rows)) + seed
             slope = np.array([1.0, 0.0, 0.0, 1.0]) * np.sin(k)
-            v = PolyhomSection(op.fiber_dim, (np.cos(k), slope))
-            # the reference: the trace of the full inverse, every row marched
-            pair = pairing_closed(op, q0_apply(f).trace_plus, v)
+            v = PolyhomSection(len(rows), (np.cos(k), slope))
+            # the reference: the summands' pairings of the trace of the full
+            # inverse, every row marched, added up in fiber order
+            trace = q0_apply(f).trace_plus
+            pair, lo = 0j, 0
+            for op in ops:
+                sl = slice(lo, lo + op.fiber_dim)
+                pair += pairing_closed(op, _slice_section(trace, sl, op.fiber_dim),
+                                       _slice_section(v, sl, op.fiber_dim))
+                lo += op.fiber_dim
             l2 = f.h * complex(np.sum(f.values[rows, :] * np.conj(v.evaluate(f.grid()))))
             assert duality_check(f, v) == (pair, l2, abs(pair - l2))
 

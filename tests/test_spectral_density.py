@@ -312,7 +312,7 @@ def test_product_shift_vanishes_for_flat_model():
 
 
 def test_density_sweep_flat_scalar():
-    rep = sd.density_sweep(flat_scalar, 0, [4.41, 9.61, 16.81, 25.21], [20.0, 40.0])
+    rep = sd.density_sweep([flat_scalar(20.0), flat_scalar(40.0)], [4.41, 9.61, 16.81, 25.21])
     assert rep.B == 1 and rep.q == 0
     for row in rep.counts:
         assert row == (4, 6, 8, 10)
@@ -324,7 +324,7 @@ def test_density_sweep_flat_scalar():
 
 
 def test_density_sweep_torus_branches():
-    rep = sd.density_sweep(flat_torus, 1, [4.41, 9.61], [20.0])
+    rep = sd.density_sweep([flat_torus(20.0)], [4.41, 9.61])
     assert rep.B == 3 and rep.b_exact == 1 and rep.b_coexact == 2
     assert rep.counts[0] == (12, 18)
     (ex1, co1), (ex2, co2) = rep.coexact[0]
@@ -336,7 +336,7 @@ def test_density_sweep_torus_branches():
 
 
 def test_density_sweep_checks_quadrupled_s():
-    rep = sd.density_sweep(flat_scalar, 0, [2.25, 9.0], [20.0])
+    rep = sd.density_sweep([flat_scalar(20.0)], [2.25, 9.0])
     assert rep.counts[0] == (3, 6)
     assert abs(rep.residuals[0][1] - rep.residuals[0][0]) <= 2 * rep.B + 2
 
@@ -354,31 +354,38 @@ def test_density_sweep_builds_every_T_before_it_refuses_a_count():
             return assemble(flat, flat, spec, 0, T=T, h=H)
         return assemble(well if T == 20.0 else flat, flat, spec, 1, T=T, h=H)
 
-    s_values = [1.0, 25.0]
+    def sweep(T_values):
+        return sd.density_sweep([builder(T) for T in T_values], [1.0, 25.0])
+
     with pytest.raises(ContractViolation, match="positive mode 1"):
-        sd.density_sweep(builder, 1, s_values, [10.0])
+        sweep([10.0])
     with pytest.raises(ContractViolation, match=r"below -1/T\^2 .* at T = 20"):
-        sd.density_sweep(builder, 1, s_values, [20.0])
-    # the first of: a bad build, in T order; a negative spectrum, in T
-    # order; then, T by T, a window reaching a positive mode
+        sweep([20.0])
+    # the first of: an operator of another degree; a negative spectrum, in
+    # T order; then, T by T, a window reaching a positive mode
     with pytest.raises(ContractViolation, match="wrong degree"):
-        sd.density_sweep(builder, 1, s_values, [10.0, 20.0, 30.0])
+        sweep([10.0, 20.0, 30.0])
     with pytest.raises(ContractViolation, match=r"below -1/T\^2 .* at T = 20"):
-        sd.density_sweep(builder, 1, s_values, [10.0, 20.0])
+        sweep([10.0, 20.0])
 
 
 def test_density_sweep_rejects_wrong_degree():
-    with pytest.raises(ContractViolation):
-        sd.density_sweep(flat_scalar, 1, [4.41], [20.0])
+    b = BuildingBlock(spec=TORUS, L=0.0, boundary="neumann", mu=1.0, potentials={})
+    torus_q0 = assemble(b, b, TORUS, 0, T=20.0, h=H, cutoff=0.9)
+    for operators in ([flat_torus(20.0), torus_q0], [torus_q0, flat_scalar(20.0)]):
+        with pytest.raises(ContractViolation, match="wrong degree or spectrum"):
+            sd.density_sweep(operators, [4.41])
 
 
 def test_density_sweep_needs_values():
-    with pytest.raises(ContractViolation):
-        sd.density_sweep(flat_scalar, 0, [], [20.0])
+    with pytest.raises(ContractViolation, match="at least one s and one T"):
+        sd.density_sweep([flat_scalar(20.0)], [])
+    with pytest.raises(ContractViolation, match="at least one s and one T"):
+        sd.density_sweep([], [4.41])
 
 
 def test_density_csv_layout():
-    rep = sd.density_sweep(flat_torus, 1, [4.41], [20.0])
+    rep = sd.density_sweep([flat_torus(20.0)], [4.41])
     lines = sd.density_csv(rep).strip().split("\n")
     assert lines[0] == "q,T,s,count,prediction,residual,branch"
     assert lines[1].startswith("1,20,") and lines[1].endswith(",all")
@@ -389,7 +396,7 @@ def test_density_csv_layout():
 
 
 def test_gnuplot_tables():
-    rep = sd.density_sweep(flat_scalar, 0, [4.41, 9.61], [20.0, 40.0])
+    rep = sd.density_sweep([flat_scalar(20.0), flat_scalar(40.0)], [4.41, 9.61])
     tables = sd.gnuplot_tables(rep)
     assert set(tables) == {"density_q0_T20.dat", "density_q0_T40.dat"}
     body = tables["density_q0_T20.dat"].strip().split("\n")
