@@ -146,16 +146,13 @@ def _block_from(entry, spec, base_dir: str, where: str) -> BuildingBlock:
         raise ConfigError(f"{where}: expected an object")
     if set(entry) == {"file"}:
         return load_block(os.path.join(base_dir, entry["file"]), spec)
-    allowed = {"L", "boundary", "mu", "potentials", "spectrum"}
+    allowed = {"L", "boundary", "mu", "potentials"}
     unknown = entry.keys() - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown field {sorted(unknown)[0]!r}")
     missing = {"L", "boundary", "mu"} - entry.keys()
     if missing:
         raise ConfigError(f"{where}: missing field {sorted(missing)[0]!r}")
-    block_spec = spec
-    if "spectrum" in entry:
-        block_spec = _spectrum_from(entry["spectrum"], base_dir)
     mu = _number(entry, "mu", where)
     potentials = entry.get("potentials", {})
     if not isinstance(potentials, dict):
@@ -167,7 +164,7 @@ def _block_from(entry, spec, base_dir: str, where: str) -> BuildingBlock:
         except ValueError:
             raise ConfigError(f"{where}: potential key {key!r} is not an integer") from None
         pots[idx] = _potential_from(val, mu, f"{where}.potentials[{json.dumps(key)}]")
-    return BuildingBlock(spec=block_spec, L=_number(entry, "L", where),
+    return BuildingBlock(spec=spec, L=_number(entry, "L", where),
                          boundary=str(entry["boundary"]), mu=mu, potentials=pots)
 
 
@@ -506,10 +503,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.out)
         ok, lines, files = COMMANDS[args.command](cfg)
-    except MatchingConditionError as exc:
-        print(f"error: matching condition violated: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConfigError, SpectrumFormatError, ContractViolation, OSError) as exc:
+    except (ConfigError, SpectrumFormatError, ContractViolation, MatchingConditionError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AnalysisError as exc:

@@ -32,15 +32,14 @@ class NotOrthogonalError(AnalysisError):
 
 
 class NoContractionError(AnalysisError):
-    """The correction iteration does not contract; carries the measured rate
-    and names the mode family left with the largest residual."""
+    """The correction iteration does not contract; the message gives the
+    measured rate and names the mode family left with the largest residual."""
 
     def __init__(self, eta: float, mode_index: int, nu: float, T: float):
         super().__init__(
             f"iteration does not contract: eta = {eta:.6g} >= 1; the largest residual is on "
             f"the family of mode {mode_index}, nu = {nu:.6g}, sqrt(nu) T = {nu**0.5 * T:.6g}"
         )
-        self.eta = eta
 
 
 class ResolutionError(AnalysisError):

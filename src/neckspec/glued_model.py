@@ -46,23 +46,17 @@ class Potential:
     callables and sample tables ignore h.
     """
 
-    def __init__(self, fn: Callable[[np.ndarray, float], np.ndarray], mu: float,
-                 kernel_profile: Callable[[np.ndarray], np.ndarray] | None = None):
+    def __init__(self, fn: Callable[[np.ndarray, float], np.ndarray], mu: float):
         if mu <= 0:
             raise ContractViolation("decay rate mu must be positive")
         self._fn = fn
         self.mu = float(mu)
-        self.kernel_profile = kernel_profile
 
     def values(self, s: np.ndarray, h: float) -> np.ndarray:
         out = np.asarray(self._fn(np.asarray(s, dtype=float), float(h)), dtype=float)
         if out.shape != np.shape(s):
             raise ContractViolation("potential evaluation changed the grid shape")
         return out
-
-    @classmethod
-    def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray], mu: float) -> "Potential":
-        return cls(lambda s, h: fn(s), mu)
 
     @classmethod
     def from_samples(cls, pairs: Sequence[tuple[float, float]], mu: float) -> "Potential":
@@ -83,7 +77,7 @@ class Potential:
             ws = w(s)
             return (w(s + h) - 2.0 * ws + w(s - h)) / (h * h * ws)
 
-        return cls(quotient, mu, kernel_profile=w)
+        return cls(quotient, mu)
 
 
 def sample_rows(rows, where: str) -> list[tuple[float, float]]:

@@ -28,7 +28,6 @@ from .polyhom import (
     DiracZero,
     LaplaceZero,
     PolyhomSection,
-    _concat_sections,
     _slice_section,
     pairing_closed,
 )
@@ -106,18 +105,16 @@ class CompactSection:
     def grid(self) -> np.ndarray:
         return cell_grid(self.s_max, self.h)
 
-    def norm(self) -> float:
-        return math.sqrt(self.h * float(np.sum(np.abs(self.values) ** 2)))
-
 
 @dataclass(frozen=True)
 class NeckSolution:
     """Output of :func:`q0_apply`: the solution samples, rows and columns as
     in the section, plus the affine trace of the zero-mode rows beyond the
-    support."""
+    support, one section per zero mode in mode order (the summands of the
+    trace space, as :func:`trace_operator` lists them)."""
 
     values: np.ndarray
-    trace_plus: PolyhomSection
+    trace_plus: tuple[PolyhomSection, ...]
 
 
 def trace_operator(modes: Sequence[ModeOperator]):
@@ -134,10 +131,8 @@ def trace_operator(modes: Sequence[ModeOperator]):
         if m.kind == KIND_DIRAC:
             ops.append(DiracZero(1))
             rows.extend([sl.start, sl.start + 1])
-        elif m.degree_tag == "beta":
-            ops.append(LaplaceZero(0, 1))
-            rows.append(sl.start)
         else:
+            # one slot; the operator is the same on alpha and beta modes
             ops.append(LaplaceZero(1, 0))
             rows.append(sl.start)
     return ops, rows
@@ -231,14 +226,14 @@ def q0_apply(f: CompactSection) -> NeckSolution:
     if positive:
         idx = [r for r, _ in positive]
         values[idx] = _gnu_convolve(f.values.T[:, idx], [nu for _, nu in positive], h).T
-    trace_terms: list[PolyhomSection] = []
+    trace_plus: list[PolyhomSection] = []
     for m, sl in zip(f.modes, slices):
         if m.kind == KIND_LAPLACE and m.is_zero_mode:
             row = f.values[sl.start]
             values[sl.start] = _laplace_zero_inverse(row, t, h)
             m1 = h * complex(np.sum(row))
             m0 = h * complex(np.sum(t * row))
-            trace_terms.append(PolyhomSection(1, (np.array([m0]), np.array([-m1]))))
+            trace_plus.append(PolyhomSection(1, (np.array([m0]), np.array([-m1]))))
         elif m.kind == KIND_DIRAC:
             fa, fb = f.values[sl.start], f.values[sl.start + 1]
             ca = _cumulative_midpoint(fa, h)
@@ -248,9 +243,8 @@ def q0_apply(f: CompactSection) -> NeckSolution:
             values[sl.start + 1] = -ca
             ma = h * complex(np.sum(fa))
             mb = h * complex(np.sum(fb))
-            trace_terms.append(PolyhomSection(2, (np.array([mb, -ma]),)))
-    trace_plus = _concat_sections(trace_terms, sum(p.fiber_dim for p in trace_terms))
-    return NeckSolution(values=values, trace_plus=trace_plus)
+            trace_plus.append(PolyhomSection(2, (np.array([mb, -ma]),)))
+    return NeckSolution(values=values, trace_plus=tuple(trace_plus))
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +305,9 @@ def duality_check(f: CompactSection, v: PolyhomSection):
     trace = q0_apply(CompactSection(zero, f.s_max, f.support, f.h, f.values[rows])).trace_plus
     # P0 separates, so the pairing is the sum of the summands' pairings
     pair, lo = 0j, 0
-    for op in ops:
+    for op, u in zip(ops, trace):
         sl = slice(lo, lo + op.fiber_dim)
-        pair += pairing_closed(op, _slice_section(trace, sl, op.fiber_dim),
-                               _slice_section(v, sl, op.fiber_dim))
+        pair += pairing_closed(op, u, _slice_section(v, sl, op.fiber_dim))
         lo += op.fiber_dim
     t = f.grid()
     vv = v.evaluate(t)

@@ -89,10 +89,6 @@ class PolyhomSection:
         coeffs = tuple(_vec(c, self.fiber_dim) for c in self.coeffs)
         object.__setattr__(self, "coeffs", _poly_trim(coeffs))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         """Values on a grid, shape (fiber_dim, len(t)), complex."""
         return _poly_values(self.coeffs, np.asarray(t, dtype=float), self.fiber_dim)
@@ -153,14 +149,13 @@ class CutoffFunction:
 
 class LaplaceZero:
     """Zero-mode Laplace block: nu p - p'' with nu = 0, acting diagonally on
-    a fiber of n_alpha tangential and n_beta dt-wedge components."""
+    a fiber of n_alpha tangential and n_beta dt-wedge components. The
+    operator is the same on both kinds, so only the fiber dimension is kept."""
 
     kind = "laplace"
 
     def __init__(self, n_alpha: int, n_beta: int):
-        self.n_alpha = int(n_alpha)
-        self.n_beta = int(n_beta)
-        self.fiber_dim = self.n_alpha + self.n_beta
+        self.fiber_dim = int(n_alpha) + int(n_beta)
 
 
 class DiracZero:
@@ -181,12 +176,6 @@ class DiracZero:
 
 def _slice_section(u: PolyhomSection, sl: slice, dim: int) -> PolyhomSection:
     return PolyhomSection(dim, tuple(c[sl] for c in u.coeffs))
-
-
-def _concat_sections(parts: Sequence[PolyhomSection], total_dim: int) -> PolyhomSection:
-    deg = max((len(p.coeffs) for p in parts), default=0)
-    padded = [_pad_poly(p.coeffs, deg, p.fiber_dim) for p in parts]
-    return PolyhomSection(total_dim, tuple(np.concatenate(row) for row in zip(*padded)))
 
 
 # ---------------------------------------------------------------------------

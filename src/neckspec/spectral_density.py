@@ -22,7 +22,7 @@ from .errors import (
     InsufficientEigenvaluesError,
     ResolutionError,
 )
-from .glued_model import GluedOperator, eigen_lowest
+from .glued_model import GluedOperator
 from .gluing_solver import SubstituteKernel, substitute_kernel
 from .ioutil import format_real
 from .polyhom import CutoffFunction
@@ -122,23 +122,21 @@ def sturm_counts(G: GluedOperator, shifts) -> np.ndarray:
     return _sturm_pass([G], [shifts])[0]
 
 
-def window_counts(operators, s_values, refuse_negative: bool = False) -> list[np.ndarray]:
+def window_counts(operators, s_values) -> list[np.ndarray]:
     """Per operator, per mode, the eigenvalue count in
     (THRESHOLD_ZERO, pi^2 s/T^2] for each s: arrays of shape
     (len(G.modes), len(s_values)), all from one Sturm pass.
 
     The same pass also counts each mode below -1/T^2, a floor that scales
     like the window and sits well under the e^{-delta T} split of the glued
-    kernel; with ``refuse_negative`` the first operator, in the given order,
-    with a mode that has an eigenvalue there (a negative spectrum) raises
-    ContractViolation.
+    kernel; the first operator, in the given order, with a mode that has an
+    eigenvalue there (a negative spectrum) raises ContractViolation.
     """
     shifts = [[-1.0 / G.T**2, THRESHOLD_ZERO] + [window_top(G, s) for s in s_values]
               for G in operators]
     out = []
     for G, below in zip(operators, _sturm_pass(operators, shifts)):
-        if refuse_negative:
-            _refuse_negative_modes(G, below[:, 0])
+        _refuse_negative_modes(G, below[:, 0])
         out.append(np.maximum(below[:, 2:] - below[:, 1:2], 0))
     return out
 
@@ -271,7 +269,7 @@ def density_sweep(operators: Sequence[GluedOperator], s_values) -> DensityReport
     T_values = tuple(H.T for H in operators)
     b_exact, b_coexact = G.spec.betti(q - 1), G.spec.betti(q)
     coexact = []
-    for G, per_mode in zip(operators, window_counts(operators, s_values, refuse_negative=True)):
+    for G, per_mode in zip(operators, window_counts(operators, s_values)):
         _refuse_positive_modes(G, s_values, per_mode)
         exact, coexact_row = _branch_counts(G, per_mode)
         row = [int(e + c) for e, c in zip(exact, coexact_row)]
@@ -330,7 +328,6 @@ class TestSpace:
     """Span of e^{i k pi x} on [-1,1] cut by linear constraints on the
     coefficients; basis rows are orthonormal coefficient vectors."""
 
-    kind: str
     k_values: tuple[int, ...]
     basis: np.ndarray
 
@@ -364,42 +361,34 @@ def _constraint_rows(kind: str, n: int, ks: tuple[int, ...]) -> np.ndarray:
     raise ContractViolation(f"unknown test-space kind {kind!r}")
 
 
-def test_space(kind: str, n: int, window: int | None = None) -> TestSpace:
+def test_space(kind: str, n: int) -> TestSpace:
     """Build a finite Fourier model of V_n, E, V'_n or W_n.
 
-    V_n lives on its own window |k| <= n; the others need window > n wide
-    enough to leave room below the removed frequencies."""
+    V_n lives on its own window |k| <= n; the others on |k| <= 2n + 2,
+    which leaves room in E below the frequencies V'_n removes."""
     import scipy.linalg
-    if kind == "Vn":
-        if n < 2:
-            raise ContractViolation("V_n needs n >= 2")
-        ks = _k_window(n)
-    else:
-        if window is None:
-            window = 2 * n + 2
-        if kind in ("VnPrime", "Wn") and window <= n + 1:
-            raise ContractViolation("window must exceed n + 1 to leave room in E")
-        ks = _k_window(window)
+    if kind == "Vn" and n < 2:
+        raise ContractViolation("V_n needs n >= 2")
+    ks = _k_window(n if kind == "Vn" else 2 * n + 2)
     rows = _constraint_rows(kind, n, ks)
     basis = scipy.linalg.null_space(rows).T
-    return TestSpace(kind=kind, k_values=ks, basis=basis)
+    return TestSpace(k_values=ks, basis=basis)
 
 
-def assert_space_dimensions(n: int, window: int | None = None) -> dict[str, int]:
+def assert_space_dimensions(n: int) -> dict[str, int]:
     """Rank-certify dim V_n = 2n-2, codim E = 3 (with a_0), codim of V'_n
     inside E = 2n, and the single extra constraint of W_n."""
-    if window is None:
-        window = 2 * n + 2
     vn = test_space("Vn", n)
-    e = test_space("E", n, window)
-    vp = test_space("VnPrime", n, window)
-    wn = test_space("Wn", n, window)
+    e = test_space("E", n)
+    vp = test_space("VnPrime", n)
+    wn = test_space("Wn", n)
     dims = {
         "Vn": vn.dim,
         "E": e.dim,
         "VnPrime": vp.dim,
         "Wn": wn.dim,
-        "E_codim": 2 * window + 1 - e.dim,
+        # with a_0, which the window leaves out (E has a_0 = 0)
+        "E_codim": len(e.k_values) + 1 - e.dim,
         "VnPrime_codim_in_E": e.dim - vp.dim,
         "Wn_codim_in_VnPrime": vp.dim - wn.dim,
     }
@@ -428,18 +417,18 @@ def fourier_l2_norm(coeffs: Mapping[int, complex], T: float) -> float:
     return math.sqrt(2.0 * T * sum(abs(a) ** 2 for a in coeffs.values()))
 
 
-def h_operator_check(coeffs: Mapping[int, complex], T: float, h: float = 1.0 / 128) -> float:
+def h_operator_check(coeffs: Mapping[int, complex], T: float) -> float:
     """Compare H f_T(t) = int_{-inf}^t (tau - t) f_T(tau) dtau against its
     closed Fourier form (T^2/pi^2) sum a_k/k^2 e^{i k pi t/T}.
 
     Requires f in E: a_0 = 0 and the two alternating moment sums vanish,
     which is exactly what cancels the affine boundary terms at t = -T and
     makes Hf_T vanish beyond t = T. Returns the max absolute deviation,
-    including the far-side moment defect; compare to 1e-6 ||f||.
+    including the far-side moment defect, of a Simpson quadrature at step
+    1/128; compare to 1e-6 ||f||.
     """
     import scipy.integrate
-    if h > 1.0 / 128 + 1e-12:
-        raise ContractViolation("need h <= 1/128 for the quadrature comparison")
+    h = 1.0 / 128
     ks = sorted(coeffs)
     amax = max((abs(coeffs[k]) for k in ks), default=0.0)
     if amax == 0.0:
@@ -489,7 +478,9 @@ def minmax_upper_from_Vn(G: GluedOperator, n: int, eps: float = 0.05) -> float:
     0.9 T, on each zero-mode row; returns the largest generalized
     Rayleigh quotient and asserts the min-max consequence: at least
     (2n-2) B - dim kernel eigenvalues lie in (threshold, (1+eps)(n pi)^2/T^2],
-    with both counts taken by ``sturm_counts``.
+    with both counts taken by ``sturm_counts``. The Gram matrix M of the
+    trials is the same on every row, and the stiffness matrix A the same on
+    every member of a mode family, so each is built once.
     """
     import scipy.linalg
     if n < 2:
@@ -500,22 +491,17 @@ def minmax_upper_from_Vn(G: GluedOperator, n: int, eps: float = 0.05) -> float:
     space = test_space("Vn", n)
     t = G.grid()
     cut = CutoffFunction(0.0)(0.9 * G.T - np.abs(t))
-    trials = []
-    for row in space.basis:
-        trials.append(fourier_values(space.k_values, row, t / G.T) * cut)
+    # the trial functions on the glued grid, one per row
+    U = np.array([fourier_values(space.k_values, row, t / G.T) * cut for row in space.basis])
+    M = G.h * np.conj(U) @ U.T
+    mvals = np.linalg.eigvalsh(M)
+    if mvals[0] <= 1e-12 * max(mvals[-1], 1.0):
+        raise ResolutionError("trial space is degenerate on this grid; refine h")
     bound = 0.0
-    for i in zero_modes:
-        d = len(trials)
-        A = np.zeros((d, d), dtype=complex)
-        M = np.zeros((d, d), dtype=complex)
-        applied = [G.apply_mode(i, u.astype(complex)) for u in trials]
-        for a in range(d):
-            for b in range(d):
-                A[a, b] = G.h * np.sum(applied[b] * np.conj(trials[a]))
-                M[a, b] = G.h * np.sum(trials[b] * np.conj(trials[a]))
-        mvals = np.linalg.eigvalsh(M)
-        if mvals[0] <= 1e-12 * max(mvals[-1], 1.0):
-            raise ResolutionError("trial space is degenerate on this grid; refine h")
+    for members in G.families:
+        if not G.modes[members[0]].is_zero_mode:
+            continue
+        A = G.h * np.conj(U) @ G.apply_mode(members[0], U).T
         vals = scipy.linalg.eigh(A, M, eigvals_only=True)
         bound = max(bound, float(np.max(vals.real)))
     target = (1.0 + eps) * (n * math.pi) ** 2 / G.T**2
@@ -543,10 +529,11 @@ def scalar_lambda1_bounds(G: GluedOperator) -> tuple[float, float]:
     kernel profile, with its kernel component removed: the discrete
     version of the 6/T^2 test function bound.
     """
+    import scipy.linalg
     if len(G.modes) != 1 or not G.modes[0].is_zero_mode:
         raise ContractViolation("scalar model expected: exactly one zero mode")
-    res = eigen_lowest(G, 4)
-    vals = res.values()
+    vals = scipy.linalg.eigvalsh_tridiagonal(*G.mats[0], select="i",
+                                             select_range=(0, min(4, G.n_points) - 1))
     above = vals[vals > THRESHOLD_ZERO]
     if len(above) == 0:
         raise InsufficientEigenvaluesError("no eigenvalue above the kernel threshold")

@@ -555,12 +555,14 @@ class TestGlue:
         assert np.array_equal(cli._glued_source(G, 11), want)
 
     def test_mismatched_block_spectra(self, tmp_path, capsys):
+        # an inline block is built on the top-level spectrum; it has no
+        # spectrum of its own to disagree with it
         other = dict(FLAT_BLOCK, spectrum="circle")
         cfg = write_config(tmp_path, spectrum="scalar", blocks=[FLAT_BLOCK, other],
                            degrees=[0], T=[8], seed=5)
         code, _, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
         assert code == 2
-        assert "matching condition violated" in err
+        assert "blocks[1]: unknown field 'spectrum'" in err
 
 
 class TestDensity:

@@ -38,7 +38,7 @@ def flat_block(spec=SCALAR, boundary=NEUMANN, L=0.0, mu=1.0):
 
 
 def exp_potential(amp, rate, declared=None):
-    return Potential.from_callable(lambda s: amp * np.exp(-rate * s), declared or rate)
+    return Potential(lambda s, h: amp * np.exp(-rate * s), declared or rate)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def test_faster_than_declared_decay_is_fine():
 
 def test_potential_needs_positive_rate():
     with pytest.raises(ContractViolation):
-        Potential.from_callable(lambda s: 0 * s, mu=0.0)
+        Potential(lambda s, h: 0 * s, mu=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def test_flat_dirichlet_block_grows_linearly():
 def test_bump_slope_equals_the_resolvent_moment():
     # Neumann shooting telescopes to u' = h * sum(V u), so the affine slope
     # must reproduce that moment exactly
-    bump = Potential.from_callable(lambda s: np.where(s < 1.0, 0.1, 0.0), mu=1.0)
+    bump = Potential(lambda s, h: np.where(s < 1.0, 0.1, 0.0), mu=1.0)
     block = BuildingBlock(SCALAR, L=1.0, boundary=NEUMANN, mu=1.0, potentials={0: bump})
     data = block_kernel(block, SCALAR, 0)
     (el,) = data
@@ -231,7 +231,7 @@ def test_sech_profile_gives_an_exact_neumann_kernel(c):
     assert sum(e.bounded for e in data) == 1
     (el,) = data
     s = (np.arange(len(el.samples)) + 0.5) * el.h
-    w = pot.kernel_profile(s)
+    w = 1.0 + c / np.cosh(mu * s)
     # shooting normalizes u(h/2) to the boundary start, so u = w / w(h/2);
     # the fitted plateau carries the leftover transient of the fit window
     assert np.allclose(el.samples, w / w[0], rtol=1e-9, atol=0)
@@ -424,7 +424,7 @@ def test_bound_state_in_one_copy_of_a_repeated_nu_fails_by_its_index():
 def test_non_finite_potentials_are_refused():
     with pytest.raises(ContractViolation, match="finite"):
         Potential.from_samples([(0.0, 0.1), (1.0, float("nan"))], mu=1.0)
-    holey = Potential.from_callable(lambda s: np.where(s > 3.0, np.nan, np.exp(-s)), mu=1.0)
+    holey = Potential(lambda s, h: np.where(s > 3.0, np.nan, np.exp(-s)), mu=1.0)
     with pytest.raises(ContractViolation, match=r"potentials\[0\]: potential is not finite"):
         BuildingBlock(SCALAR, L=1.0, boundary=NEUMANN, mu=1.0, potentials={0: holey})
 
@@ -446,7 +446,7 @@ def test_potential_on_a_missing_mode_is_refused():
 def test_affine_fit_guard_rejects_nonflat_far_fields():
     # sneak past the construction scan with a tiny amplitude, then let the
     # slow tail spoil the affine window
-    sneaky = Potential.from_callable(lambda s: 2e-4 * np.exp(-0.05 * s), mu=1.0)
+    sneaky = Potential(lambda s, h: 2e-4 * np.exp(-0.05 * s), mu=1.0)
     block = BuildingBlock.__new__(BuildingBlock)
     object.__setattr__(block, "spec", SCALAR)
     object.__setattr__(block, "L", 1.0)

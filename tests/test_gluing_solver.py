@@ -186,7 +186,7 @@ def _positive_mode_potential_blocks():
     # mode 1 (nu = 100) carries a potential, so its growth certificate runs
     # on the march, which rescales it many times over the widest span
     spec = scalar_spectrum(((0.0, 1), (100.0, 2)))
-    pot = Potential.from_callable(lambda s: 0.4 * np.exp(-s), 1.0)
+    pot = Potential(lambda s, h: 0.4 * np.exp(-s), 1.0)
     blocks = (BuildingBlock(spec, 2.0, NEUMANN, 1.0, {0: kernel_potential_neumann(1.0, 0.8),
                                                       1: pot}),
               BuildingBlock(spec, 2.0, DIRICHLET, 1.0, {1: pot}))
@@ -373,7 +373,7 @@ def torus_glue(T=8.0):
     """torus2, q = 1 between the sech blocks of the CLI glue runs; block 2
     also carries a repulsive bump on mode 5, one copy of a repeated nu."""
     spec = torus2_spectrum()
-    bump = Potential.from_callable(lambda s: 0.5 * np.exp(-s), 1.0)
+    bump = Potential(lambda s, h: 0.5 * np.exp(-s), 1.0)
     b1 = BuildingBlock(spec, 2.0, NEUMANN, 1.0, {0: kernel_potential_neumann(1.0, 0.8)})
     b2 = BuildingBlock(spec, 2.0, NEUMANN, 1.0,
                        {0: kernel_potential_neumann(1.0, -0.35), 5: bump})

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -81,21 +82,25 @@ def test_no_module_imports_scipy_at_load_time():
 # dead surface: public names no command, acceptance criterion or benchmark reads
 
 ROOT = SRC.parent
-# reference implementations that unit tests compare the fast paths against
-TEST_REFERENCES = ("product_benchmark",)
+# reference implementations that unit tests compare the fast paths against:
+# top-level names, and class members as Class.member
+TEST_REFERENCES = ("product_benchmark", "GluedOperator.apply")
+# the readers outside src/ that keep a name alive
+OUTSIDE_SRC = (ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py")))
 
 
-def _reads(tree) -> set[str]:
-    """Names a tree reads: loaded identifiers, attribute names and string
-    constants (the benchmark names the functions it wraps as strings)."""
-    out = set()
+def _reads(tree) -> Counter:
+    """How often a tree reads each name: loaded identifiers, loaded
+    attribute names and string constants (the benchmark names the
+    functions it wraps as strings)."""
+    out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
+            out[node.value] += 1
     return out
 
 
@@ -113,17 +118,16 @@ def _top_level_definitions():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((name, node.name))
-                readers |= _reads(node) - {node.name}
+                readers |= _reads(node).keys() - {node.name}
             else:
-                readers |= _reads(node)
+                readers |= _reads(node).keys()
     return defined, readers
 
 
 def test_every_public_name_has_a_reader():
     defined, readers = _top_level_definitions()
-    outside = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
-    for path in outside:
-        readers |= _reads(ast.parse(path.read_text(encoding="utf-8")))
+    for path in OUTSIDE_SRC:
+        readers |= _reads(ast.parse(path.read_text(encoding="utf-8"))).keys()
     dead = [f"{module}:{name}" for module, name in defined
             if not name.startswith("_") and name not in readers and name not in TEST_REFERENCES]
     assert not dead, f"public names read by no src code, acceptance test or benchmark: {dead}"
@@ -192,8 +196,45 @@ def test_every_record_field_is_read():
             if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
                 fields += [f"{name}:{node.name}.{stmt.target.id}" for stmt in node.body
                            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
-    outside = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
-    for path in outside:
+    for path in OUTSIDE_SRC:
         readers |= _attribute_reads(ast.parse(path.read_text(encoding="utf-8")))
     unread = [f for f in fields if f.rsplit(".", 1)[1] not in readers]
     assert not unread, f"record fields read by no src code, acceptance test or benchmark: {unread}"
+
+
+def _class_members():
+    """(module, Class.member, the definition whose reads do not count) for
+    every method and property of a src/ class but the dunders, and every
+    attribute its methods assign on self, whose reads in __init__ do not
+    count."""
+    for name, tree in _src_modules().items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+            init = next((node for node in methods if node.name == "__init__"), None)
+            for node in methods:
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    yield name, f"{cls.name}.{node.name}", node
+            assigned = {node.attr for node in ast.walk(cls)
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"}
+            for attr in sorted(assigned):
+                yield name, f"{cls.name}.{attr}", init
+
+
+def test_every_class_member_has_a_reader():
+    # a member only unit tests read is surface kept for them alone; members
+    # are matched by name, as a reader rarely names the class
+    readers = Counter()
+    for tree in _src_modules().values():
+        readers += _reads(tree)
+    for path in OUTSIDE_SRC:
+        readers += _reads(ast.parse(path.read_text(encoding="utf-8")))
+    dead = []
+    for module, member, own in _class_members():
+        attr = member.rsplit(".", 1)[1]
+        others = readers[attr] - (_reads(own)[attr] if own is not None else 0)
+        if others == 0 and member not in TEST_REFERENCES:
+            dead.append(f"{module}:{member}")
+    assert not dead, f"class members read by no src code, acceptance test or benchmark: {dead}"

@@ -22,6 +22,7 @@ from neckspec.glued_model import (
     kernel_potential_neumann,
 )
 from neckspec.gluing_solver import substitute_kernel
+from neckspec.polyhom import CutoffFunction
 from neckspec.spectral_model import circle_spectrum, scalar_spectrum, torus2_spectrum
 
 SCALAR = scalar_spectrum()
@@ -65,6 +66,20 @@ def test_flat_counts_match_closed_form():
 def test_count_below_first_eigenvalue_is_zero():
     G = flat_scalar(20.0)
     assert int(sd.window_counts([G], [0.2])[0].sum()) == 0
+
+
+def test_window_counts_refuse_a_negative_spectrum():
+    # a deep well on block 1 puts an eigenvalue of mode 0 below -1/T^2; the
+    # refusal needs no argument, and names the first such operator
+    spec = circle_spectrum()
+    flat = BuildingBlock(spec=spec, L=0.0, boundary="neumann", mu=1.0)
+    well = BuildingBlock(spec=spec, L=2.0, boundary="neumann", mu=1.0, potentials={
+        0: Potential.from_samples([(0.0, -30.0), (1.5, -30.0), (1.9, 0.0)], 1.0)})
+    good = assemble(flat, flat, spec, 1, T=10.0, h=H)
+    bad = assemble(well, flat, spec, 1, T=20.0, h=H)
+    assert sd.window_counts([good], [1.0])[0].shape == (len(good.modes), 1)
+    with pytest.raises(ContractViolation, match=r"mode 0 .* below -1/T\^2 .* at T = 20"):
+        sd.window_counts([good, bad], [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +171,15 @@ def test_sturm_counts_match_the_eigensolver(T, blocks, shifts):
     low = _eigensolver_counts(G, shifts, -tol)
     high = _eigensolver_counts(G, shifts, tol)
     assert np.all((low <= got) & (got <= high))
-    # away from ties the counts agree exactly, and so do the window counts
+    # away from ties the counts agree exactly, and so do the window counts;
+    # an operator with an eigenvalue below the floor -1/T^2 is refused
     s = shifts[-1] % 60.0 + 0.5
-    edges = [sd.THRESHOLD_ZERO, sd.window_top(G, s)]
+    edges = [-1.0 / G.T**2, sd.THRESHOLD_ZERO, sd.window_top(G, s)]
     assume(np.array_equal(_eigensolver_counts(G, edges, -tol), _eigensolver_counts(G, edges, tol)))
+    if _eigensolver_counts(G, edges[:1]).any():
+        with pytest.raises(ContractViolation, match="negative spectrum"):
+            sd.window_counts([G], [s])
+        return
     reference = eigen_lowest(G, G.n_points)
     assert int(sd.window_counts([G], [s])[0].sum()) == sum(_eigen_window(G, s, reference))
 
@@ -467,8 +487,10 @@ def test_vn_basis_vanishes_doubly_at_ends():
 
 def test_handmade_e_member():
     # -a1 + a2/2 - a3/3 = 0 and -a1 + a2/4 - a3/9 = 0
-    # the basis rows are orthonormal, so a member is its own projection
-    e = sd.test_space("E", 3, window=4)
+    # the basis rows are orthonormal, so a member is its own projection;
+    # n = 1 puts E on the window |k| <= 4
+    e = sd.test_space("E", 1)
+    assert e.k_values == (-4, -3, -2, -1, 1, 2, 3, 4)
     for a3, inside in ((36.0, True), (35.0, False)):
         vec = np.array([{1: 4.0, 2: 32.0, 3: a3}.get(k, 0.0) for k in e.k_values])
         off = vec - e.basis.T @ (e.basis @ vec)
@@ -479,8 +501,6 @@ def test_space_argument_errors():
     with pytest.raises(ContractViolation):
         sd.test_space("Vn", 1)
     with pytest.raises(ContractViolation):
-        sd.test_space("Wn", 3, window=4)
-    with pytest.raises(ContractViolation):
         sd.test_space("Zn", 3)
 
 
@@ -488,7 +508,8 @@ def test_vnprime_h_norm_bound():
     # on V'_n the closed form of H divides each coefficient by k^2 > n^2,
     # so Parseval gives |H f| <= T^2 / ((n+1)^2 pi^2) |f|
     n, T = 3, 12.0
-    space = sd.test_space("VnPrime", n, window=8)
+    space = sd.test_space("VnPrime", n)
+    assert max(space.k_values) == 2 * n + 2
     assert space.dim > 0
     for row in space.basis:
         coeffs = {k: a for k, a in zip(space.k_values, row) if a != 0}
@@ -523,11 +544,6 @@ def test_h_operator_rejects_non_members():
         sd.h_operator_check({1: 1.0}, T=5.0)
 
 
-def test_h_operator_rejects_coarse_step():
-    with pytest.raises(ContractViolation, match="1/128"):
-        sd.h_operator_check({1: 4.0, 2: 32.0, 3: 36.0}, T=5.0, h=1.0 / 64)
-
-
 # ---------------------------------------------------------------------------
 # min-max upper bounds
 
@@ -545,6 +561,34 @@ def test_minmax_triple_zero_mode():
     assert bound <= 1.05 * (2 * math.pi) ** 2 / 400.0
 
 
+def test_minmax_bound_matches_a_per_mode_reference():
+    # the trials' Gram matrix is built once and the stiffness matrix once per
+    # zero-mode family, as matrix products; the reference builds both entry
+    # by entry for every zero mode. Mode 0 carries a potential, so the three
+    # zero modes form two families.
+    sech = BuildingBlock(spec=TORUS, L=2.0, boundary="neumann", mu=1.0,
+                         potentials={0: kernel_potential_neumann(1.0, 0.8)})
+    flat = BuildingBlock(spec=TORUS, L=0.0, boundary="neumann", mu=1.0, potentials={})
+    G = assemble(sech, flat, TORUS, 1, T=20.0, h=H, cutoff=0.9)
+    assert len(G.families) == 2
+    for n in (2, 3):
+        space = sd.test_space("Vn", n)
+        cut = CutoffFunction(0.0)(0.9 * G.T - np.abs(G.grid()))
+        trials = [sd.fourier_values(space.k_values, row, G.grid() / G.T) * cut
+                  for row in space.basis]
+        d = len(trials)
+        reference = 0.0
+        for i in range(len(G.modes)):
+            A = np.zeros((d, d), dtype=complex)
+            M = np.zeros((d, d), dtype=complex)
+            for a in range(d):
+                for b in range(d):
+                    A[a, b] = G.h * np.sum(G.apply_mode(i, trials[b]) * np.conj(trials[a]))
+                    M[a, b] = G.h * np.sum(trials[b] * np.conj(trials[a]))
+            reference = max(reference, float(np.max(scipy.linalg.eigh(A, M, eigvals_only=True))))
+        assert sd.minmax_upper_from_Vn(G, n) == pytest.approx(reference, rel=1e-12, abs=0)
+
+
 def test_minmax_argument_errors():
     with pytest.raises(ContractViolation):
         sd.minmax_upper_from_Vn(flat_scalar(20.0), 1)
@@ -557,7 +601,7 @@ def test_minmax_argument_errors():
 
 def test_minmax_degenerate_gram(monkeypatch):
     base = sd.test_space("Vn", 2)
-    doubled = sd.TestSpace(kind="Vn", k_values=base.k_values,
+    doubled = sd.TestSpace(k_values=base.k_values,
                            basis=np.vstack([base.basis[0], base.basis[0]]))
     monkeypatch.setattr(sd, "test_space", lambda *a, **k: doubled)
     with pytest.raises(ResolutionError):
