@@ -388,17 +388,20 @@ _SOURCE_ROWS = 32  # rows of _glued_source built at once
 
 def _glued_source(G, seed: int) -> np.ndarray:
     rng = SplitMix64(seed)
+    f = np.zeros((len(G.modes), G.n_points))
     t = G.grid()
+    # the envelope is 0 for |t| >= T/2: only the columns inside are filled
+    lo, hi = np.searchsorted(t, -G.T / 2, side="right"), np.searchsorted(t, G.T / 2)
+    rows, t = f[:, lo:hi], t[lo:hi]
     rise = CutoffFunction(center=-G.T / 2 + 0.5)
     envelope = rise(t) * rise(-t)
     amps = rng.uniforms(8 * len(G.modes), -1.0, 1.0).reshape(len(G.modes), 4, 2)
     waves = [(np.cos(2 * k * math.pi * t / G.T), np.sin(2 * (k + 1) * math.pi * t / G.T))
              for k in range(4)]
-    f = np.zeros((len(G.modes), G.n_points))
-    term = np.empty((min(len(f), _SOURCE_ROWS), G.n_points))
+    term = np.empty((min(len(f), _SOURCE_ROWS), len(t)))
     # accumulated in place by row blocks, each term written into one buffer
     for lo in range(0, len(f), _SOURCE_ROWS):
-        block = f[lo : lo + _SOURCE_ROWS]
+        block = rows[lo : lo + _SOURCE_ROWS]
         out = term[: len(block)]
         for k, (cos_k, sin_k) in enumerate(waves):
             amp = amps[lo : lo + _SOURCE_ROWS, k] / (1 + k) ** 2
@@ -434,6 +437,8 @@ def cmd_glue(cfg: ExperimentConfig):
             # shot once the first operator has checked the blocks
             marches = marches or tuple(BlockMarch.shoot(b, q, cfg.h, cfg.cutoff, widest)
                                        for b in (b1, b2))
+            # S holds the operator data of every correction round, built
+            # before the source so that its arrays sit below the solve's
             S = substitute_kernel(G, marches)
             f = _glued_source(G, cfg.seed + 31 * q)
             report = solve_exact(G, S, f)

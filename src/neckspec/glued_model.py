@@ -267,7 +267,8 @@ class GluedOperator:
     potential on either block). ``mats[i]`` holds the pair (diag, offdiag)
     for mode i and ``potentials_eff[i]`` its faded potential: read-only
     arrays shared by the modes of a family. The off-diagonal is the
-    constant -1/h^2, one full vector shared by every mode.
+    constant -1/h^2, one full vector shared by every mode. ``t`` holds the
+    grid's cell centers, read-only, as ``grid()`` returns them.
     """
 
     spec: CrossSectionSpectrum
@@ -280,6 +281,7 @@ class GluedOperator:
     mats: tuple[tuple[np.ndarray, np.ndarray], ...]
     potentials_eff: tuple[np.ndarray, ...]
     families: tuple[list[int], ...]
+    t: np.ndarray
     cutoff: float = math.inf  # the mode list's cutoff, for the block kernels
 
     @property
@@ -297,7 +299,7 @@ class GluedOperator:
         return {}
 
     def grid(self) -> np.ndarray:
-        return -self.T - self.L1 + (np.arange(self.n_points) + 0.5) * self.h
+        return self.t
 
     @property
     def n_points(self) -> int:
@@ -378,6 +380,7 @@ def assemble(
                 )
 
     t = -T - block1.L + (np.arange(n) + 0.5) * h
+    t.flags.writeable = False
     s1 = t + T + block1.L
     s2 = T + block2.L - t
     chi = CutoffFunction(0.0)
@@ -414,6 +417,7 @@ def assemble(
         mats=tuple(mats),
         potentials_eff=tuple(pots_eff),
         families=tuple(families.values()),
+        t=t,
         cutoff=cutoff,
     )
 

@@ -101,13 +101,19 @@ def transplant(G: GluedOperator, which: int, element: ShootingElement) -> np.nda
 
 @dataclass(frozen=True)
 class SubstituteKernel:
-    """Basis of the glued kernel built from matched block elements."""
+    """Basis of the glued kernel built from matched block elements, and
+    the data of a correction round that depends only on G and the block
+    kernels, built once by ``substitute_kernel``: the neck windows
+    (w1, zeta0, zeta1) of ``neck_windows``, each block's slope-zero solve
+    data, and each kernel element's characteristic row. Every array is
+    read-only."""
 
     G: GluedOperator
-    kernel1: tuple[ShootingElement, ...]  # the block kernels, shot over the glued span
-    kernel2: tuple[ShootingElement, ...]
     basis: tuple[tuple[int, np.ndarray], ...]  # (mode_index, orthonormal values)
     matched: frozenset[int]  # modes whose two bounded traces continue each other
+    windows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    blocks: tuple[_BlockSide, _BlockSide]
+    pairings: tuple[_Pairing, ...]  # block 1's elements, then block 2's, by mode
 
     @property
     def dim(self) -> int:
@@ -133,6 +139,44 @@ class SubstituteKernel:
         return out
 
 
+@dataclass(frozen=True)
+class _BlockSide:
+    """One block's slope-zero solves: its subgrid ``sub`` of the glued
+    grid, the crossfade weight there, the off-diagonal -1/h^2 every family
+    shares, and per mode the diagonal and, for a mode with a bounded
+    kernel element, that element's border on the subgrid with the
+    border's mean over ``edge``, the unit next to the cut. The members of
+    a mode family share one diagonal and one border."""
+
+    sub: slice
+    weight: np.ndarray
+    edge: slice
+    off: np.ndarray
+    diags: dict[int, np.ndarray]
+    borders: dict[int, tuple[np.ndarray, float]]
+
+
+@dataclass(frozen=True)
+class _Pairing:
+    """A transplanted kernel element g~ of one block, with its window w
+    (w1 for block 1, 1 - w1 for block 2), as its characteristic row reads
+    it: the entries h sum conj([P, w] g~) of column a and
+    h sum t conj([P, w] g~) of column b, and the vectors w g~ and
+    [P, w] g~ the row's right side pairs against. Both vectors are real,
+    so each is its own conjugate."""
+
+    mode_index: int
+    a: float
+    b: float
+    window_g: np.ndarray
+    commutator: np.ndarray
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def substitute_kernel(G: GluedOperator,
                       marches: tuple[BlockMarch, BlockMarch] | None = None) -> SubstituteKernel:
     """Shoot both blocks at the glued step and crossfade their elements,
@@ -145,19 +189,25 @@ def substitute_kernel(G: GluedOperator,
     transplanted section is an exact discrete solution everywhere. Given
     ``marches``, the two blocks' ``BlockMarch`` of G's degree, cutoff and
     step to at least the glued span, the blocks are not shot again: each
-    kernel is read off its march's prefix."""
+    kernel is read off its march's prefix.
+
+    The windows, block solve data and characteristic rows are built here,
+    once per operator, so that a correction round does only the work its
+    source asks for, and before any source is allocated."""
     span = 2 * G.T + G.L1 + G.L2
     march1, march2 = (None, None) if marches is None else marches
     kd1 = block_kernel(G.block1, G.spec, G.q, h=G.h, cutoff=G.cutoff, reach=span, march=march1)
     kd2 = block_kernel(G.block2, G.spec, G.q, h=G.h, cutoff=G.cutoff, reach=span, march=march2)
-    w1 = neck_windows(G)[0]
+    windows = tuple(_read_only(w) for w in neck_windows(G))
+    w1 = windows[0]
+    w2 = _read_only(1.0 - w1)
     sections = []
     matched = set()
     for e1, e2 in zip(kd1, kd2):
         if e1.decaying:
             sections.append((e1.mode_index, w1 * transplant(G, 1, e1)))
         if e2.decaying:
-            sections.append((e2.mode_index, (1.0 - w1) * transplant(G, 2, e2)))
+            sections.append((e2.mode_index, w2 * transplant(G, 2, e2)))
         if not (e1.bounded and not e1.decaying and e2.bounded and not e2.decaying):
             continue
         # the unit traces in the glued coordinate t: block 1 gives
@@ -168,7 +218,7 @@ def substitute_kernel(G: GluedOperator,
         if abs(a1 - a2) <= KERNEL_TOL * scale and abs(b1 + b2) <= KERNEL_TOL * scale:
             # the samples cover the grid, so transplant / a is the unit trace's transplant
             sections.append((e1.mode_index, w1 * (transplant(G, 1, e1) / e1.a)
-                             + (1.0 - w1) * (transplant(G, 2, e2) / e2.a)))
+                             + w2 * (transplant(G, 2, e2) / e2.a)))
             matched.add(e1.mode_index)
     basis = []
     for mode, vec in sections:
@@ -179,8 +229,37 @@ def substitute_kernel(G: GluedOperator,
         if nrm < 1e-12:
             raise AnalysisError("substitute kernel elements are linearly dependent")
         basis.append((mode, vec / nrm))
-    return SubstituteKernel(G=G, kernel1=kd1, kernel2=kd2, basis=tuple(basis),
-                            matched=frozenset(matched))
+    return SubstituteKernel(
+        G=G, basis=tuple(basis), matched=frozenset(matched), windows=windows,
+        blocks=(_block_side(G, 1, kd1, w1), _block_side(G, 2, kd2, w2)),
+        pairings=tuple(_pairing(G, which, el, w)
+                       for which, kd, w in ((1, kd1, w1), (2, kd2, w2)) for el in kd),
+    )
+
+
+def _block_side(G: GluedOperator, which: int, kd: tuple[ShootingElement, ...],
+                weight: np.ndarray) -> _BlockSide:
+    sub, t_sub = _block_subgrid(G, which)
+    edge_len = round(1.0 / G.h)
+    edge = slice(-edge_len, None) if which == 1 else slice(None, edge_len)
+    bounded = {e.mode_index: e for e in kd if e.bounded}
+    diags, borders = {}, {}
+    # the members of a family shoot one ODE, so they share their elements' samples
+    for members in G.families:
+        diags.update(dict.fromkeys(members, _read_only(_block_matrix(G, which, members[0], t_sub))))
+        if members[0] in bounded:
+            g = _read_only(transplant(G, which, bounded[members[0]])[sub])
+            borders.update(dict.fromkeys(members, (g, float(np.mean(g[edge].real)))))
+    return _BlockSide(sub=sub, weight=_read_only(weight[sub]), edge=edge,
+                      off=_read_only(np.full(len(t_sub) - 1, -1.0 / G.h**2)),
+                      diags=diags, borders=borders)
+
+
+def _pairing(G: GluedOperator, which: int, el: ShootingElement, w: np.ndarray) -> _Pairing:
+    g = transplant(G, which, el)
+    comm = _read_only(_commutator_apply(G, w, el.mode_index, g))
+    return _Pairing(mode_index=el.mode_index, a=G.h * np.sum(comm), b=G.h * np.sum(G.grid() * comm),
+                    window_g=_read_only(w * g), commutator=comm)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +372,8 @@ def characteristic_system(G: GluedOperator, S: SubstituteKernel, f: np.ndarray,
     system of those rows alone.
     """
     f = _inexact(f)
-    t = G.grid()
     families = G.families if families is None else families
-    w1, zeta0, zeta1 = neck_windows(G)
+    _, zeta0, zeta1 = S.windows
     cyl = cylinder_solve(G, f, zeta1, families)
     columns = []
     for mi in sorted(i for members in families if G.modes[members[0]].is_zero_mode
@@ -304,24 +382,19 @@ def characteristic_system(G: GluedOperator, S: SubstituteKernel, f: np.ndarray,
             columns.append((mi, "a"))
         columns.append((mi, "b"))
     col_of = {c: k for k, c in enumerate(columns)}
-    ones = np.ones_like(t)
     rows = []
     rhs = []
-    for which, kd in ((1, S.kernel1), (2, S.kernel2)):
-        w = w1 if which == 1 else 1.0 - w1
-        # every element is of a zero mode; those outside the families have no column
-        for el in (el for el in kd if (el.mode_index, "b") in col_of):
-            g = transplant(G, which, el)
-            comm = _commutator_apply(G, w, el.mode_index, g)
-            row = np.zeros(len(columns), dtype=f.dtype)
-            if (el.mode_index, "a") in col_of:
-                row[col_of[(el.mode_index, "a")]] = G.h * np.sum(ones * np.conj(comm))
-            row[col_of[(el.mode_index, "b")]] = G.h * np.sum(t * np.conj(comm))
-            rows.append(row)
-            rhs.append(
-                G.h * np.sum(f[el.mode_index] * np.conj(w * g))
-                - G.h * np.sum(cyl[el.mode_index] * zeta0 * np.conj(comm))
-            )
+    # every element is of a zero mode; those outside the families have no column
+    for p in (p for p in S.pairings if (p.mode_index, "b") in col_of):
+        row = np.zeros(len(columns), dtype=f.dtype)
+        if (p.mode_index, "a") in col_of:
+            row[col_of[(p.mode_index, "a")]] = p.a
+        row[col_of[(p.mode_index, "b")]] = p.b
+        rows.append(row)
+        rhs.append(
+            G.h * np.sum(f[p.mode_index] * p.window_g)
+            - G.h * np.sum(cyl[p.mode_index] * zeta0 * p.commutator)
+        )
     A = np.array(rows) if rows else np.zeros((0, len(columns)))
     b = np.array(rhs) if rhs else np.zeros(0, dtype=f.dtype)
     return CharacteristicSystem(columns=tuple(columns), matrix=A, rhs=b, cylinder=cyl)
@@ -352,10 +425,10 @@ def _block_subgrid(G: GluedOperator, which: int) -> tuple[slice, np.ndarray]:
     return slice(j_cut, G.n_points), t[j_cut:]
 
 
-def _block_matrix(G: GluedOperator, which: int, mode_index: int,
-                  t_sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tridiagonal block operator on the subgrid with the unfaded potential
-    and a slope-zero closure at the cut."""
+def _block_matrix(G: GluedOperator, which: int, mode_index: int, t_sub: np.ndarray) -> np.ndarray:
+    """Diagonal of the tridiagonal block operator on the subgrid, with the
+    unfaded potential and a slope-zero closure at the cut; its
+    off-diagonal is the constant -1/h^2."""
     block = G.block1 if which == 1 else G.block2
     n_sub = len(t_sub)
     s = t_sub + G.T + G.L1 if which == 1 else G.T + G.L2 - t_sub
@@ -363,9 +436,7 @@ def _block_matrix(G: GluedOperator, which: int, mode_index: int,
     v = pot.values(s, G.h) if pot is not None else np.zeros(n_sub)
     # the slope-zero cut is a Neumann end
     ends = (block.boundary, NEUMANN) if which == 1 else (NEUMANN, block.boundary)
-    diag = mode_diagonal(G.modes[mode_index].nu, v, G.h, *ends)
-    off = np.full(n_sub - 1, -1.0 / G.h**2)
-    return diag, off
+    return mode_diagonal(G.modes[mode_index].nu, v, G.h, *ends)
 
 
 def _solve_tridiag(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -464,27 +535,21 @@ def _shifted_bordered(diag: np.ndarray, off: np.ndarray, g: np.ndarray, rhs: np.
     return u
 
 
-def _block_solve(G: GluedOperator, S: SubstituteKernel, which: int, members: list[int],
-                 rows: np.ndarray, t_sub: np.ndarray) -> np.ndarray:
+def _block_solve(side: _BlockSide, members: list[int], rows: np.ndarray) -> np.ndarray:
     """Slope-zero block solves of a mode family's (k, n_sub) rows. The
     members of a family with a bounded kernel element share its border and
     are solved bordered one at a time."""
-    diag, off = _block_matrix(G, which, members[0], t_sub)
-    kd = S.kernel1 if which == 1 else S.kernel2
-    bounded = next((e for e in kd if e.mode_index == members[0] and e.bounded), None)
-    if bounded is None:
-        return _solve_tridiag(diag, off, rows.T).T
-    g = transplant(G, which, bounded)[_block_subgrid(G, which)[0]]
-    edge_len = round(1.0 / G.h)
-    edge = slice(-edge_len, None) if which == 1 else slice(None, edge_len)
-    scale = float(np.mean(g[edge].real))
+    diag = side.diags[members[0]]
+    if members[0] not in side.borders:
+        return _solve_tridiag(diag, side.off, rows.T).T
+    g, scale = side.borders[members[0]]
     out = np.empty_like(rows)
     for k, row in enumerate(rows):
-        u = _solve_bordered(diag, off, g, row)
+        u = _solve_bordered(diag, side.off, g, row)
         # remove the kernel multiple so the plateau at the cut is zero and the
         # crossfade transports nothing
         if abs(scale) > 1e-8:
-            u = u - (np.mean(u[edge]) / scale) * g
+            u = u - (np.mean(u[side.edge]) / scale) * g
         out[k] = u
     return out
 
@@ -544,7 +609,6 @@ def approx_solve(
                 f" > 1.0e-06 * ||f|| = {1e-6 * nf:.3e}"
             )
     families = G.families if families is None else families
-    w1, zeta0, _ = neck_windows(G)
     sys = characteristic_system(G, S, f, families)
     v = characteristic_solve(sys)
     # the trace a + b t lives on the zero-mode rows alone
@@ -557,15 +621,19 @@ def approx_solve(
     del sys
     for mode, row in traces.items():
         u[mode] += row
-    u *= zeta0
-    # a row outside the families keeps e = f, as u is 0 there
-    r = np.empty_like(u) if len(families) == len(G.families) else np.array(f)
+    # u is 0 on the rows outside the families, and a row there keeps e = f
+    if len(families) == len(G.families):
+        u *= S.windows[1]
+        r = np.empty_like(u)
+    else:
+        solved = _rows(families)
+        u[solved] *= S.windows[1]
+        r = np.array(f)
     _residual_into(G, f, u, r, families)
-    blocks = [(1, w1, *_block_subgrid(G, 1)), (2, 1.0 - w1, *_block_subgrid(G, 2))]
     for members in families:
         add = np.zeros((len(members), G.n_points), dtype=f.dtype)
-        for which, weight, sub, t_sub in blocks:
-            add[:, sub] += weight[sub] * _block_solve(G, S, which, members, r[members, sub], t_sub)
+        for side in S.blocks:
+            add[:, side.sub] += side.weight * _block_solve(side, members, r[members, side.sub])
         u[members] += add
     S._project_in_place(u)
     return u, _residual_into(G, f, u, r, families)
@@ -590,6 +658,10 @@ class SolveReport:
         return len(self.contraction)
 
 
+def _rows(families: Sequence[list[int]]) -> list[int]:
+    return [i for members in families for i in members]
+
+
 def _family_norms(G: GluedOperator, a: np.ndarray) -> np.ndarray:
     """The norm of each ``G.families`` entry, from |x|^2 over the rows."""
     rows = np.sum(a, axis=1)
@@ -608,7 +680,8 @@ def solve_exact(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> SolveRe
 
     f is copied once, for the first round; every later source is the
     residual the previous round returned, whose kernel rows are moved to w
-    in place. u is the first round's u, and later rounds add to it."""
+    in place. u is the first round's u, and later rounds add to it on the
+    rows they solve."""
     fn = np.array(_inexact(f))
     nf = norm(G, fn)
     if not math.isfinite(nf):
@@ -638,7 +711,9 @@ def solve_exact(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> SolveRe
         if u is None:
             u = un
         else:
-            u += un
+            # un is 0 on the rows of the families left out
+            solved = _rows(families)
+            u[solved] += un[solved]
         del un
         n_fn = norm(G, fn)
         etas.append(n_fn / n_src)

@@ -554,6 +554,46 @@ class TestGlue:
         want *= rise(t) * rise(-t)
         assert np.array_equal(cli._glued_source(G, 11), want)
 
+    @pytest.mark.parametrize("case", ["torus2", "scalar"])
+    def test_glued_source_fills_only_the_envelope_support(self, case):
+        # against a fill of the whole grid: inside |t| < T/2 the bits are the
+        # same, and outside both are exactly 0
+        if case == "torus2":
+            b = glued_model.BuildingBlock(spectral_model.torus2_spectrum(), 2.0, "neumann", 1.0)
+            G = glued_model.assemble(b, b, b.spec, 1, T=16, h=1.0 / 16)
+        else:
+            b = glued_model.BuildingBlock(spectral_model.scalar_spectrum(), 2.0, "neumann", 1.0)
+            G = glued_model.assemble(b, b, b.spec, 0, T=10, h=1.0 / 128)
+        gen = SplitMix64(13)
+        t = G.grid()
+        rise = CutoffFunction(center=-G.T / 2 + 0.5)
+        amps = gen.uniforms(8 * len(G.modes), -1.0, 1.0).reshape(len(G.modes), 4, 2)
+        full = np.zeros((len(G.modes), G.n_points))
+        term = np.empty_like(full)
+        for k in range(4):
+            amp = amps[:, k] / (1 + k) ** 2
+            full += np.multiply(amp[:, :1], np.cos(2 * k * math.pi * t / G.T), out=term)
+            full += np.multiply(amp[:, 1:], np.sin(2 * (k + 1) * math.pi * t / G.T), out=term)
+        full *= rise(t) * rise(-t)
+        f = cli._glued_source(G, 13)
+        inside = np.abs(t) < G.T / 2
+        assert 0 < inside.sum() < G.n_points
+        assert f[:, inside].tobytes() == full[:, inside].tobytes()
+        assert not f[:, ~inside].any() and not full[:, ~inside].any()
+
+    def test_byte_identical_reruns(self, tmp_path, capsys):
+        # a second glue in one process reads nothing the first left behind,
+        # and no T reads another T's operator data
+        other = dict(SECH_BLOCK, potentials={"0": {"profile": "kernel_neumann", "c": -0.35}})
+        cfg = write_config(tmp_path, spectrum="scalar", blocks=[SECH_BLOCK, other],
+                           degrees=[0], T=[8, 12], h=1.0 / 32, seed=4)
+        runs = [run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / out))
+                for out in ("a", "b")]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+        for name in ("glue_q0_T8.csv", "glue_q0_T12.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_mismatched_block_spectra(self, tmp_path, capsys):
         # an inline block is built on the top-level spectrum; it has no
         # spectrum of its own to disagree with it

@@ -268,7 +268,7 @@ def test_characteristic_entries_match_trace_wronskian():
     b1 = nblock(kernel_potential_neumann(2.0, 0.8), mu=2.0)
     G = glue(b1, dblock(), T=12.0)
     S = substitute_kernel(G)
-    (e1,) = S.kernel1
+    (e1,) = block_kernel(b1, SCALAR, 0, h=H, reach=2 * G.T + G.L1 + G.L2)
     sys = characteristic_system(G, S, seeded_source(G, 7))
     a_col = sys.columns.index((0, "a"))
     b_col = sys.columns.index((0, "b"))
@@ -410,13 +410,13 @@ def per_mode_approx_solve(G, S, f):
     v = characteristic_solve(sys)
     u = (per_mode_cylinder(G, f * zeta1) + trace_grid(G, sys, v.coefficients)) * zeta0
     r = f - G.apply(u)
-    sub1, t1 = gluing_solver._block_subgrid(G, 1)
-    sub2, t2 = gluing_solver._block_subgrid(G, 2)
+    sub1, _ = gluing_solver._block_subgrid(G, 1)
+    sub2, _ = gluing_solver._block_subgrid(G, 2)
+    side1, side2 = S.blocks
     for i in range(len(G.modes)):
         add = np.zeros(G.n_points, dtype=f.dtype)
-        add[sub1] += w1[sub1] * gluing_solver._block_solve(G, S, 1, [i], r[[i]][:, sub1], t1)[0]
-        add[sub2] += (1.0 - w1)[sub2] * gluing_solver._block_solve(G, S, 2, [i], r[[i]][:, sub2],
-                                                                   t2)[0]
+        add[sub1] += w1[sub1] * gluing_solver._block_solve(side1, [i], r[[i]][:, sub1])[0]
+        add[sub2] += (1.0 - w1)[sub2] * gluing_solver._block_solve(side2, [i], r[[i]][:, sub2])[0]
         u[i] = u[i] + add
     u = S.project_off(u)
     return u, f - G.apply(u)
@@ -440,6 +440,86 @@ def test_batched_solves_equal_the_per_mode_loops_bit_for_bit():
         u_ref, e_ref = per_mode_approx_solve(G, S, f)
         assert np.array_equal(u, u_ref)
         assert np.array_equal(e, e_ref)
+
+
+def per_round_characteristic_system(G, f):
+    """A reference characteristic system that makes every window,
+    transplant and commutator from G itself, with the solver's
+    expressions for each entry and right side."""
+    span = 2 * G.T + G.L1 + G.L2
+    kd1 = block_kernel(G.block1, G.spec, G.q, h=G.h, reach=span)
+    kd2 = block_kernel(G.block2, G.spec, G.q, h=G.h, reach=span)
+    matched = substitute_kernel(G).matched
+    t = G.grid()
+    w1, zeta0, zeta1 = neck_windows(G)
+    cyl = cylinder_solve(G, f, zeta1)
+    columns = []
+    for mi in sorted(i for i, m in enumerate(G.modes) if m.is_zero_mode):
+        if mi not in matched:
+            columns.append((mi, "a"))
+        columns.append((mi, "b"))
+    col_of = {c: k for k, c in enumerate(columns)}
+    ones = np.ones_like(t)
+    rows, rhs = [], []
+    for which, kd in ((1, kd1), (2, kd2)):
+        w = w1 if which == 1 else 1.0 - w1
+        for el in kd:
+            g = transplant(G, which, el)
+            comm = G.apply_mode(el.mode_index, w * g) - w * G.apply_mode(el.mode_index, g)
+            row = np.zeros(len(columns), dtype=f.dtype)
+            if (el.mode_index, "a") in col_of:
+                row[col_of[(el.mode_index, "a")]] = G.h * np.sum(ones * np.conj(comm))
+            row[col_of[(el.mode_index, "b")]] = G.h * np.sum(t * np.conj(comm))
+            rows.append(row)
+            rhs.append(G.h * np.sum(f[el.mode_index] * np.conj(w * g))
+                       - G.h * np.sum(cyl[el.mode_index] * zeta0 * np.conj(comm)))
+    return tuple(columns), np.array(rows), np.array(rhs)
+
+
+@pytest.mark.parametrize("build, a_column", [
+    (torus_glue, False),
+    (lambda: glue(nblock(kernel_potential_neumann(2.0, 0.8), mu=2.0), dblock(), T=12.0), True),
+], ids=["torus", "unmatched"])
+def test_characteristic_system_equals_the_per_round_build_bit_for_bit(build, a_column):
+    # the unmatched pair has an a column besides its b column
+    G = build()
+    S = substitute_kernel(G)
+    for f in (cli._glued_source(G, 5), seeded_source(G, 5)):
+        sys = characteristic_system(G, S, f)
+        columns, matrix, rhs = per_round_characteristic_system(G, f)
+        assert sys.columns == columns
+        assert any(kind == "a" for _, kind in columns) == a_column
+        assert sys.matrix.dtype == matrix.dtype == f.dtype
+        assert sys.matrix.tobytes() == matrix.tobytes()
+        assert sys.rhs.dtype == rhs.dtype == f.dtype
+        assert sys.rhs.tobytes() == rhs.tobytes()
+
+
+def test_operator_data_is_built_once_per_operator_and_is_read_only(monkeypatch):
+    # three correction rounds between the scalar sech blocks at h = 1/128
+    G = glue(*sech_pair(), T=10.0, h=1.0 / 128)
+    calls = {"neck_windows": 0, "_block_matrix": []}
+    windows, block_matrix = gluing_solver.neck_windows, gluing_solver._block_matrix
+
+    def counted_windows(G):
+        calls["neck_windows"] += 1
+        return windows(G)
+
+    def counted_matrix(G, which, mode_index, t_sub):
+        calls["_block_matrix"].append((which, mode_index))
+        return block_matrix(G, which, mode_index, t_sub)
+
+    monkeypatch.setattr(gluing_solver, "neck_windows", counted_windows)
+    monkeypatch.setattr(gluing_solver, "_block_matrix", counted_matrix)
+    S = substitute_kernel(G)
+    report = solve_exact(G, S, cli._glued_source(G, 1))
+    assert report.iterations == 3 and report.residual <= 1e-9
+    assert calls == {"neck_windows": 1, "_block_matrix": [(1, 0), (2, 0)]}
+    side = S.blocks[0]
+    for a in (G.grid(), *S.windows, side.diags[0], side.off, side.weight,
+              S.pairings[0].commutator):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 @pytest.mark.parametrize("build", [torus_glue, lambda: glue(*sech_pair())],
@@ -659,10 +739,10 @@ def test_solve_exact_no_contraction():
     # the near-singular block solves blow the residual up instead of down
     S = dataclasses.replace(
         S,
-        kernel1=(),
-        kernel2=(),
         basis=(),
         matched=frozenset(),
+        blocks=tuple(dataclasses.replace(side, borders={}) for side in S.blocks),
+        pairings=(),
     )
     assert S.dim == 0
     f = seeded_source(G, 51)
@@ -782,14 +862,10 @@ def _dense_bordered(diag, off, g, rhs):
 @functools.lru_cache(maxsize=None)
 def _kernel_block_system(T, which):
     """The near-singular block matrix and its bounded kernel direction, as
-    _block_solve builds them for the kernel-bearing sech blocks."""
-    G = glue(*sech_pair(), T=T)
-    S = substitute_kernel(G)
-    sub, t_sub = gluing_solver._block_subgrid(G, which)
-    diag, off = gluing_solver._block_matrix(G, which, 0, t_sub)
-    kd = S.kernel1 if which == 1 else S.kernel2
-    (bounded,) = [e for e in kd if e.bounded]
-    return diag, off, transplant(G, which, bounded)[sub]
+    _block_solve reads them for the kernel-bearing sech blocks."""
+    side = substitute_kernel(glue(*sech_pair(), T=T)).blocks[which - 1]
+    ((g, _),) = side.borders.values()
+    return side.diags[0], side.off, g
 
 
 @settings(max_examples=60, deadline=None)
