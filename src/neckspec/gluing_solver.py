@@ -364,8 +364,10 @@ def characteristic_system(G: GluedOperator, S: SubstituteKernel, f: np.ndarray,
     Row of element g (block i, window w = w1 or 1 - w1):
         <v, [P, w] g~> = <f, w g~> - <zeta0 u0, [P, w] g~>,
     with u0 the cylinder solve of zeta1 f, the round's one neck solve, kept
-    unwindowed as ``cylinder``. The left side is an exact discrete
-    Wronskian of the traces, so the entries are chi-independent.
+    unwindowed as ``cylinder``. [P, w] g~ lives on the crossfade ramp
+    |t| <= 1/2 + h, where zeta0 is exactly 1, so the product with zeta0 is
+    left out. The left side is an exact discrete Wronskian of the traces,
+    so the entries are chi-independent.
 
     A row and its columns belong to one zero mode, so the system restricted
     to the modes of ``families`` (all of ``G.families`` by default) is the
@@ -373,8 +375,7 @@ def characteristic_system(G: GluedOperator, S: SubstituteKernel, f: np.ndarray,
     """
     f = _inexact(f)
     families = G.families if families is None else families
-    _, zeta0, zeta1 = S.windows
-    cyl = cylinder_solve(G, f, zeta1, families)
+    cyl = cylinder_solve(G, f, S.windows[2], families)
     columns = []
     for mi in sorted(i for members in families if G.modes[members[0]].is_zero_mode
                      for i in members):
@@ -393,7 +394,7 @@ def characteristic_system(G: GluedOperator, S: SubstituteKernel, f: np.ndarray,
         rows.append(row)
         rhs.append(
             G.h * np.sum(f[p.mode_index] * p.window_g)
-            - G.h * np.sum(cyl[p.mode_index] * zeta0 * p.commutator)
+            - G.h * np.sum(cyl[p.mode_index] * p.commutator)
         )
     A = np.array(rows) if rows else np.zeros((0, len(columns)))
     b = np.array(rhs) if rhs else np.zeros(0, dtype=f.dtype)
@@ -683,7 +684,10 @@ def solve_exact(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> SolveRe
     in place. u is the first round's u, and later rounds add to it on the
     rows they solve."""
     fn = np.array(_inexact(f))
-    nf = norm(G, fn)
+    # |fn|^2, formed once per source; moving the kernel rows to w
+    # recomputes only those rows
+    a = _abs2(fn)
+    nf = math.sqrt(G.h * float(np.sum(a)))
     if not math.isfinite(nf):
         raise ContractViolation(f"the source is not finite: ||f|| = {nf}")
     if nf == 0:
@@ -698,7 +702,7 @@ def solve_exact(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> SolveRe
             wn = sum((G.h * np.sum(fn[mode] * vec)) * vec for m, vec in S.basis if m == mode)
             w[mode] += wn
             fn[mode] -= wn
-        a = _abs2(fn)
+            a[mode] = _abs2(fn[mode])
         n_src = math.sqrt(G.h * float(np.sum(a)))
         if n_src <= RTOL * nf:
             u = np.zeros_like(fn) if u is None else u
@@ -715,14 +719,15 @@ def solve_exact(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> SolveRe
             solved = _rows(families)
             u[solved] += un[solved]
         del un
-        n_fn = norm(G, fn)
+        a = _abs2(fn)
+        n_fn = math.sqrt(G.h * float(np.sum(a)))
         etas.append(n_fn / n_src)
         residuals.append(n_fn / nf)
         if n_fn <= RTOL * nf:
             return SolveReport(S._project_in_place(u), w, tuple(etas), tuple(residuals),
                                n_fn / nf, nf)
         if len(etas) >= 2 and etas[-1] >= 1.0 and etas[-2] >= 1.0:
-            worst = G.families[int(np.argmax(_family_norms(G, _abs2(fn))))][0]
+            worst = G.families[int(np.argmax(_family_norms(G, a)))][0]
             raise NoContractionError(max(etas[-2:]), worst, G.modes[worst].nu, G.T)
     raise AnalysisError("correction iteration did not converge in 80 rounds")
 

@@ -157,6 +157,9 @@ def _panel_weights(a: float, h: float) -> tuple[float, float]:
     return w_far, w_near
 
 
+_MARCH_ROWS = 64  # rows at once: grid rows of panel terms, section rows transposed
+
+
 def _gnu_convolve(f: np.ndarray, nus: Sequence[float], h: float) -> np.ndarray:
     """Samples of (G_nu * f_lin) for every column of f, column k with nu = nus[k].
 
@@ -166,6 +169,12 @@ def _gnu_convolve(f: np.ndarray, nus: Sequence[float], h: float) -> np.ndarray:
     backward one from the right; u = (forward + backward) / (2a). Decay of
     the recursions matches the decay of G_nu exactly, so no periodization or
     overflow appears.
+
+    Each step is out_j = (e out_{j-1} + w_prev f_{j-1}) + w_here f_j. The
+    steps run over the grid rows of f's support only: before it a sweep's
+    state stays exactly +0, and past it a step only multiplies by e, which
+    one ``multiply.accumulate`` does, and adds +0, which turns an underflowed
+    -0 into +0. A C-ordered f keeps every step's reads contiguous.
     """
     roots = [math.sqrt(nu) for nu in nus]
     # math.exp per column: np.exp may differ from it in the last bit
@@ -173,12 +182,46 @@ def _gnu_convolve(f: np.ndarray, nus: Sequence[float], h: float) -> np.ndarray:
     w_prev, w_here = np.array([_panel_weights(a, h) for a in roots]).T
     n = len(f)
     out = np.zeros(f.shape, dtype=np.result_type(f, float))
-    for j in range(1, n):
-        out[j] = e * out[j - 1] + w_prev * f[j - 1] + w_here * f[j]
-    back = np.zeros(f.shape[1], dtype=out.dtype)
-    for j in range(n - 2, -1, -1):
-        back = e * back + w_prev * f[j + 1] + w_here * f[j]
-        out[j] += back
+    f = np.ascontiguousarray(f, dtype=out.dtype)
+    # grid rows holding any bit pattern but +0.0; outside them w f is +0
+    held = np.flatnonzero(np.any(f.view(np.uint64).reshape(n, -1), axis=1))
+    if not len(held):
+        return out
+    lo, hi = int(held[0]), int(held[-1])
+    prev, here = np.empty((2, min(_MARCH_ROWS, n), f.shape[1]), dtype=out.dtype)
+    # forward: rows below lo stay +0, rows past hi + 1 only decay
+    for c0 in range(max(lo, 1), min(hi + 2, n), _MARCH_ROWS):
+        c1 = min(c0 + _MARCH_ROWS, hi + 2, n)
+        p = np.multiply(w_prev, f[c0 - 1 : c1 - 1], out=prev[: c1 - c0])
+        q = np.multiply(w_here, f[c0:c1], out=here[: c1 - c0])
+        for row, last, p_j, q_j in zip(out[c0:c1], out[c0 - 1 : c1 - 1], p, q):
+            np.multiply(e, last, out=row)
+            row += p_j
+            row += q_j
+    if hi + 2 < n:
+        out[hi + 2 :] = e
+        np.multiply.accumulate(out[hi + 1 :], axis=0, out=out[hi + 1 :])
+        out[hi + 2 :] += 0.0
+    # backward: the state is +0 above hi, and only decays below lo - 1; it
+    # is kept a chunk at a time and added into out once per chunk
+    back = np.empty((min(_MARCH_ROWS, n), f.shape[1]), dtype=out.dtype)
+    state = np.zeros(f.shape[1], dtype=out.dtype)
+    stop = max(lo - 1, 0)
+    for c1 in range(min(hi, n - 2) + 1, stop, -_MARCH_ROWS):
+        c0 = max(c1 - _MARCH_ROWS, stop)
+        p = np.multiply(w_prev, f[c0 + 1 : c1 + 1], out=prev[: c1 - c0])
+        q = np.multiply(w_here, f[c0:c1], out=here[: c1 - c0])
+        b = back[: c1 - c0]
+        for b_j, p_j, q_j in zip(b[::-1], p[::-1], q[::-1]):
+            state = np.multiply(e, state, out=b_j)
+            state += p_j
+            state += q_j
+        out[c0:c1] += b
+    if stop > 0:
+        # out is +0 below lo, so out_j = +0 + back_j there
+        out[: stop] = e
+        np.multiply.accumulate(out[stop::-1], axis=0, out=out[stop::-1])
+        out[: stop] += 0.0
     # numpy divides complex by real as a multiply by the reciprocal; doing that
     # here gives a real out the bits of a complex out's real part
     out *= 1.0 / (2 * np.array(roots))
@@ -225,7 +268,13 @@ def q0_apply(f: CompactSection) -> NeckSolution:
     values = np.zeros_like(f.values)
     if positive:
         idx = [r for r, _ in positive]
-        values[idx] = _gnu_convolve(f.values.T[:, idx], [nu for _, nu in positive], h).T
+        # the march reads one grid row of every positive row per step: it
+        # gets them C-ordered, transposed a block of rows at a time so no
+        # second full copy is live
+        rows = np.empty((len(t), len(idx)), dtype=f.values.dtype)
+        for lo in range(0, len(idx), _MARCH_ROWS):
+            rows[:, lo : lo + _MARCH_ROWS] = f.values[idx[lo : lo + _MARCH_ROWS]].T
+        values[idx] = _gnu_convolve(rows, [nu for _, nu in positive], h).T
     trace_plus: list[PolyhomSection] = []
     for m, sl in zip(f.modes, slices):
         if m.kind == KIND_LAPLACE and m.is_zero_mode:
@@ -282,10 +331,19 @@ def residual_on_support(sol: NeckSolution, f: CompactSection) -> float:
     # column-major temporaries are summed column by column, down the rows:
     # the order that fixes the last bits of the residuals q0check writes
     diff = np.subtract(pu[:, window], f.values[:, window], order="F")
-    denom = math.sqrt(f.h * float(np.sum(np.abs(f.values[:, window], order="F") ** 2)))
+    del pu
+    num = _sum_squares(np.abs(diff) if np.iscomplexobj(diff) else diff)
+    del diff
+    denom = math.sqrt(f.h * _sum_squares(np.abs(f.values[:, window], order="F")))
     if denom == 0:
         return 0.0
-    return math.sqrt(f.h * float(np.sum(np.abs(diff) ** 2))) / denom
+    return math.sqrt(f.h * num) / denom
+
+
+def _sum_squares(a: np.ndarray) -> float:
+    """sum(a**2) over a real array, squared in place and summed in a's
+    memory order."""
+    return float(np.sum(np.square(a, out=a)))
 
 
 def duality_check(f: CompactSection, v: PolyhomSection):

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -448,6 +449,31 @@ class TestQ0Check:
         code, out, _ = run(capsys, "q0check", "--config", cfg, "--out", str(tmp_path / "o"))
         assert code == 0
 
+    def test_byte_identical_reruns(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, spectrum="circle", degrees=[0, 1],
+                           T=[5, 10], h=1.0 / 16, cutoff=9.5, seed=11)
+        runs = [run(capsys, "q0check", "--config", cfg, "--out", str(tmp_path / out))
+                for out in ("a", "b")]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+        for name in ("q0_residuals.csv", "q0_normfit.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_torus_tables_keep_their_bytes(self, tmp_path, capsys):
+        # the residuals' last bits follow the summation order of the march
+        # and of the residual sums: at seed 7, summing the h / 2 residual
+        # row-major instead of column-major already moves its last digit
+        cfg = write_config(tmp_path, spectrum="torus2", degrees=[1], T=[5, 10],
+                           h=1.0 / 32, seed=7)
+        code, out, _ = run(capsys, "q0check", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 0
+        digests = {name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+                   for name in ("q0_residuals.csv", "q0_normfit.csv")}
+        assert digests == {
+            "q0_residuals.csv": "96ca1c94c1057e95cb693c4ccdb5ab328d13a0c91278a0bda17be01daed7e418",
+            "q0_normfit.csv": "cca84021c4cebcb1500d8845ac581a485ff24d4440093963060af169b9b4c915",
+        }
+
 
 class TestPairCheck:
     def test_pass_and_table(self, tmp_path, capsys):
@@ -460,6 +486,15 @@ class TestPairCheck:
         assert sum(r.startswith("pairing,") for r in rows) == 100
         assert any(r.startswith("gram,dirac,2,2") for r in rows)
         assert rows[-1] == "identity,all,20,20,0"
+
+    def test_byte_identical_reruns(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, spectrum="scalar", seed=42)
+        runs = [run(capsys, "paircheck", "--config", cfg, "--out", str(tmp_path / out))
+                for out in ("a", "b")]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+        assert ((tmp_path / "a" / "paircheck.csv").read_bytes()
+                == (tmp_path / "b" / "paircheck.csv").read_bytes())
 
 
 class TestGlue:

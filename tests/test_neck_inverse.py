@@ -271,6 +271,42 @@ class TestBatchedConvolution:
         assert np.all(rows.imag[:, np.abs(cell_grid(4.0, h)) < 1.0] != 0)
         self.march_matches_rows(rows, nus, h)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("lo, hi", [(0, 40), (150, 255), (0, 255), (97, 97), (3, 4)],
+                             ids=["touches-row-0", "touches-row-n-1", "whole-grid",
+                                  "single-row", "two-rows"])
+    def test_support_at_the_grid_edges(self, lo, hi, dtype):
+        # the march skips the zero rows outside [lo, hi] and decays past them
+        nus = [0.25, 9.0, 1e-8, 400.0]
+        rows = np.zeros((len(nus), 256), dtype=dtype)
+        rng = SplitMix64(1000 * lo + hi)
+        width = hi + 1 - lo
+        rows[:, lo : hi + 1] = rng.uniforms(len(nus) * width, -1.0, 1.0).reshape(len(nus), width)
+        if dtype is complex:
+            rows[:, lo : hi + 1] += 1j * rng.uniforms(len(nus) * width, -1.0, 1.0).reshape(
+                len(nus), width)
+        self.march_matches_rows(rows, nus, 1.0 / 32)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+0", "-0"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_input(self, sign, dtype):
+        rows = sign * np.zeros((3, 128), dtype=dtype)
+        self.march_matches_rows(rows, [0.5, 4.0, 1e-8], 1.0 / 16)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_underflowed_tails_are_positive_zeros(self, dtype):
+        # at nu >= 2.5e5 the decay e^{-500 |t|} underflows within two units
+        # past the support; a negative row decays to -0 unless each step's
+        # + 0 turns it into +0
+        h, nus = 1.0 / 64, [1e6, 2.5e5, 1.0]
+        t = cell_grid(4.0, h)
+        rows = np.zeros((len(nus), len(t)), dtype=dtype)
+        rows[:, np.abs(t) <= 1.0] = -1.0 - (1j if dtype is complex else 0)
+        ref = np.array([convolve_row(row, nu, h) for row, nu in zip(rows, nus)])
+        tails = np.abs(t) > 3.0
+        assert not np.any(ref[:2, tails]) and np.all(ref[2, tails].real < 0)
+        self.march_matches_rows(rows, nus, h)
+
     def test_q0_apply_memory_stays_within_four_and_a_half_copies(self):
         modes = mode_list(torus2_spectrum(), 1, math.inf)
         assert len(modes) == 507
@@ -282,6 +318,22 @@ class TestBatchedConvolution:
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * f.values.nbytes
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_residual_on_support_memory_stays_within_one_and_four_fifths_copies(self, dtype):
+        # P u over the whole grid plus one (rows x support window) array,
+        # which takes the difference and then |f|, each squared in place
+        modes = mode_list(torus2_spectrum(), 1, math.inf)
+        f = seeded_section(modes, 7.0, 5.0, 1.0 / 128, seed=264)
+        f = CompactSection(f.modes, f.s_max, f.support, f.h, f.values.astype(dtype))
+        sol = q0_apply(f)
+        tracemalloc.start()
+        try:
+            residual_on_support(sol, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * f.values.nbytes
 
 
 class TestRealArithmetic:
