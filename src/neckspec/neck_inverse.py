@@ -184,7 +184,7 @@ def _gnu_convolve(f: np.ndarray, nus: Sequence[float], h: float) -> np.ndarray:
     out = np.zeros(f.shape, dtype=np.result_type(f, float))
     f = np.ascontiguousarray(f, dtype=out.dtype)
     # grid rows holding any bit pattern but +0.0; outside them w f is +0
-    held = np.flatnonzero(np.any(f.view(np.uint64).reshape(n, -1), axis=1))
+    held = np.flatnonzero(np.any(f.view(np.uint64), axis=1))
     if not len(held):
         return out
     lo, hi = int(held[0]), int(held[-1])
