@@ -8,7 +8,9 @@ cancels the block obstructions; the leftover residual (supported in the
 block regions) is removed by slope-zero block solves; crossfading the
 pieces leaves a defect of size e^{-delta T}, which the exact solver
 drives below tolerance by iteration. Every stage is block diagonal in
-the mode families, so a pass can run on any subset of them.
+the mode families, so a pass can run on any subset of them, and after
+the zero-mode neck solve and its trace correction it carries one family
+at a time through all the rest, on that family's rows alone.
 
 All inner products are the grid pairing h * sum(x conj(y)) over every
 mode row, and "orthogonal to the kernel" always means this pairing. The
@@ -300,6 +302,40 @@ def _positive_mode_cylinder(f: np.ndarray, nu: float, h: float) -> np.ndarray:
     return _lapack_tridiag("ptsv", (d, np.full(len(f) - 1, -1.0 / h**2)), f)
 
 
+def _families(G: GluedOperator, families: Sequence[list[int]] | None) -> Sequence[list[int]]:
+    """``families``, all of ``G.families`` by default. An entry that is not
+    an entry of ``G.families`` is refused, as it would be solved with its
+    first member's matrix on every row."""
+    if families is None or families is G.families:
+        return G.families
+    known = {tuple(members) for members in G.families}
+    for members in families:
+        if tuple(members) not in known:
+            raise ContractViolation(f"{list(members)} is not a mode family of the glued operator")
+    return families
+
+
+def _family_rows(members: list[int]) -> list[int] | slice:
+    """The index of a family's rows: a slice, which reads a view, when the
+    members are one contiguous run, else the list, which reads a copy."""
+    first = members[0]
+    if members == list(range(first, first + len(members))):
+        return slice(first, first + len(members))
+    return members
+
+
+def _neck_solve(G: GluedOperator, f0: np.ndarray, members: list[int]) -> np.ndarray:
+    """The cylinder solve of one family's windowed source rows f0, a
+    (k, n) array it may overwrite: one banded solve for a positive family,
+    the moment kernels row by row, in place, for a zero-mode one."""
+    m = G.modes[members[0]]
+    if not m.is_zero_mode:
+        return _positive_mode_cylinder(f0.T, m.nu, G.h).T
+    for row in f0:
+        row[:] = _laplace_zero_inverse(row, G.grid(), G.h)
+    return f0
+
+
 def cylinder_solve(G: GluedOperator, f: np.ndarray, window: np.ndarray | float,
                    families: Sequence[list[int]] | None = None) -> np.ndarray:
     """Mode-by-mode inverse of the free cylinder operator on the infinite
@@ -311,18 +347,12 @@ def cylinder_solve(G: GluedOperator, f: np.ndarray, window: np.ndarray | float,
     banded solve. f0 is formed family by family, so no windowed copy of
     the whole source is held. Only the rows of ``families`` (all of
     ``G.families`` by default) are solved; the others are zero."""
-    t = G.grid()
+    families = _families(G, families)
     f = _inexact(f)
     out = np.zeros((len(G.modes), G.n_points), dtype=f.dtype)
-    for members in G.families if families is None else families:
-        f0 = f[members]  # a copy: fancy indexing
-        f0 *= window
-        m = G.modes[members[0]]
-        if not m.is_zero_mode:
-            out[members] = _positive_mode_cylinder(f0.T, m.nu, G.h).T
-            continue
-        for i, row in zip(members, f0):
-            out[i] = _laplace_zero_inverse(row, t, G.h)
+    for members in families:
+        rows = _family_rows(members)
+        out[rows] = _neck_solve(G, f[rows] * window, members)
     return out
 
 
@@ -373,8 +403,8 @@ def characteristic_system(G: GluedOperator, S: SubstituteKernel, f: np.ndarray,
     to the modes of ``families`` (all of ``G.families`` by default) is the
     system of those rows alone.
     """
+    families = _families(G, families)
     f = _inexact(f)
-    families = G.families if families is None else families
     cyl = cylinder_solve(G, f, S.windows[2], families)
     columns = []
     for mi in sorted(i for members in families if G.modes[members[0]].is_zero_mode
@@ -559,19 +589,6 @@ def _block_solve(side: _BlockSide, members: list[int], rows: np.ndarray) -> np.n
 # approximate and exact solves
 
 
-def _residual_into(G: GluedOperator, f: np.ndarray, u: np.ndarray, out: np.ndarray,
-                   families: Sequence[list[int]]) -> np.ndarray:
-    """out = f - P u on the rows of ``families``; its other rows are left
-    as they are."""
-    for members in families:
-        # P u before the gather of f, and freed before the next family's,
-        # so at most one family's temporaries are live
-        pu = G.apply_mode(members[0], u[members])
-        out[members] = np.subtract(f[members], pu, out=pu)
-        del pu
-    return out
-
-
 def approx_solve(
     G: GluedOperator,
     S: SubstituteKernel,
@@ -582,22 +599,26 @@ def approx_solve(
     """One pass of the gluing construction: returns (u, e) with
     e = f - P_T u of relative size e^{-delta T}.
 
-    Pipeline: the characteristic system's cylinder solve of the source
-    windowed to the neck (zeta1), plus the affine trace v it picks
-    (cancelling the block obstructions), then block solves with slope-zero
-    closures, crossfade, and projection off the substitute kernel. The
-    block solves run once per block and family.
+    Pipeline: the characteristic system's cylinder solve of the zero-mode
+    rows of the source windowed to the neck (zeta1), plus the affine trace
+    v it picks (cancelling the block obstructions); then, one family at a
+    time, the neck solve of a positive family, the window zeta0, the
+    residual, block solves with slope-zero closures, crossfade, projection
+    off the family's kernel rows and the family's rows of u and e. Each
+    family's (k, n) rows go through the whole pass while they are in cache;
+    a family of contiguous rows is read as a view.
 
     The pass runs on the rows of ``families`` (all of ``G.families`` by
     default). Every stage is block diagonal in the families and the
     kernel basis is per mode, so a subset is exact: on the other rows
-    u = 0 and e = f.
+    u = 0 and e = f. An entry that is not an entry of ``G.families`` is
+    refused before any (modes x n) array is made.
 
     f is left as given. Beyond it a pass holds two (modes x n) arrays, the
-    two it returns: u grows in the cylinder solve's buffer, and the buffer
-    that takes the residual of the neck part for the block solves then
-    takes e.
+    two it returns, u in the cylinder solve's buffer and e, plus one
+    family's temporaries. A subset pass starts e as a copy of f.
     """
+    families = _families(G, families)
     f = _inexact(f)
     if not f.any():
         return np.zeros_like(f), np.zeros_like(f)
@@ -609,8 +630,8 @@ def approx_solve(
                 f"source overlaps the substitute kernel: |<f, k>| = {float(np.max(ov)):.3e}"
                 f" > 1.0e-06 * ||f|| = {1e-6 * nf:.3e}"
             )
-    families = G.families if families is None else families
-    sys = characteristic_system(G, S, f, families)
+    sys = characteristic_system(
+        G, S, f, [members for members in families if G.modes[members[0]].is_zero_mode])
     v = characteristic_solve(sys)
     # the trace a + b t lives on the zero-mode rows alone
     t = G.grid()
@@ -623,21 +644,32 @@ def approx_solve(
     for mode, row in traces.items():
         u[mode] += row
     # u is 0 on the rows outside the families, and a row there keeps e = f
-    if len(families) == len(G.families):
-        u *= S.windows[1]
-        r = np.empty_like(u)
-    else:
-        solved = _rows(families)
-        u[solved] *= S.windows[1]
-        r = np.array(f)
-    _residual_into(G, f, u, r, families)
+    e = np.empty_like(u) if len(families) == len(G.families) else np.array(f)
+    _, zeta0, zeta1 = S.windows
     for members in families:
-        add = np.zeros((len(members), G.n_points), dtype=f.dtype)
+        rows = _family_rows(members)
+        fb = f[rows]
+        # the zero-mode rows hold their cylinder solve plus trace already
+        ub = u[rows] if G.modes[members[0]].is_zero_mode else _neck_solve(G, fb * zeta1, members)
+        ub *= zeta0
+        r = G.apply_mode(members[0], ub)
+        np.subtract(fb, r, out=r)
+        add = np.zeros_like(ub)
         for side in S.blocks:
-            add[:, side.sub] += side.weight * _block_solve(side, members, r[members, side.sub])
-        u[members] += add
-    S._project_in_place(u)
-    return u, _residual_into(G, f, u, r, families)
+            add[:, side.sub] += side.weight * _block_solve(side, members, r[:, side.sub])
+        ub += add
+        del r, add
+        # projection off the family's kernel rows, in basis order
+        for mode, vec in S.basis:
+            if mode in members:
+                k = members.index(mode)
+                ub[k] -= (G.h * np.sum(ub[k] * vec)) * vec
+        u[rows] = ub
+        pu = G.apply_mode(members[0], ub)
+        e[rows] = np.subtract(fb, pu, out=pu)
+        # freed before the next family's are made: one family's temporaries at a time
+        del fb, ub, pu
+    return u, e
 
 
 @dataclass(frozen=True)
@@ -693,7 +725,8 @@ def solve_exact(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> SolveRe
     if nf == 0:
         return SolveReport(np.zeros_like(fn), np.zeros_like(fn), (), (), 0.0, nf)
     u = None
-    w = np.zeros_like(fn)
+    # not zeros_like, which writes every page: only w's kernel rows are set
+    w = np.zeros(fn.shape, dtype=fn.dtype)
     etas: list[float] = []
     residuals: list[float] = []
     bar = RTOL * nf / (2.0 * math.sqrt(len(G.families)))

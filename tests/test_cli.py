@@ -507,6 +507,24 @@ class TestGlue:
         report = (tmp_path / "o" / "glue_q0_T8.csv").read_text()
         assert report.startswith("T,iter,residual,eta,")
 
+    def test_torus_tables_keep_their_bytes(self, tmp_path, capsys):
+        # the benchmark's glue-torus config: torus2 at q = 1 between the two
+        # sech blocks, h = 1/16; the residual digits follow every stage's
+        # summation order, so a reordered pass moves these digests
+        other = dict(SECH_BLOCK, potentials={"0": {"profile": "kernel_neumann", "c": -0.35}})
+        cfg = write_config(tmp_path, spectrum="torus2", blocks=[SECH_BLOCK, other],
+                           degrees=[1], T=[16, 24, 40], h=1.0 / 16, seed=7)
+        code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, err) == (0, "")
+        assert "PASS glue: 3 solves" in out
+        digests = {T: hashlib.sha256((tmp_path / "o" / f"glue_q1_T{T}.csv").read_bytes()).hexdigest()
+                   for T in (16, 24, 40)}
+        assert digests == {
+            16: "ab57b24760031a53c8be393e1d4fb763a2b6ce7e3b84db0087daab5b7ce9542e",
+            24: "235ac0346faa5eae7ca36dce11f9e8723ecc8da5a65c41afe81cac52513d0b78",
+            40: "5f265f442581bb9e51d3dd0610b83e2b515c464e9bcaff9fbfe61c7d32393aeb",
+        }
+
     def test_large_free_nu_is_not_refused(self, tmp_path, capsys):
         # at h sqrt(nu) = 8.8 the discrete free growth rate acosh(1 + h^2 nu/2)/h
         # is below sqrt(nu)/2; the free mode holds no kernel and is not shot

@@ -826,6 +826,45 @@ def test_approx_solve_on_a_subset_is_the_subset_of_a_full_pass():
     assert norm(G, e_sub[rows] - e[rows]) <= 1e-13 * norm(G, f[rows])
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_a_positive_family_alone_is_its_rows_of_a_full_pass_bit_for_bit(dtype):
+    # a pass carries each family through every stage on its own rows, so
+    # solving one family alone must not move a bit of its u or e
+    G, S = cli_torus_glue()
+    f = cli._glued_source(G, 4) if dtype is float else seeded_source(G, 4)
+    f = S.project_off(f)
+    assert f.dtype == dtype
+    u, e = approx_solve(G, S, f)
+    positive = [members for members in G.families if not G.modes[members[0]].is_zero_mode]
+    assert len(positive) == 26
+    for members in positive:
+        u_one, e_one = approx_solve(G, S, f, families=[members])
+        assert u_one[members].tobytes() == u[members].tobytes()
+        assert e_one[members].tobytes() == e[members].tobytes()
+
+
+@pytest.mark.parametrize("solver", ["approx_solve", "characteristic_system", "cylinder_solve"])
+def test_a_foreign_family_is_refused_before_any_full_size_array(solver):
+    # [2, 338] mixes a positive mode with a zero mode of torus2: solved as
+    # one family it would take mode 2's matrix and rate on row 338
+    G, S = cli_torus_glue()
+    f = S.project_off(cli._glued_source(G, 7))
+    assert [2, 338] not in G.families
+    call = {
+        "approx_solve": lambda: approx_solve(G, S, f, families=[[0], [2, 338]]),
+        "characteristic_system": lambda: characteristic_system(G, S, f, [[2, 338]]),
+        "cylinder_solve": lambda: cylinder_solve(G, f, 1.0, [[2, 338]]),
+    }[solver]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractViolation, match=r"\[2, 338\] is not a mode family"):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < f.nbytes / 10, peak / f.nbytes
+
+
 def test_solve_report_csv_layout():
     b1, b2 = sech_pair(mu=1.0)
     G = glue(b1, b2, T=10.0)
