@@ -314,7 +314,7 @@ def cmd_q0check(cfg: ExperimentConfig):
     bands = {KIND_LAPLACE: (1.8, 2.2), KIND_DIRAC: (0.8, 1.2)}
     for kind in (KIND_LAPLACE, KIND_DIRAC):
         fit = operator_norm_fit(kind, cfg.T_values, h=cfg.h)
-        for T, ratio in zip(fit.supports, fit.ratios):
+        for T, ratio in zip(cfg.T_values, fit.ratios):
             fit_rows.append(f"{kind},{format_real(T)},{format_real(ratio)}")
         fit_rows.append(f"{kind},exponent,{format_real(fit.exponent)}")
         lo, hi = bands[kind]

@@ -106,38 +106,6 @@ class CompactSection:
         return cell_grid(self.s_max, self.h)
 
 
-@dataclass(frozen=True)
-class NeckSolution:
-    """Output of :func:`q0_apply`: the solution samples, rows and columns as
-    in the section, plus the affine trace of the zero-mode rows beyond the
-    support, one section per zero mode in mode order (the summands of the
-    trace space, as :func:`trace_operator` lists them)."""
-
-    values: np.ndarray
-    trace_plus: tuple[PolyhomSection, ...]
-
-
-def trace_operator(modes: Sequence[ModeOperator]):
-    """Fiber operators of the zero-mode trace space, one per zero mode in
-    mode order, and the value-row index of each fiber slot. The trace space
-    is their direct sum: each operator's slots follow the previous one's.
-    Returns ([], []) when no zero mode is present."""
-    ops = []
-    rows: list[int] = []
-    slices = mode_rows(modes)
-    for m, sl in zip(modes, slices):
-        if not m.is_zero_mode:
-            continue
-        if m.kind == KIND_DIRAC:
-            ops.append(DiracZero(1))
-            rows.extend([sl.start, sl.start + 1])
-        else:
-            # one slot; the operator is the same on alpha and beta modes
-            ops.append(LaplaceZero(1, 0))
-            rows.append(sl.start)
-    return ops, rows
-
-
 # ---------------------------------------------------------------------------
 # Green's function convolution for positive modes
 
@@ -250,12 +218,13 @@ def _cumulative_midpoint(f: np.ndarray, h: float) -> np.ndarray:
     return inclusive - 0.5 * h * f
 
 
-def q0_apply(f: CompactSection) -> NeckSolution:
-    """Apply the cylinder right inverse to f, mode by mode of ``f.modes``.
+def q0_apply(f: CompactSection) -> np.ndarray:
+    """Apply the cylinder right inverse to f, mode by mode of ``f.modes``,
+    and return the solution samples, rows and columns as in the section.
 
     Positive-mode rows are filled by one Green's convolution march over all
-    of them; zero-mode rows by the moment kernels, which also give their
-    affine trace. The grid must extend at least two units past the support
+    of them; zero-mode rows by the moment kernels, which are affine beyond
+    the support. The grid must extend at least two units past the support
     so the trace identity has room to be checked.
     """
     if f.support > f.s_max - 2:
@@ -275,25 +244,14 @@ def q0_apply(f: CompactSection) -> NeckSolution:
         for lo in range(0, len(idx), _MARCH_ROWS):
             rows[:, lo : lo + _MARCH_ROWS] = f.values[idx[lo : lo + _MARCH_ROWS]].T
         values[idx] = _gnu_convolve(rows, [nu for _, nu in positive], h).T
-    trace_plus: list[PolyhomSection] = []
     for m, sl in zip(f.modes, slices):
         if m.kind == KIND_LAPLACE and m.is_zero_mode:
-            row = f.values[sl.start]
-            values[sl.start] = _laplace_zero_inverse(row, t, h)
-            m1 = h * complex(np.sum(row))
-            m0 = h * complex(np.sum(t * row))
-            trace_plus.append(PolyhomSection(1, (np.array([m0]), np.array([-m1]))))
+            values[sl.start] = _laplace_zero_inverse(f.values[sl.start], t, h)
         elif m.kind == KIND_DIRAC:
-            fa, fb = f.values[sl.start], f.values[sl.start + 1]
-            ca = _cumulative_midpoint(fa, h)
-            cb = _cumulative_midpoint(fb, h)
             # u = -J int f with J(a, b) = (-b, a)
-            values[sl.start] = cb
-            values[sl.start + 1] = -ca
-            ma = h * complex(np.sum(fa))
-            mb = h * complex(np.sum(fb))
-            trace_plus.append(PolyhomSection(2, (np.array([mb, -ma]),)))
-    return NeckSolution(values=values, trace_plus=tuple(trace_plus))
+            values[sl.start] = _cumulative_midpoint(f.values[sl.start + 1], h)
+            values[sl.start + 1] = -_cumulative_midpoint(f.values[sl.start], h)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +278,11 @@ def apply_discrete(modes: Sequence[ModeOperator], values: np.ndarray, h: float) 
     return out
 
 
-def residual_on_support(sol: NeckSolution, f: CompactSection) -> float:
+def residual_on_support(u: np.ndarray, f: CompactSection) -> float:
     """Relative l2 error of P(u) against f over the support window, with P
-    the operators of ``f.modes``."""
+    the operators of ``f.modes`` and u the samples :func:`q0_apply` returns."""
     t = f.grid()
-    pu = apply_discrete(f.modes, sol.values, f.h)
+    pu = apply_discrete(f.modes, u, f.h)
     # the support is one contiguous run of columns, less the two grid ends
     inside = np.flatnonzero(np.abs(t) <= f.support)
     window = slice(max(int(inside[0]), 1), min(int(inside[-1]) + 1, len(t) - 1))
@@ -349,27 +307,40 @@ def _sum_squares(a: np.ndarray) -> float:
 def duality_check(f: CompactSection, v: PolyhomSection):
     """Both sides of the trace duality (u_f, v) = <f, v> and their gap.
 
-    The first value is the closed-form pairing of the asymptotic trace with
-    v; the second is the h-weighted grid sum of <f(t), v(t)>; both reduce to
-    the same moment sums, so the gap is roundoff. The trace depends on the
-    zero-mode rows alone, so only they are inverted.
+    The first value is the closed-form pairing of the asymptotic trace
+    m0 - t m1 of Q0 f with v; the second is the h-weighted grid sum of
+    <f(t), v(t)>; both reduce to the same moment sums of the zero-mode rows,
+    so the gap is roundoff. The trace space is the direct sum of one fiber
+    per zero mode, in mode order, each paired with its slice of v.
     """
-    ops, rows = trace_operator(f.modes)
-    if not ops:
+    t, h = f.grid(), f.h
+    rows: list[int] = []
+    summands = []  # (fiber operator, affine trace) per zero mode
+    for m, sl in zip(f.modes, mode_rows(f.modes)):
+        if not m.is_zero_mode:
+            continue
+        rows.extend(range(sl.start, sl.stop))
+        # each row's moment h sum f: m1 of a Laplace row, (ma, mb) of a Dirac block
+        sums = [h * complex(np.sum(f.values[r])) for r in range(sl.start, sl.stop)]
+        if m.kind == KIND_DIRAC:
+            summands.append((DiracZero(1), PolyhomSection(2, (np.array([sums[1], -sums[0]]),))))
+        else:
+            # one slot; the operator is the same on alpha and beta modes
+            m0 = h * complex(np.sum(t * f.values[sl.start]))
+            summands.append((LaplaceZero(1, 0),
+                             PolyhomSection(1, (np.array([m0]), np.array([-sums[0]])))))
+    if not summands:
         return 0j, 0j, 0.0
     if v.fiber_dim != len(rows):
         raise ContractViolation("section fiber does not match the zero-mode fiber")
-    zero = [m for m in f.modes if m.is_zero_mode]
-    trace = q0_apply(CompactSection(zero, f.s_max, f.support, f.h, f.values[rows])).trace_plus
     # P0 separates, so the pairing is the sum of the summands' pairings
     pair, lo = 0j, 0
-    for op, u in zip(ops, trace):
+    for op, u in summands:
         sl = slice(lo, lo + op.fiber_dim)
         pair += pairing_closed(op, u, _slice_section(v, sl, op.fiber_dim))
         lo += op.fiber_dim
-    t = f.grid()
     vv = v.evaluate(t)
-    l2 = f.h * complex(np.sum(f.values[rows, :] * np.conj(vv)))
+    l2 = h * complex(np.sum(f.values[rows, :] * np.conj(vv)))
     return pair, l2, abs(pair - l2)
 
 
@@ -379,7 +350,6 @@ def duality_check(f: CompactSection, v: PolyhomSection):
 
 @dataclass(frozen=True)
 class NormLawFit:
-    supports: tuple[float, ...]
     ratios: tuple[float, ...]
     exponent: float
 
@@ -399,7 +369,7 @@ def operator_norm_fit(kind: str, supports: Sequence[float], h: float = 1.0 / 16)
         inside = np.abs(t) <= t_half
         vals[0, inside] = 1.0
         f = CompactSection(modes, s_max, t_half, h, vals)
-        u = q0_apply(f).values[:, inside]
+        u = q0_apply(f)[:, inside]
         norm_u = math.sqrt(h * float(np.sum(np.abs(u) ** 2)))
         norm_f = math.sqrt(h * float(np.sum(np.abs(vals[:, inside]) ** 2)))
         ratios.append(norm_u / norm_f)
@@ -407,7 +377,6 @@ def operator_norm_fit(kind: str, supports: Sequence[float], h: float = 1.0 / 16)
     logs_r = np.log(np.asarray(ratios))
     slope = np.polyfit(logs_t, logs_r, 1)[0]
     return NormLawFit(
-        supports=tuple(float(x) for x in supports),
         ratios=tuple(float(r) for r in ratios),
         exponent=float(slope),
     )

@@ -26,7 +26,6 @@ from .glued_model import GluedOperator
 from .gluing_solver import SubstituteKernel, substitute_kernel
 from .ioutil import format_real
 from .polyhom import CutoffFunction
-from .spectral_model import CrossSectionSpectrum, mode_list
 
 THRESHOLD_ZERO = 1e-10
 
@@ -160,23 +159,6 @@ def _branch_counts(G: GluedOperator, per_mode: np.ndarray) -> tuple[np.ndarray, 
     """(exact, coexact) totals of per-mode counts, split by degree tag."""
     beta = np.array([m.degree_tag == "beta" for m in G.modes], dtype=bool)
     return per_mode[beta].sum(axis=0), per_mode[~beta].sum(axis=0)
-
-
-def product_benchmark(spec: CrossSectionSpectrum, q: int, T: float, s: float) -> int:
-    """Eigenvalue count of the product model circle(2T) x X in the window:
-    values (k pi/T)^2 + nu over k in Z and the degree-q mode list."""
-    top = math.pi**2 * s / T**2
-    total = 0
-    for m in mode_list(spec, q, cutoff=top):
-        if m.nu > THRESHOLD_ZERO:
-            room = top - m.nu
-            if room < 0:
-                continue
-            k_max = int(math.floor(T * math.sqrt(room) / math.pi + 1e-9))
-            total += 2 * k_max + 1
-        else:
-            total += 2 * int(math.floor(math.sqrt(s) + 1e-9))
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -497,6 +497,19 @@ class TestPairCheck:
                 == (tmp_path / "b" / "paircheck.csv").read_bytes())
 
 
+def threshold_bound_state_samples(nu, h, m=16, n=40 * 16):
+    """Sample rows (s, V) of a potential whose Neumann shot of the nu mode
+    is u = 1 on the first m cells and then a decaying discrete-exact tail."""
+    twoc = 2.0 + h * h * nu
+    r = (twoc - math.sqrt(twoc**2 - 4.0)) / 2.0
+    u = np.ones(n)
+    u[m:] = r ** np.arange(n - m)
+    ghost = np.concatenate([[u[0]], u, [u[-1] * r]])
+    v = (ghost[2:] - 2.0 * ghost[1:-1] + ghost[:-2]) / (h * h * u) - nu
+    s = (np.arange(n) + 0.5) * h
+    return [[float(a), float(b)] for a, b in zip(s, v)]
+
+
 class TestGlue:
     def test_kernel_blocks_pass(self, tmp_path, capsys):
         cfg = write_config(tmp_path, spectrum="scalar", blocks=[SECH_BLOCK, TANH_BLOCK],
@@ -557,6 +570,31 @@ class TestGlue:
         assert (code, err) == (0, "")
         assert "2 iterations, dim kernel 3" in out
         assert "PASS glue: 1 solves" in out
+
+    @pytest.mark.parametrize("case", ["decaying", "bound-state"])
+    def test_free_growth_certificate_of_a_positive_mode_with_a_potential(self, tmp_path,
+                                                                         capsys, case):
+        # the nu > 0 shot of block 1's mode 1 is certified kernel-free by its
+        # growth slope; a bound state at the threshold holds it under sqrt(nu)/2
+        spectrum = {"name": "x", "dimension": 1, "degrees": {"0": [[0, 1], [0.04, 1]]}}
+        (tmp_path / "spec.json").write_text(json.dumps(spectrum), encoding="utf-8")
+        h = 1.0 / 16
+        if case == "decaying":
+            table = [[float(x), float(0.5 * math.exp(-x))] for x in np.arange(0.0, 24.0, h)]
+        else:
+            table = threshold_bound_state_samples(0.04, h)
+        block = {"L": 2.0, "boundary": "neumann", "mu": 1.0, "potentials": {"1": table}}
+        flat = {"L": 2.0, "boundary": "neumann", "mu": 1.0}
+        cfg = write_config(tmp_path, spectrum={"file": "spec.json"}, blocks=[block, flat],
+                           degrees=[0], T=[8], h=h, seed=1)
+        code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        if case == "decaying":
+            assert (code, err) == (0, "")
+            assert "PASS glue: 1 solves" in out
+        else:
+            assert (code, err) == (1, "")
+            assert out.startswith("FAIL glue: mode 1 (nu = 0.04) fails its free-growth "
+                                  "certificate: measured log slope ")
 
     def test_no_contraction_names_the_worst_family(self, tmp_path, capsys):
         # nu = 1e-6 is positive, so no kernel direction corrects it, yet at

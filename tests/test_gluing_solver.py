@@ -589,7 +589,6 @@ def test_solvers_leave_the_source_as_given(dtype):
     src = S.project_off(f)
     kept_f, kept_src = f.copy(), src.copy()
     approx_solve(G, S, src)
-    approx_solve(G, S, src, check_orthogonality=False)
     report = solve_exact(G, S, f)
     assert report.iterations == 2
     assert f.tobytes() == kept_f.tobytes()
@@ -767,9 +766,9 @@ def _recorded_rounds(monkeypatch, every_family=False):
     family."""
     asked = []
 
-    def recorded(G, S, f, check_orthogonality=True, families=None):
+    def recorded(G, S, f, families=None):
         asked.append(families)
-        return approx_solve(G, S, f, check_orthogonality, None if every_family else families)
+        return approx_solve(G, S, f, None if every_family else families)
 
     monkeypatch.setattr(gluing_solver, "approx_solve", recorded)
     return asked

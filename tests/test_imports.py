@@ -84,7 +84,7 @@ def test_no_module_imports_scipy_at_load_time():
 ROOT = SRC.parent
 # reference implementations that unit tests compare the fast paths against:
 # top-level names, and class members as Class.member
-TEST_REFERENCES = ("product_benchmark", "GluedOperator.apply")
+TEST_REFERENCES = ("GluedOperator.apply",)
 # the readers outside src/ that keep a name alive
 OUTSIDE_SRC = (ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py")))
 
@@ -238,3 +238,71 @@ def test_every_class_member_has_a_reader():
         if others == 0 and member not in TEST_REFERENCES:
             dead.append(f"{module}:{member}")
     assert not dead, f"class members read by no src code, acceptance test or benchmark: {dead}"
+
+
+# ---------------------------------------------------------------------------
+# dead code by what runs: src/ functions no CLI test or acceptance criterion enters
+
+# runs pytest on the given test files under a call-only hook, and prints
+# (file, first line) of every src/ code object entered; the hook returns
+# None, so no line inside a call is traced
+TRACE_SCRIPT = """
+import json, os, sys, threading
+import pytest
+src = os.path.realpath(sys.argv[1]) + os.sep
+entered = set()
+def hook(frame, event, arg):
+    code = frame.f_code
+    if code.co_filename.startswith(src):
+        entered.add((os.path.basename(code.co_filename), code.co_firstlineno))
+threading.settrace(hook)
+sys.settrace(hook)
+try:
+    code = pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[2:]])
+finally:
+    sys.settrace(None)
+    threading.settrace(None)
+print(json.dumps({"exit": int(code), "entered": sorted(entered)}))
+"""
+# what the CLI tests and the acceptance criteria never call, with the reason
+# each is kept
+NEVER_ENTERED = {
+    "glued_model.py:eigen_lowest": "read by the benchmark's tracer",
+    "glued_model.py:GluedOperator.coupling_eff": "read by the benchmark's tracer",
+    "glued_model.py:EigenResult.values": "the unit tests' oracle API of eigen_lowest",
+    "glued_model.py:GluedOperator.apply": "test reference, also called by the benchmark's tests",
+}
+
+
+def _functions():
+    """(module, qualified name, first line of its code object) of every
+    function and method defined in src/, nested ones included."""
+    def walk(module, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                yield module, f"{prefix}{child.name}", first
+                yield from walk(module, child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(module, child, f"{prefix}{child.name}.")
+    for name, tree in _src_modules().items():
+        yield from walk(name, tree, "")
+
+
+def test_every_src_function_is_entered_by_the_cli_tests_or_a_criterion():
+    # a name scan passes a member whose name another object reads; the
+    # calls made show what only unit tests keep alive
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    # the two fuzz tests enter no function the other CLI tests miss, and
+    # would double the run
+    files = ["tests/test_cli.py", "tests/test_acceptance.py",
+             "--deselect", "tests/test_cli.py::test_mutated_config_exits_cleanly",
+             "--deselect", "tests/test_cli.py::test_mutated_input_files_exit_cleanly"]
+    done = subprocess.run([sys.executable, "-c", TRACE_SCRIPT, str(SRC / "neckspec"), *files],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=900)
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["exit"] == 0, done.stdout[-2000:]
+    entered = {tuple(key) for key in report["entered"]}
+    never = [f"{module}:{name}" for module, name, first in _functions()
+             if (module, first) not in entered]
+    assert sorted(never) == sorted(NEVER_ENTERED), f"never entered: {never}"

@@ -23,7 +23,6 @@ from neckspec.neck_inverse import (
     residual_on_support,
     seeded_section,
     total_rows,
-    trace_operator,
 )
 from neckspec.polyhom import (
     CutoffFunction,
@@ -59,19 +58,30 @@ def box_section(modes, s_max, support, h, row=0, height=1.0):
     return CompactSection(tuple(modes), s_max, support, h, vals)
 
 
+def affine_trace(f, row, t):
+    """m0 - t m1: the affine continuation of Q0 f's Laplace zero row beyond
+    the support, from the moment sums m1 = int f and m0 = int tau f."""
+    m1 = f.h * complex(np.sum(f.values[row]))
+    m0 = f.h * complex(np.sum(f.grid() * f.values[row]))
+    return m0 - t * m1
+
+
+def pair_summands(summands, v):
+    """Sum over (fiber operator, trace) of the closed pairing of the trace
+    with its slice of v, the slices following each other in fiber order."""
+    pair, lo = 0j, 0
+    for op, u in summands:
+        sl = slice(lo, lo + op.fiber_dim)
+        pair += pairing_closed(op, u, _slice_section(v, sl, op.fiber_dim))
+        lo += op.fiber_dim
+    return pair
+
+
 class TestLayout:
     def test_mode_rows(self):
         modes = (laplace(0.0), dirac(), laplace(1.0))
         assert mode_rows(modes) == [slice(0, 1), slice(1, 3), slice(3, 4)]
         assert total_rows(modes) == 4
-
-    def test_trace_operator_has_one_operator_per_zero_mode(self):
-        modes = (laplace(2.0), laplace(0.0, "beta"), dirac(), laplace(1.0), laplace(0.0))
-        ops, rows = trace_operator(modes)
-        assert [type(op) for op in ops] == [LaplaceZero, DiracZero, LaplaceZero]
-        assert [op.fiber_dim for op in ops] == [1, 2, 1]
-        assert rows == [1, 2, 3, 5]
-        assert trace_operator((laplace(1.0),)) == ([], [])
 
     def test_grid_is_cell_centered(self):
         t = cell_grid(2.0, 0.5)
@@ -100,31 +110,28 @@ class TestZeroModeInverse:
     def test_box_trace_value(self):
         # u_s(t) = -int_{-1}^{1} (t - tau) dtau = -2t for t > 1
         f = box_section((laplace(0.0),), 4.0, 1.0, 1.0 / 32)
-        sol = q0_apply(f)
-        (trace,) = sol.trace_plus
-        coeffs = trace.coeffs
-        assert coeffs[0][0] == pytest.approx(0.0, abs=1e-13)
-        assert coeffs[1][0] == pytest.approx(-2.0)
-        assert trace.evaluate(np.array([1.0]))[0, 0] == pytest.approx(-2.0)
+        u = q0_apply(f)
+        t = f.grid()
+        right = t > 1.0
+        np.testing.assert_allclose(u[0, right], -2.0 * t[right], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(u[0, right], affine_trace(f, 0, t[right]), rtol=0, atol=1e-12)
 
     def test_support_law_exact(self):
         f = seeded_section((laplace(0.0),), 6.0, 2.0, 1.0 / 16, seed=3)
-        sol = q0_apply(f)
+        u = q0_apply(f)
         t = f.grid()
-        assert np.all(sol.values[:, t < -2.0] == 0)
+        assert np.all(u[:, t < -2.0] == 0)
 
     def test_trace_matches_samples_exactly(self):
         f = seeded_section((laplace(0.0),), 6.0, 2.0, 1.0 / 16, seed=4)
-        sol = q0_apply(f)
+        u = q0_apply(f)
         t = f.grid()
         right = t > 2.0
-        expected = sol.trace_plus[0].evaluate(t[right])[0]
-        np.testing.assert_allclose(sol.values[0, right], expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(u[0, right], affine_trace(f, 0, t[right]), rtol=0, atol=1e-12)
 
     def test_discrete_stencil_inverted_exactly(self):
         f = seeded_section((laplace(0.0),), 6.0, 2.0, 1.0 / 64, seed=5)
-        sol = q0_apply(f)
-        assert residual_on_support(sol, f) <= 1e-9
+        assert residual_on_support(q0_apply(f), f) <= 1e-9
 
     def test_odd_input_has_no_linear_trace(self):
         modes = (laplace(0.0),)
@@ -134,29 +141,29 @@ class TestZeroModeInverse:
         inside = np.abs(t) <= 1.0
         vals[0, inside] = t[inside]
         f = CompactSection(modes, 5.0, 1.0, h, vals)
-        (trace,) = q0_apply(f).trace_plus
-        coeffs = trace.coeffs
+        u = q0_apply(f)
+        right = t > 1.0
         # m1 = integral of odd vanishes; m0 = int tau^2 = 2/3 up to O(h^2)
-        assert coeffs[0][0] == pytest.approx(2.0 / 3.0, abs=h**2)
-        assert len(coeffs) == 1 or abs(coeffs[1][0]) <= 1e-13
+        assert abs(h * np.sum(vals[0])) <= 1e-13
+        np.testing.assert_allclose(u[0, right], 2.0 / 3.0, rtol=0, atol=h**2)
+        np.testing.assert_allclose(u[0, right], affine_trace(f, 0, t[right]), rtol=0, atol=1e-12)
 
     def test_dirac_inverse(self):
         modes = (dirac(),)
         f = box_section(modes, 4.0, 1.0, 1.0 / 32, row=0)
-        sol = q0_apply(f)
+        u = q0_apply(f)
         # u = -J int f: alpha-row input feeds the beta row with a minus sign
         t = f.grid()
         right = t > 1.0
-        np.testing.assert_allclose(sol.values[1, right], -2.0, atol=1e-12)
-        np.testing.assert_allclose(sol.values[0, right], 0.0, atol=1e-12)
-        assert np.all(sol.values[:, t < -1.0] == 0)
+        np.testing.assert_allclose(u[1, right], -2.0, atol=1e-12)
+        np.testing.assert_allclose(u[0, right], 0.0, atol=1e-12)
+        assert np.all(u[:, t < -1.0] == 0)
 
     def test_dirac_residual_second_order(self):
         errs = []
         for h in (1.0 / 64, 1.0 / 128):
             f = seeded_section((dirac(),), 6.0, 2.0, h, seed=9)
-            sol = q0_apply(f)
-            errs.append(residual_on_support(sol, f))
+            errs.append(residual_on_support(q0_apply(f), f))
         assert errs[0] <= 1e-3
         assert errs[1] <= errs[0] / 3.0
 
@@ -175,8 +182,7 @@ class TestGreenConvolution:
         j0 = len(t) // 2
         vals[0, j0] = 1.0 / h
         f = CompactSection(modes, 6.0, 1.0, h, vals)
-        sol = q0_apply(f)
-        u = sol.values[0].real
+        u = q0_apply(f)[0].real
         expected = np.exp(-np.abs(t - t[j0])) / 2
         # the discrete delta is a width-2h hat, so the peak is low by O(h)
         assert np.max(np.abs(u - expected)) <= h / 4
@@ -188,26 +194,24 @@ class TestGreenConvolution:
         vals = np.zeros((1, len(t)), dtype=complex)
         vals[0, len(t) // 2] = 1.0 / h
         f = CompactSection(modes, 4.0, 1.0, h, vals)
-        sol = q0_apply(f)
-        assert np.max(np.abs(sol.values)) == pytest.approx(0.25, rel=2.0 * h)
+        assert np.max(np.abs(q0_apply(f))) == pytest.approx(0.25, rel=2.0 * h)
 
     def test_residual_second_order(self):
         errs = []
         for h in (1.0 / 64, 1.0 / 128):
             f = seeded_section((laplace(2.0),), 6.0, 2.0, h, seed=12)
-            sol = q0_apply(f)
-            errs.append(residual_on_support(sol, f))
+            errs.append(residual_on_support(q0_apply(f), f))
         assert errs[0] <= 1e-3
         assert errs[1] <= errs[0] / 3.0
 
     def test_exponential_decay_beyond_support(self):
         f = seeded_section((laplace(1.0),), 10.0, 2.0, 1.0 / 32, seed=6)
-        sol = q0_apply(f)
+        u = q0_apply(f)
         t = f.grid()
         l1 = f.h * float(np.sum(np.abs(f.values)))
         outside = t > 2.0
         bound = l1 * np.exp(-(t[outside] - 2.0)) / 2.0
-        assert np.all(np.abs(sol.values[0, outside]) <= bound * (1 + 1e-6))
+        assert np.all(np.abs(u[0, outside]) <= bound * (1 + 1e-6))
 
     @given(st.floats(0.05, 50.0))
     @settings(max_examples=40, deadline=None)
@@ -326,10 +330,10 @@ class TestBatchedConvolution:
         modes = mode_list(torus2_spectrum(), 1, math.inf)
         f = seeded_section(modes, 7.0, 5.0, 1.0 / 128, seed=264)
         f = CompactSection(f.modes, f.s_max, f.support, f.h, f.values.astype(dtype))
-        sol = q0_apply(f)
+        u = q0_apply(f)
         tracemalloc.start()
         try:
-            residual_on_support(sol, f)
+            residual_on_support(u, f)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -348,20 +352,18 @@ class TestRealArithmetic:
         f = seeded_section(modes, 7.0, 5.0, 1.0 / 64, seed=31)
         fc = CompactSection(f.modes, f.s_max, f.support, f.h, f.values.astype(complex))
         assert f.values.dtype == np.float64
-        real, cplx = q0_apply(f), q0_apply(fc)
-        x, z = real.values, cplx.values
+        x, z = q0_apply(f), q0_apply(fc)
         assert x.dtype == np.float64
         assert bitwise_equal(x, z.real.copy())
         assert not np.any(z.imag)
         assert apply_discrete(modes, x, f.h).dtype == np.float64
-        assert residual_on_support(real, f) == residual_on_support(cplx, fc)
+        assert residual_on_support(x, f) == residual_on_support(z, fc)
         # a kernel element of the zero-mode operator: affine on Laplace
         # slots, constant on Dirac slots
-        _, rows = trace_operator(modes)
         slope = np.concatenate([[1.0] if m.kind == KIND_LAPLACE else [0.0, 0.0]
                                 for m in modes if m.is_zero_mode])
-        k = np.arange(len(rows))
-        v = PolyhomSection(len(rows), (np.cos(k), slope * np.sin(k + 1)))
+        k = np.arange(len(slope))
+        v = PolyhomSection(len(slope), (np.cos(k), slope * np.sin(k + 1)))
         pair, l2, gap = duality_check(f, v)
         pair_c, l2_c, gap_c = duality_check(fc, v)
         scale = 1 + abs(pair) + abs(l2)
@@ -376,20 +378,19 @@ class TestMixedModes:
         errs = []
         for h in (1.0 / 64, 1.0 / 128):
             f = seeded_section(modes, 6.0, 2.0, h, seed=21)
-            sol = q0_apply(f)
-            errs.append(residual_on_support(sol, f))
+            errs.append(residual_on_support(q0_apply(f), f))
         assert errs[0] <= 1e-3
         assert errs[1] <= errs[0] / 3.0
 
     def test_positive_mode_rows_stay_regular(self):
         modes = (laplace(0.0), laplace(1.0))
         f = seeded_section(modes, 6.0, 2.0, 1.0 / 32, seed=2)
-        sol = q0_apply(f)
+        u = q0_apply(f)
         # the positive row comes from the Green's march alone, the zero row
         # from the moment kernel alone
         march = _gnu_convolve(f.values[1][:, None], [1.0], f.h)[:, 0]
-        assert np.array_equal(sol.values[1], march)
-        assert np.array_equal(sol.values[0], _laplace_zero_inverse(f.values[0], f.grid(), f.h))
+        assert np.array_equal(u[1], march)
+        assert np.array_equal(u[0], _laplace_zero_inverse(f.values[0], f.grid(), f.h))
 
 
 class TestInvertibility:
@@ -397,7 +398,7 @@ class TestInvertibility:
         # on modes with nu >= nu0 > 0 the inverse has norm at most 1/nu0
         modes = (laplace(1.0), laplace(4.0))
         f = seeded_section(modes, 6.0, 2.0, 1.0 / 32, seed=8)
-        u = q0_apply(f).values
+        u = q0_apply(f)
         ratio = math.sqrt(np.sum(np.abs(u) ** 2) / np.sum(np.abs(f.values) ** 2))
         assert ratio <= 1.0 + (1.0 / 32) ** 2
 
@@ -430,8 +431,6 @@ class TestDuality:
 
     def test_seeded_cases_exact(self):
         modes = (laplace(0.0, "alpha"), laplace(0.0, "beta"), dirac(), laplace(1.0))
-        _, rows = trace_operator(modes)
-        assert rows == [0, 1, 2, 3]
         for seed in range(30):
             f = seeded_section(modes, 6.0, 2.0, 1.0 / 16, seed=seed)
             rng_v = np.cos(seed + np.arange(8.0))
@@ -440,12 +439,23 @@ class TestDuality:
             scale = 1 + abs(pair) + abs(l2)
             assert gap <= 1e-10 * scale
 
+    def test_fiber_is_one_slot_per_laplace_zero_mode_two_per_dirac(self):
+        modes = (laplace(2.0), laplace(0.0, "beta"), dirac(), laplace(1.0), laplace(0.0))
+        f = seeded_section(modes, 6.0, 2.0, 1.0 / 16, seed=1)
+        pair, l2, gap = duality_check(f, PolyhomSection(4, (np.ones(4),)))
+        assert gap <= 1e-10 * (1 + abs(pair) + abs(l2))
+        for dim in (3, 5):
+            with pytest.raises(ContractViolation, match="fiber"):
+                duality_check(f, PolyhomSection(dim, (np.ones(dim),)))
+        f = seeded_section((laplace(1.0),), 6.0, 2.0, 1.0 / 16, seed=1)
+        got = duality_check(f, PolyhomSection(1, (np.ones(1),)))
+        assert repr(got) == repr((0j, 0j, 0.0))
+
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_zero_rows_alone_give_the_full_inverse_values_bit_for_bit(self, dtype):
+    def test_pairing_is_its_moment_reference_bit_for_bit(self, dtype):
         # positive modes between the zero modes, so the zero rows are no prefix
         modes = (laplace(2.0), laplace(0.0, "alpha"), laplace(1.0), dirac(), laplace(0.0, "beta"))
-        ops, rows = trace_operator(modes)
-        assert rows == [1, 3, 4, 5]
+        rows = [1, 3, 4, 5]
         for seed in range(5):
             f = seeded_section(modes, 6.0, 2.0, 1.0 / 16, seed=seed)
             f = CompactSection(f.modes, f.s_max, f.support, f.h, f.values.astype(dtype))
@@ -453,17 +463,31 @@ class TestDuality:
             k = np.arange(len(rows)) + seed
             slope = np.array([1.0, 0.0, 0.0, 1.0]) * np.sin(k)
             v = PolyhomSection(len(rows), (np.cos(k), slope))
-            # the reference: the summands' pairings of the trace of the full
-            # inverse, every row marched, added up in fiber order
-            trace = q0_apply(f).trace_plus
-            assert len(trace) == len(ops)
-            pair, lo = 0j, 0
-            for op, u in zip(ops, trace):
-                sl = slice(lo, lo + op.fiber_dim)
-                pair += pairing_closed(op, u, _slice_section(v, sl, op.fiber_dim))
-                lo += op.fiber_dim
-            l2 = f.h * complex(np.sum(f.values[rows, :] * np.conj(v.evaluate(f.grid()))))
+            t, h = f.grid(), f.h
+            # the reference: each zero mode's affine trace from its moment
+            # sums, paired with its slice of v, added up in fiber order
+            m1 = [h * complex(np.sum(f.values[r])) for r in rows]
+            m0 = [h * complex(np.sum(t * f.values[r])) for r in rows]
+            summands = [
+                (LaplaceZero(1, 0), PolyhomSection(1, (np.array([m0[0]]), np.array([-m1[0]])))),
+                (DiracZero(1), PolyhomSection(2, (np.array([m1[2], -m1[1]]),))),
+                (LaplaceZero(1, 0), PolyhomSection(1, (np.array([m0[3]]), np.array([-m1[3]])))),
+            ]
+            pair = pair_summands(summands, v)
+            l2 = h * complex(np.sum(f.values[rows, :] * np.conj(v.evaluate(t))))
             assert duality_check(f, v) == (pair, l2, abs(pair - l2))
+            # independently: the trace read off the full inverse's samples at
+            # two points beyond the support pairs to the same value
+            u = q0_apply(f)
+            j1, j2 = np.flatnonzero(t > 2.0)[[0, -1]]
+            slopes = (u[:, j2] - u[:, j1]) / (t[j2] - t[j1])
+            heights = u[:, j1] - slopes * t[j1]
+            read = [
+                (LaplaceZero(1, 0), PolyhomSection(1, (heights[[1]], slopes[[1]]))),
+                (DiracZero(1), PolyhomSection(2, (u[[3, 4], j1],))),
+                (LaplaceZero(1, 0), PolyhomSection(1, (heights[[5]], slopes[[5]]))),
+            ]
+            assert abs(pair_summands(read, v) - pair) <= 1e-10
 
     def test_zero_section(self):
         modes = (laplace(0.0),)
