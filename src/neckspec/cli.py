@@ -392,22 +392,24 @@ def _glued_source(G, seed: int) -> np.ndarray:
     t = G.grid()
     # the envelope is 0 for |t| >= T/2: only the columns inside are filled
     lo, hi = np.searchsorted(t, -G.T / 2, side="right"), np.searchsorted(t, G.T / 2)
-    rows, t = f[:, lo:hi], t[lo:hi]
+    t = t[lo:hi]
     rise = CutoffFunction(center=-G.T / 2 + 0.5)
     envelope = rise(t) * rise(-t)
     amps = rng.uniforms(8 * len(G.modes), -1.0, 1.0).reshape(len(G.modes), 4, 2)
     waves = [(np.cos(2 * k * math.pi * t / G.T), np.sin(2 * (k + 1) * math.pi * t / G.T))
              for k in range(4)]
+    # contiguous, as f's inside columns are a strided view: the adds run over whole rows
+    acc = np.zeros((len(f), len(t)))
     term = np.empty((min(len(f), _SOURCE_ROWS), len(t)))
     # accumulated in place by row blocks, each term written into one buffer
-    for lo in range(0, len(f), _SOURCE_ROWS):
-        block = rows[lo : lo + _SOURCE_ROWS]
+    for row in range(0, len(f), _SOURCE_ROWS):
+        block = acc[row : row + _SOURCE_ROWS]
         out = term[: len(block)]
         for k, (cos_k, sin_k) in enumerate(waves):
-            amp = amps[lo : lo + _SOURCE_ROWS, k] / (1 + k) ** 2
+            amp = amps[row : row + _SOURCE_ROWS, k] / (1 + k) ** 2
             block += np.multiply(amp[:, :1], cos_k, out=out)
             block += np.multiply(amp[:, 1:], sin_k, out=out)
-        block *= envelope
+    np.multiply(acc, envelope, out=f[:, lo:hi])
     return f
 
 

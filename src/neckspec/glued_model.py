@@ -249,13 +249,30 @@ def mode_families(modes: Sequence[ModeOperator], own: Container[int]
     return families
 
 
-def stencil(diag, off, u: np.ndarray) -> np.ndarray:
-    """The symmetric tridiagonal product (diag, off) u along the last axis
-    of u, in the dtype of u."""
-    out = diag * u
-    out[..., :-1] += off * u[..., 1:]
-    out[..., 1:] += off * u[..., :-1]
-    return out
+def stencil(diag, c, u: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal product (diag, c) u along the last axis of
+    u, in the dtype of u, with the one constant off-diagonal c (-1/h^2 on
+    every glued matrix).
+
+    u is read as C-ordered (k, n) rows, a 1-D or non-C-contiguous u as a
+    copy, and c u is formed once. Each neighbour add, out[j] += (c u)[j+1]
+    and then out[j] += (c u)[j-1], is one contiguous add on the flattened
+    rows. The first carries a value across each row boundary into the last
+    column, the second into the first column, so that column is saved
+    before the add and written back after it.
+    """
+    u = np.asarray(u)
+    rows = np.ascontiguousarray(u).reshape(-1, u.shape[-1])
+    out = diag * rows
+    cu = c * rows
+    flat, cflat = out.reshape(-1), cu.reshape(-1)
+    last = out[:, -1].copy()
+    flat[:-1] += cflat[1:]
+    out[:, -1] = last
+    first = out[:, 0].copy()
+    flat[1:] += cflat[:-1]
+    out[:, 0] = first
+    return out.reshape(u.shape)
 
 
 @dataclass(frozen=True)
@@ -266,9 +283,11 @@ class GluedOperator:
     indices that share a matrix (``mode_families`` of the modes carrying a
     potential on either block). ``mats[i]`` holds the pair (diag, offdiag)
     for mode i and ``potentials_eff[i]`` its faded potential: read-only
-    arrays shared by the modes of a family. The off-diagonal is the
-    constant -1/h^2, one full vector shared by every mode. ``t`` holds the
-    grid's cell centers, read-only, as ``grid()`` returns them.
+    arrays shared by the modes of a family. The off-diagonal is the one
+    constant -1/h^2, held as one full vector shared by every mode;
+    ``apply_mode`` reads the constant off it and hands it to ``stencil``,
+    whose neighbour adds run flat over the rows. ``t`` holds the grid's
+    cell centers, read-only, as ``grid()`` returns them.
     """
 
     spec: CrossSectionSpectrum
@@ -306,14 +325,15 @@ class GluedOperator:
         return round((2 * self.T + self.L1 + self.L2) / self.h)
 
     def apply_mode(self, i: int, u: np.ndarray) -> np.ndarray:
-        return stencil(*self.mats[i], u)
+        diag, off = self.mats[i]
+        return stencil(diag, off[0], u)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
         out = np.empty_like(values, dtype=np.result_type(values, float))
         # every row is written, as the families cover every mode
         for members in self.families:
-            out[members] = stencil(*self.mats[members[0]], values[members])
+            out[members] = self.apply_mode(members[0], values[members])
         return out
 
 

@@ -39,7 +39,6 @@ from .glued_model import (
     ShootingElement,
     block_kernel,
     mode_diagonal,
-    stencil,
 )
 from .ioutil import format_real
 from .neck_inverse import _laplace_zero_inverse
@@ -547,7 +546,11 @@ def _shifted_bordered(diag: np.ndarray, off: np.ndarray, g: np.ndarray, rhs: np.
     except np.linalg.LinAlgError as exc:
         raise AnalysisError(f"bordered block solve failed: {exc}") from exc
     u -= (g @ u) / (g @ g) * g  # g^T u is left at cond(C) eps, and B g ~ 0
-    r = rhs - lam * g - stencil(diag, off, u)
+    # the residual from this try's own bands, exact for any off-diagonal vector
+    bu = diag * u
+    bu[:-1] += off * u[1:]
+    bu[1:] += off * u[:-1]
+    r = rhs - lam * g - bu
     # backward error in the infinity norm; rows of [[B, g], [g^T, 0]] give its norm
     rows = np.abs(diag) + np.abs(g) + np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
     m_norm = max(np.max(rows), np.sum(np.abs(g)))
@@ -665,7 +668,10 @@ def approx_solve(
                 ub[k] -= (G.h * np.sum(ub[k] * vec)) * vec
         u[rows] = ub
         pu = G.apply_mode(members[0], ub)
-        e[rows] = np.subtract(fb, pu, out=pu)
+        if isinstance(rows, slice):  # a view: e's rows are written in place
+            np.subtract(fb, pu, out=e[rows])
+        else:
+            e[rows] = np.subtract(fb, pu, out=pu)
         # freed before the next family's are made: one family's temporaries at a time
         del fb, ub, pu
     return u, e

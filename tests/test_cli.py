@@ -672,6 +672,21 @@ class TestGlue:
         assert f[:, inside].tobytes() == full[:, inside].tobytes()
         assert not f[:, ~inside].any() and not full[:, ~inside].any()
 
+    def test_glued_source_holds_f_and_one_inside_buffer(self):
+        # the fill's peak is f plus its contiguous (modes x inside columns)
+        # buffer, with 10 % for the row-block term and the waves
+        b = glued_model.BuildingBlock(spectral_model.torus2_spectrum(), 2.0, "neumann", 1.0)
+        G = glued_model.assemble(b, b, b.spec, 1, T=40, h=1.0 / 16)
+        inside = int(np.sum(np.abs(G.grid()) < G.T / 2))
+        tracemalloc.start()
+        try:
+            f = cli._glued_source(G, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f.shape == (507, 1344) and 0 < inside < G.n_points
+        assert peak <= 1.1 * (f.nbytes + len(G.modes) * inside * 8), peak
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         # a second glue in one process reads nothing the first left behind,
         # and no T reads another T's operator data

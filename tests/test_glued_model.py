@@ -103,6 +103,44 @@ def test_apply_matches_dense_matvec():
     assert np.allclose(G.apply_mode(0, u), dense @ u, rtol=1e-12, atol=1e-9)
 
 
+def _two_product_stencil(diag, off, u):
+    # a test-local copy of the stencil the flat adds replaced: two strided
+    # products added into shifted slices, off a full vector
+    out = diag * u
+    out[..., :-1] += off * u[..., 1:]
+    out[..., 1:] += off * u[..., :-1]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("k", [1, 2, 24])
+@pytest.mark.parametrize("n", [1, 2, 3, 1344])
+def test_stencil_matches_the_two_product_form_bit_for_bit(dtype, k, n):
+    # every row mixes signed zeros, subnormals, infinities and magnitudes
+    # across e^(+-60), so a row-end value carried across a row boundary, or
+    # any reordered sum, changes some bit; the byte view counts -0 apart
+    rng = np.random.default_rng(k * 10000 + n)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf])
+
+    def samples(shape):
+        x = rng.normal(size=shape) * np.exp(rng.uniform(-60.0, 60.0, size=shape))
+        hit = rng.random(shape) < 0.3
+        x[hit] = rng.choice(special, size=int(hit.sum()))
+        return x
+
+    c = -1.0 / H**2
+    diag = samples(n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        u = samples((k, n)) if dtype is float else samples((k, n)) + 1j * samples((k, n))
+    for case in (u, np.asfortranarray(u), u[0]):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = glued_model.stencil(diag, c, case)
+            want = _two_product_stencil(diag, np.full(n - 1, c), case)
+        assert got.shape == want.shape == case.shape and got.dtype == want.dtype
+        assert (np.ascontiguousarray(got).view(np.uint8).tobytes()
+                == np.ascontiguousarray(want).view(np.uint8).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # gluing geometry
 
