@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from .errors import (
 from .glued_model import (
     BlockMarch,
     BuildingBlock,
+    GluedOperator,
     Potential,
     assemble,
     glued_points,
@@ -413,16 +415,19 @@ def _glued_source(G, seed: int) -> np.ndarray:
     return f
 
 
-def _glued_operators(cfg: ExperimentConfig, q: int, rows: int, what: str):
-    """Yield the degree-q glued operator of each T in turn, once every T's
-    (rows x points) grid has passed the MAX_GRID_VALUES check."""
+def _require_grids(cfg: ExperimentConfig, q: int, rows: int, what: str) -> None:
+    """Refuse a degree whose (rows x points) grid at some T is over the
+    MAX_GRID_VALUES check, before any of its operators is built."""
     b1, b2 = _require_blocks(cfg)
     for T in cfg.T_values:
         _require_grid_values(f"degree {q}", rows, glued_points(T, b1.L, b2.L, cfg.h), what)
-    for T in cfg.T_values:
-        G = assemble(b1, b2, cfg.spectrum, q, T=T, h=cfg.h, cutoff=cfg.cutoff)
-        _require_modes(cfg, q, G.modes)
-        yield G
+
+
+def _glued_operator(cfg: ExperimentConfig, q: int, T: float) -> GluedOperator:
+    b1, b2 = _require_blocks(cfg)
+    G = assemble(b1, b2, cfg.spectrum, q, T=T, h=cfg.h, cutoff=cfg.cutoff)
+    _require_modes(cfg, q, G.modes)
+    return G
 
 
 def cmd_glue(cfg: ExperimentConfig):
@@ -431,26 +436,43 @@ def cmd_glue(cfg: ExperimentConfig):
     files = {}
     b1, b2 = _require_blocks(cfg)
     widest = max(2 * T + b1.L + b2.L for T in cfg.T_values)
+    # widest span first: each narrower T's arrays then fit in memory a wider
+    # solve has freed, where config order maps fresh pages for every larger T
+    order = sorted(range(len(cfg.T_values)), key=lambda k: cfg.T_values[k], reverse=True)
     for q in cfg.degrees:
+        _require_grids(cfg, q, mode_count(cfg.spectrum, q, cfg.cutoff), "modes")
         marches = None
-        # drawn lazily: each T's operator is built once the previous T is solved
-        for G in _glued_operators(cfg, q, mode_count(cfg.spectrum, q, cfg.cutoff), "modes"):
-            # the block kernels of every T are read off one march per block,
-            # shot once the first operator has checked the blocks
-            marches = marches or tuple(BlockMarch.shoot(b, q, cfg.h, cfg.cutoff, widest)
-                                       for b in (b1, b2))
-            # S holds the operator data of every correction round, built
-            # before the source so that its arrays sit below the solve's
-            S = substitute_kernel(G, marches)
-            f = _glued_source(G, cfg.seed + 31 * q)
-            report = solve_exact(G, S, f)
+        solved = {}
+        failed = None  # (config index, error) of the first T in config order that failed
+        for k in order:
+            if failed is not None and k > failed[0]:
+                continue
+            try:
+                G = _glued_operator(cfg, q, cfg.T_values[k])
+                # the block kernels of every T are read off one march per block,
+                # shot once the first operator has checked the blocks
+                marches = marches or tuple(BlockMarch.shoot(b, q, cfg.h, cfg.cutoff, widest)
+                                           for b in (b1, b2))
+                # S holds the operator data of every correction round, built
+                # before the source so that its arrays sit below the solve's
+                S = substitute_kernel(G, marches)
+                f = _glued_source(G, cfg.seed + 31 * q)
+                report = solve_exact(G, S, f)
+            except Exception as exc:  # raised below unless a T before it in config order fails
+                traceback.clear_frames(exc.__traceback__)  # its frames' arrays are freed now
+                failed = (k, exc)
+                continue
             ok &= report.residual <= 1e-6
-            files[f"glue_q{q}_T{format_real(G.T)}.csv"] = solve_report_csv(G, report)
-            lines.append(
-                f"glue q={q} T={format_real(G.T)}: residual {report.residual:.3e}, "
-                f"{report.iterations} iterations, dim kernel {S.dim}"
-            )
+            T = format_real(G.T)
+            solved[k] = (f"glue q={q} T={T}: residual {report.residual:.3e}, "
+                         f"{report.iterations} iterations, dim kernel {S.dim}",
+                         f"glue_q{q}_T{T}.csv", solve_report_csv(G, report))
             del report, f  # the next T's solve is the peak; free u and w first
+        if failed is not None:
+            raise failed[1]
+        for _, (line, name, table) in sorted(solved.items()):
+            lines.append(line)
+            files[name] = table
     verdict = "PASS" if ok else "FAIL"
     lines.append(f"{verdict} glue: {len(cfg.degrees) * len(cfg.T_values)} solves at tol 1e-06")
     return ok, lines, files
@@ -469,8 +491,9 @@ def cmd_density(cfg: ExperimentConfig):
         families = len({nu for deg in (q, q - 1) for nu, _ in cfg.spectrum.eigenvalues(deg)
                         if nu <= cfg.cutoff}) + len(set(b1.potentials) | set(b2.potentials))
 
+        _require_grids(cfg, q, families, "mode families")
         rep = spectral_density.density_sweep(
-            list(_glued_operators(cfg, q, families, "mode families")), cfg.s_values)
+            [_glued_operator(cfg, q, T) for T in cfg.T_values], cfg.s_values)
         r0 = 2 * rep.B + 3
         ok &= rep.max_residual <= r0
         for i in range(len(rep.T_values)):

@@ -56,12 +56,13 @@ def _inexact(x) -> np.ndarray:
     return x.astype(np.result_type(x, float), copy=False)
 
 
-def _abs2(x: np.ndarray) -> np.ndarray:
+def _abs2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|x|^2, written into ``out`` when it is given."""
     if np.iscomplexobj(x):
-        a = np.abs(x)
+        a = np.abs(x, out=out)
         a *= a
         return a
-    return x * x  # |x|^2 bit for bit, in one pass
+    return np.multiply(x, x, out=out)  # |x|^2 bit for bit, in one pass
 
 
 def norm(G: GluedOperator, x: np.ndarray) -> float:
@@ -597,9 +598,10 @@ def approx_solve(
     S: SubstituteKernel,
     f: np.ndarray,
     families: Sequence[list[int]] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One pass of the gluing construction: returns (u, e) with
-    e = f - P_T u of relative size e^{-delta T}.
+) -> np.ndarray:
+    """One pass of the gluing construction, in place: returns u and
+    overwrites f with the residual e = f - P_T u, of relative size
+    e^{-delta T}.
 
     Pipeline: the characteristic system's cylinder solve of the zero-mode
     rows of the source windowed to the neck (zeta1), plus the affine trace
@@ -613,15 +615,23 @@ def approx_solve(
     The pass runs on the rows of ``families`` (all of ``G.families`` by
     default). Every stage is block diagonal in the families and the
     kernel basis is per mode, so a subset is exact: on the other rows
-    u = 0 and e = f. An entry that is not an entry of ``G.families`` is
-    refused before any (modes x n) array is made.
+    u = 0 and e = f, which those rows of f already hold. An entry that is
+    not an entry of ``G.families`` is refused before any (modes x n) array
+    is made, and so is an f that cannot take e in place: read-only, not
+    C-contiguous, or not float64 or complex128.
 
-    f is left as given. Beyond it a pass holds two (modes x n) arrays, the
-    two it returns, u in the cylinder solve's buffer and e, plus one
-    family's temporaries. A subset pass starts e as a copy of f.
+    Every stage that reads the whole source (the kernel overlaps and the
+    characteristic system) runs before any row of e is written, and each
+    family's source rows are read before its rows of e are written. Beyond
+    f a pass holds one (modes x n) array, u, in the cylinder solve's
+    buffer, plus one family's temporaries.
     """
     families = _families(G, families)
-    f = _inexact(f)
+    if not (isinstance(f, np.ndarray) and f.dtype in (np.float64, np.complex128)
+            and f.flags.writeable and f.flags.c_contiguous):
+        raise ContractViolation(
+            "approx_solve writes the residual over its source, which must be a writable "
+            "C-contiguous float64 or complex128 array")
     worst = float(np.max(np.abs(S.overlaps(f)), initial=0.0))
     # ||f|| is at least the norm of the kernel modes' rows: the whole source
     # is summed only when an overlap exceeds the bound that norm sets
@@ -645,8 +655,6 @@ def approx_solve(
     del sys
     for mode, row in traces.items():
         u[mode] += row
-    # u is 0 on the rows outside the families, and a row there keeps e = f
-    e = np.empty_like(u) if len(families) == len(G.families) else np.array(f)
     _, zeta0, zeta1 = S.windows
     for members in families:
         rows = _family_rows(members)
@@ -668,13 +676,13 @@ def approx_solve(
                 ub[k] -= (G.h * np.sum(ub[k] * vec)) * vec
         u[rows] = ub
         pu = G.apply_mode(members[0], ub)
-        if isinstance(rows, slice):  # a view: e's rows are written in place
-            np.subtract(fb, pu, out=e[rows])
+        if isinstance(rows, slice):  # fb is a view of f: e is written over it
+            np.subtract(fb, pu, out=fb)
         else:
-            e[rows] = np.subtract(fb, pu, out=pu)
+            f[rows] = np.subtract(fb, pu, out=pu)
         # freed before the next family's are made: one family's temporaries at a time
         del fb, ub, pu
-    return u, e
+    return u
 
 
 @dataclass(frozen=True)
@@ -696,10 +704,6 @@ class SolveReport:
         return len(self.contraction)
 
 
-def _rows(families: Sequence[list[int]]) -> list[int]:
-    return [i for members in families for i in members]
-
-
 def _family_norms(G: GluedOperator, a: np.ndarray) -> np.ndarray:
     """The norm of each ``G.families`` entry, from |x|^2 over the rows."""
     rows = np.sum(a, axis=1)
@@ -716,13 +720,13 @@ def solve_exact(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> SolveRe
     together, so while the stop test, over all rows, fails, some family
     is solved. A non-finite source is refused.
 
-    f is copied once, for the first round; every later source is the
-    residual the previous round returned, whose kernel rows are moved to w
-    in place. u is the first round's u, and later rounds add to it on the
-    rows they solve."""
-    fn = np.array(_inexact(f))
-    # |fn|^2, formed once per source; moving the kernel rows to w
-    # recomputes only those rows
+    f is left as given: it is copied once, and every round writes its
+    residual over that copy, in place, after its kernel rows are moved
+    to w. u is the first round's u, and later rounds add to it on the
+    rows they solve. |source|^2 is formed anew after the first round, and
+    a later round, which leaves the rows of the families it skips as they
+    were, rewrites only its own rows of that buffer."""
+    fn = np.array(_inexact(f), order="C")
     a = _abs2(fn)
     nf = math.sqrt(G.h * float(np.sum(a)))
     if not math.isfinite(nf):
@@ -740,24 +744,25 @@ def solve_exact(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> SolveRe
             wn = sum((G.h * np.sum(fn[mode] * vec)) * vec for m, vec in S.basis if m == mode)
             w[mode] += wn
             fn[mode] -= wn
-            a[mode] = _abs2(fn[mode])
+            _abs2(fn[mode], out=a[mode])
         n_src = math.sqrt(G.h * float(np.sum(a)))
         if n_src <= RTOL * nf:
             u = np.zeros_like(fn) if u is None else u
             return SolveReport(u, w, tuple(etas), tuple(residuals), n_src / nf, nf)
-        families = G.families if u is None else [
-            members for members, nrm in zip(G.families, _family_norms(G, a)) if nrm > bar]
-        del a
-        # rebinding fn frees this round's source before the next allocation
-        un, fn = approx_solve(G, S, fn, families=families)
         if u is None:
-            u = un
+            del a  # the first round rewrites every row: its pass holds no |source|^2
+            u = approx_solve(G, S, fn, families=G.families)
+            a = _abs2(fn)
         else:
-            # un is 0 on the rows of the families left out
-            solved = _rows(families)
-            u[solved] += un[solved]
-        del un
-        a = _abs2(fn)
+            families = [members for members, nrm in zip(G.families, _family_norms(G, a))
+                        if nrm > bar]
+            un = approx_solve(G, S, fn, families=families)
+            # un is 0, and fn and a are unchanged, on the rows of the families left out
+            for members in families:
+                rows = _family_rows(members)
+                u[rows] += un[rows]
+                a[rows] = _abs2(fn[rows])
+            del un
         n_fn = math.sqrt(G.h * float(np.sum(a)))
         etas.append(n_fn / n_src)
         residuals.append(n_fn / nf)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from neckspec import cli, glued_model, neck_inverse, spectral_model
 from neckspec.cli import main
+from neckspec.errors import AnalysisError
 from neckspec.polyhom import CutoffFunction
 from neckspec.rng import SplitMix64
 
@@ -537,6 +538,64 @@ class TestGlue:
             24: "235ac0346faa5eae7ca36dce11f9e8723ecc8da5a65c41afe81cac52513d0b78",
             40: "5f265f442581bb9e51d3dd0610b83e2b515c464e9bcaff9fbfe61c7d32393aeb",
         }
+
+    def test_T_values_are_solved_widest_first_and_reported_in_config_order(
+            self, tmp_path, capsys, monkeypatch):
+        # each T's solve is its own: solved widest first, every table and
+        # stdout line is the one a config of that T alone gives, in config order
+        solve_exact = cli.solve_exact
+        solved = []
+
+        def recorded(G, S, f):
+            solved.append(G.T)
+            return solve_exact(G, S, f)
+
+        monkeypatch.setattr(cli, "solve_exact", recorded)
+        other = dict(SECH_BLOCK, potentials={"0": {"profile": "kernel_neumann", "c": -0.35}})
+        fields = dict(spectrum="torus2", blocks=[SECH_BLOCK, other], degrees=[1], h=1.0 / 16,
+                      seed=3)
+        cfg = write_config(tmp_path, T=[24, 16, 40], **fields)
+        code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, err) == (0, "")
+        assert solved == [40, 24, 16]
+        lines = out.splitlines()
+        assert len(lines) == 4 and lines[3] == "PASS glue: 3 solves at tol 1e-06"
+        for k, T in enumerate((24, 16, 40)):
+            one = write_config(tmp_path, name=f"T{T}.json", T=[T], **fields)
+            code, alone, _ = run(capsys, "glue", "--config", one, "--out", str(tmp_path / f"T{T}"))
+            assert code == 0
+            assert lines[k] == alone.splitlines()[0]
+            assert lines[k].startswith(f"glue q=1 T={T}: ")
+            name = f"glue_q1_T{T}.csv"
+            assert (tmp_path / "o" / name).read_bytes() == (tmp_path / f"T{T}" / name).read_bytes()
+
+    @pytest.mark.parametrize("failing, solved, named", [
+        ({16}, [16, 8], 16),
+        ({12, 16}, [16, 8], 16),
+        ({8, 16}, [16, 8], 8),
+        ({12}, [16, 12, 8], 12),
+    ])
+    def test_a_failed_run_reports_the_first_failing_T_in_config_order(
+            self, tmp_path, capsys, monkeypatch, failing, solved, named):
+        # solved widest first, a T that fails still leaves every T before it in
+        # config order to be solved, and no T after it: the run reports the
+        # failure a config-order run reports
+        solve_exact = cli.solve_exact
+        asked = []
+
+        def failing_at(G, S, f):
+            asked.append(G.T)
+            if G.T in failing:
+                raise AnalysisError(f"no solve at T = {G.T:g}")
+            return solve_exact(G, S, f)
+
+        monkeypatch.setattr(cli, "solve_exact", failing_at)
+        cfg = write_config(tmp_path, spectrum="scalar", blocks=[SECH_BLOCK, TANH_BLOCK],
+                           degrees=[0], T=[8, 16, 12], h=1.0 / 16, seed=5)
+        code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, out, err) == (1, f"FAIL glue: no solve at T = {named}\n", "")
+        assert asked == solved
+        assert not (tmp_path / "o").exists()
 
     def test_large_free_nu_is_not_refused(self, tmp_path, capsys):
         # at h sqrt(nu) = 8.8 the discrete free growth rate acosh(1 + h^2 nu/2)/h
