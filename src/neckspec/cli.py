@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     AnalysisError,
     ContractViolation,
-    MatchingConditionError,
     NeckspecError,
     SpectrumFormatError,
 )
@@ -533,8 +532,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.out)
         ok, lines, files = COMMANDS[args.command](cfg)
-    except (ConfigError, SpectrumFormatError, ContractViolation, MatchingConditionError,
-            OSError) as exc:
+    except (ConfigError, SpectrumFormatError, ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AnalysisError as exc:

@@ -25,7 +25,7 @@ from typing import Callable, Container, Mapping, Sequence
 
 import numpy as np
 
-from .errors import AnalysisError, ContractViolation, MatchingConditionError, SpectrumFormatError
+from .errors import AnalysisError, ContractViolation, SpectrumFormatError
 from .ioutil import MAX_GRID_POINTS, finite_number, read_json_object
 from .polyhom import CutoffFunction
 from .spectral_model import CrossSectionSpectrum, ModeOperator, _require_keys, mode_list
@@ -322,7 +322,7 @@ class GluedOperator:
 
     @property
     def n_points(self) -> int:
-        return round((2 * self.T + self.L1 + self.L2) / self.h)
+        return len(self.t)
 
     def apply_mode(self, i: int, u: np.ndarray) -> np.ndarray:
         diag, off = self.mats[i]
@@ -388,7 +388,7 @@ def assemble(
     identically on |t| <= 1/2 and are untouched where rho_i <= T - 1/2.
     """
     if block1.spec != spec or block2.spec != spec:
-        raise MatchingConditionError("blocks must be built on the same cross-section spectrum")
+        raise ContractViolation("blocks must be built on the same cross-section spectrum")
     n = glued_points(T, block1.L, block2.L, h)
     modes = tuple(mode_list(spec, q, cutoff))
     for name, block in (("block 1", block1), ("block 2", block2)):
@@ -602,7 +602,7 @@ def block_kernel(
     of shooting again: the elements are the same, bit for bit.
     """
     if block.spec != spec:
-        raise MatchingConditionError("block was built on a different spectrum")
+        raise ContractViolation("block was built on a different spectrum")
     reach = _kernel_reach(block, reach)
     if march is None:
         march = BlockMarch.shoot(block, q, h, cutoff, reach)

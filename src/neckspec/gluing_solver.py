@@ -25,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AnalysisError,
-    ContractViolation,
-    NoContractionError,
-    NotOrthogonalError,
-)
+from .errors import AnalysisError, ContractViolation
 from .glued_model import (
     KERNEL_TOL,
     NEUMANN,
@@ -638,7 +633,7 @@ def approx_solve(
     if worst > 1e-6 * norm(G, f[sorted({mode for mode, _ in S.basis})]):
         nf = norm(G, f)
         if worst > 1e-6 * nf:
-            raise NotOrthogonalError(
+            raise AnalysisError(
                 f"source overlaps the substitute kernel: |<f, k>| = {worst:.3e}"
                 f" > 1.0e-06 * ||f|| = {1e-6 * nf:.3e}"
             )
@@ -771,7 +766,10 @@ def solve_exact(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> SolveRe
                                n_fn / nf, nf)
         if len(etas) >= 2 and etas[-1] >= 1.0 and etas[-2] >= 1.0:
             worst = G.families[int(np.argmax(_family_norms(G, a)))][0]
-            raise NoContractionError(max(etas[-2:]), worst, G.modes[worst].nu, G.T)
+            eta, nu = max(etas[-2:]), G.modes[worst].nu
+            raise AnalysisError(
+                f"iteration does not contract: eta = {eta:.6g} >= 1; the largest residual is on "
+                f"the family of mode {worst}, nu = {nu:.6g}, sqrt(nu) T = {nu**0.5 * G.T:.6g}")
     raise AnalysisError("correction iteration did not converge in 80 rounds")
 
 

@@ -16,13 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    AnalysisError,
-    ContractViolation,
-    InsufficientEigenvaluesError,
-    ResolutionError,
-)
-from .glued_model import GluedOperator
+from .errors import AnalysisError, ContractViolation
+from .glued_model import GluedOperator, eigen_lowest
 from .gluing_solver import SubstituteKernel, substitute_kernel
 from .ioutil import format_real
 from .polyhom import CutoffFunction
@@ -478,7 +473,7 @@ def minmax_upper_from_Vn(G: GluedOperator, n: int, eps: float = 0.05) -> float:
     M = G.h * np.conj(U) @ U.T
     mvals = np.linalg.eigvalsh(M)
     if mvals[0] <= 1e-12 * max(mvals[-1], 1.0):
-        raise ResolutionError("trial space is degenerate on this grid; refine h")
+        raise AnalysisError("trial space is degenerate on this grid; refine h")
     bound = 0.0
     for members in G.families:
         if not G.modes[members[0]].is_zero_mode:
@@ -511,14 +506,12 @@ def scalar_lambda1_bounds(G: GluedOperator) -> tuple[float, float]:
     kernel profile, with its kernel component removed: the discrete
     version of the 6/T^2 test function bound.
     """
-    import scipy.linalg
     if len(G.modes) != 1 or not G.modes[0].is_zero_mode:
         raise ContractViolation("scalar model expected: exactly one zero mode")
-    vals = scipy.linalg.eigvalsh_tridiagonal(*G.mats[0], select="i",
-                                             select_range=(0, min(4, G.n_points) - 1))
+    vals = eigen_lowest(G, 4).values()
     above = vals[vals > THRESHOLD_ZERO]
     if len(above) == 0:
-        raise InsufficientEigenvaluesError("no eigenvalue above the kernel threshold")
+        raise AnalysisError("no eigenvalue above the kernel threshold")
     lower = float(above[0])
     S = substitute_kernel(G)
     t = G.grid()

@@ -106,17 +106,15 @@ class ModeOperator:
         return self.nu <= MERGE_TOL
 
 
-def circle_spectrum(length: float = 2 * math.pi, max_modes: int = 8) -> CrossSectionSpectrum:
-    """Spectrum of the circle of a given circumference.
+def circle_spectrum() -> CrossSectionSpectrum:
+    """Spectrum of the circle of circumference 2 pi.
 
-    Functions and one-forms share the eigenvalue list: 0 once and
-    (2 pi k / length)^2 twice for k = 1 .. max_modes.
+    Functions and one-forms share the eigenvalue list: 0 once and k^2
+    twice for k = 1 .. 8.
     """
-    if length <= 0:
-        raise ContractViolation("circle length must be positive")
-    pairs = [(0.0, 1)] + [((2 * math.pi * k / length) ** 2, 2) for k in range(1, max_modes + 1)]
+    pairs = [(0.0, 1)] + [(float(k * k), 2) for k in range(1, 9)]
     return CrossSectionSpectrum(
-        name=f"circle(length={length:g})",
+        name="circle(length=6.28319)",
         dimension=1,
         degrees={0: tuple(pairs), 1: tuple(pairs)},
     )
@@ -134,16 +132,16 @@ def scalar_spectrum(
     return CrossSectionSpectrum(name=name, dimension=1, degrees={0: tuple(pairs)})
 
 
-def torus2_spectrum(max_lattice: int = 6) -> CrossSectionSpectrum:
+def torus2_spectrum() -> CrossSectionSpectrum:
     """Square two-torus with unit side lengths.
 
     Scalar eigenvalues are 4 pi^2 (m^2 + n^2) over lattice points with
-    |m|, |n| <= max_lattice; the degree-q multiplicity carries the extra
+    |m|, |n| <= 6; the degree-q multiplicity carries the extra
     binomial(2, q) factor from the form bundle.
     """
     counts: dict[float, int] = {}
-    for m in range(-max_lattice, max_lattice + 1):
-        for n in range(-max_lattice, max_lattice + 1):
+    for m in range(-6, 7):
+        for n in range(-6, 7):
             nu = 4 * math.pi**2 * (m * m + n * n)
             counts[nu] = counts.get(nu, 0) + 1
     scalar = sorted(counts.items())
@@ -151,7 +149,7 @@ def torus2_spectrum(max_lattice: int = 6) -> CrossSectionSpectrum:
         q: tuple((nu, mult * math.comb(2, q)) for nu, mult in scalar)
         for q in range(3)
     }
-    return CrossSectionSpectrum(name=f"torus2(max_lattice={max_lattice})", dimension=2, degrees=degrees)
+    return CrossSectionSpectrum(name="torus2(max_lattice=6)", dimension=2, degrees=degrees)
 
 
 def _require_keys(obj: dict, required: set[str], where: str) -> None:

@@ -12,7 +12,6 @@ from neckspec import glued_model
 from neckspec.errors import (
     AnalysisError,
     ContractViolation,
-    MatchingConditionError,
     SpectrumFormatError,
 )
 from neckspec.glued_model import (
@@ -178,8 +177,9 @@ def test_second_block_enters_axis_reversed():
 
 
 def test_assembly_preconditions():
-    with pytest.raises(MatchingConditionError):
-        assemble(flat_block(circle_spectrum()), flat_block(torus2_spectrum(2)),
+    with pytest.raises(ContractViolation,
+                       match="^blocks must be built on the same cross-section spectrum$"):
+        assemble(flat_block(circle_spectrum()), flat_block(torus2_spectrum()),
                  circle_spectrum(), 0, T=3.0, h=H)
     with pytest.raises(ContractViolation):
         assemble(flat_block(), flat_block(), SCALAR, 0, T=3.0, h=1.0 / 8)

@@ -6,6 +6,7 @@ scipy.linalg, so the command checks run in a fresh interpreter.
 """
 
 import ast
+import builtins
 import json
 import os
 import subprocess
@@ -223,6 +224,79 @@ def _class_members():
                 yield name, f"{cls.name}.{attr}", init
 
 
+def test_every_error_class_is_caught_by_name():
+    # an error class no handler names is told apart from its base by unit
+    # tests alone; cli.main maps errors to exit codes by base class
+    bases, module_of, caught = {}, {}, set()
+    for module, tree in _src_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {n.id if isinstance(n, ast.Name) else n.attr for n in names}
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [b.id for b in node.bases if isinstance(b, ast.Name)]
+                module_of[node.name] = module
+
+    def is_error(name):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return any(map(is_error, bases.get(name, ())))
+
+    uncaught = sorted(f"{module_of[cls]}:{cls}" for cls in bases
+                      if is_error(cls) and cls not in caught and cls != "NeckspecError")
+    assert not uncaught, f"error classes no except clause in src/ names: {uncaught}"
+
+
+def test_every_option_is_set_by_some_caller():
+    # a parameter default only unit tests override is an option kept for
+    # them alone; a call through a lookup such as presets[...]() sets
+    # nothing, as the scan matches calls by the callee's name
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in [*_src_modules().values(),
+                 *(ast.parse(path.read_text(encoding="utf-8")) for path in OUTSIDE_SRC)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(called, []).append(node)
+
+    def options(node, skip):
+        """(name, position in a call or None) of each defaulted parameter;
+        skip is the number of leading parameters a call does not pass."""
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        yield from ((p.arg, k - skip) for k, p in enumerate(positional) if k >= first)
+        yield from ((p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None)
+
+    def sets(call, param, position):
+        if any(k.arg in (param, None) for k in call.keywords):
+            return True
+        return position is not None and (
+            len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+    defined = []
+    for module, tree in _src_modules().items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((module, node.name, node.name, node, 0))
+            elif isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in method.decorator_list)
+                        called = node.name if method.name == "__init__" else method.name
+                        defined.append((module, f"{node.name}.{method.name}", called, method,
+                                        0 if static else 1))
+    unset = [f"{module}:{qualified}({param})" for module, qualified, called, node, skip in defined
+             for param, position in options(node, skip)
+             if not any(sets(call, param, position) for call in calls.get(called, []))]
+    assert not unset, f"options no src code, acceptance test or benchmark sets: {unset}"
+
+
 def test_every_class_member_has_a_reader():
     # a member only unit tests read is surface kept for them alone; members
     # are matched by name, as a reader rarely names the class
@@ -267,9 +341,7 @@ print(json.dumps({"exit": int(code), "entered": sorted(entered)}))
 # what the CLI tests and the acceptance criteria never call, with the reason
 # each is kept
 NEVER_ENTERED = {
-    "glued_model.py:eigen_lowest": "read by the benchmark's tracer",
     "glued_model.py:GluedOperator.coupling_eff": "read by the benchmark's tracer",
-    "glued_model.py:EigenResult.values": "the unit tests' oracle API of eigen_lowest",
     "glued_model.py:GluedOperator.apply": "test reference, also called by the benchmark's tests",
 }
 

@@ -9,11 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from neckspec import spectral_density as sd
-from neckspec.errors import (
-    AnalysisError,
-    ContractViolation,
-    ResolutionError,
-)
+from neckspec.errors import AnalysisError, ContractViolation
 from neckspec.glued_model import (
     BuildingBlock,
     Potential,
@@ -621,7 +617,7 @@ def test_minmax_degenerate_gram(monkeypatch):
     doubled = sd.TestSpace(k_values=base.k_values,
                            basis=np.vstack([base.basis[0], base.basis[0]]))
     monkeypatch.setattr(sd, "test_space", lambda *a, **k: doubled)
-    with pytest.raises(ResolutionError):
+    with pytest.raises(AnalysisError, match="^trial space is degenerate on this grid; refine h$"):
         sd.minmax_upper_from_Vn(flat_scalar(20.0), 2)
 
 

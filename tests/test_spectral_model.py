@@ -32,48 +32,38 @@ def lattice_multiplicities(max_lattice):
 
 class TestCircleSpectrum:
     def test_unit_circle_low_eigenvalues(self):
-        spec = circle_spectrum(length=2 * math.pi, max_modes=2)
-        assert spec.eigenvalues(0)[:3] == ((0.0, 1), (1.0, 2), (4.0, 2))
+        spec = circle_spectrum()
+        assert spec.eigenvalues(0) == ((0.0, 1),) + tuple((float(k * k), 2) for k in range(1, 9))
         assert spec.eigenvalues(1) == spec.eigenvalues(0)
 
     def test_betti_numbers(self):
-        spec = circle_spectrum(length=2 * math.pi, max_modes=2)
+        spec = circle_spectrum()
         assert spec.betti(0) == 1
         assert spec.betti(1) == 1
-
-    def test_short_circle(self):
-        spec = circle_spectrum(length=math.pi, max_modes=1)
-        got = spec.eigenvalues(0)
-        assert got[0] == (0.0, 1)
-        assert got[1][1] == 2
-        assert got[1][0] == pytest.approx(4.0, abs=1e-12)
-
-    def test_bad_length(self):
-        with pytest.raises(ContractViolation):
-            circle_spectrum(length=0.0)
 
 
 class TestTorusSpectrum:
     def test_betti_list(self):
-        spec = torus2_spectrum(max_lattice=1)
+        spec = torus2_spectrum()
         assert (spec.betti(0), spec.betti(1), spec.betti(2)) == (1, 2, 1)
 
     def test_scalar_multiplicity_against_enumeration(self):
-        oracle = lattice_multiplicities(1)
-        spec = torus2_spectrum(max_lattice=1)
+        oracle = lattice_multiplicities(6)
+        spec = torus2_spectrum()
         got = dict(spec.eigenvalues(0))
         assert got[4 * math.pi**2] == oracle[1] == 4
 
     def test_one_form_multiplicity(self):
         # the form bundle contributes binomial(2, 1) = 2 on top of the
         # lattice count 4, so degree 1 sees 4 pi^2 with multiplicity 8
-        spec = torus2_spectrum(max_lattice=2)
+        spec = torus2_spectrum()
         got = dict(spec.eigenvalues(1))
         assert got[4 * math.pi**2] == 8
 
     def test_all_degrees_scale_by_binomial(self):
-        spec = torus2_spectrum(max_lattice=3)
-        oracle = lattice_multiplicities(3)
+        spec = torus2_spectrum()
+        oracle = lattice_multiplicities(6)
+        assert len(spec.eigenvalues(0)) == len(oracle)
         for q, factor in ((0, 1), (1, 2), (2, 1)):
             got = dict(spec.eigenvalues(q))
             for norm, count in oracle.items():
@@ -237,4 +227,8 @@ class TestSpectrumInvariants:
 
     def test_spectra_compare_by_value(self):
         assert circle_spectrum() == circle_spectrum()
-        assert circle_spectrum() != circle_spectrum(length=3.0)
+        # the same name, one eigenvalue moved
+        pairs = circle_spectrum().eigenvalues(0)
+        moved = CrossSectionSpectrum("circle(length=6.28319)", 1,
+                                     {0: pairs, 1: pairs[:-1] + ((81.0, 2),)})
+        assert circle_spectrum() != moved
