@@ -45,7 +45,7 @@ from .glued_model import (
     sample_rows,
 )
 from .gluing_solver import solve_exact, solve_report_csv, substitute_kernel
-from .ioutil import (MAX_GRID_VALUES, finite_number, format_complex, format_real,
+from .ioutil import (MAX_GRID_VALUES, _is_integer_key, finite_number, format_complex, format_real,
                      read_json_object, write_text_atomic)
 from .neck_inverse import (_exact_cells, operator_norm_fit, q0_apply, residual_on_support,
                            seeded_section)
@@ -160,11 +160,9 @@ def _block_from(entry, spec, base_dir: str, where: str) -> BuildingBlock:
         raise ConfigError(f"{where}.potentials: expected an object")
     pots = {}
     for key, val in potentials.items():
-        try:
-            idx = int(key)
-        except ValueError:
-            raise ConfigError(f"{where}: potential key {key!r} is not an integer") from None
-        pots[idx] = _potential_from(val, mu, f"{where}.potentials[{json.dumps(key)}]")
+        if not _is_integer_key(key):
+            raise ConfigError(f"{where}: potential key {key!r} is not an integer")
+        pots[int(key)] = _potential_from(val, mu, f"{where}.potentials[{json.dumps(key)}]")
     return BuildingBlock(spec=spec, L=_number(entry, "L", where),
                          boundary=str(entry["boundary"]), mu=mu, potentials=pots)
 
@@ -213,7 +211,7 @@ def load_config(path: str, out_override: str | None) -> ExperimentConfig:
     T_values = _positive_floats(raw.get("T", [5.0, 10.0, 20.0, 40.0]), "T")
     if not T_values:
         raise ConfigError("T: expected at least one value")
-    s_values = _positive_floats(raw.get("s", []), "s") if raw.get("s") else ()
+    s_values = _positive_floats(raw.get("s", []), "s")
 
     h = _positive(raw.get("h", 1.0 / 16), "h")
     cutoff = math.inf if raw.get("cutoff") is None else _positive(raw["cutoff"], "cutoff")
@@ -341,7 +339,7 @@ def cmd_paircheck(cfg: ExperimentConfig):
         u = affine_section(z[0:2], z[2:4])
         v = affine_section(z[4:6], z[6:8])
         closed = pairing_closed(op, u, v)
-        quad = pairing_integral(op, u, v, quad_step=1.0 / 1024)
+        quad = pairing_integral(op, u, v)
         diff = abs(quad - closed)
         scale = 1.0 + abs(closed)
         ok &= diff <= 1e-8 * scale
@@ -351,7 +349,7 @@ def cmd_paircheck(cfg: ExperimentConfig):
         )
         if case < 10:
             center = float(rng.uniforms(1, -3.0, 3.0)[0])
-            shifted = pairing_integral(op, u, v, CutoffFunction(center), quad_step=1.0 / 1024)
+            shifted = pairing_integral(op, u, v, CutoffFunction(center))
             cdiff = abs(shifted - quad)
             ok &= cdiff <= 1e-8 * scale
             worst_chi = max(worst_chi, cdiff / scale)

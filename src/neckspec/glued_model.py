@@ -26,9 +26,9 @@ from typing import Callable, Container, Mapping, Sequence
 import numpy as np
 
 from .errors import AnalysisError, ContractViolation, SpectrumFormatError
-from .ioutil import MAX_GRID_POINTS, finite_number, read_json_object
+from .ioutil import MAX_GRID_POINTS, _is_integer_key, _require_keys, finite_number, read_json_object
 from .polyhom import CutoffFunction
-from .spectral_model import CrossSectionSpectrum, ModeOperator, _require_keys, mode_list
+from .spectral_model import CrossSectionSpectrum, ModeOperator, mode_list
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -211,7 +211,7 @@ def load_block(path: str, spec: CrossSectionSpectrum) -> BuildingBlock:
     """Read block data from JSON: { "L", "boundary", "mu", "potentials":
     { "<mode-index>": [[s, V], ...] } }. Strict about unknown keys."""
     raw = read_json_object(path, SpectrumFormatError)
-    _require_keys(raw, {"L", "boundary", "mu", "potentials"}, "top level")
+    _require_keys(raw, {"L", "boundary", "mu", "potentials"})
     L, mu = finite_number(raw["L"]), finite_number(raw["mu"])
     if L is None or mu is None:
         raise SpectrumFormatError(f"{'L' if L is None else 'mu'}: expected a finite number")
@@ -219,11 +219,9 @@ def load_block(path: str, spec: CrossSectionSpectrum) -> BuildingBlock:
         raise SpectrumFormatError("potentials: expected an object")
     pots = {}
     for key, rows in raw["potentials"].items():
-        try:
-            idx = int(key)
-        except ValueError:
-            raise SpectrumFormatError(f"potentials[{key!r}]: key is not an integer") from None
-        pots[idx] = Potential.from_samples(sample_rows(rows, f"potentials[{key!r}]"), mu)
+        if not _is_integer_key(key):
+            raise SpectrumFormatError(f"potentials[{key!r}]: key is not an integer")
+        pots[int(key)] = Potential.from_samples(sample_rows(rows, f"potentials[{key!r}]"), mu)
     return BuildingBlock(
         spec=spec,
         L=L,
@@ -527,11 +525,10 @@ def _growth_slopes(s: np.ndarray, u: np.ndarray, log_scale: np.ndarray) -> np.nd
     return slopes
 
 
-def _kernel_reach(block: BuildingBlock, reach: float | None) -> float:
-    """The reach a block's shot covers: ``reach``, raised to the default
+def _kernel_reach(block: BuildingBlock, reach: float) -> float:
+    """The reach a block's shot covers: ``reach``, raised to the least
     that the block's decay rate asks for."""
-    default = float(block.L + _shooting_reach(block.mu))
-    return default if reach is None else max(float(reach), default)
+    return max(float(reach), float(block.L + _shooting_reach(block.mu)))
 
 
 @dataclass(frozen=True)
@@ -560,11 +557,11 @@ class BlockMarch:
     def shoot(cls, block: BuildingBlock, q: int, h: float, cutoff: float,
               reach: float) -> "BlockMarch":
         """March the mode families of degree q that can hold a kernel out to
-        ``reach``, raised to the block's default reach: the zero modes
-        (shot with nu = 0) and the positive modes carrying a potential
-        (``mode_families`` of the modes with a potential on the block). A
-        free positive mode is -d^2 + nu, positive definite at every step,
-        and is not shot."""
+        ``reach``, raised to the least the block's decay rate asks for: the
+        zero modes (shot with nu = 0) and the positive modes carrying a
+        potential (``mode_families`` of the modes with a potential on the
+        block). A free positive mode is -d^2 + nu, positive definite at every
+        step, and is not shot."""
         modes = mode_list(block.spec, q, cutoff)
         families = [(nu, members)
                     for (nu, _), members in mode_families(modes, block.potentials).items()
@@ -581,10 +578,10 @@ def block_kernel(
     block: BuildingBlock,
     spec: CrossSectionSpectrum,
     q: int,
-    h: float = 1.0 / 16,
-    cutoff: float = math.inf,
-    reach: float | None = None,
-    march: BlockMarch | None = None,
+    h: float,
+    cutoff: float,
+    reach: float,
+    march: BlockMarch | None,
 ) -> tuple[ShootingElement, ...]:
     """Shoot the modes of degree q that can hold a kernel from the outer
     boundary and classify.
@@ -594,7 +591,8 @@ def block_kernel(
     mode with a potential on the block is certified kernel-free by its
     growth rate: a bound state or threshold resonance below nu would hold
     the log slope of the shot under sqrt(nu) / 2. The shooting reach can
-    only be extended, never shortened below its default.
+    only be extended, never shortened below the least that the block's
+    decay rate asks for.
 
     One shot serves each family of modes that shoot the same ODE
     (``BlockMarch.shoot``). A given ``march`` of this block, degree,
@@ -658,18 +656,11 @@ def block_kernel(
 
 
 @dataclass(frozen=True)
-class EigenEntry:
-    value: float
-    mode_index: int
-    k_within: int
-
-
-@dataclass(frozen=True)
 class EigenResult:
-    entries: tuple[EigenEntry, ...]
+    entries: tuple[float, ...]  # ascending, one per (mode, rank)
 
     def values(self) -> np.ndarray:
-        return np.array([e.value for e in self.entries])
+        return np.array(self.entries)
 
 
 def eigen_lowest(G: GluedOperator, k: int) -> EigenResult:
@@ -682,14 +673,10 @@ def eigen_lowest(G: GluedOperator, k: int) -> EigenResult:
     if k < 1:
         raise ContractViolation("need k >= 1")
     kk = min(k, G.n_points)
-    entries: list[EigenEntry] = []
+    entries: list[float] = []
     for members in G.families:
         vals = scipy.linalg.eigvalsh_tridiagonal(
             *G.mats[members[0]], select="i", select_range=(0, kk - 1)
         )
-        entries.extend(
-            EigenEntry(float(v), i, rank)
-            for i in members for rank, v in enumerate(vals)
-        )
-    entries.sort(key=lambda e: (e.value, e.mode_index, e.k_within))
-    return EigenResult(entries=tuple(entries))
+        entries.extend(vals.tolist() * len(members))
+    return EigenResult(entries=tuple(sorted(entries)))

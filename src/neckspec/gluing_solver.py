@@ -332,7 +332,7 @@ def _neck_solve(G: GluedOperator, f0: np.ndarray, members: list[int]) -> np.ndar
 
 
 def cylinder_solve(G: GluedOperator, f: np.ndarray, window: np.ndarray | float,
-                   families: Sequence[list[int]] | None = None) -> np.ndarray:
+                   families: Sequence[list[int]]) -> np.ndarray:
     """Mode-by-mode inverse of the free cylinder operator on the infinite
     grid, applied to f0 = window * f (a grid array or a scalar) continued
     by zeros. Every row of the result, the two end rows included,
@@ -340,8 +340,8 @@ def cylinder_solve(G: GluedOperator, f: np.ndarray, window: np.ndarray | float,
     takes past the ends: positive modes decay both ways, zero modes vanish
     left of the support. The positive modes of one family share one
     banded solve. f0 is formed family by family, so no windowed copy of
-    the whole source is held. Only the rows of ``families`` (all of
-    ``G.families`` by default) are solved; the others are zero."""
+    the whole source is held. Only the rows of ``families`` are solved;
+    the others are zero."""
     families = _families(G, families)
     f = _inexact(f)
     out = np.zeros((len(G.modes), G.n_points), dtype=f.dtype)
@@ -592,7 +592,7 @@ def approx_solve(
     G: GluedOperator,
     S: SubstituteKernel,
     f: np.ndarray,
-    families: Sequence[list[int]] | None = None,
+    families: Sequence[list[int]],
 ) -> np.ndarray:
     """One pass of the gluing construction, in place: returns u and
     overwrites f with the residual e = f - P_T u, of relative size
@@ -607,13 +607,13 @@ def approx_solve(
     family's (k, n) rows go through the whole pass while they are in cache;
     a family of contiguous rows is read as a view.
 
-    The pass runs on the rows of ``families`` (all of ``G.families`` by
-    default). Every stage is block diagonal in the families and the
-    kernel basis is per mode, so a subset is exact: on the other rows
-    u = 0 and e = f, which those rows of f already hold. An entry that is
-    not an entry of ``G.families`` is refused before any (modes x n) array
-    is made, and so is an f that cannot take e in place: read-only, not
-    C-contiguous, or not float64 or complex128.
+    The pass runs on the rows of ``families``. Every stage is block
+    diagonal in the families and the kernel basis is per mode, so a subset
+    is exact: on the other rows u = 0 and e = f, which those rows of f
+    already hold. An entry that is not an entry of ``G.families`` is
+    refused before any (modes x n) array is made, and so is an f that
+    cannot take e in place: read-only, not C-contiguous, or not float64 or
+    complex128.
 
     Every stage that reads the whole source (the kernel overlaps and the
     characteristic system) runs before any row of e is written, and each

@@ -8,6 +8,8 @@ import math
 import os
 import tempfile
 
+from .errors import SpectrumFormatError
+
 # the most points one grid may have; a length and step past it ask for an
 # astronomically large grid, not a fine one
 MAX_GRID_POINTS = 2**31 - 1
@@ -21,16 +23,42 @@ MAX_GRID_VALUES = 2**24
 
 def read_json_object(path: str, error: type[Exception]) -> dict:
     """The JSON object in a UTF-8 file. Bytes that are not UTF-8, text that
-    is not JSON, nesting too deep to parse and a top level that is not an
-    object all raise ``error``."""
+    is not JSON, nesting too deep to parse, a key repeated in any object
+    and a top level that is not an object all raise ``error``."""
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise error(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=unique)
         except (ValueError, RecursionError) as exc:
             raise error(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise error("top level: expected an object")
     return raw
+
+
+def _require_keys(obj: dict, required: set[str]) -> None:
+    missing = required - obj.keys()
+    if missing:
+        raise SpectrumFormatError(f"top level: missing field {sorted(missing)[0]!r}")
+    unknown = obj.keys() - required
+    if unknown:
+        raise SpectrumFormatError(f"top level: unknown field {sorted(unknown)[0]!r}")
+
+
+def _is_integer_key(key: str) -> bool:
+    """Whether a key is an integer in canonical form ("00", "+1" and "1_0" are not)."""
+    try:
+        return str(int(key)) == key
+    except ValueError:
+        return False
 
 
 def format_complex(z: complex) -> str:

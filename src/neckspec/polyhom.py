@@ -27,6 +27,8 @@ import numpy as np
 
 from .errors import ContractViolation
 
+# the Simpson panels of pairing_integral across a cutoff's unit transition
+_QUAD_PANELS = 1024
 
 # ---------------------------------------------------------------------------
 # polynomial helpers; a polynomial is a tuple of fiber vectors (low degree
@@ -94,13 +96,10 @@ class PolyhomSection:
         return _poly_values(self.coeffs, np.asarray(t, dtype=float), self.fiber_dim)
 
 
-def affine_section(a, b=None) -> PolyhomSection:
+def affine_section(a, b) -> PolyhomSection:
     """The section a + t b."""
     a = np.atleast_1d(np.asarray(a))
-    coeffs = [a]
-    if b is not None:
-        coeffs.append(np.atleast_1d(np.asarray(b)))
-    return PolyhomSection(len(a), tuple(coeffs))
+    return PolyhomSection(len(a), (a, np.atleast_1d(np.asarray(b))))
 
 
 def dump(u: PolyhomSection) -> str:
@@ -244,13 +243,13 @@ def _coerce_poly_section(f, dim: int) -> PolyhomSection:
 # the pairing
 
 
-def pairing_integral(op, u: PolyhomSection, v: PolyhomSection, chi: CutoffFunction | None = None,
-                     quad_step: float = 1.0 / 256) -> complex:
+def pairing_integral(op, u: PolyhomSection, v: PolyhomSection,
+                     chi: CutoffFunction | None = None) -> complex:
     """Numerical pairing int <P(D_t)[chi u], v> dt by composite Simpson.
 
     The integrand is supported on the transition interval of chi, so the
-    quadrature runs over [center - 1/2, center + 1/2] with the given step.
-    Both sections must lie in the kernel of P; anything else has no
+    quadrature runs over [center - 1/2, center + 1/2] in _QUAD_PANELS
+    panels. Both sections must lie in the kernel of P; anything else has no
     chi-independent pairing and is refused. The integrand is -(chi u)''
     against v for a Laplace block and J (chi u)' against v for a Dirac block.
     """
@@ -261,10 +260,8 @@ def pairing_integral(op, u: PolyhomSection, v: PolyhomSection, chi: CutoffFuncti
     if not in_kernel(op, v):
         raise ContractViolation("second section is not annihilated by the operator")
 
-    n_step = round(1.0 / quad_step)
-    if n_step < 2 or n_step % 2 == 1 or abs(n_step * quad_step - 1.0) > 1e-12:
-        raise ContractViolation("quad_step must divide 1 into an even number of panels")
-    t = chi.center - 0.5 + quad_step * np.arange(n_step + 1)
+    step = 1.0 / _QUAD_PANELS
+    t = chi.center - 0.5 + step * np.arange(_QUAD_PANELS + 1)
 
     c0 = chi(t)
     c1 = chi.d1(t)
@@ -282,10 +279,10 @@ def pairing_integral(op, u: PolyhomSection, v: PolyhomSection, chi: CutoffFuncti
     vv = v.evaluate(t)
     integrand = np.sum(p_chi_u * np.conj(vv), axis=0)
 
-    w = np.ones(n_step + 1)
+    w = np.ones(_QUAD_PANELS + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return complex(np.sum(w * integrand) * quad_step / 3.0)
+    return complex(np.sum(w * integrand) * step / 3.0)
 
 
 def pairing_closed(op, u: PolyhomSection, v: PolyhomSection) -> complex:

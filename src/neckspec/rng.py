@@ -23,7 +23,7 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK
 
-    def uniforms(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+    def uniforms(self, n: int, low: float, high: float) -> np.ndarray:
         """n draws in [low, high), each from 53 significant bits of one
         output. Draw i = 1..n mixes the state s + i * gamma, s the state
         before the call (mod 2^64, which uint64 arithmetic wraps), so all n

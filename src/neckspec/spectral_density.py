@@ -30,6 +30,7 @@ STURM_CHUNK = 128
 # grid steps whose pivots are held at once: the pivmin test and the count of
 # negative pivots run once per block of steps, not once per step
 STURM_BLOCK = 16
+_MINMAX_EPS = 0.05
 
 
 def window_top(G: GluedOperator, s: float) -> float:
@@ -448,16 +449,16 @@ def h_operator_check(coeffs: Mapping[int, complex], T: float) -> float:
 # min-max upper bounds
 
 
-def minmax_upper_from_Vn(G: GluedOperator, n: int, eps: float = 0.05) -> float:
+def minmax_upper_from_Vn(G: GluedOperator, n: int) -> float:
     """Rayleigh bound from the V_n trial space on the neck.
 
     Places every V_n basis function, scaled to [-T, T] and cut at
     0.9 T, on each zero-mode row; returns the largest generalized
     Rayleigh quotient and asserts the min-max consequence: at least
-    (2n-2) B - dim kernel eigenvalues lie in (threshold, (1+eps)(n pi)^2/T^2],
-    with both counts taken by ``sturm_counts``. The Gram matrix M of the
-    trials is the same on every row, and the stiffness matrix A the same on
-    every member of a mode family, so each is built once.
+    (2n-2) B - dim kernel eigenvalues lie in (threshold, (1+eps)(n pi)^2/T^2]
+    with eps = _MINMAX_EPS, both counts taken by ``sturm_counts``. The Gram
+    matrix M of the trials is the same on every row, and the stiffness
+    matrix A the same on every member of a mode family, so each is built once.
     """
     import scipy.linalg
     if n < 2:
@@ -481,7 +482,7 @@ def minmax_upper_from_Vn(G: GluedOperator, n: int, eps: float = 0.05) -> float:
         A = G.h * np.conj(U) @ G.apply_mode(members[0], U).T
         vals = scipy.linalg.eigh(A, M, eigvals_only=True)
         bound = max(bound, float(np.max(vals.real)))
-    target = (1.0 + eps) * (n * math.pi) ** 2 / G.T**2
+    target = (1.0 + _MINMAX_EPS) * (n * math.pi) ** 2 / G.T**2
     if bound > target:
         raise AnalysisError(
             f"trial Rayleigh bound {bound:.6e} exceeds (1+eps)(n pi)^2/T^2 = {target:.6e}"

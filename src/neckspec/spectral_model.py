@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Literal, Mapping, Sequence
 
 from .errors import ContractViolation, SpectrumFormatError
-from .ioutil import MAX_MODES, read_json_object
+from .ioutil import MAX_MODES, _is_integer_key, _require_keys, read_json_object
 
 KIND_LAPLACE = "laplace"
 KIND_DIRAC = "dirac"
@@ -152,15 +152,6 @@ def torus2_spectrum() -> CrossSectionSpectrum:
     return CrossSectionSpectrum(name="torus2(max_lattice=6)", dimension=2, degrees=degrees)
 
 
-def _require_keys(obj: dict, required: set[str], where: str) -> None:
-    missing = required - obj.keys()
-    if missing:
-        raise SpectrumFormatError(f"{where}: missing field {sorted(missing)[0]!r}")
-    unknown = obj.keys() - required
-    if unknown:
-        raise SpectrumFormatError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-
-
 def load_spectrum(path: str) -> CrossSectionSpectrum:
     """Read a spectrum from a JSON file, strictly.
 
@@ -169,7 +160,7 @@ def load_spectrum(path: str) -> CrossSectionSpectrum:
     messages name the offending field.
     """
     raw = read_json_object(path, SpectrumFormatError)
-    _require_keys(raw, {"name", "dimension", "degrees"}, "top level")
+    _require_keys(raw, {"name", "dimension", "degrees"})
     if not isinstance(raw["name"], str):
         raise SpectrumFormatError("name: expected a string")
     if not isinstance(raw["dimension"], int) or isinstance(raw["dimension"], bool):
@@ -179,10 +170,8 @@ def load_spectrum(path: str) -> CrossSectionSpectrum:
 
     degrees: dict[int, list[tuple[float, int]]] = {}
     for key, rows in raw["degrees"].items():
-        try:
-            q = int(key)
-        except ValueError:
-            raise SpectrumFormatError(f"degrees[{key!r}]: key is not an integer") from None
+        if not _is_integer_key(key):
+            raise SpectrumFormatError(f"degrees[{key!r}]: key is not an integer")
         if not isinstance(rows, list):
             raise SpectrumFormatError(f"degrees[{key!r}]: expected a list of [nu, mult] pairs")
         pairs = []
@@ -195,7 +184,7 @@ def load_spectrum(path: str) -> CrossSectionSpectrum:
             if not isinstance(mult, int) or isinstance(mult, bool):
                 raise SpectrumFormatError(f"degrees[{key!r}][{k}][1]: multiplicity is not an integer")
             pairs.append((float(nu), mult))
-        degrees[q] = pairs
+        degrees[int(key)] = pairs
 
     return CrossSectionSpectrum(name=raw["name"], dimension=raw["dimension"], degrees=degrees)
 

@@ -128,12 +128,12 @@ def test_criterion_2_pairing_calculus():
         u = affine_section(z[0:2], z[2:4])
         v = affine_section(z[4:6], z[6:8])
         closed = pairing_closed(op, u, v)
-        quad = pairing_integral(op, u, v, quad_step=1.0 / 1024)
+        quad = pairing_integral(op, u, v)
         scale = 1.0 + abs(closed)
         worst = max(worst, abs(quad - closed) / scale)
         if case % 5 == 0:
             center = float(rng.uniforms(1, -3.0, 3.0)[0])
-            moved = pairing_integral(op, u, v, CutoffFunction(center), quad_step=1.0 / 1024)
+            moved = pairing_integral(op, u, v, CutoffFunction(center))
             worst_chi = max(worst_chi, abs(moved - quad) / scale)
     ok &= worst <= 1e-8 and worst_chi <= 1e-8
     for op2 in (LaplaceZero(1, 1), DiracZero(1)):
@@ -345,7 +345,7 @@ def test_criterion_8_minmax_machinery():
     ):
         # raises unless at least (2n-2)B - dim K_T eigenvalues sit below
         # (1 + 0.05)(n pi)^2 / T^2
-        bound = sd.minmax_upper_from_Vn(G, n, eps=0.05)
+        bound = sd.minmax_upper_from_Vn(G, n)
         bounds.append(bound * G.T**2 / (n * math.pi) ** 2)
     ok &= all(b <= 1.05 for b in bounds)
     _report(

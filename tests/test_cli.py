@@ -134,6 +134,61 @@ class TestConfigErrors:
         assert f"error: {named}" in err
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("value", [0, False, "", {}, None])
+    def test_s_that_is_not_a_list_is_refused(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, spectrum="scalar", s=value, seed=1)
+        code, out, err = run(capsys, "roots", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == "error: s: expected a list of numbers\n"
+
+    # a config, spectrum and block file that load, and per case the one
+    # file replaced by a text that holds a key twice
+    CLEAN_FILES = {
+        "config.json": '{"spectrum": {"file": "spec.json"}, '
+                       '"blocks": [{"file": "block.json"}, {"file": "block.json"}]}',
+        "spec.json": '{"name": "s", "dimension": 1, "degrees": {"0": [[0.0, 1]]}}',
+        "block.json": '{"L": 0.0, "boundary": "neumann", "mu": 1.0, "potentials": {}}',
+    }
+    DUPLICATES = {
+        "config": ("config.json", '{"spectrum": "scalar", "T": [5, 5], "T": [6, 7]}', "'T'"),
+        "inline block": ("config.json", '{"spectrum": "scalar", "blocks": [{"L": 0.0, "L": 1.0, '
+                         '"boundary": "neumann", "mu": 1.0}, {"file": "block.json"}]}', "'L'"),
+        "spectrum file": ("spec.json", '{"name": "s", "dimension": 1, '
+                          '"degrees": {"0": [[0.0, 1]], "0": [[0.0, 2]]}}', "'0'"),
+        "block file": ("block.json", '{"L": 0.0, "boundary": "neumann", "mu": 1.0, "mu": 2.0, '
+                       '"potentials": {}}', "'mu'"),
+    }
+
+    @pytest.mark.parametrize("where", DUPLICATES)
+    def test_duplicate_key_is_refused(self, tmp_path, capsys, where):
+        name, text, key = self.DUPLICATES[where]
+        for file, clean in self.CLEAN_FILES.items():
+            (tmp_path / file).write_text(text if file == name else clean, encoding="utf-8")
+        code, out, err = run(capsys, "glue", "--config", str(tmp_path / "config.json"),
+                             "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {tmp_path / name}: duplicate key {key}\n"
+
+    @pytest.mark.parametrize("key", ["00", "+0", " 0", "0_0", "-0"])
+    @pytest.mark.parametrize("where", ["spectrum file", "block file", "inline block"])
+    def test_integer_key_not_in_canonical_form_is_refused(self, tmp_path, capsys, where, key):
+        spectrum = {"name": "s", "dimension": 1, "degrees": {key: [[0.0, 1]]}}
+        block = {"L": 0.0, "boundary": "neumann", "mu": 1.0,
+                 "potentials": {key: [[0.0, 0.1], [1.0, 0.0]]}}
+        (tmp_path / "spec.json").write_text(json.dumps(spectrum), encoding="utf-8")
+        (tmp_path / "block.json").write_text(json.dumps(block), encoding="utf-8")
+        entry = {"spectrum file": FLAT_BLOCK, "block file": {"file": "block.json"},
+                 "inline block": block}[where]
+        cfg = write_config(tmp_path, spectrum={"file": "spec.json"} if where == "spectrum file"
+                           else "scalar", blocks=[entry, FLAT_BLOCK], degrees=[0], T=[8], seed=1)
+        code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == {
+            "spectrum file": f"error: degrees[{key!r}]: key is not an integer\n",
+            "block file": f"error: potentials[{key!r}]: key is not an integer\n",
+            "inline block": f"error: blocks[0]: potential key {key!r} is not an integer\n",
+        }[where]
+
     def test_q0check_empty_T(self, tmp_path, capsys):
         cfg = write_config(tmp_path, spectrum="scalar", degrees=[0], T=[], seed=1)
         code, out, err = run(capsys, "q0check", "--config", cfg, "--out", str(tmp_path / "o"))

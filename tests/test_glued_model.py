@@ -36,6 +36,12 @@ def flat_block(spec=SCALAR, boundary=NEUMANN, L=0.0, mu=1.0):
     return BuildingBlock(spec=spec, L=L, boundary=boundary, mu=mu)
 
 
+def least_reach_kernel(block, spec, q, h=H):
+    """The block kernel of every mode, shot to the least reach the block's
+    decay rate asks for (a reach of 0 is raised to it)."""
+    return block_kernel(block, spec, q, h, math.inf, 0.0, None)
+
+
 def exp_potential(amp, rate, declared=None):
     return Potential(lambda s, h: amp * np.exp(-rate * s), declared or rate)
 
@@ -197,10 +203,11 @@ def test_mode_floor_shifts_with_nu():
                        potentials={1: exp_potential(-0.7, 1.0)})
     G = assemble(b1, flat_block(spec), spec, 0, T=3.0, h=H)
     vmin = float(np.min(G.potentials_eff[1]))
-    low = eigen_lowest(G, 1)
-    nu4 = [e for e in low.entries if G.modes[e.mode_index].nu == 4.0]
-    assert nu4[0].value >= 4.0 + vmin - 1e-10
-    assert nu4[0].value < 4.0 + math.pi**2 / 16
+    # the nu = 0 mode's lowest value is the flat Neumann 0, far below
+    zero, nu4 = eigen_lowest(G, 1).entries
+    assert zero == pytest.approx(0.0, abs=1e-9)
+    assert nu4 >= 4.0 + vmin - 1e-10
+    assert nu4 < 4.0 + math.pi**2 / 16
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +235,7 @@ def test_potential_needs_positive_rate():
 
 
 def test_flat_neumann_block_has_the_constant_kernel():
-    data = block_kernel(flat_block(L=1.0), SCALAR, 0)
+    data = least_reach_kernel(flat_block(L=1.0), SCALAR, 0)
     assert sum(e.bounded for e in data) == 1 and sum(e.decaying for e in data) == 0
     (el,) = data
     assert el.a == pytest.approx(1.0, abs=1e-12) and abs(el.b) < 1e-12
@@ -237,7 +244,7 @@ def test_flat_neumann_block_has_the_constant_kernel():
 
 
 def test_flat_dirichlet_block_grows_linearly():
-    data = block_kernel(flat_block(L=1.0, boundary=DIRICHLET), SCALAR, 0)
+    data = least_reach_kernel(flat_block(L=1.0, boundary=DIRICHLET), SCALAR, 0)
     assert sum(e.bounded for e in data) == 0
     (el,) = data
     assert not el.bounded
@@ -251,7 +258,7 @@ def test_bump_slope_equals_the_resolvent_moment():
     # must reproduce that moment exactly
     bump = Potential(lambda s, h: np.where(s < 1.0, 0.1, 0.0), mu=1.0)
     block = BuildingBlock(SCALAR, L=1.0, boundary=NEUMANN, mu=1.0, potentials={0: bump})
-    data = block_kernel(block, SCALAR, 0)
+    data = least_reach_kernel(block, SCALAR, 0)
     (el,) = data
     s = (np.arange(len(el.samples)) + 0.5) * el.h
     moment = el.h * float(np.sum(bump.values(s, el.h) * el.samples))
@@ -265,7 +272,7 @@ def test_sech_profile_gives_an_exact_neumann_kernel(c):
     mu = 0.6
     pot = kernel_potential_neumann(mu, c)
     block = BuildingBlock(SCALAR, L=2.0, boundary=NEUMANN, mu=mu, potentials={0: pot})
-    data = block_kernel(block, SCALAR, 0)
+    data = least_reach_kernel(block, SCALAR, 0)
     assert sum(e.bounded for e in data) == 1
     (el,) = data
     s = (np.arange(len(el.samples)) + 0.5) * el.h
@@ -281,7 +288,7 @@ def test_sech_profile_gives_an_exact_neumann_kernel(c):
 def test_tanh_profile_gives_an_exact_dirichlet_kernel():
     pot = kernel_potential_dirichlet(2.0)
     block = BuildingBlock(SCALAR, L=2.0, boundary=DIRICHLET, mu=2.0, potentials={0: pot})
-    data = block_kernel(block, SCALAR, 0)
+    data = least_reach_kernel(block, SCALAR, 0)
     assert sum(e.bounded for e in data) == 1
     (el,) = data
     s = (np.arange(len(el.samples)) + 0.5) * el.h
@@ -309,14 +316,14 @@ def test_threshold_bound_state_fails_the_growth_certificate():
     spec = scalar_spectrum(((0.0, 1), (nu, 1)))
     block = BuildingBlock(spec, L=2.0, boundary=NEUMANN, mu=1.0, potentials={1: pot})
     with pytest.raises(AnalysisError, match="free-growth certificate"):
-        block_kernel(block, spec, 0, h=h)
+        least_reach_kernel(block, spec, 0, h=h)
 
 
 def test_clean_positive_modes_are_certified():
     spec = scalar_spectrum(((0.0, 1), (1.0, 1), (4.0, 2)))
     block = BuildingBlock(spec, L=1.0, boundary=NEUMANN, mu=1.0,
                           potentials={1: exp_potential(0.3, 1.0)})
-    data = block_kernel(block, spec, 0)
+    data = least_reach_kernel(block, spec, 0)
     assert len(data) == 1
 
 
@@ -334,7 +341,7 @@ def test_only_families_that_can_hold_a_kernel_are_shot(monkeypatch):
         return shoot(block, cs, h, reach)
 
     monkeypatch.setattr(glued_model, "_shoot_families", recorded)
-    data = block_kernel(block, spec, 1)
+    data = least_reach_kernel(block, spec, 1)
     assert cases == [(0, 0.0), (1, 0.0)]
     assert [e.mode_index for e in data] == [0, 1, 338]
 
@@ -452,11 +459,11 @@ def test_bound_state_in_one_copy_of_a_repeated_nu_fails_by_its_index():
     nu = 0.04
     spec = scalar_spectrum(((0.0, 1), (nu, 3)))
     clean = BuildingBlock(spec, L=2.0, boundary=NEUMANN, mu=1.0)
-    block_kernel(clean, spec, 0, h=H)  # the clean copies pass their certificate
+    least_reach_kernel(clean, spec, 0, h=H)  # the clean copies pass their certificate
     block = BuildingBlock(spec, L=2.0, boundary=NEUMANN, mu=1.0,
                           potentials={2: threshold_bound_state(nu, H)})
     with pytest.raises(AnalysisError, match=r"^mode 2 \(nu = 0.04\) fails its free-growth"):
-        block_kernel(block, spec, 0, h=H)
+        least_reach_kernel(block, spec, 0, h=H)
 
 
 def test_non_finite_potentials_are_refused():
@@ -492,22 +499,21 @@ def test_affine_fit_guard_rejects_nonflat_far_fields():
     object.__setattr__(block, "mu", 1.0)
     object.__setattr__(block, "potentials", {0: sneaky})
     with pytest.raises(AnalysisError, match="decay contract|not affine"):
-        block_kernel(block, SCALAR, 0)
+        least_reach_kernel(block, SCALAR, 0)
 
 
 # ---------------------------------------------------------------------------
 # eigenvalue listings
 
 
-def test_eigen_lowest_merges_modes_with_provenance():
+def test_eigen_lowest_merges_modes_sorted():
     spec = scalar_spectrum(((0.0, 1), (0.25, 1)))
-    G = assemble(flat_block(spec), flat_block(spec), SCALAR if False else spec, 0, T=3.0, h=H)
+    G = assemble(flat_block(spec), flat_block(spec), spec, 0, T=3.0, h=H)
     res = eigen_lowest(G, 3)
     assert len(res.entries) == 6
-    assert G.modes[res.entries[0].mode_index].nu == 0.0 and res.entries[0].value == pytest.approx(0.0, abs=1e-9)
+    assert res.entries[0] == pytest.approx(0.0, abs=1e-9)
     # second-lowest is the nu = 0.25 ground state, not the next interval mode
-    assert G.modes[res.entries[1].mode_index].nu == 0.25
-    assert res.entries[1].value == pytest.approx(0.25, abs=1e-6)
+    assert res.entries[1] == pytest.approx(0.25, abs=1e-6)
     vals = res.values()
     assert np.all(np.diff(vals) >= -1e-12)
 

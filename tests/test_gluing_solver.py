@@ -144,7 +144,7 @@ def test_projection_roundtrip():
 def test_transplant_reversal_and_short_elements():
     G = glue(nblock(), dblock(), T=30.0)
     span = 2 * G.T + G.L1 + G.L2
-    (e,) = block_kernel(dblock(), SCALAR, 0, h=H, reach=span)
+    (e,) = block_kernel(dblock(), SCALAR, 0, h=H, cutoff=math.inf, reach=span, march=None)
     g = transplant(G, 2, e)
     # block 2 enters reversed, bit for bit, as a copy of the samples
     assert np.array_equal(g, e.samples[: G.n_points][::-1])
@@ -153,14 +153,15 @@ def test_transplant_reversal_and_short_elements():
     assert np.allclose(g, G.T + G.L2 - G.grid(), rtol=0, atol=1e-9)
     # block 1 reads the head of the samples
     assert np.array_equal(transplant(G, 1, e), e.samples[: G.n_points])
-    # the default reach covers L + 20 / mu = 22 units, short of the 64 glued ones
-    (short,) = block_kernel(dblock(), SCALAR, 0, h=H)
+    # the least reach covers L + 20 / mu = 22 units, short of the 64 glued ones
+    (short,) = block_kernel(dblock(), SCALAR, 0, h=H, cutoff=math.inf, reach=0.0, march=None)
     with pytest.raises(ContractViolation, match="fewer than the 1024 points of the glued grid"):
         transplant(G, 2, short)
 
 
 def test_transplant_step_mismatch():
-    (e,) = block_kernel(nblock(), SCALAR, 0, h=1.0 / 8)
+    (e,) = block_kernel(nblock(), SCALAR, 0, h=1.0 / 8, cutoff=math.inf, reach=0.0,
+                        march=None)
     G = glue(nblock(), nblock())
     with pytest.raises(ContractViolation, match="different step"):
         transplant(G, 1, e)
@@ -208,8 +209,8 @@ def test_one_march_to_the_widest_span_gives_every_T_its_kernel(case):
             own = glued_model.BlockMarch.shoot(block, q, h, math.inf, span)
             assert np.array_equal(march.u[: len(own.u)], own.u)
             assert np.array_equal(march.log_scale[: len(own.u)], own.log_scale)
-            fast = block_kernel(block, spec, q, h=h, reach=span, march=march)
-            ref = block_kernel(block, spec, q, h=h, reach=span)
+            fast = block_kernel(block, spec, q, h=h, cutoff=math.inf, reach=span, march=march)
+            ref = block_kernel(block, spec, q, h=h, cutoff=math.inf, reach=span, march=None)
             assert [(e.mode_index, e.h, e.a, e.b, e.bounded, e.decaying) for e in fast] == \
                    [(e.mode_index, e.h, e.a, e.b, e.bounded, e.decaying) for e in ref]
             for e, r in zip(fast, ref):
@@ -227,10 +228,10 @@ def test_one_march_to_the_widest_span_gives_every_T_its_kernel(case):
 def test_a_march_for_other_data_is_refused():
     b1, b2 = sech_pair()
     march = glued_model.BlockMarch.shoot(b1, 0, H, math.inf, 30.0)
-    block_kernel(b1, SCALAR, 0, h=H, reach=30.0, march=march)
+    block_kernel(b1, SCALAR, 0, h=H, cutoff=math.inf, reach=30.0, march=march)
     for block, h, reach in ((b2, H, 30.0), (b1, H / 2, 30.0), (b1, H, 40.0)):
         with pytest.raises(ContractViolation, match="march: shot for another block"):
-            block_kernel(block, SCALAR, 0, h=h, reach=reach, march=march)
+            block_kernel(block, SCALAR, 0, h=h, cutoff=math.inf, reach=reach, march=march)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +264,8 @@ def test_characteristic_entries_match_trace_wronskian():
     b1 = nblock(kernel_potential_neumann(2.0, 0.8), mu=2.0)
     G = glue(b1, dblock(), T=12.0)
     S = substitute_kernel(G)
-    (e1,) = block_kernel(b1, SCALAR, 0, h=H, reach=2 * G.T + G.L1 + G.L2)
+    (e1,) = block_kernel(b1, SCALAR, 0, h=H, cutoff=math.inf, reach=2 * G.T + G.L1 + G.L2,
+                         march=None)
     sys = characteristic_system(G, S, seeded_source(G, 7))
     a_col = sys.columns.index((0, "a"))
     b_col = sys.columns.index((0, "b"))
@@ -282,7 +284,7 @@ def test_characteristic_zero_source():
     assert sol.consistency == pytest.approx(0.0, abs=1e-14)
     assert np.allclose(sol.coefficients, 0.0, atol=1e-14)
     e = np.zeros((1, G.n_points))
-    u = approx_solve(G, S, e)
+    u = approx_solve(G, S, e, G.families)
     assert not u.any() and not e.any() and u.dtype == e.dtype == np.float64
 
 
@@ -325,7 +327,7 @@ def test_approx_solve_neck_moments_exact():
         f[0, j0 + k] -= 2 * amp
         f[0, j0 + k + 1] += amp
     e = f.copy()
-    approx_solve(G, S, e)
+    approx_solve(G, S, e, G.families)
     assert norm(G, e) <= 1e-10 * norm(G, f)
 
 
@@ -335,7 +337,7 @@ def test_approx_solve_flat_residual_floor():
         S = substitute_kernel(G)
         f = S.project_off(seeded_source(G, 21))
         e = f.copy()
-        u = approx_solve(G, S, e)
+        u = approx_solve(G, S, e, G.families)
         assert norm(G, e) <= 1e-9 * norm(G, f)
         assert float(np.max(np.abs(S.overlaps(u)), initial=0.0)) <= 1e-9 * norm(G, u)
 
@@ -351,7 +353,7 @@ def test_approx_solve_residual_decay():
         f[0] = np.exp(-(t**2))
         f = S.project_off(f)
         e = f.copy()
-        u = approx_solve(G, S, e)
+        u = approx_solve(G, S, e, G.families)
         drops.append(norm(G, e) / norm(G, f))
         assert norm(G, u) <= 50.0 * T * norm(G, f)
     slope = (math.log(drops[2]) - math.log(drops[0])) / 8.0
@@ -365,7 +367,7 @@ def test_approx_solve_rejects_kernel_component():
     f = np.zeros((1, G.n_points), dtype=complex)
     f[0] = S.basis[0][1]
     with pytest.raises(AnalysisError, match="^source overlaps the substitute kernel: "):
-        approx_solve(G, S, f)
+        approx_solve(G, S, f, G.families)
 
 
 def torus_glue(T=8.0):
@@ -432,11 +434,12 @@ def test_batched_solves_equal_the_per_mode_loops_bit_for_bit():
         f = S.project_off(source)
         assert np.array_equal(G.apply(f),
                               np.array([G.apply_mode(i, f[i]) for i in range(len(f))]))
-        assert np.array_equal(cylinder_solve(G, f, 1.0), per_mode_cylinder(G, f))
+        assert np.array_equal(cylinder_solve(G, f, 1.0, G.families), per_mode_cylinder(G, f))
         zeta1 = neck_windows(G)[2]
-        assert np.array_equal(cylinder_solve(G, f, zeta1), per_mode_cylinder(G, f * zeta1))
+        assert np.array_equal(cylinder_solve(G, f, zeta1, G.families),
+                              per_mode_cylinder(G, f * zeta1))
         e = f.copy()
-        u = approx_solve(G, S, e)
+        u = approx_solve(G, S, e, G.families)
         u_ref, e_ref = per_mode_approx_solve(G, S, f)
         assert np.array_equal(u, u_ref)
         assert np.array_equal(e, e_ref)
@@ -447,12 +450,12 @@ def per_round_characteristic_system(G, f):
     transplant and commutator from G itself, with the solver's
     expressions for each entry and right side."""
     span = 2 * G.T + G.L1 + G.L2
-    kd1 = block_kernel(G.block1, G.spec, G.q, h=G.h, reach=span)
-    kd2 = block_kernel(G.block2, G.spec, G.q, h=G.h, reach=span)
+    kd1 = block_kernel(G.block1, G.spec, G.q, h=G.h, cutoff=math.inf, reach=span, march=None)
+    kd2 = block_kernel(G.block2, G.spec, G.q, h=G.h, cutoff=math.inf, reach=span, march=None)
     matched = substitute_kernel(G).matched
     t = G.grid()
     w1, zeta0, zeta1 = neck_windows(G)
-    cyl = cylinder_solve(G, f, zeta1)
+    cyl = cylinder_solve(G, f, zeta1, G.families)
     columns = []
     for mi in sorted(i for i, m in enumerate(G.modes) if m.is_zero_mode):
         if mi not in matched:
@@ -537,8 +540,9 @@ def test_real_source_solves_in_real_arithmetic_like_its_complex_cast(build):
     assert real.residual <= 1e-9 and cplx.residual <= 1e-9
     sys = characteristic_system(G, S, f)
     e = S.project_off(f)
-    arrays = [real.u, real.w, approx_solve(G, S, e), e, cylinder_solve(G, f, 1.0),
-              sys.matrix, sys.rhs, sys.cylinder, solve_direct(G, S, f)]
+    arrays = [real.u, real.w, approx_solve(G, S, e, G.families), e,
+              cylinder_solve(G, f, 1.0, G.families), sys.matrix, sys.rhs, sys.cylinder,
+              solve_direct(G, S, f)]
     assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
 
 
@@ -571,11 +575,11 @@ def test_glue_round_peaks_stay_within_a_few_sources():
     f = cli._glued_source(G, 7)
     assert f.shape == (507, 576)
     src = S.project_off(f)
-    approx_solve(G, S, src.copy())  # allocations made once per process stay out of the peaks
+    approx_solve(G, S, src.copy(), G.families)  # allocations made once per process stay out of the peaks
     # the pass writes the residual over its source; beyond it, a pass holds
     # one (modes x n) array, u, plus one mode family's temporaries
     e = src.copy()
-    peak = traced_peak(approx_solve, G, S, e)
+    peak = traced_peak(approx_solve, G, S, e, G.families)
     assert peak <= 2.5 * f.nbytes, peak / f.nbytes
     # measured 1.40: u and about 200 rows of temporaries, some six arrays of
     # the largest family's 36 rows; a second full-size array would pass 2
@@ -596,7 +600,7 @@ def test_solvers_leave_the_source_as_given(dtype):
     src = S.project_off(f)
     kept_f = f.copy()
     _, e_ref = per_mode_approx_solve(G, S, src)
-    approx_solve(G, S, src)
+    approx_solve(G, S, src, G.families)
     report = solve_exact(G, S, f)
     assert report.iterations == 2
     assert f.tobytes() == kept_f.tobytes()
@@ -610,12 +614,12 @@ def test_approx_solve_round_makes_one_cylinder_solve(monkeypatch):
     f = S.project_off(cli._glued_source(G, 7))
     calls = []
 
-    def counted(G, f, window, families=None):
+    def counted(G, f, window, families):
         calls.append(f.shape)
         return cylinder_solve(G, f, window, families)
 
     monkeypatch.setattr(gluing_solver, "cylinder_solve", counted)
-    approx_solve(G, S, f)
+    approx_solve(G, S, f, G.families)
     assert calls == [f.shape]
 
 
@@ -641,16 +645,12 @@ def test_family_solvers_equal_the_per_mode_loops():
             ref[i] = gluing_solver._solve_tridiag(diag, off, f[i])
     assert np.array_equal(solve_direct(G, S, f), S.project_off(ref))
 
-    # the members of a family share their eigenvalues exactly: ties order by mode
+    # the members of a family share their eigenvalues exactly
     k = 3
-    want = []
-    for i, m in enumerate(G.modes):
-        vals = scipy.linalg.eigvalsh_tridiagonal(*G.mats[i], select="i", select_range=(0, k - 1))
-        want.extend((float(v), m.nu, m.degree_tag, i, r) for r, v in enumerate(vals))
-    got = glued_model.eigen_lowest(G, k).entries
-    assert [(e.value, G.modes[e.mode_index].nu, G.modes[e.mode_index].degree_tag, e.mode_index,
-             e.k_within) for e in got] == sorted(
-        want, key=lambda e: (e[0], e[3], e[4]))
+    want = [float(v) for i in range(len(G.modes))
+            for v in scipy.linalg.eigvalsh_tridiagonal(*G.mats[i], select="i",
+                                                       select_range=(0, k - 1))]
+    assert glued_model.eigen_lowest(G, k).entries == tuple(sorted(want))
 
     dim = S.dim + 6
     found = []
@@ -777,7 +777,7 @@ def _recorded_rounds(monkeypatch, every_family=False):
     every row: full rounds, as before rounds were per family."""
     asked = []
 
-    def recorded(G, S, f, families=None):
+    def recorded(G, S, f, families):
         asked.append(families)
         return approx_solve(G, S, f, families)
 
@@ -830,7 +830,7 @@ def test_approx_solve_on_a_subset_is_the_subset_of_a_full_pass():
     G, S = cli_torus_glue()
     f = S.project_off(cli._glued_source(G, 3))
     e, e_sub = f.copy(), f.copy()
-    u = approx_solve(G, S, e)
+    u = approx_solve(G, S, e, G.families)
     subset = [members for members in G.families if 0 in members or len(members) > 20]
     rows = [i for members in subset for i in members]
     rest = [i for i in range(len(G.modes)) if i not in rows]
@@ -850,7 +850,7 @@ def test_a_positive_family_alone_is_its_rows_of_a_full_pass_bit_for_bit(dtype):
     f = S.project_off(f)
     assert f.dtype == dtype
     e = f.copy()
-    u = approx_solve(G, S, e)
+    u = approx_solve(G, S, e, G.families)
     positive = [members for members in G.families if not G.modes[members[0]].is_zero_mode]
     assert len(positive) == 26
     for members in positive:
@@ -890,7 +890,8 @@ def test_a_foreign_family_is_refused_before_any_full_size_array(solver):
         "approx_solve": (lambda: approx_solve(G, S, f, families=[[0], [2, 338]]), foreign),
         "characteristic_system": (lambda: characteristic_system(G, S, f, [[2, 338]]), foreign),
         "cylinder_solve": (lambda: cylinder_solve(G, f, 1.0, [[2, 338]]), foreign),
-    }.get(solver, (lambda: approx_solve(G, S, source), "writes the residual over its source"))
+    }.get(solver, (lambda: approx_solve(G, S, source, G.families),
+                   "writes the residual over its source"))
     tracemalloc.start()
     try:
         with pytest.raises(ContractViolation, match=match):
@@ -1163,7 +1164,7 @@ def test_cylinder_solve_reproduces_interior_rows():
     f = seeded_source(G, 81)
     _, _, zeta1 = neck_windows(G)
     f0 = f * zeta1
-    u0 = cylinder_solve(G, f, zeta1)
+    u0 = cylinder_solve(G, f, zeta1, G.families)
     out = G.apply_mode(0, u0[0])
     t = G.grid()
     inside = np.abs(t) <= G.T - 1.0
@@ -1184,7 +1185,7 @@ def test_cylinder_solve_is_exact_on_the_infinite_grid(complex_part):
     f = seeded_source(G, 83, complex_part)
     if not complex_part:
         f = f.real.copy()
-    u = cylinder_solve(G, f, 1.0)
+    u = cylinder_solve(G, f, 1.0, G.families)
     positive = [members for members in G.families if not G.modes[members[0]].is_zero_mode]
     assert len(positive) > 20
     for members in positive:

@@ -249,10 +249,20 @@ def test_every_error_class_is_caught_by_name():
     assert not uncaught, f"error classes no except clause in src/ names: {uncaught}"
 
 
+def _is_constant(expr) -> bool:
+    """True for an expression of literals and operators alone, such as
+    ``1.0 / 1024``; a name, attribute or call is not constant."""
+    return all(isinstance(node, (ast.Constant, ast.UnaryOp, ast.BinOp, ast.Tuple, ast.List,
+                                 ast.unaryop, ast.operator, ast.expr_context))
+               for node in ast.walk(expr))
+
+
 def test_every_option_is_set_by_some_caller():
-    # a parameter default only unit tests override is an option kept for
-    # them alone; a call through a lookup such as presets[...]() sets
-    # nothing, as the scan matches calls by the callee's name
+    # a parameter default that no caller but unit tests overrides, or that
+    # no caller relies on, is an option kept for them alone, and so is one
+    # whose callers all use one constant; a call through a lookup such as
+    # presets[...]() sets nothing, as the scan matches calls by the
+    # callee's name
     calls: dict[str, list[ast.Call]] = {}
     for tree in [*_src_modules().values(),
                  *(ast.parse(path.read_text(encoding="utf-8")) for path in OUTSIDE_SRC)]:
@@ -263,20 +273,31 @@ def test_every_option_is_set_by_some_caller():
                 calls.setdefault(called, []).append(node)
 
     def options(node, skip):
-        """(name, position in a call or None) of each defaulted parameter;
-        skip is the number of leading parameters a call does not pass."""
+        """(name, position in a call or None, default) of each defaulted
+        parameter; skip is the number of leading parameters a call does
+        not pass."""
         args = node.args
         positional = [*args.posonlyargs, *args.args]
         first = len(positional) - len(args.defaults)
-        yield from ((p.arg, k - skip) for k, p in enumerate(positional) if k >= first)
-        yield from ((p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+        yield from ((p.arg, k - skip, args.defaults[k - first])
+                    for k, p in enumerate(positional) if k >= first)
+        yield from ((p.arg, None, d) for p, d in zip(args.kwonlyargs, args.kw_defaults)
                     if d is not None)
 
-    def sets(call, param, position):
-        if any(k.arg in (param, None) for k in call.keywords):
-            return True
-        return position is not None and (
-            len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+    def value(call, param, position):
+        """The argument a call passes for the parameter: its expression,
+        None if the call leaves the default, or ... if it passes it by
+        unpacking, whose value the scan cannot read."""
+        for k in call.keywords:
+            if k.arg == param:
+                return k.value
+        if any(k.arg is None for k in call.keywords):
+            return ...
+        if position is None:
+            return None
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return ...
+        return call.args[position] if len(call.args) > position else None
 
     defined = []
     for module, tree in _src_modules().items():
@@ -291,10 +312,25 @@ def test_every_option_is_set_by_some_caller():
                         called = node.name if method.name == "__init__" else method.name
                         defined.append((module, f"{node.name}.{method.name}", called, method,
                                         0 if static else 1))
-    unset = [f"{module}:{qualified}({param})" for module, qualified, called, node, skip in defined
-             for param, position in options(node, skip)
-             if not any(sets(call, param, position) for call in calls.get(called, []))]
+    unset, always_set, one_value = [], [], []
+    for module, qualified, called, node, skip in defined:
+        for param, position, default in options(node, skip):
+            passed = [value(call, param, position) for call in calls.get(called, [])]
+            used = [v for v in passed if v is not None]
+            where = f"{module}:{qualified}({param})"
+            if not used:
+                unset.append(where)
+                continue
+            if len(used) == len(passed):
+                always_set.append(where)
+            else:
+                used.append(default)
+            if all(v is not ... and _is_constant(v) for v in used) \
+                    and len({ast.unparse(v) for v in used}) == 1:
+                one_value.append(where)
     assert not unset, f"options no src code, acceptance test or benchmark sets: {unset}"
+    assert not always_set, f"defaults every caller overrides, so none is used: {always_set}"
+    assert not one_value, f"options whose values in use are all one constant: {one_value}"
 
 
 def test_every_class_member_has_a_reader():

@@ -417,7 +417,7 @@ class TestDuality:
     def test_box_against_constant(self):
         modes = (laplace(0.0),)
         f = box_section(modes, 4.0, 1.0, 1.0 / 64)
-        pair, l2, gap = duality_check(f, affine_section([1.0]))
+        pair, l2, gap = duality_check(f, affine_section([1.0], [0.0]))
         assert l2 == pytest.approx(2.0)
         assert pair == pytest.approx(2.0)
         assert gap <= 1e-12
@@ -493,7 +493,7 @@ class TestDuality:
         modes = (laplace(0.0),)
         t = cell_grid(4.0, 1.0 / 16)
         f = CompactSection(modes, 4.0, 1.0, 1.0 / 16, np.zeros((1, len(t)), dtype=complex))
-        pair, l2, gap = duality_check(f, affine_section([1.0]))
+        pair, l2, gap = duality_check(f, affine_section([1.0], [0.0]))
         assert (pair, l2, gap) == (0, 0, 0)
 
 

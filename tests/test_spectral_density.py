@@ -93,13 +93,10 @@ def _eigensolver_counts(G, shifts, widen=0.0):
     return out
 
 
-def _eigen_window(G, s, result):
-    """(exact, coexact) counts in the window (threshold, pi^2 s/T^2], taken
-    from eigen_lowest entries."""
-    top = sd.window_top(G, s)
-    inside = [e for e in result.entries if sd.THRESHOLD_ZERO < e.value <= top]
-    exact = sum(G.modes[e.mode_index].degree_tag == "beta" for e in inside)
-    return exact, len(inside) - exact
+def _eigen_window(G, s, values):
+    """How many of the eigenvalues lie in the window (threshold, pi^2 s/T^2]."""
+    values = np.asarray(values)
+    return int(np.sum((values > sd.THRESHOLD_ZERO) & (values <= sd.window_top(G, s))))
 
 
 def _roundoff(G):
@@ -176,8 +173,8 @@ def test_sturm_counts_match_the_eigensolver(T, blocks, shifts):
         with pytest.raises(ContractViolation, match="negative spectrum"):
             sd.window_counts([G], [s])
         return
-    reference = eigen_lowest(G, G.n_points)
-    assert int(sd.window_counts([G], [s])[0].sum()) == sum(_eigen_window(G, s, reference))
+    reference = eigen_lowest(G, G.n_points).values()
+    assert int(sd.window_counts([G], [s])[0].sum()) == _eigen_window(G, s, reference)
 
 
 @settings(max_examples=40, deadline=None)
@@ -251,12 +248,18 @@ def test_default_split_matches_the_eigenvalue_path():
     spec = circle_spectrum()
     b = BuildingBlock(spec=spec, L=0.0, boundary="neumann", mu=1.0)
     G = assemble(b, b, spec, 1, T=4.0, h=H, cutoff=20.0)
-    ref = eigen_lowest(G, G.n_points)
+    ref = eigen_lowest(G, G.n_points).values()
+    per_mode = [scipy.linalg.eigvalsh_tridiagonal(*mats, select="i",
+                                                  select_range=(0, G.n_points - 1))
+                for mats in G.mats]
     for s in (2.3, 7.7, 30.1):
         exact, coexact = sd._branch_counts(G, sd.window_counts([G], [s])[0])
         split = (int(exact[0]), int(coexact[0]))
-        assert split == _eigen_window(G, s, ref)
-        assert sum(split) == int(sd.window_counts([G], [s])[0].sum())
+        assert split == tuple(
+            sum(_eigen_window(G, s, vals) for m, vals in zip(G.modes, per_mode)
+                if (m.degree_tag == "beta") == beta)
+            for beta in (True, False))
+        assert sum(split) == int(sd.window_counts([G], [s])[0].sum()) == _eigen_window(G, s, ref)
 
 
 def test_long_flat_blocks_count_past_the_old_eigenvalue_budget():
