@@ -26,12 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    AnalysisError,
-    ContractViolation,
-    NeckspecError,
-    SpectrumFormatError,
-)
+from .errors import AnalysisError, ContractViolation
 from .glued_model import (
     BlockMarch,
     BuildingBlock,
@@ -45,8 +40,8 @@ from .glued_model import (
     sample_rows,
 )
 from .gluing_solver import solve_exact, solve_report_csv, substitute_kernel
-from .ioutil import (MAX_GRID_VALUES, _is_integer_key, finite_number, format_complex, format_real,
-                     read_json_object, write_text_atomic)
+from .ioutil import (MAX_GRID_VALUES, _is_integer_key, _require_keys, finite_number, format_complex,
+                     format_real, read_json_object, write_text_atomic)
 from .neck_inverse import (_exact_cells, operator_norm_fit, q0_apply, residual_on_support,
                            seeded_section)
 from .polyhom import (
@@ -82,10 +77,6 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 
-class ConfigError(NeckspecError):
-    """The experiment config is missing data or inconsistent."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     spectrum: object
@@ -107,61 +98,52 @@ def _spectrum_from(entry, base_dir: str):
     }
     if isinstance(entry, str):
         if entry not in presets:
-            raise ConfigError(f"spectrum: unknown preset {entry!r}")
+            raise ContractViolation(f"spectrum: unknown preset {entry!r}")
         return presets[entry]()
     if isinstance(entry, dict) and set(entry) == {"file"}:
         return load_spectrum(os.path.join(base_dir, entry["file"]))
-    raise ConfigError("spectrum: expected a preset name or {\"file\": path}")
+    raise ContractViolation("spectrum: expected a preset name or {\"file\": path}")
 
 
-def _number(entry: dict, key: str, where: str, default: float | None = None) -> float:
-    if key not in entry:
-        if default is None:
-            raise ConfigError(f"{where}: missing field {key!r}")
-        return default
+def _number(entry: dict, key: str, where: str) -> float:
     value = finite_number(entry[key])
     if value is None:
-        raise ConfigError(f"{where}.{key}: expected a finite number")
+        raise ContractViolation(f"{where}.{key}: expected a finite number")
     return value
 
 
 def _potential_from(entry, mu: float, where: str) -> Potential:
     if isinstance(entry, list):
         return Potential.from_samples(sample_rows(entry, where), mu)
-    if isinstance(entry, dict):
-        profile = entry.get("profile")
-        try:
-            if profile == "kernel_neumann":
-                return kernel_potential_neumann(_number(entry, "mu", where, mu),
-                                                _number(entry, "c", where))
-            if profile == "kernel_dirichlet":
-                return kernel_potential_dirichlet(_number(entry, "mu", where, mu))
-        except ContractViolation as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-        raise ConfigError(f"{where}: unknown profile {profile!r}")
-    raise ConfigError(f"{where}: expected sample rows or a profile object")
+    if not isinstance(entry, dict):
+        raise ContractViolation(f"{where}: expected sample rows or a profile object")
+    profile = entry.get("profile")
+    if profile not in ("kernel_neumann", "kernel_dirichlet"):
+        raise ContractViolation(f"{where}: unknown profile {profile!r}")
+    neumann = profile == "kernel_neumann"
+    _require_keys(entry, where, {"profile", "c"} if neumann else {"profile"}, {"mu"})
+    mu = _number(entry, "mu", where) if "mu" in entry else mu
+    c = _number(entry, "c", where) if neumann else None
+    try:
+        return kernel_potential_neumann(mu, c) if neumann else kernel_potential_dirichlet(mu)
+    except ContractViolation as exc:
+        raise ContractViolation(f"{where}: {exc}") from None
 
 
 def _block_from(entry, spec, base_dir: str, where: str) -> BuildingBlock:
     if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: expected an object")
+        raise ContractViolation(f"{where}: expected an object")
     if set(entry) == {"file"}:
         return load_block(os.path.join(base_dir, entry["file"]), spec)
-    allowed = {"L", "boundary", "mu", "potentials"}
-    unknown = entry.keys() - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-    missing = {"L", "boundary", "mu"} - entry.keys()
-    if missing:
-        raise ConfigError(f"{where}: missing field {sorted(missing)[0]!r}")
+    _require_keys(entry, where, {"L", "boundary", "mu"}, {"potentials"})
     mu = _number(entry, "mu", where)
     potentials = entry.get("potentials", {})
     if not isinstance(potentials, dict):
-        raise ConfigError(f"{where}.potentials: expected an object")
+        raise ContractViolation(f"{where}.potentials: expected an object")
     pots = {}
     for key, val in potentials.items():
         if not _is_integer_key(key):
-            raise ConfigError(f"{where}: potential key {key!r} is not an integer")
+            raise ContractViolation(f"{where}: potential key {key!r} is not an integer")
         pots[int(key)] = _potential_from(val, mu, f"{where}.potentials[{json.dumps(key)}]")
     return BuildingBlock(spec=spec, L=_number(entry, "L", where),
                          boundary=str(entry["boundary"]), mu=mu, potentials=pots)
@@ -170,31 +152,27 @@ def _block_from(entry, spec, base_dir: str, where: str) -> BuildingBlock:
 def _positive(x, name: str) -> float:
     value = finite_number(x)
     if value is None or value <= 0:
-        raise ConfigError(f"{name}: expected a positive finite number")
+        raise ContractViolation(f"{name}: expected a positive finite number")
     return value
 
 
 def _positive_floats(raw, name: str) -> tuple[float, ...]:
     if not isinstance(raw, list):
-        raise ConfigError(f"{name}: expected a list of numbers")
+        raise ContractViolation(f"{name}: expected a list of numbers")
     return tuple(_positive(x, f"{name}[{k}]") for k, x in enumerate(raw))
 
 
 def load_config(path: str, out_override: str | None) -> ExperimentConfig:
-    raw = read_json_object(path, ConfigError)
-    allowed = {"spectrum", "blocks", "degrees", "T", "s", "h", "cutoff", "seed", "output"}
-    unknown = raw.keys() - allowed
-    if unknown:
-        raise ConfigError(f"top level: unknown field {sorted(unknown)[0]!r}")
-    if "spectrum" not in raw:
-        raise ConfigError("top level: missing field 'spectrum'")
+    raw = read_json_object(path)
+    _require_keys(raw, "top level", {"spectrum"},
+                  {"blocks", "degrees", "T", "s", "h", "cutoff", "seed", "output"})
     base_dir = os.path.dirname(os.path.abspath(path))
     spec = _spectrum_from(raw["spectrum"], base_dir)
 
     blocks = None
     if "blocks" in raw:
         if not isinstance(raw["blocks"], list) or len(raw["blocks"]) != 2:
-            raise ConfigError("blocks: expected a list of exactly two entries")
+            raise ContractViolation("blocks: expected a list of exactly two entries")
         blocks = tuple(
             _block_from(entry, spec, base_dir, f"blocks[{i}]")
             for i, entry in enumerate(raw["blocks"])
@@ -204,23 +182,29 @@ def load_config(path: str, out_override: str | None) -> ExperimentConfig:
     if not isinstance(degrees, list) or not all(
         isinstance(q, int) and not isinstance(q, bool) and q >= 0 for q in degrees
     ):
-        raise ConfigError("degrees: expected a list of nonnegative integers")
+        raise ContractViolation("degrees: expected a list of nonnegative integers")
     if not degrees:
-        raise ConfigError("degrees: expected at least one degree")
+        raise ContractViolation("degrees: expected at least one degree")
 
     T_values = _positive_floats(raw.get("T", [5.0, 10.0, 20.0, 40.0]), "T")
     if not T_values:
-        raise ConfigError("T: expected at least one value")
+        raise ContractViolation("T: expected at least one value")
     s_values = _positive_floats(raw.get("s", []), "s")
 
     h = _positive(raw.get("h", 1.0 / 16), "h")
     cutoff = math.inf if raw.get("cutoff") is None else _positive(raw["cutoff"], "cutoff")
     seed = raw.get("seed", 1)
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ConfigError("seed: expected a 64-bit unsigned integer")
+        raise ContractViolation("seed: expected a 64-bit unsigned integer")
     output = raw.get("output", "out")
     if not isinstance(output, str):
-        raise ConfigError("output: expected a string")
+        raise ContractViolation("output: expected a string")
+    # a repeated entry would be solved and reported twice
+    for name, values in (("degrees", degrees), ("T", T_values), ("s", s_values)):
+        for k, x in enumerate(values):
+            if x in values[:k]:
+                raise ContractViolation(f"{name}[{k}]: repeats {name}[{values.index(x)}] = "
+                                        f"{format_real(x)}")
     return ExperimentConfig(
         spectrum=spec,
         blocks=blocks,
@@ -236,7 +220,7 @@ def load_config(path: str, out_override: str | None) -> ExperimentConfig:
 
 def _require_blocks(cfg: ExperimentConfig) -> tuple[BuildingBlock, BuildingBlock]:
     if cfg.blocks is None:
-        raise ConfigError("this command needs a 'blocks' entry with two blocks")
+        raise ContractViolation("this command needs a 'blocks' entry with two blocks")
     return cfg.blocks
 
 
@@ -244,7 +228,7 @@ def _require_modes(cfg: ExperimentConfig, q: int, modes):
     """Refuse an empty mode list: every check would pass on it vacuously."""
     if not modes:
         below = f" below the cutoff {format_real(cfg.cutoff)}" if math.isfinite(cfg.cutoff) else ""
-        raise ConfigError(f"degree {q}: the spectrum has no modes{below}")
+        raise ContractViolation(f"degree {q}: the spectrum has no modes{below}")
     return modes
 
 
@@ -252,7 +236,7 @@ def _require_grid_values(where: str, rows: int, points: int, what: str = "modes"
     """Refuse a (rows x points) array over MAX_GRID_VALUES before it, or
     the mode list, is built; ``where`` names the field, ``what`` the rows."""
     if rows * points > MAX_GRID_VALUES:
-        raise ConfigError(
+        raise ContractViolation(
             f"{where}: {rows} {what} on {points} grid points make {rows * points} "
             f"values, more than MAX_GRID_VALUES = {MAX_GRID_VALUES}"
         )
@@ -277,8 +261,8 @@ def cmd_roots(cfg: ExperimentConfig):
 
 
 def cmd_q0check(cfg: ExperimentConfig):
-    if len(set(cfg.T_values)) < 2:
-        raise ConfigError("T: q0check fits the norm growth over T and needs two distinct values")
+    if len(cfg.T_values) < 2:
+        raise ContractViolation("T: q0check fits the norm growth over T and needs two distinct values")
     ok = True
     rows = ["q,T,h,residual"]
     support = min(cfg.T_values)
@@ -478,7 +462,7 @@ def cmd_glue(cfg: ExperimentConfig):
 def cmd_density(cfg: ExperimentConfig):
     b1, b2 = _require_blocks(cfg)
     if not cfg.s_values:
-        raise ConfigError("density needs a nonempty 's' list")
+        raise ContractViolation("density needs a nonempty 's' list")
     ok = True
     lines = []
     files = {}
@@ -530,7 +514,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.out)
         ok, lines, files = COMMANDS[args.command](cfg)
-    except (ConfigError, SpectrumFormatError, ContractViolation, OSError) as exc:
+    except (ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AnalysisError as exc:

@@ -7,12 +7,8 @@ class NeckspecError(Exception):
     """Base class for all package errors."""
 
 
-class SpectrumFormatError(NeckspecError):
-    """A spectrum file is malformed; the message names the offending field."""
-
-
 class ContractViolation(NeckspecError):
-    """An input violates a documented precondition of the calculus."""
+    """An input is unusable; the message names the field."""
 
 
 class AnalysisError(NeckspecError):

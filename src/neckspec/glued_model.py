@@ -25,7 +25,7 @@ from typing import Callable, Container, Mapping, Sequence
 
 import numpy as np
 
-from .errors import AnalysisError, ContractViolation, SpectrumFormatError
+from .errors import AnalysisError, ContractViolation
 from .ioutil import MAX_GRID_POINTS, _is_integer_key, _require_keys, finite_number, read_json_object
 from .polyhom import CutoffFunction
 from .spectral_model import CrossSectionSpectrum, ModeOperator, mode_list
@@ -84,14 +84,14 @@ def sample_rows(rows, where: str) -> list[tuple[float, float]]:
     """Check a JSON sample table [[s, V], ...] of finite numbers; errors
     name ``where``, the table's field."""
     if not isinstance(rows, list):
-        raise SpectrumFormatError(f"{where}: expected [[s, V], ...] rows")
+        raise ContractViolation(f"{where}: expected [[s, V], ...] rows")
     out = []
     for r, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) == 2):
-            raise SpectrumFormatError(f"{where}: expected [[s, V], ...] rows")
+            raise ContractViolation(f"{where}: expected [[s, V], ...] rows")
         s, v = finite_number(row[0]), finite_number(row[1])
         if s is None or v is None:
-            raise SpectrumFormatError(f"{where}[{r}]: expected two finite numbers, got {row!r}")
+            raise ContractViolation(f"{where}[{r}]: expected two finite numbers, got {row!r}")
         out.append((s, v))
     return out
 
@@ -210,17 +210,17 @@ class BuildingBlock:
 def load_block(path: str, spec: CrossSectionSpectrum) -> BuildingBlock:
     """Read block data from JSON: { "L", "boundary", "mu", "potentials":
     { "<mode-index>": [[s, V], ...] } }. Strict about unknown keys."""
-    raw = read_json_object(path, SpectrumFormatError)
-    _require_keys(raw, {"L", "boundary", "mu", "potentials"})
+    raw = read_json_object(path)
+    _require_keys(raw, "top level", {"L", "boundary", "mu", "potentials"}, set())
     L, mu = finite_number(raw["L"]), finite_number(raw["mu"])
     if L is None or mu is None:
-        raise SpectrumFormatError(f"{'L' if L is None else 'mu'}: expected a finite number")
+        raise ContractViolation(f"{'L' if L is None else 'mu'}: expected a finite number")
     if not isinstance(raw["potentials"], dict):
-        raise SpectrumFormatError("potentials: expected an object")
+        raise ContractViolation("potentials: expected an object")
     pots = {}
     for key, rows in raw["potentials"].items():
         if not _is_integer_key(key):
-            raise SpectrumFormatError(f"potentials[{key!r}]: key is not an integer")
+            raise ContractViolation(f"potentials[{key!r}]: key is not an integer")
         pots[int(key)] = Potential.from_samples(sample_rows(rows, f"potentials[{key!r}]"), mu)
     return BuildingBlock(
         spec=spec,

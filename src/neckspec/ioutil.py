@@ -8,7 +8,7 @@ import math
 import os
 import tempfile
 
-from .errors import SpectrumFormatError
+from .errors import ContractViolation
 
 # the most points one grid may have; a length and step past it ask for an
 # astronomically large grid, not a fine one
@@ -21,16 +21,16 @@ MAX_MODES = 2**20
 MAX_GRID_VALUES = 2**24
 
 
-def read_json_object(path: str, error: type[Exception]) -> dict:
+def read_json_object(path: str) -> dict:
     """The JSON object in a UTF-8 file. Bytes that are not UTF-8, text that
     is not JSON, nesting too deep to parse, a key repeated in any object
-    and a top level that is not an object all raise ``error``."""
+    and a top level that is not an object all raise ContractViolation."""
 
     def unique(pairs: list[tuple[str, object]]) -> dict:
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise error(f"{path}: duplicate key {key!r}")
+                raise ContractViolation(f"{path}: duplicate key {key!r}")
             obj[key] = value
         return obj
 
@@ -38,19 +38,21 @@ def read_json_object(path: str, error: type[Exception]) -> dict:
         try:
             raw = json.load(fh, object_pairs_hook=unique)
         except (ValueError, RecursionError) as exc:
-            raise error(f"{path}: not valid JSON ({exc})") from exc
+            raise ContractViolation(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
-        raise error("top level: expected an object")
+        raise ContractViolation("top level: expected an object")
     return raw
 
 
-def _require_keys(obj: dict, required: set[str]) -> None:
+def _require_keys(obj: dict, where: str, required: set[str], optional: set[str]) -> None:
+    """Refuse the first key of ``obj`` (sorted) outside ``required`` and
+    ``optional``, then the first of ``required`` it lacks."""
+    unknown = obj.keys() - required - optional
+    if unknown:
+        raise ContractViolation(f"{where}: unknown field {sorted(unknown)[0]!r}")
     missing = required - obj.keys()
     if missing:
-        raise SpectrumFormatError(f"top level: missing field {sorted(missing)[0]!r}")
-    unknown = obj.keys() - required
-    if unknown:
-        raise SpectrumFormatError(f"top level: unknown field {sorted(unknown)[0]!r}")
+        raise ContractViolation(f"{where}: missing field {sorted(missing)[0]!r}")
 
 
 def _is_integer_key(key: str) -> bool:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Mapping, Sequence
 
-from .errors import ContractViolation, SpectrumFormatError
+from .errors import ContractViolation
 from .ioutil import MAX_MODES, _is_integer_key, _require_keys, read_json_object
 
 KIND_LAPLACE = "laplace"
@@ -34,9 +34,9 @@ def _normalize_degree(pairs: Sequence[tuple[float, int]], where: str) -> tuple[t
     for k, (nu, mult) in enumerate(pairs):
         nu = float(nu)
         if not math.isfinite(nu) or nu < -MERGE_TOL:
-            raise SpectrumFormatError(f"{where}[{k}]: eigenvalue must be finite and >= 0, got {nu!r}")
+            raise ContractViolation(f"{where}[{k}]: eigenvalue must be finite and >= 0, got {nu!r}")
         if int(mult) != mult or mult < 1:
-            raise SpectrumFormatError(f"{where}[{k}]: multiplicity must be a positive integer, got {mult!r}")
+            raise ContractViolation(f"{where}[{k}]: multiplicity must be a positive integer, got {mult!r}")
         items.append((max(nu, 0.0), int(mult)))
     items.sort(key=lambda p: p[0])
     merged: list[tuple[float, int]] = []
@@ -63,11 +63,11 @@ class CrossSectionSpectrum:
 
     def __post_init__(self):
         if self.dimension < 1:
-            raise SpectrumFormatError(f"dimension: must be >= 1, got {self.dimension}")
+            raise ContractViolation(f"dimension: must be >= 1, got {self.dimension}")
         clean = {}
         for q, pairs in self.degrees.items():
             if not 0 <= int(q) <= self.dimension:
-                raise SpectrumFormatError(f"degrees[{q}]: degree outside [0, {self.dimension}]")
+                raise ContractViolation(f"degrees[{q}]: degree outside [0, {self.dimension}]")
             clean[int(q)] = _normalize_degree(pairs, f"degrees[{q}]")
         object.__setattr__(self, "degrees", clean)
 
@@ -159,30 +159,30 @@ def load_spectrum(path: str) -> CrossSectionSpectrum:
     ...]}}``. Unknown keys are errors, as are malformed entries; error
     messages name the offending field.
     """
-    raw = read_json_object(path, SpectrumFormatError)
-    _require_keys(raw, {"name", "dimension", "degrees"})
+    raw = read_json_object(path)
+    _require_keys(raw, "top level", {"name", "dimension", "degrees"}, set())
     if not isinstance(raw["name"], str):
-        raise SpectrumFormatError("name: expected a string")
+        raise ContractViolation("name: expected a string")
     if not isinstance(raw["dimension"], int) or isinstance(raw["dimension"], bool):
-        raise SpectrumFormatError("dimension: expected an integer")
+        raise ContractViolation("dimension: expected an integer")
     if not isinstance(raw["degrees"], dict):
-        raise SpectrumFormatError("degrees: expected an object")
+        raise ContractViolation("degrees: expected an object")
 
     degrees: dict[int, list[tuple[float, int]]] = {}
     for key, rows in raw["degrees"].items():
         if not _is_integer_key(key):
-            raise SpectrumFormatError(f"degrees[{key!r}]: key is not an integer")
+            raise ContractViolation(f"degrees[{key!r}]: key is not an integer")
         if not isinstance(rows, list):
-            raise SpectrumFormatError(f"degrees[{key!r}]: expected a list of [nu, mult] pairs")
+            raise ContractViolation(f"degrees[{key!r}]: expected a list of [nu, mult] pairs")
         pairs = []
         for k, row in enumerate(rows):
             if not (isinstance(row, list) and len(row) == 2):
-                raise SpectrumFormatError(f"degrees[{key!r}][{k}]: expected a [nu, mult] pair")
+                raise ContractViolation(f"degrees[{key!r}][{k}]: expected a [nu, mult] pair")
             nu, mult = row
             if not isinstance(nu, (int, float)) or isinstance(nu, bool):
-                raise SpectrumFormatError(f"degrees[{key!r}][{k}][0]: eigenvalue is not a number")
+                raise ContractViolation(f"degrees[{key!r}][{k}][0]: eigenvalue is not a number")
             if not isinstance(mult, int) or isinstance(mult, bool):
-                raise SpectrumFormatError(f"degrees[{key!r}][{k}][1]: multiplicity is not an integer")
+                raise ContractViolation(f"degrees[{key!r}][{k}][1]: multiplicity is not an integer")
             pairs.append((float(nu), mult))
         degrees[int(key)] = pairs
 

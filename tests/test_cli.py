@@ -189,6 +189,59 @@ class TestConfigErrors:
             "inline block": f"error: blocks[0]: potential key {key!r} is not an integer\n",
         }[where]
 
+    @pytest.mark.parametrize("command,field,value,message", [
+        ("roots", "degrees", [0, 0], "degrees[1]: repeats degrees[0] = 0"),
+        ("glue", "degrees", [1, 0, 1], "degrees[2]: repeats degrees[0] = 1"),
+        ("glue", "T", [8, 8], "T[1]: repeats T[0] = 8"),
+        ("q0check", "T", [5, 10, 5.0], "T[2]: repeats T[0] = 5"),
+        ("density", "s", [4.41, 4.41], "s[1]: repeats s[0] = 4.4100000000000001"),
+    ])
+    def test_repeated_entry_is_refused(self, tmp_path, capsys, monkeypatch, command, field,
+                                       value, message):
+        # a repeated degree, T or s would be solved and reported twice
+        fields = dict(spectrum="scalar", blocks=[FLAT_BLOCK, FLAT_BLOCK], degrees=[0],
+                      T=[8, 10], s=[4.41], seed=1)
+        fields[field] = value
+        cfg = write_config(tmp_path, **fields)
+
+        def no_modes(*args, **kwargs):
+            raise AssertionError("the refusal must come before any mode or operator is built")
+
+        for name in ("mode_count", "mode_list", "assemble"):
+            monkeypatch.setattr(cli, name, no_modes)
+        code, out, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("block,potential,message", [
+        (SECH_BLOCK, {"profile": "kernel_neumann", "c": 0.5, "cc": 9}, "unknown field 'cc'"),
+        (TANH_BLOCK, {"profile": "kernel_dirichlet", "c": 0.5}, "unknown field 'c'"),
+        (TANH_BLOCK, {"profile": "kernel_dirichlet", "mu": 2.0, "L": 1.0}, "unknown field 'L'"),
+        (SECH_BLOCK, {"profile": "kernel_neumann", "mu": 2.0}, "missing field 'c'"),
+    ])
+    def test_profile_object_fields_are_checked(self, tmp_path, capsys, block, potential, message):
+        # a field the profile does not take would be dropped unread
+        cfg = write_config(tmp_path, spectrum="scalar",
+                           blocks=[dict(block, potentials={"0": potential}), FLAT_BLOCK],
+                           degrees=[0], T=[8], seed=1)
+        code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == f'error: blocks[0].potentials["0"]: {message}\n'
+
+    @pytest.mark.parametrize("name,text", [
+        ("spec.json", '{"dimension": 1, "degrees": {"0": [[0.0, 1]]}, "extra": 1}'),
+        ("block.json", '{"L": 0.0, "boundary": "neumann", "potentials": {}, "extra": 1}'),
+    ])
+    def test_unknown_field_is_named_before_a_missing_one(self, tmp_path, capsys, name, text):
+        # every JSON object is read by one key check: the first unknown key
+        # in sorted order, then the first missing one, as in a config
+        for file, clean in self.CLEAN_FILES.items():
+            (tmp_path / file).write_text(text if file == name else clean, encoding="utf-8")
+        code, out, err = run(capsys, "glue", "--config", str(tmp_path / "config.json"),
+                             "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == "error: top level: unknown field 'extra'\n"
+
     def test_q0check_empty_T(self, tmp_path, capsys):
         cfg = write_config(tmp_path, spectrum="scalar", degrees=[0], T=[], seed=1)
         code, out, err = run(capsys, "q0check", "--config", cfg, "--out", str(tmp_path / "o"))
@@ -196,7 +249,7 @@ class TestConfigErrors:
         assert "error: T:" in err
 
     def test_q0check_needs_two_distinct_T(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, spectrum="scalar", degrees=[0], T=[5, 5.0], seed=1)
+        cfg = write_config(tmp_path, spectrum="scalar", degrees=[0], T=[5], seed=1)
         code, out, err = run(capsys, "q0check", "--config", cfg, "--out", str(tmp_path / "o"))
         assert code == 2
         assert "error: T:" in err

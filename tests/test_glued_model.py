@@ -9,11 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neckspec import glued_model
-from neckspec.errors import (
-    AnalysisError,
-    ContractViolation,
-    SpectrumFormatError,
-)
+from neckspec.errors import AnalysisError, ContractViolation
 from neckspec.glued_model import (
     DIRICHLET,
     NEUMANN,
@@ -573,5 +569,5 @@ def test_block_json_is_strict(tmp_path, mangle, message):
     mangle(payload)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(SpectrumFormatError, match=message):
+    with pytest.raises(ContractViolation, match=message):
         load_block(str(path), SCALAR)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from neckspec.errors import ContractViolation, SpectrumFormatError
+from neckspec.errors import ContractViolation
 from neckspec.ioutil import MAX_MODES
 from neckspec.spectral_model import (
     KIND_DIRAC,
@@ -92,22 +92,23 @@ class TestLoadSpectrum:
 
     def test_negative_eigenvalue_names_field(self, tmp_path):
         payload = {"name": "x", "dimension": 1, "degrees": {"0": [[-1.0, 1]]}}
-        with pytest.raises(SpectrumFormatError, match="degrees"):
+        with pytest.raises(ContractViolation, match="degrees"):
             load_spectrum(self.write(tmp_path, payload))
 
     def test_zero_multiplicity(self, tmp_path):
         payload = {"name": "x", "dimension": 1, "degrees": {"0": [[1.0, 0]]}}
-        with pytest.raises(SpectrumFormatError):
+        with pytest.raises(ContractViolation,
+                           match=r"^degrees\[0\]\[0\]: multiplicity must be a positive integer, got 0$"):
             load_spectrum(self.write(tmp_path, payload))
 
     def test_unknown_key(self, tmp_path):
         payload = {"name": "x", "dimension": 1, "degrees": {}, "extra": 1}
-        with pytest.raises(SpectrumFormatError, match="extra"):
+        with pytest.raises(ContractViolation, match="extra"):
             load_spectrum(self.write(tmp_path, payload))
 
     def test_missing_key(self, tmp_path):
         payload = {"name": "x", "degrees": {}}
-        with pytest.raises(SpectrumFormatError, match="dimension"):
+        with pytest.raises(ContractViolation, match="dimension"):
             load_spectrum(self.write(tmp_path, payload))
 
     def test_merge_of_close_eigenvalues(self, tmp_path):
@@ -127,13 +128,13 @@ class TestLoadSpectrum:
             "degrees": {"0": [[0.0, 2]]},
             "twist": {"0": [[[0.0, 1.0], [-1.0, 0.0]]]},
         }
-        with pytest.raises(SpectrumFormatError, match="unknown field 'twist'"):
+        with pytest.raises(ContractViolation, match="unknown field 'twist'"):
             load_spectrum(self.write(tmp_path, payload))
 
     def test_not_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json", encoding="utf-8")
-        with pytest.raises(SpectrumFormatError, match="JSON"):
+        with pytest.raises(ContractViolation, match="JSON"):
             load_spectrum(str(p))
 
 
@@ -222,7 +223,7 @@ class TestSpectrumInvariants:
                     assert all(root == 0 for root, _ in real_roots_of(m))
 
     def test_degree_outside_range_rejected(self):
-        with pytest.raises(SpectrumFormatError):
+        with pytest.raises(ContractViolation, match=r"^degrees\[5\]: degree outside \[0, 1\]$"):
             CrossSectionSpectrum(name="x", dimension=1, degrees={5: ((0.0, 1),)})
 
     def test_spectra_compare_by_value(self):
