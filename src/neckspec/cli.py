@@ -101,8 +101,15 @@ def _spectrum_from(entry, base_dir: str):
             raise ContractViolation(f"spectrum: unknown preset {entry!r}")
         return presets[entry]()
     if isinstance(entry, dict) and set(entry) == {"file"}:
-        return load_spectrum(os.path.join(base_dir, entry["file"]))
+        return load_spectrum(_file_path(entry, base_dir, "spectrum"))
     raise ContractViolation("spectrum: expected a preset name or {\"file\": path}")
+
+
+def _file_path(entry: dict, base_dir: str, where: str) -> str:
+    """The path a {"file": path} entry names, relative to the config's directory."""
+    if not isinstance(entry["file"], str):
+        raise ContractViolation(f"{where}.file: expected a string")
+    return os.path.join(base_dir, entry["file"])
 
 
 def _number(entry: dict, key: str, where: str) -> float:
@@ -134,7 +141,7 @@ def _block_from(entry, spec, base_dir: str, where: str) -> BuildingBlock:
     if not isinstance(entry, dict):
         raise ContractViolation(f"{where}: expected an object")
     if set(entry) == {"file"}:
-        return load_block(os.path.join(base_dir, entry["file"]), spec)
+        return load_block(_file_path(entry, base_dir, where), spec)
     _require_keys(entry, where, {"L", "boundary", "mu"}, {"potentials"})
     mu = _number(entry, "mu", where)
     potentials = entry.get("potentials", {})

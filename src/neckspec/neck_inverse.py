@@ -125,7 +125,9 @@ def _panel_weights(a: float, h: float) -> tuple[float, float]:
     return w_far, w_near
 
 
-_MARCH_ROWS = 64  # rows at once: grid rows of panel terms, section rows transposed
+# rows at once: grid rows of panel terms, section rows transposed, and grid
+# columns of the residual
+_MARCH_ROWS = 64
 
 
 def _gnu_convolve(f: np.ndarray, nus: Sequence[float], h: float) -> np.ndarray:
@@ -234,16 +236,15 @@ def q0_apply(f: CompactSection) -> np.ndarray:
     slices = mode_rows(f.modes)
     positive = [(sl.start, m.nu) for m, sl in zip(f.modes, slices)
                 if m.kind == KIND_LAPLACE and not m.is_zero_mode]
-    values = np.zeros_like(f.values)
-    if positive:
-        idx = [r for r, _ in positive]
-        # the march reads one grid row of every positive row per step: it
-        # gets them C-ordered, transposed a block of rows at a time so no
-        # second full copy is live
-        rows = np.empty((len(t), len(idx)), dtype=f.values.dtype)
-        for lo in range(0, len(idx), _MARCH_ROWS):
-            rows[:, lo : lo + _MARCH_ROWS] = f.values[idx[lo : lo + _MARCH_ROWS]].T
-        values[idx] = _gnu_convolve(rows, [nu for _, nu in positive], h).T
+    idx = [r for r, _ in positive]
+    # the march reads one grid row of every positive row per step: it gets
+    # them C-ordered, in a copy freed when it returns, before the samples
+    # are allocated, so at most two section-sized arrays are live
+    march = (_gnu_convolve(_grid_major(f.values, idx), [nu for _, nu in positive], h)
+             if idx else None)
+    values = np.empty_like(f.values)  # every row is written below
+    if idx:
+        values[idx] = march.T
     for m, sl in zip(f.modes, slices):
         if m.kind == KIND_LAPLACE and m.is_zero_mode:
             values[sl.start] = _laplace_zero_inverse(f.values[sl.start], t, h)
@@ -254,48 +255,60 @@ def q0_apply(f: CompactSection) -> np.ndarray:
     return values
 
 
-# ---------------------------------------------------------------------------
-# discrete operator application and checks
-
-
-def apply_discrete(modes: Sequence[ModeOperator], values: np.ndarray, h: float) -> np.ndarray:
-    """Three-point / central-difference application of the mode operators.
-
-    Endpoint columns are returned as zero; callers only ever look at
-    interior columns (the support sits strictly inside the grid).
-    """
-    out = np.zeros_like(values, dtype=np.result_type(values, float))
-    for m, sl in zip(modes, mode_rows(modes)):
-        if m.kind == KIND_LAPLACE:
-            u = values[sl.start]
-            out[sl.start, 1:-1] = m.nu * u[1:-1] - (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
-        else:
-            ua, ub = values[sl.start], values[sl.start + 1]
-            da = (ua[2:] - ua[:-2]) / (2 * h)
-            db = (ub[2:] - ub[:-2]) / (2 * h)
-            out[sl.start, 1:-1] = -db
-            out[sl.start + 1, 1:-1] = da
+def _grid_major(values: np.ndarray, idx: list[int]) -> np.ndarray:
+    """The rows idx of values as the columns of a C-ordered array, transposed
+    a block of rows at a time so no second full copy is live."""
+    out = np.empty((values.shape[1], len(idx)), dtype=values.dtype)
+    for lo in range(0, len(idx), _MARCH_ROWS):
+        out[:, lo : lo + _MARCH_ROWS] = values[idx[lo : lo + _MARCH_ROWS]].T
     return out
+
+
+# ---------------------------------------------------------------------------
+# residual of the discrete operators
 
 
 def residual_on_support(u: np.ndarray, f: CompactSection) -> float:
     """Relative l2 error of P(u) against f over the support window, with P
-    the operators of ``f.modes`` and u the samples :func:`q0_apply` returns."""
-    t = f.grid()
-    pu = apply_discrete(f.modes, u, f.h)
+    the operators of ``f.modes`` applied by the three-point Laplace stencil
+    and central-difference Dirac rotation, and u the samples :func:`q0_apply`
+    returns."""
+    t, h = f.grid(), f.h
     # the support is one contiguous run of columns, less the two grid ends
     inside = np.flatnonzero(np.abs(t) <= f.support)
-    window = slice(max(int(inside[0]), 1), min(int(inside[-1]) + 1, len(t) - 1))
-    # column-major temporaries are summed column by column, down the rows:
-    # the order that fixes the last bits of the residuals q0check writes
-    diff = np.subtract(pu[:, window], f.values[:, window], order="F")
-    del pu
-    num = _sum_squares(np.abs(diff) if np.iscomplexobj(diff) else diff)
-    del diff
-    denom = math.sqrt(f.h * _sum_squares(np.abs(f.values[:, window], order="F")))
+    w0, w1 = max(int(inside[0]), 1), min(int(inside[-1]) + 1, len(t) - 1)
+    slices = mode_rows(f.modes)
+    alpha = np.array([sl.start for m, sl in zip(f.modes, slices) if m.kind == KIND_DIRAC],
+                     dtype=np.intp)
+    beta = alpha + 1
+    # (P u - f)^T: one grid column of the window per row of a C-ordered
+    # buffer, whose memory-order sum is the column-by-column sum that fixes
+    # the last bits of the residuals q0check writes
+    diff = np.empty((max(w1 - w0, 0), len(u)), dtype=np.result_type(u, f.values))
+    nu = np.array([m.nu for m, sl in zip(f.modes, slices) for _ in range(sl.start, sl.stop)],
+                  dtype=diff.dtype)
+    for c0 in range(w0, w1, _MARCH_ROWS):
+        c1 = min(c0 + _MARCH_ROWS, w1)
+        ut = np.ascontiguousarray(u[:, c0 - 1 : c1 + 1].T, dtype=diff.dtype)
+        prev, mid, succ = ut[:-2], ut[1:-1], ut[2:]
+        out = diff[c0 - w0 : c1 - w0]
+        # nu u - (u_{j+1} - 2 u_j + u_{j-1}) / h^2 on every row; a Dirac
+        # block's rows are then overwritten by its rotation (-db, da)
+        np.multiply(2, mid, out=out)
+        np.subtract(succ, out, out=out)
+        out += prev
+        out /= h**2
+        np.subtract(nu * mid, out, out=out)
+        out[:, alpha] = -((succ[:, beta] - prev[:, beta]) / (2 * h))
+        out[:, beta] = (succ[:, alpha] - prev[:, alpha]) / (2 * h)
+        out -= f.values[:, c0:c1].T
+    # squared in place and summed; |f|^T then refills the real buffer
+    mag = np.abs(diff) if np.iscomplexobj(diff) else diff
+    num = _sum_squares(mag)
+    denom = math.sqrt(h * _sum_squares(np.abs(f.values[:, w0:w1].T, out=mag)))
     if denom == 0:
         return 0.0
-    return math.sqrt(f.h * num) / denom
+    return math.sqrt(h * num) / denom
 
 
 def _sum_squares(a: np.ndarray) -> float:

@@ -242,6 +242,22 @@ class TestConfigErrors:
         assert (code, out) == (2, "")
         assert err == "error: top level: unknown field 'extra'\n"
 
+    @pytest.mark.parametrize("path", [3, None, True, ["block.json"], {"name": "block.json"}],
+                             ids=["number", "null", "bool", "list", "object"])
+    @pytest.mark.parametrize("where", ["spectrum", "blocks[0]", "blocks[1]"])
+    def test_file_entry_that_is_not_a_string_is_refused(self, tmp_path, capsys, where, path):
+        # the path is checked before it is joined to the config's directory
+        fields = dict(spectrum="scalar", blocks=[FLAT_BLOCK, FLAT_BLOCK], degrees=[0],
+                      T=[8], seed=1)
+        if where == "spectrum":
+            fields["spectrum"] = {"file": path}
+        else:
+            fields["blocks"][int(where[-2])] = {"file": path}
+        cfg = write_config(tmp_path, **fields)
+        code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {where}.file: expected a string\n"
+
     def test_q0check_empty_T(self, tmp_path, capsys):
         cfg = write_config(tmp_path, spectrum="scalar", degrees=[0], T=[], seed=1)
         code, out, err = run(capsys, "q0check", "--config", cfg, "--out", str(tmp_path / "o"))
@@ -581,6 +597,24 @@ class TestQ0Check:
         assert digests == {
             "q0_residuals.csv": "96ca1c94c1057e95cb693c4ccdb5ab328d13a0c91278a0bda17be01daed7e418",
             "q0_normfit.csv": "cca84021c4cebcb1500d8845ac581a485ff24d4440093963060af169b9b4c915",
+        }
+
+    def test_benchmark_tables_keep_their_bytes(self, tmp_path, capsys):
+        # the cylinder-calculus config at seed 7: the residual sums run over
+        # h = 1/64 and 1/128 windows of all 507 rows, so a reordered sum or
+        # a changed stencil moves these digests
+        cfg = write_config(tmp_path, spectrum="torus2", degrees=[1], T=[5, 10, 20, 40],
+                           h=1.0 / 64, seed=7)
+        code, out, err = run(capsys, "q0check", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, err) == (0, "")
+        assert out == ("PASS q0check: residual 3.961e-05 (threshold 1.000e-03), halving ratio "
+                       "0.251, laplace exponent 2.000 in [1.8, 2.2], dirac exponent 1.000 in "
+                       "[0.8, 1.2]\n")
+        digests = {name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+                   for name in ("q0_residuals.csv", "q0_normfit.csv")}
+        assert digests == {
+            "q0_residuals.csv": "eafd72811e47356b429e56c8f785a2fc7a541bc7cc63b35c83957854ccec66c9",
+            "q0_normfit.csv": "ea70e0da8e53ca20bc8a0a24db2b7cfd7c7cd02eddd627d7c306d4a510d3c42b",
         }
 
 
