@@ -446,9 +446,9 @@ def assemble(
 
 @dataclass(frozen=True)
 class ShootingElement:
-    """One zero mode's shooting solution and its affine far field a + b s.
-    ``samples`` is a read-only view of a ``BlockMarch``, shared by the
-    members of a mode family and by every T read off that march."""
+    """One zero mode's shooting solution and its nonzero affine far field
+    a + b s. ``samples`` is a read-only view of a ``BlockMarch``, shared by
+    the members of a mode family and by every T read off that march."""
 
     mode_index: int
     h: float
@@ -456,7 +456,6 @@ class ShootingElement:
     a: float
     b: float
     bounded: bool
-    decaying: bool
 
 
 def _shoot_families(block: BuildingBlock, cases: Sequence[tuple[int, float]], h: float,
@@ -587,7 +586,9 @@ def block_kernel(
     boundary and classify.
 
     Zero modes yield one element each with its affine far data (a, b);
-    bounded means |b| below KERNEL_TOL relative to the window scale. A positive
+    bounded means |b| below KERNEL_TOL relative to the window scale. A
+    bounded shot with |a| below it too raises AnalysisError: under an
+    exponentially decaying V no nonzero solution tends to 0. A positive
     mode with a potential on the block is certified kernel-free by its
     growth rate: a bound state or threshold resonance below nu would hold
     the log slope of the shot under sqrt(nu) / 2. The shooting reach can
@@ -641,10 +642,12 @@ def block_kernel(
                 "the potential violates its decay contract"
             )
         bounded = abs(b) <= KERNEL_TOL * scale
-        decaying = bounded and abs(a) <= KERNEL_TOL * scale
+        if bounded and abs(a) <= KERNEL_TOL * scale:
+            raise AnalysisError(f"mode {i} fails its far-field certificate: a = {a:.3e} and "
+                                f"b = {b:.3e} vanish at scale {scale:.3e}; no nonzero solution "
+                                "decays under a decaying potential")
         elements.extend(
-            ShootingElement(mode_index=k, h=h, samples=shot, a=a, b=b, bounded=bounded,
-                            decaying=decaying)
+            ShootingElement(mode_index=k, h=h, samples=shot, a=a, b=b, bounded=bounded)
             for k in members
         )
     elements.sort(key=lambda e: e.mode_index)

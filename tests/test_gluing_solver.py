@@ -42,6 +42,7 @@ from neckspec.neck_inverse import _laplace_zero_inverse
 from neckspec.spectral_model import scalar_spectrum, torus2_spectrum
 
 SCALAR = scalar_spectrum()
+DOUBLED = scalar_spectrum(((0.0, 2),), name="doubled")
 H = 1.0 / 16
 
 
@@ -102,9 +103,8 @@ def test_substitute_kernel_flat_nd_empty():
 
 
 def test_substitute_kernel_multiplicity():
-    spec2 = scalar_spectrum(((0.0, 2),), name="doubled")
-    b = BuildingBlock(spec2, 2.0, NEUMANN, 1.0, {})
-    G = glued_model.assemble(b, b, spec2, 0, 10.0, H)
+    b = BuildingBlock(DOUBLED, 2.0, NEUMANN, 1.0, {})
+    G = glued_model.assemble(b, b, DOUBLED, 0, 10.0, H)
     S = substitute_kernel(G)
     assert S.dim == 2
     assert sorted(m for m, _ in S.basis) == [0, 1]
@@ -123,6 +123,30 @@ def test_substitute_kernel_potential_pair_matches():
     t = G.grid()
     middle = np.abs(t) <= 1.0
     assert np.allclose(vec[middle] / np.mean(vec[middle]), 1.0, atol=1e-4)
+
+
+@pytest.mark.parametrize("build, modes", [
+    (lambda: glue(nblock(), nblock()), [0]),
+    (lambda: glue(nblock(), dblock()), []),
+    (lambda: glued_model.assemble(*[BuildingBlock(DOUBLED, 2.0, NEUMANN, 1.0, {})] * 2, DOUBLED,
+                                  0, 10.0, H), [0, 1]),
+    (lambda: glue(nblock(kernel_potential_neumann(1.0, 0.8)),
+                  dblock(kernel_potential_dirichlet(1.0))), [0]),
+    (lambda: glue(*sech_pair()), [0]),
+    (lambda: glue(nblock(kernel_potential_neumann(2.0, 0.8), mu=2.0), dblock(), T=12.0), []),
+    (lambda: torus_glue(), [0, 1, 338]),
+], ids=["flat-nn", "flat-nd", "multiplicity", "potential-pair", "sech-pair", "unmatched",
+        "torus"])
+def test_substitute_kernel_has_one_unit_vector_per_matched_mode(build, modes):
+    # a block element never vanishes at infinity, so a mode gives one
+    # vector, the crossfade of its two matched traces, or none
+    G = build()
+    S = substitute_kernel(G)
+    found = [mode for mode, _ in S.basis]
+    assert found == sorted(set(found)) == modes
+    assert S.matched == set(modes)
+    for _, vec in S.basis:
+        assert G.h * np.sum(vec * vec) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_projection_roundtrip():
@@ -211,8 +235,8 @@ def test_one_march_to_the_widest_span_gives_every_T_its_kernel(case):
             assert np.array_equal(march.log_scale[: len(own.u)], own.log_scale)
             fast = block_kernel(block, spec, q, h=h, cutoff=math.inf, reach=span, march=march)
             ref = block_kernel(block, spec, q, h=h, cutoff=math.inf, reach=span, march=None)
-            assert [(e.mode_index, e.h, e.a, e.b, e.bounded, e.decaying) for e in fast] == \
-                   [(e.mode_index, e.h, e.a, e.b, e.bounded, e.decaying) for e in ref]
+            assert [(e.mode_index, e.h, e.a, e.b, e.bounded) for e in fast] == \
+                   [(e.mode_index, e.h, e.a, e.b, e.bounded) for e in ref]
             for e, r in zip(fast, ref):
                 assert np.array_equal(e.samples, r.samples)
                 assert not e.samples.flags.writeable and e.samples.flags.c_contiguous
@@ -623,12 +647,18 @@ def test_approx_solve_round_makes_one_cylinder_solve(monkeypatch):
     assert calls == [f.shape]
 
 
-def test_solve_direct_refuses_two_kernel_directions_in_one_mode():
-    G = torus_glue()
+def test_an_unbordered_singular_family_is_an_analysis_error():
+    # the zero mode of a free Neumann-Neumann operator keeps the constants,
+    # so its matrix is exactly singular, glued or on a block side
+    G = glue(nblock(), nblock())
     S = substitute_kernel(G)
-    doubled = dataclasses.replace(S, basis=S.basis + (S.basis[-1],))
-    with pytest.raises(ValueError):
-        solve_direct(G, doubled, np.zeros((len(G.modes), G.n_points), dtype=complex))
+    side = dataclasses.replace(S.blocks[0], borders={})
+    rows = np.ones((1, side.sub.stop - side.sub.start))
+    with pytest.raises(AnalysisError, match=r"^block 1 solve of mode 0 failed: \?gtsv: singular"):
+        gluing_solver._block_solve(side, [0], rows)
+    f = np.ones((1, G.n_points))
+    with pytest.raises(AnalysisError, match=r"^direct solve of mode 0 failed: \?gtsv: singular"):
+        solve_direct(G, dataclasses.replace(S, basis=()), f)
 
 
 def test_family_solvers_equal_the_per_mode_loops():
@@ -748,7 +778,6 @@ def test_solve_exact_no_contraction():
     S = dataclasses.replace(
         S,
         basis=(),
-        matched=frozenset(),
         blocks=tuple(dataclasses.replace(side, borders={}) for side in S.blocks),
         pairings=(),
     )
