@@ -147,7 +147,9 @@ class _BlockSide:
     off-diagonal -1/h^2 every family shares, and per mode the diagonal and,
     for a mode with a bounded kernel element, that element's border on the
     subgrid with the border's mean over ``edge``, the unit next to the cut.
-    The members of a mode family share one diagonal and one border."""
+    The members of a mode family share one diagonal and one border. A
+    solve of one of the ``zero_modes`` with no border must keep
+    _BORDER_DIGITS digits."""
 
     which: int
     sub: slice
@@ -156,6 +158,7 @@ class _BlockSide:
     off: np.ndarray
     diags: dict[int, np.ndarray]
     borders: dict[int, tuple[np.ndarray, float]]
+    zero_modes: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -239,7 +242,8 @@ def _block_side(G: GluedOperator, which: int, kd: tuple[ShootingElement, ...],
             borders.update(dict.fromkeys(members, (g, float(np.mean(g[edge].real)))))
     return _BlockSide(which=which, sub=sub, weight=_read_only(weight[sub]), edge=edge,
                       off=_read_only(np.full(len(t_sub) - 1, -1.0 / G.h**2)),
-                      diags=diags, borders=borders)
+                      diags=diags, borders=borders,
+                      zero_modes=frozenset(i for i, m in enumerate(G.modes) if m.is_zero_mode))
 
 
 def _pairing(G: GluedOperator, which: int, el: ShootingElement, w: np.ndarray) -> _Pairing:
@@ -548,25 +552,47 @@ def _shifted_bordered(diag: np.ndarray, off: np.ndarray, g: np.ndarray, rhs: np.
     if not (backward <= _BORDER_TOL and orth <= _BORDER_TOL):
         raise AnalysisError(f"bordered block solve not certified: backward error {backward:.3e}, "
                             f"|g^T u| / (|g| |u|) = {orth:.3e} (tolerance {_BORDER_TOL:.0e})")
-    cond = kx / max(np.max(np.abs(rhs)), tiny)
-    if cond * np.finfo(float).eps > 10.0**-_BORDER_DIGITS:
-        raise AnalysisError(f"bordered block solve refused: ||K|| ||x|| / ||rhs|| = {cond:.3e} "
-                            f"leaves fewer than {_BORDER_DIGITS} digits; K is numerically singular")
+    _require_digits(kx, rhs, "bordered block solve", "K")
     return u
+
+
+def _require_digits(kx, rhs: np.ndarray, what: str, name: str) -> None:
+    """Refuse a solve K x = rhs whose ||K|| ||x|| / ||rhs|| (infinity norms,
+    kx = ||K|| ||x|| for each row of rhs) leaves fewer than _BORDER_DIGITS
+    digits. The ratio bounds cond(K) from below, and a backward-stable
+    solve with a numerically singular K returns a huge x along its kernel
+    with a tiny backward error."""
+    cond = float(np.max(kx / np.maximum(np.max(np.abs(rhs), axis=-1), np.finfo(float).tiny)))
+    if cond * np.finfo(float).eps > 10.0**-_BORDER_DIGITS:
+        raise AnalysisError(f"{what} refused: ||{name}|| ||x|| / ||rhs|| = {cond:.3e} "
+                            f"leaves fewer than {_BORDER_DIGITS} digits; {name} is numerically singular")
+
+
+def _unbordered_solve(diag: np.ndarray, off: np.ndarray, rows: np.ndarray, what: str,
+                      zero_mode: bool) -> np.ndarray:
+    """Solves of a family's (k, n) rows with no border. A zero pivot raises
+    AnalysisError, and so does a zero-mode solve that keeps fewer than
+    _BORDER_DIGITS digits; a positive family is bounded below by nu."""
+    try:
+        out = _solve_tridiag(diag, off, rows.T).T
+    except np.linalg.LinAlgError as exc:
+        raise AnalysisError(f"{what} failed: {exc}") from exc
+    if zero_mode:
+        b_norm = np.max(np.abs(diag) + np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off)))
+        _require_digits(b_norm * np.max(np.abs(out), axis=-1), rows, what, "B")
+    return out
 
 
 def _block_solve(side: _BlockSide, members: list[int], rows: np.ndarray) -> np.ndarray:
     """Slope-zero block solves of a mode family's (k, n_sub) rows. The
     members of a family with a bounded kernel element share its border and
     are solved bordered one at a time. A singular family with no border
-    raises AnalysisError."""
+    raises AnalysisError, and so does a zero-mode family with no border
+    whose solve keeps fewer than _BORDER_DIGITS digits."""
     diag = side.diags[members[0]]
     if members[0] not in side.borders:
-        try:
-            return _solve_tridiag(diag, side.off, rows.T).T
-        except np.linalg.LinAlgError as exc:
-            raise AnalysisError(
-                f"block {side.which} solve of mode {members[0]} failed: {exc}") from exc
+        return _unbordered_solve(diag, side.off, rows, f"block {side.which} solve of mode "
+                                 f"{members[0]}", members[0] in side.zero_modes)
     g, scale = side.borders[members[0]]
     out = np.empty_like(rows)
     for k, row in enumerate(rows):
@@ -772,7 +798,9 @@ def solve_direct(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> np.nda
     """Direct solve of the glued matrices per ``G.families`` entry; each
     member of a (near-)singular family is solved bordered by its substitute
     kernel direction, one at a time. A non-finite source is refused, and a
-    singular family with no kernel direction raises AnalysisError."""
+    singular family with no kernel direction raises AnalysisError, as does
+    a zero-mode family with none whose solve keeps fewer than
+    _BORDER_DIGITS digits."""
     f = _inexact(f)
     nf = norm(G, f)
     if not math.isfinite(nf):
@@ -785,10 +813,9 @@ def solve_direct(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> np.nda
             for i in members:
                 out[i] = _solve_bordered(diag, off, borders[i], f[i])
         else:
-            try:
-                out[members] = _solve_tridiag(diag, off, f[members].T).T
-            except np.linalg.LinAlgError as exc:
-                raise AnalysisError(f"direct solve of mode {members[0]} failed: {exc}") from exc
+            out[members] = _unbordered_solve(diag, off, f[members],
+                                             f"direct solve of mode {members[0]}",
+                                             G.modes[members[0]].is_zero_mode)
     return S.project_off(out)
 
 

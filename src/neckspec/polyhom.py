@@ -12,13 +12,19 @@ symbolically, inverts them on polynomials, and evaluates the pairing
 
     (u, v) = int <P(D_t)[chi u](t), v(t)> dt,
 
-which is independent of the cutoff chi and has closed forms for the
-model operators. Here D_t = -i d/dt and the fiber product conjugates
-the second argument.
+which is independent of the cutoff chi and has a closed form. Here
+D_t = -i d/dt and the fiber product conjugates the second argument.
+
+Every zero-mode block is P = M d^k/dt^k with M an integer orthogonal
+matrix on the fiber: k = 2 and M = -I for a Laplace block, k = 1 and
+M = J for a Dirac block. The kernel, the right inverse and the pairing
+all follow from the pair (k, M), so each operation below is one formula
+in ``op.order``, ``op.matrix`` and ``op.fiber_dim``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -57,10 +63,6 @@ def _poly_trim(coeffs: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
 
 def _poly_deriv(coeffs: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     return tuple((j + 1) * coeffs[j + 1] for j in range(len(coeffs) - 1))
-
-
-def _poly_scale(coeffs: Sequence[np.ndarray], factor) -> tuple[np.ndarray, ...]:
-    return tuple(factor * c for c in coeffs)
 
 
 def _poly_values(coeffs: Sequence[np.ndarray], t: np.ndarray, dim: int) -> np.ndarray:
@@ -147,30 +149,27 @@ class CutoffFunction:
 
 
 class LaplaceZero:
-    """Zero-mode Laplace block: nu p - p'' with nu = 0, acting diagonally on
-    a fiber of n_alpha tangential and n_beta dt-wedge components. The
-    operator is the same on both kinds, so only the fiber dimension is kept."""
+    """Zero-mode Laplace block nu p - p'' with nu = 0, that is M d^2/dt^2
+    with M = -I, on a fiber of n_alpha tangential and n_beta dt-wedge
+    components. The operator is the same on both kinds, so only the fiber
+    dimension is kept."""
 
-    kind = "laplace"
+    order = 2
 
     def __init__(self, n_alpha: int, n_beta: int):
         self.fiber_dim = int(n_alpha) + int(n_beta)
+        self.matrix = -np.eye(self.fiber_dim, dtype=int)
 
 
 class DiracZero:
     """First-order zero-mode block J d/dt on n_pairs of (alpha, beta)
     components, alphas first. J sends (a, b) to (-b, a)."""
 
-    kind = "dirac"
+    order = 1
 
     def __init__(self, n_pairs: int):
-        self.n_pairs = int(n_pairs)
-        self.fiber_dim = 2 * self.n_pairs
-        n = self.n_pairs
-        j = np.zeros((2 * n, 2 * n), dtype=int)
-        j[:n, n:] = -np.eye(n, dtype=int)
-        j[n:, :n] = np.eye(n, dtype=int)
-        self.j_matrix = j
+        self.fiber_dim = 2 * int(n_pairs)
+        self.matrix = np.kron([[0, -1], [1, 0]], np.eye(int(n_pairs), dtype=int))
 
 
 def _slice_section(u: PolyhomSection, sl: slice, dim: int) -> PolyhomSection:
@@ -183,15 +182,12 @@ def _slice_section(u: PolyhomSection, sl: slice, dim: int) -> PolyhomSection:
 
 def apply_P(op, u: PolyhomSection) -> PolyhomSection:
     """Apply the zero-mode operator exactly, with no complex scalars
-    introduced: the Laplace block sends q to -q'' and the Dirac block to J q'.
-    """
-    if isinstance(op, LaplaceZero):
-        out = _poly_scale(_poly_deriv(_poly_deriv(u.coeffs)), -1)
-    elif isinstance(op, DiracZero):
-        out = tuple(op.j_matrix @ c for c in _poly_deriv(u.coeffs))
-    else:
-        raise ContractViolation(f"no operator of kind {op.kind!r} acts on polynomial sections")
-    return PolyhomSection(op.fiber_dim, out)
+    introduced: q goes to M q^(k), so -q'' for a Laplace block and J q'
+    for a Dirac block."""
+    out = u.coeffs
+    for _ in range(op.order):
+        out = _poly_deriv(out)
+    return PolyhomSection(op.fiber_dim, tuple(op.matrix @ c for c in out))
 
 
 def in_kernel(op, u: PolyhomSection) -> bool:
@@ -205,34 +201,19 @@ def _section_scale(u: PolyhomSection) -> float:
 
 
 def q_lambda0(op, f) -> PolyhomSection:
-    """Right inverse of P on polynomials, with no kernel part.
-
-    Laplace: f = sum c_j t^j maps to -sum c_j t^{j+2} / ((j+1)(j+2)).
-    Dirac: u = -J (antiderivative of f with zero constant term).
-    Exact in rational arithmetic on the coefficients.
-    """
+    """Right inverse of P on polynomials, with no kernel part: as
+    M^-1 = M^T, f = sum c_j t^j maps to sum M^T c_j t^(j+k) j!/(j+k)!.
+    Exact in rational arithmetic on the coefficients."""
     coeffs = _coerce_poly_section(f, op.fiber_dim).coeffs
-    if isinstance(op, LaplaceZero):
-        out = [np.zeros(op.fiber_dim, dtype=object), np.zeros(op.fiber_dim, dtype=object)]
-        for j, c in enumerate(coeffs):
-            out.append(_exact_div(c, -((j + 1) * (j + 2))))
-        return PolyhomSection(op.fiber_dim, tuple(out))
-    if isinstance(op, DiracZero):
-        out = [np.zeros(op.fiber_dim, dtype=object)]
-        for j, c in enumerate(coeffs):
-            out.append(_exact_div(op.j_matrix @ c, -(j + 1)))
-        return PolyhomSection(op.fiber_dim, tuple(out))
-    raise ContractViolation(f"no closed right inverse for operator kind {op.kind!r}")
+    out = [np.zeros(op.fiber_dim, dtype=object) for _ in range(op.order)]
+    for j, c in enumerate(coeffs):
+        out.append(_exact_div(op.matrix.T @ c, math.perm(j + op.order, op.order)))
+    return PolyhomSection(op.fiber_dim, tuple(out))
 
 
 def _exact_div(vec: np.ndarray, denom: int) -> np.ndarray:
-    out = []
-    for x in np.asarray(vec).tolist():
-        if isinstance(x, Fraction) or isinstance(x, int):
-            out.append(Fraction(x) / denom)
-        else:
-            out.append(x / denom)
-    return np.array(out, dtype=object)
+    return np.array([Fraction(x) / denom if isinstance(x, (Fraction, int)) else x / denom
+                     for x in np.asarray(vec).tolist()], dtype=object)
 
 
 def _coerce_poly_section(f, dim: int) -> PolyhomSection:
@@ -250,8 +231,9 @@ def pairing_integral(op, u: PolyhomSection, v: PolyhomSection,
     The integrand is supported on the transition interval of chi, so the
     quadrature runs over [center - 1/2, center + 1/2] in _QUAD_PANELS
     panels. Both sections must lie in the kernel of P; anything else has no
-    chi-independent pairing and is refused. The integrand is -(chi u)''
-    against v for a Laplace block and J (chi u)' against v for a Dirac block.
+    chi-independent pairing and is refused. M is applied to u's
+    coefficients, exactly, and (chi M u)^(k) is summed by Leibniz, highest
+    derivative of chi first.
     """
     if chi is None:
         chi = CutoffFunction(0.0)
@@ -263,18 +245,13 @@ def pairing_integral(op, u: PolyhomSection, v: PolyhomSection,
     step = 1.0 / _QUAD_PANELS
     t = chi.center - 0.5 + step * np.arange(_QUAD_PANELS + 1)
 
-    c0 = chi(t)
-    c1 = chi.d1(t)
-    q = tuple(np.asarray(c, dtype=complex) for c in u.coeffs)
-    qv = _poly_values(q, t, op.fiber_dim)
-    qv1 = _poly_values(_poly_deriv(q), t, op.fiber_dim)
-    if isinstance(op, LaplaceZero):
-        qv2 = _poly_values(_poly_deriv(_poly_deriv(q)), t, op.fiber_dim)
-        p_chi_u = -(chi.d2(t) * qv + 2.0 * c1 * qv1 + c0 * qv2)
-    elif isinstance(op, DiracZero):
-        p_chi_u = op.j_matrix @ (c1 * qv + c0 * qv1)
-    else:
-        raise ContractViolation(f"no pairing integrand for operator kind {op.kind!r}")
+    chi_derivs = (chi, chi.d1, chi.d2)
+    q = tuple(op.matrix @ np.asarray(c, dtype=complex) for c in u.coeffs)
+    for i in range(op.order + 1):
+        term = (math.comb(op.order, i) * chi_derivs[op.order - i](t)) * _poly_values(
+            q, t, op.fiber_dim)
+        p_chi_u = term if i == 0 else p_chi_u + term
+        q = _poly_deriv(q)
 
     vv = v.evaluate(t)
     integrand = np.sum(p_chi_u * np.conj(vv), axis=0)
@@ -286,34 +263,23 @@ def pairing_integral(op, u: PolyhomSection, v: PolyhomSection,
 
 
 def pairing_closed(op, u: PolyhomSection, v: PolyhomSection) -> complex:
-    """Closed form of the pairing for the model operators.
+    """Closed form of the pairing of kernel sections u = sum eta_j t^j and
+    v = sum eta'_j t^j, of degree below k:
 
-    With u = eta0 + t eta1 and v = eta0' + t eta1' the Laplace pairing is
-    <eta0, eta1'> - <eta1, eta0'>; the Dirac pairing of constants
-    (alpha, beta) against (alpha', beta') is <alpha, beta'> - <beta, alpha'>.
+        sum_{i = k-1, ..., 0} (-1)^i <M eta_{k-1-i}, eta'_i>,
+
+    so <eta0, eta1'> - <eta1, eta0'> for a Laplace block and
+    <alpha, beta'> - <beta, alpha'> for a Dirac block's constants
+    (alpha, beta) and (alpha', beta').
     """
-    if isinstance(op, LaplaceZero):
-        cu = _pad_poly(u.coeffs, 2, op.fiber_dim)
-        cv = _pad_poly(v.coeffs, 2, op.fiber_dim)
-        if len(cu) > 2 or len(cv) > 2:
-            raise ContractViolation("Laplace kernel sections have degree at most one")
-        return _herm(cu[0], cv[1]) - _herm(cu[1], cv[0])
-    if isinstance(op, DiracZero):
-        cu = _pad_poly(u.coeffs, 1, op.fiber_dim)
-        cv = _pad_poly(v.coeffs, 1, op.fiber_dim)
-        if len(cu) > 1 or len(cv) > 1:
-            raise ContractViolation("Dirac kernel sections are constant")
-        n = op.n_pairs
-        au, bu = cu[0][:n], cu[0][n:]
-        av, bv = cv[0][:n], cv[0][n:]
-        return _herm(au, bv) - _herm(bu, av)
-    raise ContractViolation(f"no closed pairing for operator kind {op.kind!r}")
-
-
-def _pad_poly(coeffs, deg: int, dim: int):
-    out = list(coeffs)
-    while len(out) < deg:
-        out.append(np.zeros(dim))
+    k = op.order
+    if len(u.coeffs) > k or len(v.coeffs) > k:
+        raise ContractViolation(f"kernel sections of an order-{k} block have degree below {k}")
+    cu, cv = (list(w.coeffs) + [np.zeros(op.fiber_dim)] * (k - len(w.coeffs)) for w in (u, v))
+    out = 0j
+    for i in reversed(range(k)):
+        term = _herm(op.matrix @ cu[k - 1 - i], cv[i])
+        out = out - term if i % 2 else out + term
     return out
 
 
@@ -345,14 +311,9 @@ def gram_matrix(op, basis_e: Sequence[PolyhomSection], basis_estar: Sequence[Pol
 
 
 def standard_kernel_basis(op) -> list[PolyhomSection]:
-    """Canonical basis of the polynomial kernel: constants then linears for
-    a Laplace block, fiber constants for a Dirac block."""
+    """Canonical basis of the polynomial kernel: the unit fiber vectors at
+    each degree below k, constants first."""
     dim = op.fiber_dim
     eye = np.eye(dim)
-    if isinstance(op, LaplaceZero):
-        consts = [PolyhomSection(dim, (eye[i],)) for i in range(dim)]
-        linears = [PolyhomSection(dim, (np.zeros(dim), eye[i])) for i in range(dim)]
-        return consts + linears
-    if isinstance(op, DiracZero):
-        return [PolyhomSection(dim, (eye[i],)) for i in range(dim)]
-    raise ContractViolation(f"no canonical kernel basis for operator kind {op.kind!r}")
+    return [PolyhomSection(dim, (*np.zeros((d, dim)), eye[i]))
+            for d in range(op.order) for i in range(dim)]

@@ -639,6 +639,19 @@ class TestPairCheck:
         assert ((tmp_path / "a" / "paircheck.csv").read_bytes()
                 == (tmp_path / "b" / "paircheck.csv").read_bytes())
 
+    def test_benchmark_table_keeps_its_bytes(self, tmp_path, capsys):
+        # the cylinder-calculus config at seed 7: every pairing's last bits
+        # follow the quadrature's and the closed form's summation order
+        cfg = write_config(tmp_path, spectrum="torus2", degrees=[1], T=[5, 10, 20, 40],
+                           h=1.0 / 64, seed=7)
+        code, out, err = run(capsys, "paircheck", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, err) == (0, "")
+        assert out == ("PASS paircheck: 100 pairings (worst 2.82e-11), chi independence (worst "
+                       "5.42e-11), Gram full rank, right-inverse identity exact on 20 rational "
+                       "cases\n")
+        digest = hashlib.sha256((tmp_path / "o" / "paircheck.csv").read_bytes()).hexdigest()
+        assert digest == "898350c91041bd570db0701ff5953409a7b6658f14c45fc68c91e70455758741"
+
 
 def threshold_bound_state_samples(nu, h, m=16, n=40 * 16):
     """Sample rows (s, V) of a potential whose Neumann shot of the nu mode

@@ -40,6 +40,7 @@ from neckspec.gluing_solver import (
 from neckspec.rng import SplitMix64
 from neckspec.neck_inverse import _laplace_zero_inverse
 from neckspec.spectral_model import scalar_spectrum, torus2_spectrum
+from test_cli import vanishing_tail_samples
 
 SCALAR = scalar_spectrum()
 DOUBLED = scalar_spectrum(((0.0, 2),), name="doubled")
@@ -659,6 +660,25 @@ def test_an_unbordered_singular_family_is_an_analysis_error():
     f = np.ones((1, G.n_points))
     with pytest.raises(AnalysisError, match=r"^direct solve of mode 0 failed: \?gtsv: singular"):
         solve_direct(G, dataclasses.replace(S, basis=()), f)
+
+
+def test_a_nearly_singular_unbordered_zero_mode_is_refused():
+    # at k = 92 the block's mode-0 shot is unbounded by a hair (b = 8.8e-6),
+    # so no side has a border, yet the slope-zero matrix on block 1, and the
+    # glued matrix against a flat block, are singular to working precision:
+    # ?gtsv alone returns |u| = 7.2e14 for a right side of ones
+    block = nblock(Potential.from_samples(vanishing_tail_samples(92), 1.0), L=7.0)
+    digits = r" refused: \|\|B\|\| \|\|x\|\| / \|\|rhs\|\| = \S+ leaves fewer than 6 digits"
+    side = substitute_kernel(glue(block, block, T=12.0)).blocks[0]
+    assert side.borders == {} and side.zero_modes == {0}
+    rows = np.ones((1, side.sub.stop - side.sub.start))
+    with pytest.raises(AnalysisError, match=r"^block 1 solve of mode 0" + digits):
+        gluing_solver._block_solve(side, [0], rows)
+    G = glue(block, nblock(), T=12.0)
+    S = substitute_kernel(G)
+    assert S.basis == ()
+    with pytest.raises(AnalysisError, match=r"^direct solve of mode 0" + digits):
+        solve_direct(G, S, np.ones((1, G.n_points)))
 
 
 def test_family_solvers_equal_the_per_mode_loops():

@@ -1,13 +1,13 @@
 """Polynomial sections, the right inverse, and the pairing."""
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neckspec import polyhom
 from neckspec.errors import ContractViolation
 from neckspec.polyhom import (
     CutoffFunction,
@@ -263,11 +263,11 @@ class TestPairing:
         with pytest.raises(ContractViolation):
             pairing_integral(op, u, v)
 
-    def test_closed_form_unsupported_kind(self):
-        op = SimpleNamespace(kind="synthetic")
-        u = poly_section(1, [1.0])
-        with pytest.raises(ContractViolation):
-            pairing_closed(op, u, u)
+    def test_closed_form_refuses_degree_k(self):
+        for op, u in ((LaplaceZero(1, 0), poly_section(1, [0.0], [0.0], [1.0])),
+                      (DiracZero(1), poly_section(2, [0.0, 0.0], [1.0, 0.0]))):
+            with pytest.raises(ContractViolation, match="have degree below"):
+                pairing_closed(op, u, poly_section(op.fiber_dim, [1.0] * op.fiber_dim))
 
     def test_dirac_pairing_second_slot_conjugated(self):
         op = DiracZero(1)
@@ -303,3 +303,183 @@ class TestGram:
         for op in (LaplaceZero(2, 1), DiracZero(2)):
             for u in standard_kernel_basis(op):
                 assert in_kernel(op, u)
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-kind bodies each operation had before every block
+# became M d^k, kept to pin the one-path calculus bit for bit
+
+
+def reference_j(op):
+    n = op.fiber_dim // 2
+    j = np.zeros((2 * n, 2 * n), dtype=int)
+    j[:n, n:] = -np.eye(n, dtype=int)
+    j[n:, :n] = np.eye(n, dtype=int)
+    return j
+
+
+def reference_apply_P(op, u):
+    if isinstance(op, LaplaceZero):
+        out = tuple(-1 * c for c in polyhom._poly_deriv(polyhom._poly_deriv(u.coeffs)))
+    else:
+        out = tuple(reference_j(op) @ c for c in polyhom._poly_deriv(u.coeffs))
+    return PolyhomSection(op.fiber_dim, out)
+
+
+def reference_q_lambda0(op, f):
+    coeffs = polyhom._coerce_poly_section(f, op.fiber_dim).coeffs
+    if isinstance(op, LaplaceZero):
+        out = [np.zeros(op.fiber_dim, dtype=object), np.zeros(op.fiber_dim, dtype=object)]
+        for j, c in enumerate(coeffs):
+            out.append(polyhom._exact_div(c, -((j + 1) * (j + 2))))
+        return PolyhomSection(op.fiber_dim, tuple(out))
+    out = [np.zeros(op.fiber_dim, dtype=object)]
+    for j, c in enumerate(coeffs):
+        out.append(polyhom._exact_div(reference_j(op) @ c, -(j + 1)))
+    return PolyhomSection(op.fiber_dim, tuple(out))
+
+
+def reference_pairing_integral(op, u, v, chi=None):
+    chi = chi or CutoffFunction(0.0)
+    n = polyhom._QUAD_PANELS
+    step = 1.0 / n
+    t = chi.center - 0.5 + step * np.arange(n + 1)
+    c0 = chi(t)
+    c1 = chi.d1(t)
+    q = tuple(np.asarray(c, dtype=complex) for c in u.coeffs)
+    qv = polyhom._poly_values(q, t, op.fiber_dim)
+    qv1 = polyhom._poly_values(polyhom._poly_deriv(q), t, op.fiber_dim)
+    if isinstance(op, LaplaceZero):
+        qv2 = polyhom._poly_values(polyhom._poly_deriv(polyhom._poly_deriv(q)), t, op.fiber_dim)
+        p_chi_u = -(chi.d2(t) * qv + 2.0 * c1 * qv1 + c0 * qv2)
+    else:
+        p_chi_u = reference_j(op) @ (c1 * qv + c0 * qv1)
+    integrand = np.sum(p_chi_u * np.conj(v.evaluate(t)), axis=0)
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return complex(np.sum(w * integrand) * step / 3.0)
+
+
+def reference_pairing_closed(op, u, v):
+    herm = polyhom._herm
+
+    def pad(coeffs, deg, dim):
+        return list(coeffs) + [np.zeros(dim)] * (deg - len(coeffs))
+
+    if isinstance(op, LaplaceZero):
+        cu, cv = pad(u.coeffs, 2, op.fiber_dim), pad(v.coeffs, 2, op.fiber_dim)
+        return herm(cu[0], cv[1]) - herm(cu[1], cv[0])
+    n = op.fiber_dim // 2
+    cu, cv = pad(u.coeffs, 1, op.fiber_dim), pad(v.coeffs, 1, op.fiber_dim)
+    return herm(cu[0][:n], cv[0][n:]) - herm(cu[0][n:], cv[0][:n])
+
+
+def reference_kernel_basis(op):
+    dim = op.fiber_dim
+    eye = np.eye(dim)
+    consts = [PolyhomSection(dim, (eye[i],)) for i in range(dim)]
+    if isinstance(op, DiracZero):
+        return consts
+    return consts + [PolyhomSection(dim, (np.zeros(dim), eye[i])) for i in range(dim)]
+
+
+PINNED_OPS = (LaplaceZero(1, 0), LaplaceZero(1, 1), LaplaceZero(2, 1), DiracZero(1))
+PINNED_IDS = ["laplace10", "laplace11", "laplace21", "dirac1"]
+
+
+def seeded_kernel_section(op, rng):
+    """A complex kernel section: fiber vectors at each degree below k."""
+    z = rng.uniform(-1.0, 1.0, size=(op.order, op.fiber_dim, 2))
+    return PolyhomSection(op.fiber_dim, tuple(z[..., 0] + 1j * z[..., 1]))
+
+
+def seeded_poly(op, rng, degree, fractions):
+    if fractions:
+        return [np.array([Fraction(int(p), int(q)) for p, q in
+                          zip(rng.integers(-9, 10, op.fiber_dim), rng.integers(1, 10, op.fiber_dim))],
+                         dtype=object) for _ in range(degree + 1)]
+    return [rng.normal(size=op.fiber_dim) for _ in range(degree + 1)]
+
+
+class TestOnePathCalculus:
+    @pytest.mark.parametrize("op", PINNED_OPS, ids=PINNED_IDS)
+    def test_operator_is_m_times_the_kth_derivative(self, op):
+        m = op.matrix
+        assert m.dtype.kind == "i" and m.shape == (op.fiber_dim, op.fiber_dim)
+        assert np.array_equal(m.T @ m, np.eye(op.fiber_dim, dtype=int))
+        assert op.order == (2 if isinstance(op, LaplaceZero) else 1)
+
+    @pytest.mark.parametrize("op", PINNED_OPS, ids=PINNED_IDS)
+    def test_apply_P_matches_the_per_kind_reference(self, op):
+        rng = np.random.default_rng(37)
+        for case in range(12):
+            sections = [seeded_kernel_section(op, rng),
+                        PolyhomSection(op.fiber_dim, tuple(seeded_poly(op, rng, 4, case % 2)))]
+            for u in sections:
+                assert dump(apply_P(op, u)) == dump(reference_apply_P(op, u))
+
+    @pytest.mark.parametrize("op", PINNED_OPS, ids=PINNED_IDS)
+    def test_q_lambda0_matches_the_per_kind_reference(self, op):
+        rng = np.random.default_rng(38)
+        for case in range(12):
+            f = seeded_poly(op, rng, case % 5, fractions=True)
+            assert dump(q_lambda0(op, f)) == dump(reference_q_lambda0(op, f))
+
+    @pytest.mark.parametrize("op", PINNED_OPS, ids=PINNED_IDS)
+    def test_pairings_match_the_per_kind_reference(self, op):
+        rng = np.random.default_rng(39)
+        for case in range(10):
+            u, v = seeded_kernel_section(op, rng), seeded_kernel_section(op, rng)
+            chi = CutoffFunction(float(rng.uniform(-3.0, 3.0))) if case % 2 else None
+            assert repr(pairing_closed(op, u, v)) == repr(reference_pairing_closed(op, u, v))
+            assert (repr(pairing_integral(op, u, v, chi))
+                    == repr(reference_pairing_integral(op, u, v, chi)))
+
+    @pytest.mark.parametrize("op", PINNED_OPS + (DiracZero(2), DiracZero(3)),
+                             ids=PINNED_IDS + ["dirac2", "dirac3"])
+    def test_kernel_basis_matches_the_per_kind_reference(self, op):
+        got, want = standard_kernel_basis(op), reference_kernel_basis(op)
+        assert [dump(u) for u in got] == [dump(u) for u in want]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_wider_dirac_pairing_agrees_with_the_reference(self, n):
+        # one sum of 2n products where the reference took two sums of n
+        op = DiracZero(n)
+        rng = np.random.default_rng(40 + n)
+        for _ in range(20):
+            u, v = seeded_kernel_section(op, rng), seeded_kernel_section(op, rng)
+            want = reference_pairing_closed(op, u, v)
+            assert abs(pairing_closed(op, u, v) - want) <= 1e-15 * abs(want)
+            assert (repr(pairing_integral(op, u, v))
+                    == repr(reference_pairing_integral(op, u, v)))
+
+
+zero_mode_ops = st.one_of(
+    st.tuples(st.integers(0, 3), st.integers(0, 3))
+    .filter(lambda ab: sum(ab) > 0)
+    .map(lambda ab: LaplaceZero(*ab)),
+    st.integers(1, 3).map(DiracZero),
+)
+
+
+class TestOnePathProperties:
+    @given(op=zero_mode_ops, data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_right_inverse_roundtrip_is_exact(self, op, data):
+        ratio = st.tuples(st.integers(-9, 9), st.integers(1, 9))
+        rows = data.draw(st.lists(st.lists(ratio, min_size=op.fiber_dim, max_size=op.fiber_dim),
+                                  min_size=1, max_size=4))
+        f = PolyhomSection(op.fiber_dim, tuple(
+            np.array([Fraction(p, q) for p, q in row], dtype=object) for row in rows))
+        assert dump(apply_P(op, q_lambda0(op, f))) == dump(f)
+
+    @given(op=zero_mode_ops, seed=st.integers(0, 2**32 - 1),
+           center=st.floats(-3.0, 3.0, allow_nan=False))
+    @settings(max_examples=60, deadline=None)
+    def test_integral_matches_closed_form(self, op, seed, center):
+        rng = np.random.default_rng(seed)
+        u, v = seeded_kernel_section(op, rng), seeded_kernel_section(op, rng)
+        closed = pairing_closed(op, u, v)
+        quad = pairing_integral(op, u, v, CutoffFunction(center))
+        assert abs(quad - closed) <= 1e-8 * (1.0 + abs(closed))
