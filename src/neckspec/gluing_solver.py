@@ -142,14 +142,15 @@ class SubstituteKernel:
 
 @dataclass(frozen=True)
 class _BlockSide:
-    """One block's slope-zero solves: for block ``which`` (1 or 2), its
-    subgrid ``sub`` of the glued grid, the crossfade weight there, the
+    """One block's slope-zero family solves: for block ``which`` (1 or 2),
+    its subgrid ``sub`` of the glued grid, the crossfade weight there, the
     off-diagonal -1/h^2 every family shares, and per mode the diagonal and,
     for a mode with a bounded kernel element, that element's border on the
     subgrid with the border's mean over ``edge``, the unit next to the cut.
-    The members of a mode family share one diagonal and one border. A
-    solve of one of the ``zero_modes`` with no border must keep
-    _BORDER_DIGITS digits."""
+    The members of a mode family share one diagonal and one border, so
+    ``_block_solve`` reads them at the family's first member. A solve of
+    one of the ``zero_modes`` with no border must keep _BORDER_DIGITS
+    digits."""
 
     which: int
     sub: slice
@@ -304,15 +305,6 @@ def _families(G: GluedOperator, families: Sequence[list[int]] | None) -> Sequenc
     return families
 
 
-def _family_rows(members: list[int]) -> list[int] | slice:
-    """The index of a family's rows: a slice, which reads a view, when the
-    members are one contiguous run, else the list, which reads a copy."""
-    first = members[0]
-    if members == list(range(first, first + len(members))):
-        return slice(first, first + len(members))
-    return members
-
-
 def _neck_solve(G: GluedOperator, f0: np.ndarray, members: list[int]) -> np.ndarray:
     """The cylinder solve of one family's windowed source rows f0, a
     (k, n) array it may overwrite: one banded solve for a positive family,
@@ -340,8 +332,7 @@ def cylinder_solve(G: GluedOperator, f: np.ndarray, window: np.ndarray | float,
     f = _inexact(f)
     out = np.zeros((len(G.modes), G.n_points), dtype=f.dtype)
     for members in families:
-        rows = _family_rows(members)
-        out[rows] = _neck_solve(G, f[rows] * window, members)
+        out[members] = _neck_solve(G, f[members] * window, members)
     return out
 
 
@@ -568,11 +559,19 @@ def _require_digits(kx, rhs: np.ndarray, what: str, name: str) -> None:
                             f"leaves fewer than {_BORDER_DIGITS} digits; {name} is numerically singular")
 
 
-def _unbordered_solve(diag: np.ndarray, off: np.ndarray, rows: np.ndarray, what: str,
-                      zero_mode: bool) -> np.ndarray:
-    """Solves of a family's (k, n) rows with no border. A zero pivot raises
-    AnalysisError, and so does a zero-mode solve that keeps fewer than
-    _BORDER_DIGITS digits; a positive family is bounded below by nu."""
+def _family_solve(diag: np.ndarray, off: np.ndarray, border: np.ndarray | None,
+                  rows: np.ndarray, what: str, zero_mode: bool) -> np.ndarray:
+    """Solves of a mode family's (k, n) rows with its one tridiagonal
+    matrix. A family with a kernel direction ``border`` is solved bordered,
+    one row at a time. Any other family is one ?gtsv over all its rows: a
+    zero pivot raises AnalysisError, and so does a zero-mode solve that
+    keeps fewer than _BORDER_DIGITS digits; a positive family is bounded
+    below by nu."""
+    if border is not None:
+        out = np.empty_like(rows)
+        for k, row in enumerate(rows):
+            out[k] = _solve_bordered(diag, off, border, row)
+        return out
     try:
         out = _solve_tridiag(diag, off, rows.T).T
     except np.linalg.LinAlgError as exc:
@@ -584,24 +583,18 @@ def _unbordered_solve(diag: np.ndarray, off: np.ndarray, rows: np.ndarray, what:
 
 
 def _block_solve(side: _BlockSide, members: list[int], rows: np.ndarray) -> np.ndarray:
-    """Slope-zero block solves of a mode family's (k, n_sub) rows. The
-    members of a family with a bounded kernel element share its border and
-    are solved bordered one at a time. A singular family with no border
-    raises AnalysisError, and so does a zero-mode family with no border
-    whose solve keeps fewer than _BORDER_DIGITS digits."""
-    diag = side.diags[members[0]]
-    if members[0] not in side.borders:
-        return _unbordered_solve(diag, side.off, rows, f"block {side.which} solve of mode "
-                                 f"{members[0]}", members[0] in side.zero_modes)
-    g, scale = side.borders[members[0]]
-    out = np.empty_like(rows)
-    for k, row in enumerate(rows):
-        u = _solve_bordered(diag, side.off, g, row)
-        # remove the kernel multiple so the plateau at the cut is zero and the
-        # crossfade transports nothing
-        if abs(scale) > 1e-8:
-            u = u - (np.mean(u[side.edge]) / scale) * g
-        out[k] = u
+    """Slope-zero block solves of a mode family's (k, n_sub) rows: the
+    family solve with the family's border, if it has one, then, for a
+    border with a nonzero mean at the cut, the kernel multiple that makes
+    each row's plateau there zero is removed, so the crossfade transports
+    nothing."""
+    g, scale = side.borders.get(members[0], (None, 0.0))
+    out = _family_solve(side.diags[members[0]], side.off, g, rows,
+                        f"block {side.which} solve of mode {members[0]}",
+                        members[0] in side.zero_modes)
+    if abs(scale) > 1e-8:
+        for k, u in enumerate(out):
+            out[k] = u - (np.mean(u[side.edge]) / scale) * g
     return out
 
 
@@ -625,8 +618,8 @@ def approx_solve(
     time, the neck solve of a positive family, the window zeta0, the
     residual, block solves with slope-zero closures, crossfade, projection
     off the family's kernel rows and the family's rows of u and e. Each
-    family's (k, n) rows go through the whole pass while they are in cache;
-    a family of contiguous rows is read as a view.
+    family's (k, n) rows, indexed by its member list, go through the whole
+    pass while they are in cache.
 
     The pass runs on the rows of ``families``. Every stage is block
     diagonal in the families and the kernel basis is per mode, so a subset
@@ -673,10 +666,9 @@ def approx_solve(
         u[mode] += row
     _, zeta0, zeta1 = S.windows
     for members in families:
-        rows = _family_rows(members)
-        fb = f[rows]
+        fb = f[members]
         # the zero-mode rows hold their cylinder solve plus trace already
-        ub = u[rows] if G.modes[members[0]].is_zero_mode else _neck_solve(G, fb * zeta1, members)
+        ub = u[members] if G.modes[members[0]].is_zero_mode else _neck_solve(G, fb * zeta1, members)
         ub *= zeta0
         r = G.apply_mode(members[0], ub)
         np.subtract(fb, r, out=r)
@@ -690,12 +682,9 @@ def approx_solve(
             if mode in members:
                 k = members.index(mode)
                 ub[k] -= (G.h * np.sum(ub[k] * vec)) * vec
-        u[rows] = ub
+        u[members] = ub
         pu = G.apply_mode(members[0], ub)
-        if isinstance(rows, slice):  # fb is a view of f: e is written over it
-            np.subtract(fb, pu, out=fb)
-        else:
-            f[rows] = np.subtract(fb, pu, out=pu)
+        f[members] = np.subtract(fb, pu, out=pu)
         # freed before the next family's are made: one family's temporaries at a time
         del fb, ub, pu
     return u
@@ -775,9 +764,8 @@ def solve_exact(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> SolveRe
             un = approx_solve(G, S, fn, families=families)
             # un is 0, and fn and a are unchanged, on the rows of the families left out
             for members in families:
-                rows = _family_rows(members)
-                u[rows] += un[rows]
-                a[rows] = _abs2(fn[rows])
+                u[members] += un[members]
+                a[members] = _abs2(fn[members])
             del un
         n_fn = math.sqrt(G.h * float(np.sum(a)))
         etas.append(n_fn / n_src)
@@ -795,12 +783,12 @@ def solve_exact(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> SolveRe
 
 
 def solve_direct(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> np.ndarray:
-    """Direct solve of the glued matrices per ``G.families`` entry; each
-    member of a (near-)singular family is solved bordered by its substitute
-    kernel direction, one at a time. A non-finite source is refused, and a
-    singular family with no kernel direction raises AnalysisError, as does
-    a zero-mode family with none whose solve keeps fewer than
-    _BORDER_DIGITS digits."""
+    """Direct solve of the glued matrices: one family solve per
+    ``G.families`` entry, bordered by its first member's substitute kernel
+    vector when it has one (the members of a family share bit-identical
+    vectors). A non-finite source is refused, and a singular family with no
+    kernel vector raises AnalysisError, as does a zero-mode family with
+    none whose solve keeps fewer than _BORDER_DIGITS digits."""
     f = _inexact(f)
     nf = norm(G, f)
     if not math.isfinite(nf):
@@ -808,14 +796,9 @@ def solve_direct(G: GluedOperator, S: SubstituteKernel, f: np.ndarray) -> np.nda
     out = np.zeros_like(f)
     borders = dict(S.basis)
     for members in G.families:
-        diag, off = G.mats[members[0]]
-        if members[0] in borders:
-            for i in members:
-                out[i] = _solve_bordered(diag, off, borders[i], f[i])
-        else:
-            out[members] = _unbordered_solve(diag, off, f[members],
-                                             f"direct solve of mode {members[0]}",
-                                             G.modes[members[0]].is_zero_mode)
+        out[members] = _family_solve(*G.mats[members[0]], borders.get(members[0]), f[members],
+                                     f"direct solve of mode {members[0]}",
+                                     G.modes[members[0]].is_zero_mode)
     return S.project_off(out)
 
 

@@ -226,11 +226,12 @@ def _refuse_positive_modes(G: GluedOperator, s_values, per_mode: np.ndarray) -> 
 def density_sweep(operators: Sequence[GluedOperator], s_values) -> DensityReport:
     """Count window eigenvalues for every (T, s) pair from one Sturm pass
     over ``operators``, one glued operator per T, all of one degree and
-    spectrum; asserts count monotonicity in s and, when both s and 4s
-    appear, that their residuals differ by at most 2B + 2. A mode with an
-    eigenvalue below -1/T^2 (a negative spectrum) or a window that holds an
-    eigenvalue of a positive mode is outside the density law and is refused
-    with ContractViolation.
+    spectrum; asserts count monotonicity in ascending s, whatever the
+    order of ``s_values``, and, when both s and 4s appear, that their
+    residuals differ by at most 2B + 2. A mode with an eigenvalue below
+    -1/T^2 (a negative spectrum) or a window that holds an eigenvalue of a
+    positive mode is outside the density law and is refused with
+    ContractViolation.
 
     A sweep reports the first of: no operator or no s, or an operator of
     another degree or spectrum than the first; then a negative spectrum, in
@@ -246,12 +247,13 @@ def density_sweep(operators: Sequence[GluedOperator], s_values) -> DensityReport
         raise ContractViolation("density sweep: an operator of the wrong degree or spectrum")
     T_values = tuple(H.T for H in operators)
     b_exact, b_coexact = G.spec.betti(q - 1), G.spec.betti(q)
+    ascending = sorted(range(len(s_values)), key=s_values.__getitem__)
     coexact = []
     for G, per_mode in zip(operators, window_counts(operators, s_values)):
         _refuse_positive_modes(G, s_values, per_mode)
         exact, coexact_row = _branch_counts(G, per_mode)
-        row = [int(e + c) for e, c in zip(exact, coexact_row)]
-        if any(b < a for a, b in zip(row, row[1:])) and sorted(s_values) == list(s_values):
+        row = [int(exact[j] + coexact_row[j]) for j in ascending]
+        if any(b < a for a, b in zip(row, row[1:])):
             raise AnalysisError("window counts decreased in s")
         coexact.append(tuple((int(e), int(c)) for e, c in zip(exact, coexact_row)))
     report = DensityReport(q=q, b_exact=b_exact, b_coexact=b_coexact, T_values=T_values,

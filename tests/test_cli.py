@@ -53,6 +53,28 @@ class TestRoots:
             assert row.endswith("0+0j,2")
         assert "PASS roots" in out
 
+    def test_positive_modes_have_two_imaginary_roots(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, spectrum="circle", degrees=[0], cutoff=1.5, seed=1)
+        code, _, err = run(capsys, "roots", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, err) == (0, "")
+        rows = (tmp_path / "o" / "roots.csv").read_text().strip().split("\n")[1:]
+        assert rows == ["0,0,laplace,0,alpha,0+0j,2",
+                        "0,1,laplace,1,alpha,0+1j,1", "0,1,laplace,1,alpha,0-1j,1",
+                        "0,2,laplace,1,alpha,0+1j,1", "0,2,laplace,1,alpha,0-1j,1"]
+
+    def test_eigenvalues_closer_than_the_merge_tolerance_are_one_entry(self, tmp_path, capsys):
+        # 1 and 1 + 1e-13 merge into nu = 1 twice, the circle's first positive entry
+        spectrum = {"name": "x", "dimension": 1,
+                    "degrees": {"0": [[0, 1], [1.0, 1], [1.0000000000001, 1]]}}
+        (tmp_path / "spec.json").write_text(json.dumps(spectrum), encoding="utf-8")
+        for name, spec in (("file", {"file": "spec.json"}), ("circle", "circle")):
+            cfg = write_config(tmp_path, name=f"{name}.json", spectrum=spec, degrees=[0],
+                               cutoff=1.5, seed=1)
+            code, _, err = run(capsys, "roots", "--config", cfg, "--out", str(tmp_path / name))
+            assert (code, err) == (0, "")
+        assert ((tmp_path / "file" / "roots.csv").read_bytes()
+                == (tmp_path / "circle" / "roots.csv").read_bytes())
+
     def test_torus_degree_two_counts_three_zero_modes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, spectrum="torus2", degrees=[2], cutoff=0.5, seed=7)
         code, _, _ = run(capsys, "roots", "--config", cfg, "--out", str(tmp_path / "o"))
@@ -711,6 +733,56 @@ class TestGlue:
             40: "5f265f442581bb9e51d3dd0610b83e2b515c464e9bcaff9fbfe61c7d32393aeb",
         }
 
+    def test_scalar_fine_tables_keep_their_bytes(self, tmp_path, capsys):
+        # the benchmark's glue-scalar-fine config: one zero mode between the
+        # two sech blocks at h = 1/128, each side's block solve bordered
+        other = dict(SECH_BLOCK, potentials={"0": {"profile": "kernel_neumann", "c": -0.35}})
+        cfg = write_config(tmp_path, spectrum="scalar", blocks=[SECH_BLOCK, other],
+                           degrees=[0], T=[10, 20, 30], h=1.0 / 128, seed=7)
+        code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, err) == (0, "")
+        assert out.endswith("PASS glue: 3 solves at tol 1e-06\n")
+        digests = {T: hashlib.sha256((tmp_path / "o" / f"glue_q0_T{T}.csv").read_bytes()).hexdigest()
+                   for T in (10, 20, 30)}
+        assert digests == {
+            10: "d05c44d0c3b36daa6ca20f69aa2552c4239e8adf7f0d24ae9e9c727d6b856f63",
+            20: "fe79d03194182ff1b9a769a88efd80477a27cf2b48e93c9afd836a64b932bc3d",
+            30: "dcea67fe7f2734359ebe63d91caa5b3c5e98c0b11f8f5607192e10081af14bfa",
+        }
+
+    def test_a_growing_positive_mode_shot_is_rescaled(self, tmp_path, capsys, monkeypatch):
+        # the nu = 4 pi^2 mode 1 of torus2 carries a potential, so it is shot,
+        # and over 32 units it grows past the 1e150 rescale bound
+        shoot = glued_model._shoot_families
+        scales = []
+
+        def recorded(block, cases, h, reach):
+            u, log_scale = shoot(block, cases, h, reach)
+            scales.append((set(block.potentials), float(np.max(log_scale))))
+            return u, log_scale
+
+        monkeypatch.setattr(glued_model, "_shoot_families", recorded)
+        plain = {"L": 2, "boundary": "neumann", "mu": 1}
+        block = dict(plain, potentials={"1": [[0, 0.5], [1, 0.5], [2, 0]]})
+        cfg = write_config(tmp_path, spectrum="torus2", blocks=[block, plain], degrees=[0],
+                           h=1.0 / 16, T=[30], seed=1)
+        code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, err) == (0, "")
+        assert "PASS glue: 1 solves" in out
+        assert [keys for keys, _ in scales] == [{1}, set()]
+        assert scales[0][1] > 0 and scales[1][1] == 0
+
+    def test_an_empty_potential_table_is_no_potential(self, tmp_path, capsys):
+        plain = {"L": 2, "boundary": "neumann", "mu": 1}
+        for name, block in (("empty", dict(plain, potentials={"0": []})), ("plain", plain)):
+            cfg = write_config(tmp_path, name=f"{name}.json", spectrum="scalar",
+                               blocks=[block, plain], degrees=[0], h=1.0 / 16, T=[10], seed=1)
+            code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / name))
+            assert (code, err) == (0, "")
+            assert "PASS glue: 1 solves" in out
+        assert ((tmp_path / "empty" / "glue_q0_T10.csv").read_bytes()
+                == (tmp_path / "plain" / "glue_q0_T10.csv").read_bytes())
+
     def test_T_values_are_solved_widest_first_and_reported_in_config_order(
             self, tmp_path, capsys, monkeypatch):
         # each T's solve is its own: solved widest first, every table and
@@ -989,6 +1061,13 @@ class TestDensity:
         assert table.startswith("q,T,s,count,prediction,residual,branch")
         assert (tmp_path / "o" / "density_q0_T20.dat").exists()
         assert (tmp_path / "o" / "run.log").exists()
+
+    def test_s_and_4s_residuals_are_compared(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, spectrum="scalar", blocks=[FLAT_BLOCK, FLAT_BLOCK],
+                           degrees=[0], T=[20], s=[2.25, 9.0], seed=3)
+        code, out, err = run(capsys, "density", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, err) == (0, "")
+        assert "PASS density" in out
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = write_config(tmp_path, spectrum="scalar", blocks=[FLAT_BLOCK, FLAT_BLOCK],

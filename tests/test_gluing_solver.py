@@ -681,6 +681,17 @@ def test_a_nearly_singular_unbordered_zero_mode_is_refused():
         solve_direct(G, S, np.ones((1, G.n_points)))
 
 
+def test_the_members_of_a_matched_family_share_one_basis_vector():
+    # solve_direct borders every member of a family by its first member's vector
+    G = torus_glue()
+    basis = dict(substitute_kernel(G).basis)
+    assert np.array_equal(basis[1], basis[338])
+    matched = [members for members in G.families if members[0] in basis]
+    assert [1, 338] in matched
+    for members in matched:
+        assert all(np.array_equal(basis[i], basis[members[0]]) for i in members)
+
+
 def test_family_solvers_equal_the_per_mode_loops():
     G = torus_glue()
     S = substitute_kernel(G)

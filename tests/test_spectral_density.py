@@ -377,6 +377,20 @@ def test_density_sweep_checks_quadrupled_s():
     assert abs(rep.residuals[0][1] - rep.residuals[0][0]) <= 2 * rep.B + 2
 
 
+@pytest.mark.parametrize("s_values", [[4.41, 9.61], [9.61, 4.41]])
+def test_density_sweep_checks_counts_in_ascending_s_whatever_the_order(monkeypatch, s_values):
+    def counts_of(table):
+        return lambda operators, s: [np.array([[table[x] for x in s]]) for _ in operators]
+
+    # 5 window eigenvalues at s = 4.41 and 3 at s = 9.61 is refused in either order
+    monkeypatch.setattr(sd, "window_counts", counts_of({4.41: 5, 9.61: 3}))
+    with pytest.raises(AnalysisError, match="^window counts decreased in s$"):
+        sd.density_sweep([flat_scalar(20.0)], s_values)
+    monkeypatch.setattr(sd, "window_counts", counts_of({4.41: 3, 9.61: 5}))
+    rep = sd.density_sweep([flat_scalar(20.0)], s_values)
+    assert dict(zip(rep.s_values, rep.counts[0])) == {4.41: 3, 9.61: 5}
+
+
 def test_density_sweep_builds_every_T_before_it_refuses_a_count():
     # alone, T = 10 puts a positive mode in the window s = 25, T = 20 has a
     # negative spectrum (a deep well on block 1) and T = 30 the wrong degree
