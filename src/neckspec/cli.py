@@ -9,7 +9,8 @@ formatting, and the only timestamp lives in the run.log sidecar.
 Input paths inside a config (spectrum or block files) are resolved
 relative to the config file, so a config directory is a portable
 experiment artifact. Exit codes: 0 all checks passed, 1 a numerical
-assertion failed, 2 the config or its data is unusable.
+assertion failed, 2 the config or its data is unusable, or an output file
+cannot be written.
 """
 
 from __future__ import annotations
@@ -521,20 +522,20 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.out)
         ok, lines, files = COMMANDS[args.command](cfg)
+        for name in sorted(files):
+            write_text_atomic(os.path.join(cfg.output, name), files[name])
+        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        write_text_atomic(
+            os.path.join(cfg.output, "run.log"),
+            f"{stamp} {args.command} config={os.path.abspath(args.config)} "
+            f"files={len(files)} status={'PASS' if ok else 'FAIL'}\n",
+        )
     except (ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AnalysisError as exc:
         print(f"FAIL {args.command}: {exc}")
         return EXIT_FAIL
-    for name in sorted(files):
-        write_text_atomic(os.path.join(cfg.output, name), files[name])
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    write_text_atomic(
-        os.path.join(cfg.output, "run.log"),
-        f"{stamp} {args.command} config={os.path.abspath(args.config)} "
-        f"files={len(files)} status={'PASS' if ok else 'FAIL'}\n",
-    )
     for line in lines:
         print(line)
     return EXIT_PASS if ok else EXIT_FAIL

@@ -107,7 +107,9 @@ def kernel_potential_neumann(mu: float, c: float) -> Potential:
         raise ContractViolation("need 0 < |c| < 1 for a positive profile")
 
     def w(s):
-        return 1.0 + c / np.cosh(mu * np.asarray(s, dtype=float))
+        # a fast rate overflows cosh to inf, and c / inf = 0 is the exact limit
+        with np.errstate(over="ignore"):
+            return 1.0 + c / np.cosh(mu * np.asarray(s, dtype=float))
 
     return Potential.from_kernel_profile(w, mu)
 

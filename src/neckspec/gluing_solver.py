@@ -262,18 +262,11 @@ def _lapack_tridiag(name: str, bands: tuple[np.ndarray, ...], rhs: np.ndarray) -
     """Solve with LAPACK's ?gtsv (bands dl, d, du) or ?ptsv (bands d, e),
     called directly: z for a complex rhs, d otherwise, as scipy's
     ``solve_banded`` and ``solveh_banded`` pick them, and the same bits,
-    without their band array, finiteness scan and batch wrapper. An empty
-    rhs and n = 1 are handled as ``solve_banded`` handles them (f2py
-    refuses an empty off-diagonal). A zero pivot, or for ptsv a pivot
-    that is not positive, raises LinAlgError."""
+    without their band array, finiteness scan and batch wrapper. Needs
+    n >= 2, as f2py refuses an empty off-diagonal; every grid here has at
+    least 64 points. A zero pivot, or for ptsv a pivot that is not
+    positive, raises LinAlgError."""
     from scipy.linalg import lapack
-    diag = bands[0] if name == "ptsv" else bands[1]
-    if rhs.size == 0:
-        return np.empty_like(rhs, dtype=np.result_type(diag, rhs))
-    if len(diag) == 1:
-        x = np.array(rhs)
-        x /= diag[0]
-        return x
     *_, x, info = getattr(lapack, ("z" if np.iscomplexobj(rhs) else "d") + name)(*bands, rhs)
     if info > 0:
         raise np.linalg.LinAlgError(f"?{name}: singular matrix (pivot {info})")

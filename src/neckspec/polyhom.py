@@ -43,8 +43,6 @@ _QUAD_PANELS = 1024
 
 def _vec(x, dim: int) -> np.ndarray:
     arr = np.asarray(x)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
     if arr.shape != (dim,):
         raise ContractViolation(f"fiber vector has shape {arr.shape}, expected ({dim},)")
     return arr
@@ -200,13 +198,13 @@ def _section_scale(u: PolyhomSection) -> float:
     return max((abs(complex(x)) for c in u.coeffs for x in c.tolist()), default=0.0)
 
 
-def q_lambda0(op, f) -> PolyhomSection:
+def q_lambda0(op, f: Sequence[np.ndarray]) -> PolyhomSection:
     """Right inverse of P on polynomials, with no kernel part: as
-    M^-1 = M^T, f = sum c_j t^j maps to sum M^T c_j t^(j+k) j!/(j+k)!.
-    Exact in rational arithmetic on the coefficients."""
-    coeffs = _coerce_poly_section(f, op.fiber_dim).coeffs
+    M^-1 = M^T, the polynomial with coefficient vectors f = (c_0, c_1, ...)
+    maps to sum M^T c_j t^(j+k) j!/(j+k)!. Exact in rational arithmetic on
+    the coefficients."""
     out = [np.zeros(op.fiber_dim, dtype=object) for _ in range(op.order)]
-    for j, c in enumerate(coeffs):
+    for j, c in enumerate(f):
         out.append(_exact_div(op.matrix.T @ c, math.perm(j + op.order, op.order)))
     return PolyhomSection(op.fiber_dim, tuple(out))
 
@@ -214,10 +212,6 @@ def q_lambda0(op, f) -> PolyhomSection:
 def _exact_div(vec: np.ndarray, denom: int) -> np.ndarray:
     return np.array([Fraction(x) / denom if isinstance(x, (Fraction, int)) else x / denom
                      for x in np.asarray(vec).tolist()], dtype=object)
-
-
-def _coerce_poly_section(f, dim: int) -> PolyhomSection:
-    return f if isinstance(f, PolyhomSection) else PolyhomSection(dim, tuple(f))
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +297,8 @@ def gram_matrix(op, basis_e: Sequence[PolyhomSection], basis_estar: Sequence[Pol
     for i, u in enumerate(basis_e):
         for j, v in enumerate(basis_estar):
             m[i, j] = pairing_closed(op, u, v)
-    if m.size == 0:
-        return GramResult(matrix=m, rank=0)
     sv = np.linalg.svd(m, compute_uv=False)
-    rank = int(np.sum(sv > 1e-10 * max(sv[0], 1e-300)))
+    rank = int(np.sum(sv > 1e-10 * np.max(sv, initial=1e-300)))
     return GramResult(matrix=m, rank=rank)
 
 

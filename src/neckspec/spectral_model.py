@@ -54,10 +54,10 @@ class CrossSectionSpectrum:
 
     ``degrees`` maps the form degree q to a sorted tuple of
     ``(eigenvalue, multiplicity)`` pairs. Only the data needed for the
-    mode calculus is kept; the cross-section itself never appears.
+    mode calculus is kept; the cross-section itself, and the name a
+    spectrum file labels it with, never appear.
     """
 
-    name: str
     dimension: int
     degrees: Mapping[int, tuple[tuple[float, int], ...]]
 
@@ -113,23 +113,17 @@ def circle_spectrum() -> CrossSectionSpectrum:
     twice for k = 1 .. 8.
     """
     pairs = [(0.0, 1)] + [(float(k * k), 2) for k in range(1, 9)]
-    return CrossSectionSpectrum(
-        name="circle(length=6.28319)",
-        dimension=1,
-        degrees={0: tuple(pairs), 1: tuple(pairs)},
-    )
+    return CrossSectionSpectrum(dimension=1, degrees={0: tuple(pairs), 1: tuple(pairs)})
 
 
-def scalar_spectrum(
-    pairs: Sequence[tuple[float, int]] = ((0.0, 1),), name: str = "scalar"
-) -> CrossSectionSpectrum:
+def scalar_spectrum(pairs: Sequence[tuple[float, int]] = ((0.0, 1),)) -> CrossSectionSpectrum:
     """Spectrum carrying modes in degree 0 only.
 
     This is the scalar (function) model: degree 0 holds the listed
     eigenvalues and no other degree contributes, so q = 0 mode lists
     consist of alpha modes alone.
     """
-    return CrossSectionSpectrum(name=name, dimension=1, degrees={0: tuple(pairs)})
+    return CrossSectionSpectrum(dimension=1, degrees={0: tuple(pairs)})
 
 
 def torus2_spectrum() -> CrossSectionSpectrum:
@@ -149,15 +143,16 @@ def torus2_spectrum() -> CrossSectionSpectrum:
         q: tuple((nu, mult * math.comb(2, q)) for nu, mult in scalar)
         for q in range(3)
     }
-    return CrossSectionSpectrum(name="torus2(max_lattice=6)", dimension=2, degrees=degrees)
+    return CrossSectionSpectrum(dimension=2, degrees=degrees)
 
 
 def load_spectrum(path: str) -> CrossSectionSpectrum:
     """Read a spectrum from a JSON file, strictly.
 
     The schema is ``{"name", "dimension", "degrees": {"<q>": [[nu, mult],
-    ...]}}``. Unknown keys are errors, as are malformed entries; error
-    messages name the offending field.
+    ...]}}``; the string ``name`` only labels the file and is not kept.
+    Unknown keys are errors, as are malformed entries; error messages name
+    the offending field.
     """
     raw = read_json_object(path)
     _require_keys(raw, "top level", {"name", "dimension", "degrees"}, set())
@@ -186,7 +181,7 @@ def load_spectrum(path: str) -> CrossSectionSpectrum:
             pairs.append((float(nu), mult))
         degrees[int(key)] = pairs
 
-    return CrossSectionSpectrum(name=raw["name"], dimension=raw["dimension"], degrees=degrees)
+    return CrossSectionSpectrum(dimension=raw["dimension"], degrees=degrees)
 
 
 def _kept_eigenvalues(spec: CrossSectionSpectrum, q: int, cutoff: float):

@@ -57,7 +57,7 @@ from neckspec.spectral_model import (
 )
 
 SCALAR = scalar_spectrum()
-DOUBLED = scalar_spectrum(pairs=((0.0, 2),), name="doubled")
+DOUBLED = scalar_spectrum(pairs=((0.0, 2),))
 TORUS = torus2_spectrum()
 
 

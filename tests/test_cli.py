@@ -119,6 +119,18 @@ class TestConfigErrors:
         assert code == 2
         assert "seed" in err
 
+    @pytest.mark.parametrize("under", [False, True])
+    def test_an_unwritable_output_directory(self, tmp_path, capsys, under):
+        # --out naming a file, or a directory under one: the tables cannot
+        # be written, which is one error line, not a traceback
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        out_dir = tmp_path / "taken" / "o" if under else tmp_path / "taken"
+        cfg = write_config(tmp_path, spectrum="circle", degrees=[1], cutoff=0.5, seed=7)
+        code, out, err = run(capsys, "roots", "--config", cfg, "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(str(out_dir)) in err
+
     def test_blocks_required_for_glue(self, tmp_path, capsys):
         cfg = write_config(tmp_path, spectrum="scalar", T=[8], seed=1)
         code, _, err = run(capsys, "glue", "--config", cfg)
@@ -521,6 +533,27 @@ class TestPotentialEntries:
         assert err.startswith("error: potentials[0]: decay rate mu = 1e+308 is too large")
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("mu", [400, 1e308])
+    def test_a_fast_sech_profile_prints_no_warning(self, tmp_path, capsys, mu):
+        # cosh(mu s) overflows past s = 1.78 at mu = 400, where the profile
+        # is 1 to the last bit; mu s itself overflows at mu = 1e308, whose
+        # decay check refuses the rate
+        sech = {"L": 2.0, "boundary": "neumann", "mu": 1.0,
+                "potentials": {"0": {"profile": "kernel_neumann", "c": 0.8, "mu": mu}}}
+        cfg = write_config(tmp_path, spectrum="scalar", blocks=[sech, TANH_BLOCK],
+                           degrees=[0], T=[8], h=1 / 16, seed=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "glue", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert [str(w.message) for w in caught] == []
+        if mu == 400:
+            assert (code, err) == (0, "")
+            assert out.endswith("PASS glue: 1 solves at tol 1e-06\n")
+        else:
+            assert (code, out) == (2, "")
+            assert err == ("error: potentials[0]: decay rate mu = 1e+308 is too large to "
+                           "check: the exponent mu (s - L) overflows on [L, L + 10]\n")
+
     def test_a_fast_decay_rate_on_a_compact_potential_passes(self, tmp_path, capsys):
         # V vanishes past L, so every rate holds; the weight e^{mu (s - L)}
         # overflows at mu = 100 over [L, L + 8], but its exponent does not
@@ -605,6 +638,20 @@ class TestQ0Check:
         assert runs[0][0] == 0
         for name in ("q0_residuals.csv", "q0_normfit.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_a_slowly_decaying_mode_takes_the_series_weights(self, tmp_path, capsys):
+        # nu = 1e-6 gives a h = 6.25e-5 < 1e-3, where the panel weights are
+        # summed as a series to avoid the cancellation in x - 1 + e^{-x}
+        spectrum = {"name": "series", "dimension": 1,
+                    "degrees": {"0": [[0, 1], [1e-6, 1], [4, 1]]}}
+        (tmp_path / "spec.json").write_text(json.dumps(spectrum), encoding="utf-8")
+        cfg = write_config(tmp_path, spectrum={"file": "spec.json"}, degrees=[0], T=[5, 10],
+                           h=1.0 / 16, seed=3)
+        code, out, err = run(capsys, "q0check", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, err) == (0, "")
+        assert out.startswith("PASS q0check: residual 4.113e-04 ")
+        digest = hashlib.sha256((tmp_path / "o" / "q0_residuals.csv").read_bytes()).hexdigest()
+        assert digest == "4ca4e473227a7dc88ed4084ce7f2d11eca744a73d06902008673a73ec08f0de8"
 
     def test_torus_tables_keep_their_bytes(self, tmp_path, capsys):
         # the residuals' last bits follow the summation order of the march

@@ -121,7 +121,7 @@ def _random_blocks(draw):
     potentials on some copies, exercises the family rows."""
     nus = draw(st.lists(st.tuples(st.floats(min_value=0.01, max_value=5.0), st.integers(1, 3)),
                         unique_by=lambda p: p[0], max_size=2))
-    spec = scalar_spectrum(pairs=((0.0, 1),) + tuple(sorted(nus)), name="rand")
+    spec = scalar_spectrum(pairs=((0.0, 1),) + tuple(sorted(nus)))
     n_modes = 1 + sum(mult for _, mult in nus)
     blocks = []
     for _ in range(2):
@@ -316,7 +316,7 @@ def test_product_benchmark_examples():
 
 
 def test_product_benchmark_positive_mode_exclusion():
-    spec = scalar_spectrum(pairs=((0.0, 1), (1.0, 2)), name="shifted")
+    spec = scalar_spectrum(pairs=((0.0, 1), (1.0, 2)))
     # top = pi^2 s / T^2 < 1 keeps the nu = 1 tower out entirely
     assert product_benchmark(spec, 0, 20.0, 4.0) == 4
     # at T = 4, s = 4 the window top 2.47 admits nu = 1 with k in {-1, 0, 1}
@@ -330,7 +330,7 @@ def test_product_benchmark_positive_mode_exclusion():
     nu1=st.floats(min_value=0.2, max_value=5.0),
 )
 def test_product_benchmark_matches_enumeration(s, T, nu1):
-    spec = scalar_spectrum(pairs=((0.0, 1), (nu1, 2)), name="two-level")
+    spec = scalar_spectrum(pairs=((0.0, 1), (nu1, 2)))
     got = product_benchmark(spec, 0, float(T), s)
     want = _brute_product_count([0.0, nu1, nu1], float(T), s)
     # the 1e-9 boundary guard may differ from the brute force on exact ties
@@ -622,7 +622,7 @@ def test_minmax_bound_matches_a_per_mode_reference():
 def test_minmax_argument_errors():
     with pytest.raises(ContractViolation):
         sd.minmax_upper_from_Vn(flat_scalar(20.0), 1)
-    spec = scalar_spectrum(pairs=((1.0, 1),), name="gapped")
+    spec = scalar_spectrum(pairs=((1.0, 1),))
     b = BuildingBlock(spec=spec, L=0.0, boundary="neumann", mu=1.0, potentials={})
     G = assemble(b, b, spec, 0, T=4.0, h=H)
     with pytest.raises(ContractViolation, match="zero modes"):

@@ -120,6 +120,16 @@ class TestLoadSpectrum:
         spec = load_spectrum(self.write(tmp_path, payload))
         assert spec.eigenvalues(0) == ((1.0, 5),)
 
+    def test_the_name_only_labels_the_file(self, tmp_path):
+        # the name is checked but not kept: files differing only in it load equal
+        pairs = [[0.0, 1], [1.0, 2]]
+        specs = [load_spectrum(self.write(tmp_path, {"name": name, "dimension": 1,
+                                                     "degrees": {"0": pairs}}))
+                 for name in ("a", "b")]
+        assert specs[0] == specs[1] == scalar_spectrum(((0.0, 1), (1.0, 2)))
+        with pytest.raises(ContractViolation, match=r"^name: expected a string$"):
+            load_spectrum(self.write(tmp_path, {"name": 1, "dimension": 1, "degrees": {}}))
+
     def test_twist_is_an_unknown_field(self, tmp_path):
         # nothing reads a cross-section twist, so the loader refuses one
         payload = {
@@ -158,12 +168,12 @@ class TestModeList:
 
     def test_mode_count_is_bounded_before_expansion(self):
         # MAX_MODES alpha modes from degree 1 and one beta mode from degree 0
-        spec = CrossSectionSpectrum("x", 1, {1: ((0.0, MAX_MODES),), 0: ((0.0, 1),)})
+        spec = CrossSectionSpectrum(1, {1: ((0.0, MAX_MODES),), 0: ((0.0, 1),)})
         message = f"^degree 1: the spectrum has {MAX_MODES + 1} modes, more than MAX_MODES = {MAX_MODES}$"
         with pytest.raises(ContractViolation, match=message):
             mode_list(spec, 1, cutoff=math.inf)
         # only the modes below the cutoff count
-        huge = CrossSectionSpectrum("x", 1, {0: ((0.0, 1), (4.0, 2**62))})
+        huge = CrossSectionSpectrum(1, {0: ((0.0, 1), (4.0, 2**62))})
         assert len(mode_list(huge, 0, cutoff=1.0)) == 1
 
     @pytest.mark.parametrize("spec,q,cutoff", [(torus2_spectrum(), 1, math.inf),
@@ -224,12 +234,11 @@ class TestSpectrumInvariants:
 
     def test_degree_outside_range_rejected(self):
         with pytest.raises(ContractViolation, match=r"^degrees\[5\]: degree outside \[0, 1\]$"):
-            CrossSectionSpectrum(name="x", dimension=1, degrees={5: ((0.0, 1),)})
+            CrossSectionSpectrum(dimension=1, degrees={5: ((0.0, 1),)})
 
     def test_spectra_compare_by_value(self):
         assert circle_spectrum() == circle_spectrum()
-        # the same name, one eigenvalue moved
+        # one eigenvalue moved
         pairs = circle_spectrum().eigenvalues(0)
-        moved = CrossSectionSpectrum("circle(length=6.28319)", 1,
-                                     {0: pairs, 1: pairs[:-1] + ((81.0, 2),)})
+        moved = CrossSectionSpectrum(1, {0: pairs, 1: pairs[:-1] + ((81.0, 2),)})
         assert circle_spectrum() != moved
